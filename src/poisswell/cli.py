@@ -58,10 +58,9 @@ def _dump_records(manifest, records, stem):
     return docs
 
 
-def _write_snapshots(manifest, grid, run, stem):
+def _write_snapshots(manifest, times, fields, stem):
     # one file per sampled time; the cadence is the run's sample_every
-    for i, t in enumerate(run.times):
-        data = run.snapshots[i] if hasattr(run, "snapshots") else run.states[i].a
+    for i, (t, data) in enumerate(zip(times, fields)):
         write_field(manifest.path(f"{stem}_{i:04d}.pwf", "snapshot", t=t), data)
 
 
@@ -74,7 +73,7 @@ def _run_single(cfg: RunConfig, out: Path, manifest: Manifest):
         psi0 = reconstruct_spinor(grid, init)
         run = PauliSolver(grid, params).run(psi0)
         docs = _dump_records(manifest, run.records, "diagnostics")
-        _write_snapshots(manifest, grid, run, "psi")
+        _write_snapshots(manifest, run.times, run.states, "psi")
         summary = {
             "kind": cfg.kind,
             "status": run.status,
@@ -89,7 +88,7 @@ def _run_single(cfg: RunConfig, out: Path, manifest: Manifest):
         init = cfg.build_initial(grid, epsilon=eps)
         run = run_hydro(grid, init, params, thresholds)
         docs = _dump_records(manifest, run.records, "diagnostics")
-        _write_snapshots(manifest, grid, run, "amplitude")
+        _write_snapshots(manifest, run.times, [s.a for s in run.states], "amplitude")
         from .diagnostics import envelope_check
 
         env = envelope_check(run.records, cfg.s)

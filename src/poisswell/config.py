@@ -32,7 +32,6 @@ _FAMILY_OPTION_KEYS = {
 @dataclass
 class RunConfig:
     kind: str = "wkb"
-    seed: int = 0
     points: tuple = (128,)
     lengths: Optional[tuple] = None
     epsilon: float = 0.1
@@ -211,7 +210,7 @@ def parse_config(text: str) -> RunConfig:
 
     cfg = RunConfig()
     run = sections.get("run", {})
-    for k in ("kind", "seed", "threads"):
+    for k in ("kind", "threads"):
         if k in run:
             setattr(cfg, k, run[k])
     if "out_dir" in run:
@@ -281,7 +280,6 @@ def serialize_config(cfg: RunConfig) -> str:
 
     lines = ["[run]"]
     lines.append(f"kind = {fmt(cfg.kind)}")
-    lines.append(f"seed = {cfg.seed}")
     lines.append(f"threads = {cfg.threads}")
     lines += ["", "[grid]", f"points = {fmt(tuple(cfg.points))}"]
     if cfg.lengths is not None:

@@ -13,14 +13,6 @@ class StabilityViolation(PoisswellError):
     """Requested time step exceeds the scheme's stability bound."""
 
 
-class BlowupDetected(PoisswellError):
-    """Blow-up monitor triggered; carries the last diagnostics record."""
-
-    def __init__(self, message, record=None):
-        super().__init__(message)
-        self.record = record
-
-
 class MissingPhase(PoisswellError):
     """Spinor reconstruction requested but no phase is tracked."""
 

@@ -16,11 +16,12 @@ import numpy as np
 from .diagnostics import MonitorThresholds
 from .errors import PoisswellError
 from .grid import Grid
-from .hydro import HydroRun, HydroSolver, run_hydro
+from .hydro import HydroSolver, run_hydro
 from .operators import l2_norm, sobolev_norm
 from .pauli_solver import PauliSolver
 from .states import (
     HydroState,
+    Run,
     SimParams,
     charge_density,
     reconstruct_spinor,
@@ -116,13 +117,13 @@ class LadderRuns:
 
     grid: Grid
     initial: HydroState
-    euler: HydroRun
-    hydro: Dict[float, HydroRun]
+    euler: Run
+    hydro: Dict[float, Run]
     params: SimParams
     n_samples: int
 
 
-def _rung_errors(grid, run_eps: HydroRun, euler: HydroRun, s):
+def _rung_errors(grid, run_eps: Run, euler: Run, s):
     """Sup-in-time errors over the shared sample times."""
     n = min(len(run_eps.times), len(euler.times))
     xs_err = rho_err = cur_err = eps_term = 0.0
@@ -325,7 +326,7 @@ def spinor_vs_wkb(
     for i in range(n):
         psi_wkb = reconstruct_spinor(grid, hrun.states[i])
         times.append(hrun.times[i])
-        distances.append(phase_aligned_distance(grid, prun.snapshots[i], psi_wkb))
+        distances.append(phase_aligned_distance(grid, prun.states[i], psi_wkb))
     return ComparisonReport(
         times=times,
         distances=distances,
@@ -395,7 +396,7 @@ def monokinetic_study(
         run = PauliSolver(grid, sp).run(psi0)
         spinor_runs[eps] = run
         if run.status == "completed":
-            defects.append(monokinetic_defect(grid, run.snapshots[-1], u_final, eps))
+            defects.append(monokinetic_defect(grid, run.states[-1], u_final, eps))
         else:
             defects.append(None)
 
@@ -409,7 +410,7 @@ def monokinetic_study(
     run_min = spinor_runs[eps_min]
     concentration, targets, slc = [], [], None
     if run_min.status == "completed":
-        slc = wigner_slice(grid, run_min.snapshots[-1], eps_min, base_points)
+        slc = wigner_slice(grid, run_min.states[-1], eps_min, base_points)
         u_field_final = u_final - A_final
         for p, idx in enumerate(slc.base_indices):
             target = tuple(

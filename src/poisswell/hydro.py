@@ -16,8 +16,8 @@ identity whenever curl u = 0, so the phase stays reconstructible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional
+import warnings
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -31,8 +31,7 @@ from .diagnostics import (
     functionals,
     tail_fraction,
 )
-from .elliptic import solve_poisson_neutral, solve_screened_vector
-from .errors import InsufficientHistory, NonConvergence, StabilityViolation
+from .errors import InsufficientHistory, StabilityViolation
 from .grid import Grid, dealias_mask, k3
 from .operators import (
     advect,
@@ -45,37 +44,19 @@ from .operators import (
     l2_norm,
     laplacian,
 )
-from .pauli import apply_sigma_dot, spin_density
+from .pauli import apply_sigma_dot
 from .states import (
     HydroState,
     Potentials,
+    Run,
+    RunStopped,
     SimParams,
     charge_density,
-    kinetic_current,
+    default_dt,
+    run_loop,
+    self_consistent_potentials,
     wkb_current,
 )
-
-
-@dataclass
-class HydroRun:
-    """Trajectory of a hydro integration plus its diagnostics stream."""
-
-    times: List[float]
-    states: List[HydroState]
-    potentials: List[Potentials]
-    records: List[DiagnosticsRecord]
-    params: SimParams
-    dt: float
-    status: str = "completed"
-    stop_reason: str = ""
-    caustic: bool = False
-
-    @property
-    def charge_drift(self):
-        c0 = self.records[0].charge
-        if c0 == 0.0:
-            return 0.0
-        return max(abs(r.charge - c0) for r in self.records) / c0
 
 
 class HydroSolver:
@@ -85,38 +66,10 @@ class HydroSolver:
         self.params = params
         self.thresholds = thresholds
 
-    # -- potentials -----------------------------------------------------------
-
     def potentials(self, state: HydroState) -> Potentials:
-        """
-        V from the neutralized Poisson solve; A from the screened problem
-        ``(-Delta + rho) A = eps (Im(conj(a) grad a) - curl(conj(a) sigma a)) + rho u``,
-        which is the WKB transcription of the spinor current source.  At
-        eps = 0 the right side reduces to ``rho u``.
-        """
-        g = self.grid
-        zero_s = np.zeros(g.shape)
-        zero_v = np.zeros((3,) + g.shape)
-        if not self.params.coupling:
-            return Potentials(V=zero_s, A=zero_v, B=zero_v)
-        rho = charge_density(state.a)
-        V = solve_poisson_neutral(g, rho)
-        if not self.params.magnetic:
-            return Potentials(V=V, A=zero_v, B=zero_v)
-        eps = state.epsilon
-        rhs = rho * state.u
-        if eps > 0:
-            rhs = rhs + eps * (
-                kinetic_current(g, state.a) - curl(g, spin_density(state.a))
-            )
-        A = solve_screened_vector(
-            g,
-            rhs,
-            rho,
-            tol=self.params.screened_tol,
-            max_iters=self.params.screened_max_iters,
+        return self_consistent_potentials(
+            self.grid, self.params, state.a, state.epsilon, state.u
         )
-        return Potentials(V=V, A=A, B=curl(g, A))
 
     # -- right-hand sides ------------------------------------------------------
 
@@ -144,7 +97,7 @@ class HydroSolver:
 
     # -- stepping ---------------------------------------------------------------
 
-    def cfl_bound(self, state: HydroState, pots: Optional[Potentials] = None):
+    def dt_bound(self, state: HydroState, pots: Optional[Potentials] = None):
         """dt bound  dx / (||u - A||_inf + eps k_max / 2), c = 1."""
         A = pots.A if pots is not None else 0.0
         rel_inf = float(np.max(np.abs(state.u - A)))
@@ -167,20 +120,34 @@ class HydroSolver:
         )
         return out
 
-    def step_rk4(self, state: HydroState, dt, rhs_fn: Optional[Callable] = None,
-                 enforce_gradient=True, check_cfl=True):
+    def _dealias(self, state: HydroState, enforce_gradient=True):
         """
-        One classical RK4 step; afterwards the velocity is projected back
-        onto (constant mean) + (zero-mean gradient) so curl u stays at
-        spectral zero and the phase remains consistent with u.
+        Truncate ``a`` and ``S`` to the dealiased band and project the
+        velocity onto (constant mean) + (zero-mean gradient), so curl u
+        stays at spectral zero and the phase remains consistent with u.
+        """
+        g = self.grid
+        mask = dealias_mask(g)
+        state.a = g.ifft(g.fft(state.a) * mask)
+        if state.S is not None:
+            state.S = g.ifft_real(g.fft(state.S) * mask)
+        if enforce_gradient:
+            state.u = gradient_part(g, state.u) + state.u_mean.reshape(3, *(1,) * g.dim)
+        return state
+
+    def step_rk4(self, state: HydroState, dt, rhs_fn: Optional[Callable] = None,
+                 enforce_gradient=True, check_cfl=True, pots=None):
+        """
+        One classical RK4 step followed by :meth:`_dealias`.  ``pots``, when
+        given, are the potentials of ``state`` and serve the first stage.
         """
         if rhs_fn is None:
             rhs_fn = lambda s: self.rhs(s, self.potentials(s))
-        if check_cfl and dt > self.cfl_bound(state) * (1.0 + 1e-9):
+        if check_cfl and dt > self.dt_bound(state) * (1.0 + 1e-9):
             raise StabilityViolation(
                 f"dt={dt:g} exceeds the advection/dispersion bound"
             )
-        k1 = rhs_fn(state)
+        k1 = rhs_fn(state) if pots is None else self.rhs(state, pots)
         k2 = rhs_fn(self._apply(state, k1, 0.5 * dt))
         k3_ = rhs_fn(self._apply(state, k2, 0.5 * dt))
         k4 = rhs_fn(self._apply(state, k3_, dt))
@@ -190,19 +157,12 @@ class HydroSolver:
         )
         new = self._apply(state, combo, dt)
         new.t = state.t + dt
-        g = self.grid
-        mask = dealias_mask(g)
-        new.a = g.ifft(g.fft(new.a) * mask)
-        if new.S is not None:
-            new.S = g.ifft_real(g.fft(new.S) * mask)
-        if enforce_gradient:
-            proj = gradient_part(g, new.u)
-            new.u = proj + new.u_mean.reshape(3, *(1,) * g.dim)
-        return new
+        return self._dealias(new, enforce_gradient)
 
     # -- full run -----------------------------------------------------------------
 
-    def _record(self, state: HydroState, pots: Potentials, monitor_sup):
+    def _record(self, t, state: HydroState, pots: Potentials, previous):
+        # the state carries its own time; ``t`` is the loop's n * dt
         g = self.grid
         fn = functionals(
             g,
@@ -213,7 +173,7 @@ class HydroSolver:
             self.params.mu2,
             dt_u=self.rhs(state, pots)[1],
         )
-        sup = max(monitor_sup, fn.monitor) if monitor_sup is not None else fn.monitor
+        sup = fn.monitor if previous is None else max(previous.monitor_sup, fn.monitor)
         return DiagnosticsRecord(
             t=state.t,
             charge=charge(g, state.a),
@@ -230,94 +190,47 @@ class HydroSolver:
         if state.epsilon != self.params.epsilon:
             state = state.copy()
             state.epsilon = self.params.epsilon
-        pots = self.potentials(state)
-        bound = self.cfl_bound(state, pots)
-        cap = self.params.T / 16.0 if self.params.T > 0 else 1e-2
-        return max(min(self.params.cfl_safety * bound, cap, 1e-2), 1e-8)
+        return default_dt(self, state)
 
-    def run(self, init: HydroState, warn_suppress=True) -> HydroRun:
-        import warnings as _warnings
-
-        g = self.grid
-        p = self.params
+    def run(self, init: HydroState) -> Run:
+        """
+        The shared run loop with the WKB policy: a crossed dt bound or an
+        elliptic breakdown after a monitor warning ends the run as a
+        blow-up (before a warning they raise), and the monitor can stop it.
+        """
         state = init.copy()
-        state.epsilon = p.epsilon
-        mask = dealias_mask(g)
-        state.a = g.ifft(g.fft(state.a) * mask)
-        state.u = gradient_part(g, state.u) + state.u_mean.reshape(3, *(1,) * g.dim)
-        if state.S is not None:
-            state.S = g.ifft_real(g.fft(state.S) * mask)
+        state.epsilon = self.params.epsilon
+        warned = False
 
-        dt = p.dt if p.dt is not None else self.default_dt(state)
-        n_steps = 0 if p.T == 0 else max(1, int(round(p.T / dt)))
-        dt = p.T / n_steps if n_steps else dt
+        def advance(state, dt, pots):
+            bound = self.dt_bound(state, pots)
+            if dt > bound * (1.0 + 1e-9):
+                if warned:
+                    raise RunStopped("stability bound crossed")
+                raise StabilityViolation(
+                    f"dt={dt:g} exceeds bound {bound:g} at t={state.t:g}"
+                )
+            return self.step_rk4(state, dt, check_cfl=False, pots=pots)
 
-        ctx = _warnings.catch_warnings()
-        ctx.__enter__()
-        if warn_suppress:
-            _warnings.simplefilter("ignore")
-        try:
-            pots = self.potentials(state)
-            rec0 = self._record(state, pots, None)
-            initial_sum = rec0.blowup_sum
-            times, states, pot_hist, records = [0.0], [state.copy()], [pots], [rec0]
-            status, reason, caustic = "completed", "", False
-            tail_warned = False
-            for n in range(1, n_steps + 1):
-                bound = self.cfl_bound(state, pots)
-                if dt > bound * (1.0 + 1e-9):
-                    if tail_warned:
-                        status, reason, caustic = "blowup", "stability bound crossed", True
-                        break
-                    raise StabilityViolation(
-                        f"dt={dt:g} exceeds bound {bound:g} at t={state.t:g}"
-                    )
-                try:
-                    state = self.step_rk4(state, dt, check_cfl=False)
-                    if not np.all(np.isfinite(state.a.view(float))) or not np.all(
-                        np.isfinite(state.u)
-                    ):
-                        status, reason, caustic = "blowup", "non-finite state", True
-                        break
-                    pots = self.potentials(state)
-                except NonConvergence:
-                    # elliptic breakdown mid-collapse is blow-up phenomenology;
-                    # on a healthy trajectory it should surface
-                    if not tail_warned:
-                        raise
-                    status, reason, caustic = "blowup", "elliptic solve diverged", True
-                    break
-                if n % p.sample_every == 0 or n == n_steps:
-                    rec = self._record(state, pots, records[-1].monitor_sup)
-                    times.append(state.t)
-                    states.append(state.copy())
-                    pot_hist.append(pots)
-                    records.append(rec)
-                    verdict = blowup_monitor(rec, self.thresholds, initial_sum)
-                    if verdict is MonitorStatus.WARNING:
-                        tail_warned = True
-                    elif verdict is MonitorStatus.TRIGGERED:
-                        status, reason, caustic = "blowup", "monitor triggered", True
-                        break
-        finally:
-            ctx.__exit__(None, None, None)
-        self._fill_residuals(times, states, pot_hist, records)
-        return HydroRun(
-            times=times,
-            states=states,
-            potentials=pot_hist,
-            records=records,
-            params=p,
-            dt=dt,
-            status=status,
-            stop_reason=reason,
-            caustic=caustic,
-        )
+        def watch(records):
+            nonlocal warned
+            verdict = blowup_monitor(records[-1], self.thresholds, records[0].blowup_sum)
+            if verdict is MonitorStatus.TRIGGERED:
+                raise RunStopped("monitor triggered")
+            warned = warned or verdict is MonitorStatus.WARNING
 
-    def _fill_residuals(self, times, states, pots, records):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            run = run_loop(self, state, advance, every_step=True, watch=watch,
+                           tolerate=lambda: warned)
+        self._fill_residuals(run)
+        return run
+
+    def _fill_residuals(self, run: Run):
         from .diagnostics import continuity_residual, gauge_residual
 
         g = self.grid
+        times, states, pots, records = run.times, run.states, run.potentials, run.records
         if len(times) < 3:
             return
         rho = [charge_density(s.a) for s in states]
@@ -332,11 +245,6 @@ class HydroSolver:
             records[i].gauge_residual = gauge_residual(
                 g, win_pot, states[i].epsilon
             )
-
-
-def hydro_potentials(grid: Grid, state: HydroState, params: Optional[SimParams] = None):
-    params = params or SimParams(epsilon=state.epsilon)
-    return HydroSolver(grid, params).potentials(state)
 
 
 def wkb_rhs(grid: Grid, state: HydroState, pots: Potentials, params: Optional[SimParams] = None):
@@ -354,7 +262,7 @@ def euler_rhs(grid: Grid, state: HydroState, pots: Potentials):
 
 
 def run_hydro(grid: Grid, init: HydroState, params: SimParams,
-              thresholds: MonitorThresholds = MonitorThresholds()) -> HydroRun:
+              thresholds: MonitorThresholds = MonitorThresholds()) -> Run:
     return HydroSolver(grid, params, thresholds).run(init)
 
 
@@ -370,7 +278,7 @@ def continuity_form_residual(grid: Grid, state: HydroState, pots: Potentials, da
     return l2_norm(grid, dt_rho + divergence(grid, flux))
 
 
-def euler_fields_form(grid: Grid, run: HydroRun, index: int):
+def euler_fields_form(grid: Grid, run: Run, index: int):
     """
     Field-form variables at sample ``index``: E = -grad V - d_t A (centered
     difference of the potential history), B = curl A, and the transformed

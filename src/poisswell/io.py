@@ -35,9 +35,10 @@ class FieldSnapshot:
 
 
 def write_field(path, data, rep="physical"):
+    """Write ``data`` of shape ``(ncomp, *shape)``; a scalar field is ``f[None]``."""
     data = np.asarray(data, dtype=complex)
-    if data.ndim == 1 or (data.ndim > 1 and data.shape[0] > 4):
-        data = data[None]  # bare scalar field
+    if data.ndim < 2:
+        raise ValueError("a field needs shape (ncomp, *grid shape)")
     ncomp, shape = data.shape[0], data.shape[1:]
     if rep not in REPRESENTATIONS:
         raise ValueError(f"representation must be one of {REPRESENTATIONS}")

@@ -1,51 +1,21 @@
 """
-Hot pointwise kernels with two interchangeable backends.
-
-The spinor rotation applied every split step and the density/spin-density
-reductions are the only per-point loops that show up next to the FFTs in
-profiles, so they get fused numba implementations.  Everything else in the
-package stays plain numpy.
-
-Backend selection: environment variable ``POISSWELL_KERNELS``:
-
-* ``numba`` - require numba, fail loudly if missing,
-* ``numpy`` - pure-numpy fallback path,
-* unset / ``auto`` - numba when importable, numpy otherwise.
-
-``benchmarks/bench_kernels.py`` compares the two paths.
+Hot pointwise kernels: the spinor rotation applied every split step and
+the density/spin-density reductions, the only per-point loops that show up
+next to the FFTs in profiles.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_CHOICE = os.environ.get("POISSWELL_KERNELS", "auto").lower()
-if _CHOICE not in ("auto", "numba", "numpy"):
-    raise ValueError(f"POISSWELL_KERNELS must be auto|numba|numpy, got {_CHOICE!r}")
 
-_HAVE_NUMBA = False
-if _CHOICE in ("auto", "numba"):
-    try:
-        import numba
-
-        _HAVE_NUMBA = True
-    except ImportError:
-        if _CHOICE == "numba":
-            raise
-
-
-# -- numpy backend ------------------------------------------------------------
-
-
-def spinor_density_numpy(psi):
+def spinor_density(psi):
     """Pointwise |psi_1|^2 + |psi_2|^2."""
     p = np.asarray(psi)
     return (p.real**2 + p.imag**2).sum(axis=0)
 
 
-def spin_density_numpy(psi):
+def spin_density(psi):
     """The three real fields conj(psi) sigma_k psi, stacked."""
     p = np.asarray(psi)
     z = np.conj(p[0]) * p[1]
@@ -56,7 +26,7 @@ def spin_density_numpy(psi):
     return out
 
 
-def phase_sigma_rotate_numpy(psi, scalar_phase, B, half_angle_scale):
+def phase_sigma_rotate(psi, scalar_phase, B, half_angle_scale):
     """
     Pointwise unitary ``exp(-i scalar_phase) * exp(i half_angle_scale sigma.B)``
     applied to a 2-spinor; the two factors commute so this is exact.
@@ -79,84 +49,3 @@ def phase_sigma_rotate_numpy(psi, scalar_phase, B, half_angle_scale):
     out[0] = phase * (c * p[0] + 1j * (sb2 * p[0] + (sb0 - 1j * sb1) * p[1]))
     out[1] = phase * (c * p[1] + 1j * ((sb0 + 1j * sb1) * p[0] - sb2 * p[1]))
     return out
-
-
-# -- numba backend ------------------------------------------------------------
-
-if _HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _spinor_density_flat(p, out):
-        n = out.size
-        for i in range(n):
-            a = p[0, i]
-            b = p[1, i]
-            out[i] = a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag
-
-    @numba.njit(cache=True)
-    def _spin_density_flat(p, out):
-        n = p.shape[1]
-        for i in range(n):
-            a = p[0, i]
-            b = p[1, i]
-            z = a.conjugate() * b
-            out[0, i] = 2.0 * z.real
-            out[1, i] = 2.0 * z.imag
-            out[2, i] = (a.real * a.real + a.imag * a.imag) - (
-                b.real * b.real + b.imag * b.imag
-            )
-
-    @numba.njit(cache=True)
-    def _phase_sigma_rotate_flat(p, w, B, scale, out):
-        n = p.shape[1]
-        for i in range(n):
-            b0 = B[0, i]
-            b1 = B[1, i]
-            b2 = B[2, i]
-            bmag = np.sqrt(b0 * b0 + b1 * b1 + b2 * b2)
-            theta = scale * bmag
-            c = np.cos(theta)
-            if bmag < 1e-300:
-                sob = scale
-            else:
-                sob = np.sin(theta) / bmag
-            ph = np.exp(-1j * w[i])
-            a = p[0, i]
-            b = p[1, i]
-            out[0, i] = ph * (c * a + 1j * (sob * b2 * a + (sob * b0 - 1j * sob * b1) * b))
-            out[1, i] = ph * (c * b + 1j * ((sob * b0 + 1j * sob * b1) * a - sob * b2 * b))
-
-    def spinor_density_numba(psi):
-        p = np.ascontiguousarray(psi).reshape(2, -1)
-        out = np.empty(p.shape[1])
-        _spinor_density_flat(p, out)
-        return out.reshape(np.asarray(psi).shape[1:])
-
-    def spin_density_numba(psi):
-        p = np.ascontiguousarray(psi).reshape(2, -1)
-        out = np.empty((3, p.shape[1]))
-        _spin_density_flat(p, out)
-        return out.reshape((3,) + np.asarray(psi).shape[1:])
-
-    def phase_sigma_rotate_numba(psi, scalar_phase, B, half_angle_scale):
-        shape = np.asarray(psi).shape
-        p = np.ascontiguousarray(psi).reshape(2, -1)
-        w = np.ascontiguousarray(scalar_phase, dtype=float).reshape(-1)
-        if w.size == 1:
-            w = np.full(p.shape[1], w[0])
-        b = np.ascontiguousarray(B, dtype=float).reshape(3, -1)
-        out = np.empty_like(p)
-        _phase_sigma_rotate_flat(p, w, b, float(half_angle_scale), out)
-        return out.reshape(shape)
-
-
-ACTIVE_BACKEND = "numba" if _HAVE_NUMBA else "numpy"
-
-if ACTIVE_BACKEND == "numba":
-    spinor_density = spinor_density_numba
-    spin_density = spin_density_numba
-    phase_sigma_rotate = phase_sigma_rotate_numba
-else:
-    spinor_density = spinor_density_numpy
-    spin_density = spin_density_numpy
-    phase_sigma_rotate = phase_sigma_rotate_numpy

@@ -17,10 +17,6 @@ import numpy as np
 from .grid import Grid, dealias_mask, inverse_laplacian_modes, k2, k2_safe, k3
 
 
-def to_spectral(grid: Grid, f):
-    return grid.fft(f)
-
-
 def to_physical(grid: Grid, fh, real=True):
     return grid.ifft_real(fh) if real else grid.ifft(fh)
 

@@ -11,40 +11,21 @@ integrated by an explicit midpoint rule inside each nonlinear half-step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
-
 import numpy as np
 
 from . import kernels
 from .diagnostics import DiagnosticsRecord, charge, field_energy, tail_fraction
-from .elliptic import solve_poisson_neutral, solve_screened_vector
 from .errors import StabilityViolation
 from .grid import Grid, dealias_mask, k2
-from .operators import curl, dealias, deriv, divergence
-from .states import Potentials, SimParams, charge_density, kinetic_current
-from .pauli import spin_density
-
-
-@dataclass
-class SpinorRun:
-    """Trajectory of a spinor integration plus its diagnostics stream."""
-
-    times: List[float]
-    snapshots: List[np.ndarray]
-    potentials: List[Potentials]
-    records: List[DiagnosticsRecord]
-    params: SimParams
-    dt: float
-    status: str = "completed"
-    stop_reason: str = ""
-
-    @property
-    def charge_drift(self):
-        c0 = self.records[0].charge
-        if c0 == 0.0:
-            return 0.0
-        return max(abs(r.charge - c0) for r in self.records) / c0
+from .operators import dealias, deriv, divergence
+from .states import (
+    Potentials,
+    Run,
+    SimParams,
+    default_dt,
+    run_loop,
+    self_consistent_potentials,
+)
 
 
 class PauliSolver:
@@ -57,37 +38,12 @@ class PauliSolver:
         self.params = params
         self._kinetic_cache = {}
 
-    # -- potentials ----------------------------------------------------------
-
     def potentials(self, psi) -> Potentials:
-        """
-        Self-consistent potentials: Poisson for V; for A the screened form
-        ``(-Delta + rho)A = Im(conj(psi) eps grad psi) - eps curl(conj(psi) sigma psi)``
-        obtained by moving the -rho A part of the current to the left.
-        """
-        g = self.grid
-        zero_s = np.zeros(g.shape)
-        zero_v = np.zeros((3,) + g.shape)
-        if not self.params.coupling:
-            return Potentials(V=zero_s, A=zero_v, B=zero_v)
-        rho = charge_density(psi)
-        V = solve_poisson_neutral(g, rho)
-        if not self.params.magnetic:
-            return Potentials(V=V, A=zero_v, B=zero_v)
-        eps = self.params.epsilon
-        rhs = eps * (kinetic_current(g, psi) - curl(g, spin_density(psi)))
-        A = solve_screened_vector(
-            g,
-            rhs,
-            rho,
-            tol=self.params.screened_tol,
-            max_iters=self.params.screened_max_iters,
-        )
-        return Potentials(V=V, A=A, B=curl(g, A))
+        return self_consistent_potentials(self.grid, self.params, psi, self.params.epsilon)
 
     # -- single step ---------------------------------------------------------
 
-    def stability_bound(self, pots: Potentials):
+    def dt_bound(self, psi, pots: Potentials):
         """dt bound 0.5 min(dx/||A||_inf, eps/||V + |A|^2/2||_inf)."""
         dx = min(self.grid.spacings)
         a_inf = float(np.max(np.abs(pots.A)))
@@ -145,7 +101,7 @@ class PauliSolver:
         tau = 0.5 * dt
         psi = self._kinetic(psi, tau)
         pots = self.potentials(psi)
-        bound = self.stability_bound(pots)
+        bound = self.dt_bound(psi, pots)
         if dt > bound * (1.0 + 1e-9):
             raise StabilityViolation(f"dt={dt:g} exceeds stability bound {bound:g}")
         if np.any(pots.A):
@@ -155,22 +111,18 @@ class PauliSolver:
             pots = self.potentials(predicted)
         psi = self._transport(psi, tau, pots)
         psi = self._multiply(psi, dt, pots)
-        if self.params.refresh_per_stage:
-            pots = self.potentials(psi)
         psi = self._transport(psi, tau, pots)
-        psi = self._kinetic(psi, tau)
+        return self._dealias(self._kinetic(psi, tau))
+
+    def _dealias(self, psi):
         return self.grid.ifft(self.grid.fft(psi) * dealias_mask(self.grid))
 
     # -- full run --------------------------------------------------------------
 
     def default_dt(self, psi0):
-        pots = self.potentials(psi0)
-        bound = self.stability_bound(pots)
-        cap = self.params.T / 16.0 if self.params.T > 0 else 1e-2
-        dt = min(self.params.cfl_safety * bound, cap, 1e-2)
-        return max(dt, 1e-8)
+        return default_dt(self, psi0)
 
-    def _record(self, t, psi, pots):
+    def _record(self, t, psi, pots, previous):
         g = self.grid
         return DiagnosticsRecord(
             t=t,
@@ -179,46 +131,20 @@ class PauliSolver:
             tail_fraction=tail_fraction(g, psi),
         )
 
-    def run(self, psi0, tail_warn=0.10) -> SpinorRun:
-        g = self.grid
-        p = self.params
-        psi = self.grid.ifft(self.grid.fft(np.asarray(psi0, dtype=complex)) * dealias_mask(g))
-        dt = p.dt if p.dt is not None else self.default_dt(psi)
-        n_steps = 0 if p.T == 0 else max(1, int(round(p.T / dt)))
-        dt = p.T / n_steps if n_steps else dt
-
-        pots = self.potentials(psi)
-        times = [0.0]
-        snaps = [psi.copy()]
-        pot_hist = [pots]
-        records = [self._record(0.0, psi, pots)]
-        status, reason = "completed", ""
-        for n in range(1, n_steps + 1):
-            psi = self.step(psi, dt)
-            if not np.all(np.isfinite(psi.view(float))):
-                status, reason = "blowup", "non-finite state"
-                break
-            t = n * dt
-            if n % p.sample_every == 0 or n == n_steps:
-                pots = self.potentials(psi)
-                rec = self._record(t, psi, pots)
-                if rec.tail_fraction > tail_warn and not reason:
-                    reason = "spectral tail warning"
-                times.append(t)
-                snaps.append(psi.copy())
-                pot_hist.append(pots)
-                records.append(rec)
-        return SpinorRun(
-            times=times,
-            snapshots=snaps,
-            potentials=pot_hist,
-            records=records,
-            params=p,
-            dt=dt,
-            status=status,
-            stop_reason=reason,
+    def run(self, psi0, tail_warn=0.10) -> Run:
+        """
+        The shared run loop; a completed run whose spectral tail passed
+        ``tail_warn`` at some sample carries that as its stop reason.
+        """
+        run = run_loop(
+            self, np.asarray(psi0, dtype=complex), lambda psi, dt, pots: self.step(psi, dt)
         )
+        if run.status == "completed" and any(
+            r.tail_fraction > tail_warn for r in run.records[1:]
+        ):
+            run.stop_reason = "spectral tail warning"
+        return run
 
 
-def run_pauli(grid: Grid, psi0, params: SimParams) -> SpinorRun:
+def run_pauli(grid: Grid, psi0, params: SimParams) -> Run:
     return PauliSolver(grid, params).run(psi0)

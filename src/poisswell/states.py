@@ -1,18 +1,21 @@
 """
 Physical state containers and the algebraic source-term formulas: charge
 density, phase and spin currents, the full Pauli current, and the WKB
-amplitude/phase reconstruction machinery.
+amplitude/phase reconstruction machinery.  Also the pieces both solvers
+share: the self-consistent potentials, the default step size and the run
+loop with its ``Run`` record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
 from . import kernels
-from .errors import MissingPhase, NonzeroMean, NotAGradient
+from .elliptic import solve_poisson_neutral, solve_screened_vector
+from .errors import MissingPhase, NonConvergence, NonzeroMean, NotAGradient
 from .grid import Grid, inverse_laplacian_modes, k2_safe, k3
 from .operators import curl, l2_norm
 from .pauli import spin_density
@@ -25,7 +28,6 @@ class Potentials:
     V: np.ndarray
     A: np.ndarray
     B: np.ndarray
-    E: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -55,7 +57,6 @@ class SimParams:
     sample_every: int = 1
     magnetic: bool = True
     coupling: bool = True
-    refresh_per_stage: bool = False
 
     def __post_init__(self):
         if self.epsilon < 0:
@@ -160,6 +161,39 @@ def current_epsilon_part(grid: Grid, a, epsilon):
     return epsilon * (kinetic_current(grid, a) - curl(grid, spin_density(a)))
 
 
+def self_consistent_potentials(grid: Grid, params: SimParams, a, epsilon, u=None):
+    """
+    V from the neutralized Poisson solve; A from the screened problem
+    ``(-Delta + rho) A = eps (Im(conj(a) grad a) - curl(conj(a) sigma a)) + rho u``,
+    obtained by moving the ``-rho A`` part of the current to the left.
+
+    The spinor solver passes ``psi`` and no ``u``; the WKB solver passes its
+    amplitude and velocity, and at eps = 0 its source reduces to ``rho u``.
+    """
+    zero_s = np.zeros(grid.shape)
+    zero_v = np.zeros((3,) + grid.shape)
+    if not params.coupling:
+        return Potentials(V=zero_s, A=zero_v, B=zero_v)
+    rho = charge_density(a)
+    V = solve_poisson_neutral(grid, rho)
+    if not params.magnetic:
+        return Potentials(V=V, A=zero_v, B=zero_v)
+    if u is None:
+        rhs = current_epsilon_part(grid, a, epsilon)
+    else:
+        rhs = rho * u
+        if epsilon > 0:
+            rhs = rhs + current_epsilon_part(grid, a, epsilon)
+    A = solve_screened_vector(
+        grid,
+        rhs,
+        rho,
+        tol=params.screened_tol,
+        max_iters=params.screened_max_iters,
+    )
+    return Potentials(V=V, A=A, B=curl(grid, A))
+
+
 def source_terms(grid: Grid, state: HydroState) -> SourceTerms:
     rho = charge_density(state.a)
     w = phase_current(grid, state.a)
@@ -227,3 +261,109 @@ def normalize_charge(grid: Grid, a, target=1.0):
     if norm == 0.0:
         raise ValueError("cannot normalize the zero field")
     return np.asarray(a) * (target / norm)
+
+
+# -- the run loop both solvers share -----------------------------------------
+
+
+@dataclass
+class Run:
+    """
+    Trajectory of a solver run plus its diagnostics stream.  ``states``
+    holds ``HydroState`` samples for the WKB solver and spinor arrays for
+    the spinor solver.
+    """
+
+    times: List[float]
+    states: list
+    potentials: List[Potentials]
+    records: list
+    params: SimParams
+    dt: float
+    status: str = "completed"
+    stop_reason: str = ""
+
+    @property
+    def charge_drift(self):
+        c0 = self.records[0].charge
+        if c0 == 0.0:
+            return 0.0
+        return max(abs(r.charge - c0) for r in self.records) / c0
+
+
+class RunStopped(Exception):
+    """Raised inside :func:`run_loop` to end a run with status ``blowup``."""
+
+
+def default_dt(solver, state, pots=None):
+    """The safety fraction of the solver's dt bound, capped at T/16 and 1e-2."""
+    p = solver.params
+    if pots is None:
+        pots = solver.potentials(state)
+    cap = p.T / 16.0 if p.T > 0 else 1e-2
+    return max(min(p.cfl_safety * solver.dt_bound(state, pots), cap, 1e-2), 1e-8)
+
+
+def _finite(state):
+    arrays = (state.a, state.u) if isinstance(state, HydroState) else (state,)
+    return all(np.all(np.isfinite(x)) for x in arrays)
+
+
+def run_loop(solver, state, advance, every_step=False, watch=None,
+             tolerate=lambda: False) -> Run:
+    """
+    Integrate ``state`` over [0, T] and sample it every ``sample_every``
+    steps and at the end.
+
+    ``solver`` supplies ``params``, ``potentials(state)``,
+    ``dt_bound(state, pots)``, ``_dealias(state)`` and
+    ``_record(t, state, pots, previous)``.  ``advance(state, dt, pots)``
+    takes one step; ``pots`` are the potentials of ``state`` when
+    ``every_step`` is set, and of the last sample otherwise.
+    ``watch(records)`` judges each new sample.  ``advance`` and ``watch``
+    end the run as a blow-up by raising :class:`RunStopped`; a non-finite
+    state does the same.  A ``NonConvergence`` ends the run when
+    ``tolerate()`` is true and propagates otherwise.
+    """
+    p = solver.params
+    state = solver._dealias(state)
+    pots = solver.potentials(state)
+    dt = p.dt if p.dt is not None else default_dt(solver, state, pots)
+    n_steps = 0 if p.T == 0 else max(1, int(round(p.T / dt)))
+    dt = p.T / n_steps if n_steps else dt
+
+    run = Run(
+        times=[0.0],
+        states=[state.copy()],
+        potentials=[pots],
+        records=[solver._record(0.0, state, pots, None)],
+        params=p,
+        dt=dt,
+    )
+    for n in range(1, n_steps + 1):
+        sample = n % p.sample_every == 0 or n == n_steps
+        try:
+            state = advance(state, dt, pots)
+            if not _finite(state):
+                raise RunStopped("non-finite state")
+            if every_step or sample:
+                pots = solver.potentials(state)
+            if sample:
+                rec = solver._record(n * dt, state, pots, run.records[-1])
+                run.times.append(rec.t)
+                run.states.append(state.copy())
+                run.potentials.append(pots)
+                run.records.append(rec)
+                if watch is not None:
+                    watch(run.records)
+        except RunStopped as stop:
+            run.status, run.stop_reason = "blowup", str(stop)
+            break
+        except NonConvergence:
+            # elliptic breakdown mid-collapse is blow-up phenomenology;
+            # on a healthy trajectory it should surface
+            if not tolerate():
+                raise
+            run.status, run.stop_reason = "blowup", "elliptic solve diverged"
+            break
+    return run

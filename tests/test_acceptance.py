@@ -124,7 +124,7 @@ def test_c03_continuity_order():
         mid = len(run.times) // 2
         window = []
         for i in (mid - 1, mid, mid + 1):
-            psi = run.snapshots[i]
+            psi = run.states[i]
             window.append(
                 (
                     run.times[i],
@@ -176,7 +176,7 @@ def test_c06_free_particle_exactness():
     psi0[0] = np.exp(1j * k * x) * np.ones(grid.shape)
     run = run_pauli(grid, psi0, SimParams(epsilon=eps, dt=0.05, T=T, coupling=False))
     exact = np.exp(1j * (k * x - 0.5 * eps * k**2 * T)) * np.ones(grid.shape)
-    err = float(np.max(np.abs(run.snapshots[-1][0] - exact)))
+    err = float(np.max(np.abs(run.states[-1][0] - exact)))
     assert err <= 1e-12
     ok(6, f"plane-wave error {err:.2e} at T={T}")
 

@@ -1,4 +1,4 @@
-"""Backend equivalence: the numba kernels must match the numpy fallback."""
+"""Properties of the pointwise spinor rotation kernel."""
 
 import numpy as np
 import pytest
@@ -8,10 +8,6 @@ from poisswell import kernels
 from conftest import random_band_limited
 from poisswell.grid import Grid
 
-needs_numba = pytest.mark.skipif(
-    kernels.ACTIVE_BACKEND != "numba", reason="numba backend not active"
-)
-
 
 @pytest.fixture
 def spinor_and_fields(rng):
@@ -20,30 +16,6 @@ def spinor_and_fields(rng):
     W = random_band_limited(g, rng)
     B = random_band_limited(g, rng, components=3)
     return psi, W, B
-
-
-@needs_numba
-def test_spinor_density_backends_agree(spinor_and_fields):
-    psi, _, _ = spinor_and_fields
-    a = kernels.spinor_density_numba(psi)
-    b = kernels.spinor_density_numpy(psi)
-    assert np.max(np.abs(a - b)) < 1e-14
-
-
-@needs_numba
-def test_spin_density_backends_agree(spinor_and_fields):
-    psi, _, _ = spinor_and_fields
-    a = kernels.spin_density_numba(psi)
-    b = kernels.spin_density_numpy(psi)
-    assert np.max(np.abs(a - b)) < 1e-14
-
-
-@needs_numba
-def test_rotation_backends_agree(spinor_and_fields):
-    psi, W, B = spinor_and_fields
-    a = kernels.phase_sigma_rotate_numba(psi, W, B, 0.37)
-    b = kernels.phase_sigma_rotate_numpy(psi, W, B, 0.37)
-    assert np.max(np.abs(a - b)) < 1e-13
 
 
 def test_rotation_is_unitary(spinor_and_fields):
@@ -71,43 +43,3 @@ def test_rotation_constant_b3_matrix_exponential(rng):
     out = kernels.phase_sigma_rotate(psi, np.zeros(g.shape), B, scale)
     assert np.max(np.abs(out[0] - np.exp(1j * scale * b) * psi[0])) < 1e-13
     assert np.max(np.abs(out[1] - np.exp(-1j * scale * b) * psi[1])) < 1e-13
-
-
-def test_numpy_fallback_env_flag_matches_active_backend(tmp_path):
-    # run a short coupled spinor step in a subprocess with the fallback
-    # forced on and compare against the in-process result
-    import subprocess
-    import sys
-
-    script = r"""
-import json
-import numpy as np
-from poisswell import kernels
-from poisswell.grid import Grid
-from poisswell.initial_data import gaussian_bump
-from poisswell.pauli_solver import PauliSolver
-from poisswell.states import SimParams, reconstruct_spinor
-
-g = Grid((64,))
-st = gaussian_bump(g, epsilon=0.25, amplitude=0.3)
-psi = reconstruct_spinor(g, st)
-out = PauliSolver(g, SimParams(epsilon=0.25)).step(psi, 1e-3)
-print(json.dumps({"backend": kernels.ACTIVE_BACKEND,
-                  "checksum": float(np.abs(out).sum())}))
-"""
-    import os
-
-    results = {}
-    for backend in ("numpy", "auto"):
-        env = dict(os.environ, POISSWELL_KERNELS=backend)
-        proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env
-        )
-        assert proc.returncode == 0, proc.stderr
-        import json
-
-        results[backend] = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert results["numpy"]["backend"] == "numpy"
-    assert results["numpy"]["checksum"] == pytest.approx(
-        results["auto"]["checksum"], rel=1e-13
-    )

@@ -83,8 +83,8 @@ class TestStep:
         run = PauliSolver(g, params).run(plane_wave_psi(g, k))
         x = g.coordinates()[0]
         exact = np.exp(1j * (k * x - 0.5 * eps * k**2 * T)) * np.ones(g.shape)
-        assert np.max(np.abs(run.snapshots[-1][0] - exact)) < 1e-12
-        assert np.max(np.abs(run.snapshots[-1][1])) < 1e-14
+        assert np.max(np.abs(run.states[-1][0] - exact)) < 1e-12
+        assert np.max(np.abs(run.states[-1][1])) < 1e-14
 
     def test_unitarity_of_multiply(self, rng):
         g = Grid((32,))
@@ -112,8 +112,8 @@ class TestRun:
         g = Grid((32,))
         psi = plane_wave_psi(g, 1)
         run = run_pauli(g, psi, SimParams(epsilon=0.5, T=0.0, coupling=False))
-        assert len(run.snapshots) == 1
-        assert np.max(np.abs(run.snapshots[0] - psi)) < 1e-13
+        assert len(run.states) == 1
+        assert np.max(np.abs(run.states[0] - psi)) < 1e-13
 
     def test_charge_conservation_wkb_bump(self):
         # acceptance 2 (spinor side): d=1, N=128, eps=0.1, T=0.5
@@ -133,7 +133,7 @@ class TestRun:
             run = run_pauli(
                 g, psi0, SimParams(epsilon=0.25, dt=dt, T=0.2, sample_every=10**6)
             )
-            ends[dt] = run.snapshots[-1]
+            ends[dt] = run.states[-1]
         d1 = l2_norm(g, ends[2e-3] - ends[1e-3])
         d2 = l2_norm(g, ends[1e-3] - ends[5e-4])
         assert d1 / d2 >= 3.5  # order ~ 2
