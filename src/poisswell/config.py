@@ -18,6 +18,34 @@ from .states import SimParams
 
 KINDS = ("pauli", "wkb", "euler", "ladder", "spinor-vs-wkb", "monokinetic")
 
+_PARAMS_KEYS = (
+    "epsilon",
+    "dt",
+    "t",
+    "s",
+    "mu",
+    "mu1",
+    "mu2",
+    "cfl_safety",
+    "sample_every",
+    "magnetic",
+    "coupling",
+    "normalize",
+)
+
+# The keys each section accepts.  [initial] holds the family and its
+# options, which RunConfig.validate checks against _FAMILY_OPTION_KEYS.
+_SECTION_KEYS = {
+    "run": {"kind", "threads", "out_dir"},
+    "grid": {"points", "lengths"},
+    "params": set(_PARAMS_KEYS),
+    "initial": None,
+    "ladder": {"epsilons", "samples"},
+    "wigner": {"base_points"},
+    "thresholds": {"ratio", "tail"},
+    "output": {"directory"},
+}
+
 _FAMILY_OPTION_KEYS = {
     "amplitude",
     "width",
@@ -208,6 +236,14 @@ def parse_config(text: str) -> RunConfig:
             raise ParseError(f"duplicate key {key!r}", line=lineno)
         sections[current][key] = _parse_value(raw, lineno)
 
+    for name, entries in sections.items():
+        if name not in _SECTION_KEYS:
+            raise ValidationError(f"unknown section [{name}]", key=name)
+        known = _SECTION_KEYS[name]
+        unknown = sorted(set(entries) - known) if known is not None else []
+        if unknown:
+            raise ValidationError(f"unknown key in [{name}]", key=unknown[0])
+
     cfg = RunConfig()
     run = sections.get("run", {})
     for k in ("kind", "threads"):
@@ -223,20 +259,7 @@ def parse_config(text: str) -> RunConfig:
         lg = g["lengths"]
         cfg.lengths = tuple(float(v) for v in (lg if isinstance(lg, tuple) else (lg,)))
     p = sections.get("params", {})
-    for k in (
-        "epsilon",
-        "dt",
-        "t",
-        "s",
-        "mu",
-        "mu1",
-        "mu2",
-        "cfl_safety",
-        "sample_every",
-        "magnetic",
-        "coupling",
-        "normalize",
-    ):
+    for k in _PARAMS_KEYS:
         if k in p:
             setattr(cfg, "T" if k == "t" else k, p[k])
     init = sections.get("initial", {})

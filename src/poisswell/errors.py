@@ -25,6 +25,10 @@ class NonzeroMean(PoisswellError):
     """Velocity field has a nonzero mean; not a periodic gradient."""
 
 
+class WignerNotReal(PoisswellError):
+    """A Wigner slice has a significant imaginary part (under-resolved data)."""
+
+
 class InsufficientHistory(PoisswellError):
     """Operation needs more trajectory snapshots than are available."""
 

@@ -87,8 +87,20 @@ class Grid:
         return out
 
     # -- spectral tables ----------------------------------------------------
+    #
+    # ``half=True`` gives the table on the half spectrum of :meth:`rfft`:
+    # the last axis keeps only its nonnegative indices 0 .. N//2.
 
-    def wavenumbers(self):
+    def _axis_index(self, i, half=False):
+        """Integer mode indices of axis ``i`` (fftfreq * N), broadcastable."""
+        n = self.shape[i]
+        last = half and i == self.dim - 1
+        idx = np.arange(n // 2 + 1) if last else np.rint(np.fft.fftfreq(n) * n).astype(int)
+        shp = [1] * self.dim
+        shp[i] = len(idx)
+        return idx.reshape(shp)
+
+    def wavenumbers(self, half=False):
         """
         Derivative wavenumber arrays ``k[i]`` broadcastable to ``shape``.
 
@@ -100,74 +112,92 @@ class Grid:
         for i in range(3):
             if i < self.dim:
                 n, L = self.shape[i], self.lengths[i]
-                k = 2.0 * np.pi * np.fft.fftfreq(n, d=L / n)
-                k[n // 2] = 0.0
-                shp = [1] * self.dim
-                shp[i] = n
-                ks.append(k.reshape(shp))
+                idx = self._axis_index(i, half)
+                k = 2.0 * np.pi * (idx * (1.0 / (n * (L / n))))  # as fftfreq
+                ks.append(np.where(np.abs(idx) == n // 2, 0.0, k))
             else:
                 ks.append(np.zeros((1,) * self.dim))
         return ks
 
-    def k_squared(self):
+    def k_squared(self, half=False):
         """|k|^2 on the grid (from the antisymmetrized table)."""
-        ks = self.wavenumbers()
+        ks = self.wavenumbers(half)
         return sum(k**2 for k in ks[: self.dim])
 
-    def dealias_mask(self):
+    def dealias_mask(self, half=False):
         """Boolean 2/3-rule mask: keeps |index_i| <= N_i // 3 per axis."""
-        mask = np.ones(self.shape, dtype=bool)
+        mask = np.ones((1,) * self.dim, dtype=bool)
         for i, n in enumerate(self.shape):
-            idx = np.rint(np.fft.fftfreq(n) * n).astype(int)
-            keep = np.abs(idx) <= n // 3
-            shp = [1] * self.dim
-            shp[i] = n
-            mask &= keep.reshape(shp)
+            mask = mask & (np.abs(self._axis_index(i, half)) <= n // 3)
         return mask
 
     def mode_index(self):
         """Integer mode-index arrays per active axis (fftfreq * N)."""
-        out = []
-        for i, n in enumerate(self.shape):
-            idx = np.rint(np.fft.fftfreq(n) * n).astype(int)
-            shp = [1] * self.dim
-            shp[i] = n
-            out.append(idx.reshape(shp))
-        return out
+        return [self._axis_index(i) for i in range(self.dim)]
 
     # -- transforms ---------------------------------------------------------
 
+    # On a 1d grid the 1d transforms are called directly: they compute the
+    # same numbers as the n-dimensional ones, without numpy's n-dimensional
+    # argument handling, which costs more than a 256-point transform.
+
     def fft(self, f):
         """Forward transform over the spatial axes."""
+        if self.dim == 1:
+            return np.fft.fft(f)
         return np.fft.fftn(f, axes=self.axes)
 
     def ifft(self, fh):
         """Inverse transform; returns the complex result."""
+        if self.dim == 1:
+            return np.fft.ifft(fh)
         return np.fft.ifftn(fh, axes=self.axes)
 
     def ifft_real(self, fh):
         """Inverse transform of a spectrally-Hermitian field; drops imag."""
         return np.fft.ifftn(fh, axes=self.axes).real
 
+    def rfft(self, f):
+        """
+        Forward transform of a real field over the spatial axes, batched
+        over any leading component axes; the last spatial axis keeps its
+        half spectrum (use the ``half=True`` tables with it).
+        """
+        if self.dim == 1:
+            return np.fft.rfft(f)
+        return np.fft.rfftn(f, axes=self.axes)
 
-def k3(grid: Grid):
+    def irfft(self, fh):
+        """Inverse of :meth:`rfft`: a real field with spatial shape ``shape``."""
+        if self.dim == 1:
+            return np.fft.irfft(fh, n=self.shape[0])
+        return np.fft.irfftn(fh, s=self.shape, axes=self.axes)
+
+
+# Cached spectral tables.  The grid is frozen, so each table is stored on
+# it under a private name the first time it is asked for; ``half=True``
+# selects the half-spectrum table that goes with ``Grid.rfft``.
+
+
+def _cached(grid: Grid, name, half, build):
+    name = name + ("_half" if half else "")
+    tab = grid.__dict__.get(name)
+    if tab is None:
+        tab = build()
+        object.__setattr__(grid, name, tab)
+    return tab
+
+
+def k3(grid: Grid, half=False):
     """Cached 3-entry wavenumber table (zeros on inactive axes)."""
-    tab = getattr(grid, "_k3", None)
-    if tab is None:
-        tab = grid.wavenumbers()
-        object.__setattr__(grid, "_k3", tab)
-    return tab
+    return _cached(grid, "_k3", half, lambda: grid.wavenumbers(half))
 
 
-def k2(grid: Grid):
-    tab = getattr(grid, "_k2", None)
-    if tab is None:
-        tab = grid.k_squared()
-        object.__setattr__(grid, "_k2", tab)
-    return tab
+def k2(grid: Grid, half=False):
+    return _cached(grid, "_k2", half, lambda: grid.k_squared(half))
 
 
-def k2_safe(grid: Grid):
+def k2_safe(grid: Grid, half=False):
     """
     |k|^2 with zero entries replaced by 1 (for spectral division).
 
@@ -175,26 +205,14 @@ def k2_safe(grid: Grid):
     antisymmetrized derivative table vanishes; callers must zero those
     modes in their result (see :func:`inverse_laplacian_modes`).
     """
-    tab = getattr(grid, "_k2_safe", None)
-    if tab is None:
-        tab = k2(grid).copy()
-        tab[tab == 0.0] = 1.0
-        object.__setattr__(grid, "_k2_safe", tab)
-    return tab
+    return _cached(grid, "_k2_safe", half,
+                   lambda: np.where(k2(grid, half) == 0.0, 1.0, k2(grid, half)))
 
 
-def inverse_laplacian_modes(grid: Grid):
+def inverse_laplacian_modes(grid: Grid, half=False):
     """Boolean mask of modes invertible by -Delta (k2 != 0)."""
-    tab = getattr(grid, "_invertible", None)
-    if tab is None:
-        tab = k2(grid) != 0.0
-        object.__setattr__(grid, "_invertible", tab)
-    return tab
+    return _cached(grid, "_invertible", half, lambda: k2(grid, half) != 0.0)
 
 
-def dealias_mask(grid: Grid):
-    tab = getattr(grid, "_mask", None)
-    if tab is None:
-        tab = grid.dealias_mask()
-        object.__setattr__(grid, "_mask", tab)
-    return tab
+def dealias_mask(grid: Grid, half=False):
+    return _cached(grid, "_mask", half, lambda: grid.dealias_mask(half))

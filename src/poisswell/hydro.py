@@ -66,9 +66,9 @@ class HydroSolver:
         self.params = params
         self.thresholds = thresholds
 
-    def potentials(self, state: HydroState) -> Potentials:
+    def potentials(self, state: HydroState, guess=None) -> Potentials:
         return self_consistent_potentials(
-            self.grid, self.params, state.a, state.epsilon, state.u
+            self.grid, self.params, state.a, state.epsilon, state.u, guess=guess
         )
 
     # -- right-hand sides ------------------------------------------------------
@@ -127,10 +127,9 @@ class HydroSolver:
         stays at spectral zero and the phase remains consistent with u.
         """
         g = self.grid
-        mask = dealias_mask(g)
-        state.a = g.ifft(g.fft(state.a) * mask)
+        state.a = g.ifft(g.fft(state.a) * dealias_mask(g))
         if state.S is not None:
-            state.S = g.ifft_real(g.fft(state.S) * mask)
+            state.S = dealias(g, state.S)
         if enforce_gradient:
             state.u = gradient_part(g, state.u) + state.u_mean.reshape(3, *(1,) * g.dim)
         return state
@@ -140,13 +139,26 @@ class HydroSolver:
         """
         One classical RK4 step followed by :meth:`_dealias`.  ``pots``, when
         given, are the potentials of ``state`` and serve the first stage.
+
+        The screened solve of each later stage starts from a nearby A: the
+        two half-step stages from the A of the stage before, the full-step
+        stage from the line ``2 A_3 - A_1`` through the first and third.
         """
-        if rhs_fn is None:
-            rhs_fn = lambda s: self.rhs(s, self.potentials(s))
         if check_cfl and dt > self.dt_bound(state) * (1.0 + 1e-9):
             raise StabilityViolation(
                 f"dt={dt:g} exceeds the advection/dispersion bound"
             )
+        if rhs_fn is None:
+            if pots is None:
+                pots = self.potentials(state)
+            stage_A = [pots.A]
+
+            def rhs_fn(s):
+                a1, a_last = stage_A[0], stage_A[-1]
+                guess = a_last if len(stage_A) < 3 else 2.0 * a_last - a1
+                stage_pots = self.potentials(s, guess=guess)
+                stage_A.append(stage_pots.A)
+                return self.rhs(s, stage_pots)
         k1 = rhs_fn(state) if pots is None else self.rhs(state, pots)
         k2 = rhs_fn(self._apply(state, k1, 0.5 * dt))
         k3_ = rhs_fn(self._apply(state, k2, 0.5 * dt))

@@ -17,60 +17,64 @@ import numpy as np
 from .grid import Grid, dealias_mask, inverse_laplacian_modes, k2, k2_safe, k3
 
 
-def to_physical(grid: Grid, fh, real=True):
-    return grid.ifft_real(fh) if real else grid.ifft(fh)
+def _transforms(grid: Grid, f):
+    """
+    ``(forward, inverse, half)`` for a field: the batched real transforms
+    and half-spectrum tables for a real field, the complex ones otherwise.
+    Every multiplier below is Hermitian, so a real field stays real.
+    """
+    if np.iscomplexobj(f):
+        return grid.fft, grid.ifft, False
+    return grid.rfft, grid.irfft, True
 
 
 def dealias(grid: Grid, f):
     """Apply the 2/3-rule mask to a physical-space field."""
-    return to_physical(grid, grid.fft(f) * dealias_mask(grid), real=not np.iscomplexobj(f))
+    fwd, inv, half = _transforms(grid, f)
+    return inv(fwd(f) * dealias_mask(grid, half))
 
 
 def deriv(grid: Grid, f, axis: int):
     """Spectral partial derivative along ``axis`` (zero for inactive axes)."""
     if axis >= grid.dim:
         return np.zeros_like(f)
-    fh = grid.fft(f)
-    out = grid.ifft(1j * k3(grid)[axis] * fh)
-    return out if np.iscomplexobj(f) else out.real
+    fwd, inv, half = _transforms(grid, f)
+    return inv(1j * k3(grid, half)[axis] * fwd(f))
 
 
 def gradient(grid: Grid, f):
     """Gradient of a scalar field as a 3-component vector field."""
-    fh = grid.fft(f)
-    ks = k3(grid)
-    out = np.empty((3,) + grid.shape, dtype=complex)
-    for i in range(3):
-        if i < grid.dim:
-            out[i] = grid.ifft(1j * ks[i] * fh)
-        else:
-            out[i] = 0.0
-    return out if np.iscomplexobj(f) else out.real
+    fwd, inv, half = _transforms(grid, f)
+    ks = k3(grid, half)
+    fh = fwd(f)
+    out = np.zeros((3,) + grid.shape, dtype=complex if np.iscomplexobj(f) else float)
+    out[: grid.dim] = inv(np.stack([1j * ks[i] * fh for i in range(grid.dim)]))
+    return out
 
 
 def divergence(grid: Grid, vec):
     """Divergence of a 3-component vector field (active axes only)."""
-    out = np.zeros(grid.shape, dtype=complex if np.iscomplexobj(vec) else float)
-    ks = k3(grid)
-    for i in range(grid.dim):
-        d = grid.ifft(1j * ks[i] * grid.fft(vec[i]))
-        out = out + (d if np.iscomplexobj(vec) else d.real)
-    return out
+    fwd, inv, half = _transforms(grid, vec)
+    ks = k3(grid, half)
+    vh = fwd(vec[: grid.dim])
+    return inv(1j * sum(ks[i] * vh[i] for i in range(grid.dim)))
 
 
 def curl(grid: Grid, vec):
     """Embedded curl of a 3-component vector field."""
-    d = [[deriv(grid, vec[j], i) for j in range(3)] for i in range(3)]
-    out = np.empty_like(np.asarray(vec))
-    out[0] = d[1][2] - d[2][1]
-    out[1] = d[2][0] - d[0][2]
-    out[2] = d[0][1] - d[1][0]
-    return out
+    fwd, inv, half = _transforms(grid, vec)
+    k = k3(grid, half)
+    v = fwd(vec)
+    return inv(1j * np.stack([
+        k[1] * v[2] - k[2] * v[1],
+        k[2] * v[0] - k[0] * v[2],
+        k[0] * v[1] - k[1] * v[0],
+    ]))
 
 
 def laplacian(grid: Grid, f):
-    out = grid.ifft(-k2(grid) * grid.fft(f))
-    return out if np.iscomplexobj(f) else out.real
+    fwd, inv, half = _transforms(grid, f)
+    return inv(-k2(grid, half) * fwd(f))
 
 
 def shift(grid: Grid, f, offsets):
@@ -78,13 +82,10 @@ def shift(grid: Grid, f, offsets):
     Evaluate ``f`` on the lattice translated by ``offsets`` (one float per
     active axis) via the spectral interpolant; exact for band-limited fields.
     """
-    fh = grid.fft(f)
-    ks = k3(grid)
-    phase = np.zeros(grid.shape, dtype=complex)
-    for i in range(grid.dim):
-        phase = phase + 1j * ks[i] * offsets[i]
-    out = grid.ifft(fh * np.exp(phase))
-    return out if np.iscomplexobj(f) else out.real
+    fwd, inv, half = _transforms(grid, f)
+    ks = k3(grid, half)
+    phase = sum(1j * ks[i] * offsets[i] for i in range(grid.dim))
+    return inv(fwd(f) * np.exp(phase))
 
 
 def gradient_part(grid: Grid, vec):
@@ -92,39 +93,36 @@ def gradient_part(grid: Grid, vec):
     Helmholtz projection onto zero-mean periodic gradients:
     ``u_hat -> k (k . u_hat) / |k|^2`` with the zero mode removed.
     """
-    ks = k3(grid)
-    vh = [grid.fft(vec[i]) for i in range(3)]
-    kdot = np.zeros(grid.shape, dtype=complex)
-    for i in range(grid.dim):
-        kdot += ks[i] * vh[i]
-    kdot /= k2_safe(grid)
-    kdot[~inverse_laplacian_modes(grid)] = 0.0
-    out = np.empty_like(np.asarray(vec))
-    for i in range(3):
-        if i < grid.dim:
-            comp = grid.ifft(ks[i] * kdot)
-            out[i] = comp if np.iscomplexobj(vec) else comp.real
-        else:
-            out[i] = 0.0
+    vec = np.asarray(vec)
+    fwd, inv, half = _transforms(grid, vec)
+    ks = k3(grid, half)
+    vh = fwd(vec[: grid.dim])
+    kdot = sum(ks[i] * vh[i] for i in range(grid.dim)) / k2_safe(grid, half)
+    kdot[~inverse_laplacian_modes(grid, half)] = 0.0
+    out = np.zeros_like(vec)
+    out[: grid.dim] = inv(np.stack([ks[i] * kdot for i in range(grid.dim)]))
     return out
 
 
 def advect(grid: Grid, g, f):
     """Directional derivative sum_j g_j d_j f, for f of any component rank."""
+    fwd, inv, half = _transforms(grid, f)
+    ks = k3(grid, half)
+    fh = fwd(f)
     out = np.zeros_like(np.asarray(f))
     for j in range(grid.dim):
-        out = out + g[j] * deriv(grid, f, j)
+        out = out + g[j] * inv(1j * ks[j] * fh)
     return out
 
 
 def jacobian_transpose_product(grid: Grid, A, u):
     """Vector with components sum_j u_j d_i A_j (transpose of advection)."""
+    fwd, inv, half = _transforms(grid, A)
+    ks = k3(grid, half)
+    Ah = fwd(A)
     out = np.zeros_like(np.asarray(A))
     for i in range(grid.dim):
-        acc = np.zeros(grid.shape, dtype=out.dtype)
-        for j in range(3):
-            acc += u[j] * deriv(grid, A[j], i)
-        out[i] = acc
+        out[i] = np.sum(u * inv(1j * ks[i] * Ah), axis=0)
     return out
 
 

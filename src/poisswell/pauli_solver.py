@@ -17,7 +17,7 @@ from . import kernels
 from .diagnostics import DiagnosticsRecord, charge, field_energy, tail_fraction
 from .errors import StabilityViolation
 from .grid import Grid, dealias_mask, k2
-from .operators import dealias, deriv, divergence
+from .operators import advect, dealias, divergence
 from .states import (
     Potentials,
     Run,
@@ -38,8 +38,10 @@ class PauliSolver:
         self.params = params
         self._kinetic_cache = {}
 
-    def potentials(self, psi) -> Potentials:
-        return self_consistent_potentials(self.grid, self.params, psi, self.params.epsilon)
+    def potentials(self, psi, guess=None) -> Potentials:
+        return self_consistent_potentials(
+            self.grid, self.params, psi, self.params.epsilon, guess=guess
+        )
 
     # -- single step ---------------------------------------------------------
 
@@ -56,12 +58,7 @@ class PauliSolver:
         return 0.5 * bound
 
     def _advect_rhs(self, psi, A, divA):
-        g = self.grid
-        out = np.zeros_like(psi)
-        for j in range(g.dim):
-            out += A[j] * deriv(g, psi, j)
-        out += 0.5 * divA * psi
-        return dealias(g, out)
+        return dealias(self.grid, advect(self.grid, A, psi) + 0.5 * divA * psi)
 
     def _transport(self, psi, tau, pots):
         if not np.any(pots.A):
@@ -108,7 +105,7 @@ class PauliSolver:
             # the current (hence A) is sensitive to both transport and the
             # multiply phase at O(dt), so the predictor applies half of each
             predicted = self._multiply(self._transport(psi, tau, pots), tau, pots)
-            pots = self.potentials(predicted)
+            pots = self.potentials(predicted, guess=pots.A)
         psi = self._transport(psi, tau, pots)
         psi = self._multiply(psi, dt, pots)
         psi = self._transport(psi, tau, pots)

@@ -106,14 +106,12 @@ def phase_current(grid: Grid, a):
     summed over spinor components; real up to roundoff.
     """
     a = np.asarray(a)
+    ah = grid.fft(a)
     out = np.zeros((3,) + grid.shape)
     for i in range(grid.dim):
-        acc = np.zeros(grid.shape, dtype=complex)
-        for j in range(a.shape[0]):
-            da = grid.ifft(1j * k3(grid)[i] * grid.fft(a[j]))
-            acc += np.conj(a[j]) * da
+        da = grid.ifft(1j * k3(grid)[i] * ah)
         # (i/2)(z - conj(z)) = -Im z
-        out[i] = -acc.imag
+        out[i] = -np.sum(np.conj(a) * da, axis=0).imag
     return out
 
 
@@ -161,7 +159,8 @@ def current_epsilon_part(grid: Grid, a, epsilon):
     return epsilon * (kinetic_current(grid, a) - curl(grid, spin_density(a)))
 
 
-def self_consistent_potentials(grid: Grid, params: SimParams, a, epsilon, u=None):
+def self_consistent_potentials(grid: Grid, params: SimParams, a, epsilon, u=None,
+                               guess=None):
     """
     V from the neutralized Poisson solve; A from the screened problem
     ``(-Delta + rho) A = eps (Im(conj(a) grad a) - curl(conj(a) sigma a)) + rho u``,
@@ -169,6 +168,8 @@ def self_consistent_potentials(grid: Grid, params: SimParams, a, epsilon, u=None
 
     The spinor solver passes ``psi`` and no ``u``; the WKB solver passes its
     amplitude and velocity, and at eps = 0 its source reduces to ``rho u``.
+    ``guess``, when given, is the starting iterate of the screened solve
+    (a nearby state's A); it changes the work done, not the tolerance met.
     """
     zero_s = np.zeros(grid.shape)
     zero_v = np.zeros((3,) + grid.shape)
@@ -190,6 +191,7 @@ def self_consistent_potentials(grid: Grid, params: SimParams, a, epsilon, u=None
         rho,
         tol=params.screened_tol,
         max_iters=params.screened_max_iters,
+        guess=guess,
     )
     return Potentials(V=V, A=A, B=curl(grid, A))
 
@@ -315,7 +317,7 @@ def run_loop(solver, state, advance, every_step=False, watch=None,
     Integrate ``state`` over [0, T] and sample it every ``sample_every``
     steps and at the end.
 
-    ``solver`` supplies ``params``, ``potentials(state)``,
+    ``solver`` supplies ``params``, ``potentials(state, guess=None)``,
     ``dt_bound(state, pots)``, ``_dealias(state)`` and
     ``_record(t, state, pots, previous)``.  ``advance(state, dt, pots)``
     takes one step; ``pots`` are the potentials of ``state`` when
@@ -340,6 +342,7 @@ def run_loop(solver, state, advance, every_step=False, watch=None,
         params=p,
         dt=dt,
     )
+    prev_A = None
     for n in range(1, n_steps + 1):
         sample = n % p.sample_every == 0 or n == n_steps
         try:
@@ -347,7 +350,13 @@ def run_loop(solver, state, advance, every_step=False, watch=None,
             if not _finite(state):
                 raise RunStopped("non-finite state")
             if every_step or sample:
-                pots = solver.potentials(state)
+                # start from the last A, extrapolated along the last two
+                # steps when every step is solved
+                guess = pots.A
+                if every_step and prev_A is not None:
+                    guess = 2.0 * pots.A - prev_A
+                prev_A = pots.A
+                pots = solver.potentials(state, guess=guess)
             if sample:
                 rec = solver._record(n * dt, state, pots, run.records[-1])
                 run.times.append(rec.t)

@@ -22,6 +22,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from .errors import WignerNotReal
 from .grid import Grid, k3
 from .operators import deriv, l2_norm
 from .states import charge_density, pauli_current
@@ -79,7 +80,8 @@ def wigner_slice(grid: Grid, psi, epsilon, base_indices: Sequence) -> WignerSlic
     Spin-traced Wigner slices at the given base grid points (index tuples).
 
     The xi grid per axis is ``eps * pi * j / L`` for j in [-N, N); bins are
-    returned in ascending order.
+    returned in ascending order.  Raises :class:`WignerNotReal` when a
+    slice's imaginary part exceeds 1e-8 of its real part.
     """
     if epsilon <= 0:
         raise ValueError("the Wigner transform needs eps > 0")
@@ -105,7 +107,10 @@ def wigner_slice(grid: Grid, psi, epsilon, base_indices: Sequence) -> WignerSlic
         imag_max = float(np.max(np.abs(fhat.imag)))
         scale = max(float(np.max(np.abs(fhat.real))), 1e-300)
         if imag_max > 1e-8 * scale:
-            raise AssertionError("Wigner slice lost reality; check band limits")
+            raise WignerNotReal(
+                f"Wigner slice at {idx} has imaginary part {imag_max:.3e} "
+                f"against real scale {scale:.3e}; check band limits"
+            )
         values[p] = np.fft.fftshift(fhat.real)
     return WignerSlice(base_indices=base, xi=xi, values=values, epsilon=epsilon)
 

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from poisswell.cli import EXIT_BLOWUP, EXIT_OK, main
@@ -144,6 +145,24 @@ class TestLadderCommand:
         out2 = tmp_path / "out2"
         main(["ladder", str(cfg), "--out", str(out2)])
         assert (out / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+
+
+def test_wigner_failure_exits_one(tmp_path, monkeypatch, capsys):
+    # a slice that loses reality ends the run with a message, not a traceback
+    from poisswell import harness
+
+    real_slice = harness.wigner_slice
+
+    def unreal_slice(*args, **kwargs):
+        with monkeypatch.context() as m:
+            fftn = np.fft.fftn
+            m.setattr(np.fft, "fftn", lambda a, *p, **kw: 1j * fftn(a, *p, **kw))
+            return real_slice(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "wigner_slice", unreal_slice)
+    cfg = write_cfg(tmp_path, LADDER)
+    assert main(["ladder", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert "Wigner slice" in capsys.readouterr().err
 
 
 def test_env_var_output_root(tmp_path, monkeypatch):

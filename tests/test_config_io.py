@@ -85,6 +85,25 @@ class TestParse:
         with pytest.raises(ValidationError):
             parse_config(bad)
 
+    def test_misspelled_key_rejected(self):
+        bad = MINIMAL + "\n[params]\ncfl_saftey = 0.9\n"
+        with pytest.raises(ValidationError) as err:
+            parse_config(bad)
+        assert err.value.key == "cfl_saftey"
+        assert "[params]" in str(err.value)
+
+    def test_unknown_section_rejected(self):
+        bad = MINIMAL + "\n[param]\nepsilon = 0.2\n"
+        with pytest.raises(ValidationError) as err:
+            parse_config(bad)
+        assert err.value.key == "param"
+
+    def test_unknown_family_option_rejected(self):
+        bad = MINIMAL + "\n[initial]\nfamily = gaussian-bump\nampltude = 0.2\n"
+        with pytest.raises(ValidationError) as err:
+            parse_config(bad)
+        assert "ampltude" in str(err.value)
+
     def test_duplicate_key_rejected(self):
         bad = "[run]\nkind = wkb\nkind = euler\n"
         with pytest.raises(ParseError):
@@ -141,10 +160,10 @@ class TestParse:
 
 
 class TestFieldFormat:
-    def test_roundtrip_spinor(self, rng):
+    def test_roundtrip_spinor(self, rng, tmp_path):
         g = Grid((32, 16))
         psi = random_band_limited(g, rng, components=2, complex_=True)
-        path = "/tmp/test_field.pwf"
+        path = tmp_path / "field.pwf"
         write_field(path, psi)
         snap = read_field(path)
         assert snap.rep == "physical"

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from poisswell import elliptic
 from poisswell.elliptic import apply_screened, solve_poisson_neutral, solve_screened_vector
 from poisswell.errors import NonConvergence
 from poisswell.grid import Grid
@@ -19,6 +22,13 @@ def dense_screened_matrix(grid, rho):
         col = -laplacian(grid, e) + rho * e
         M[:, j] = col
     return M
+
+
+def banded_density(grid, rng, rho_max, contrast):
+    """Band-limited density spanning exactly [rho_max / contrast, rho_max]."""
+    f = random_band_limited(grid, rng, kmax=4)
+    shape = (f - f.min()) / (f.max() - f.min())
+    return rho_max * (1.0 / contrast + (1.0 - 1.0 / contrast) * shape)
 
 
 class TestPoissonNeutral:
@@ -162,3 +172,47 @@ class TestScreenedVector:
         rhs[0] = 2.0
         A = solve_screened_vector(g, rhs, np.full(g.shape, 0.5))
         assert np.max(np.abs(A[0] - 4.0)) < 1e-10
+
+
+class TestScreenedOracle:
+    """Conjugate-gradient solve against a dense direct solve, N = 64."""
+
+    @settings(max_examples=30, deadline=None)
+    @example(seed=0, rho_max=3e3, contrast=1.2e3)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        rho_max=st.floats(min_value=0.1, max_value=3e3),
+        contrast=st.floats(min_value=1.0, max_value=1.2e3),
+    )
+    def test_cold_and_warm_starts_match_dense(self, seed, rho_max, contrast):
+        g = Grid((64,))
+        rng = np.random.default_rng(seed)
+        rho = banded_density(g, rng, rho_max, contrast)
+        rhs = random_band_limited(g, rng, components=3, kmax=8)
+        exact = np.linalg.solve(dense_screened_matrix(g, rho), rhs.T).T
+        for guess in (None, 10.0 * rng.standard_normal(rhs.shape)):
+            A = solve_screened_vector(g, rhs, rho, guess=guess)
+            assert l2_norm(g, A - exact) <= 1e-8 * l2_norm(g, exact)
+
+    def test_converged_guess_costs_one_application(self, rng, monkeypatch):
+        g = Grid((64,))
+        rho = banded_density(g, rng, 10.0, 100.0)
+        rhs = random_band_limited(g, rng, components=3)
+        A = solve_screened_vector(g, rhs, rho)
+        guess = A.copy()
+        calls = []
+        apply = elliptic.apply_screened
+        monkeypatch.setattr(
+            elliptic, "apply_screened", lambda *args: calls.append(1) or apply(*args)
+        )
+        again = solve_screened_vector(g, rhs, rho, guess=guess)
+        assert len(calls) == 1
+        assert np.array_equal(again, A)
+        assert np.array_equal(guess, A)  # the guess is not written to
+
+    def test_iteration_cap_raises(self, rng):
+        g = Grid((64,))
+        rho = banded_density(g, rng, 1e3, 1e3)
+        rhs = random_band_limited(g, rng, components=3)
+        with pytest.raises(NonConvergence):
+            solve_screened_vector(g, rhs, rho, max_iters=3)

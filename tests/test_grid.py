@@ -68,3 +68,20 @@ def test_rejects_odd_or_tiny_axes():
 def test_mask_cached_identity():
     g = Grid((32,))
     assert dealias_mask(g) is dealias_mask(g)
+
+
+@pytest.mark.parametrize("shape", [(32,), (16, 12), (8, 6, 10)])
+def test_half_tables_are_the_kept_part_of_the_full_ones(shape, rng):
+    from poisswell.grid import dealias_mask, inverse_laplacian_modes, k2, k2_safe, k3
+
+    g = Grid(shape, tuple(1.0 + i for i in range(len(shape))))
+    kept = (Ellipsis, slice(0, shape[-1] // 2 + 1))
+    for full, half in zip(k3(g), k3(g, half=True)):
+        assert np.array_equal(np.broadcast_to(full, shape)[kept],
+                              np.broadcast_to(half, g.rfft(np.zeros(shape)).shape))
+    for table in (k2, k2_safe, inverse_laplacian_modes, dealias_mask):
+        assert np.array_equal(table(g)[kept], table(g, half=True))
+    f = rng.standard_normal((3,) + shape)
+    scale = np.max(np.abs(f)) * g.npoints
+    assert np.max(np.abs(g.rfft(f) - g.fft(f)[kept])) <= 1e-13 * scale
+    assert np.max(np.abs(g.irfft(g.rfft(f)) - f)) <= 1e-13 * np.max(np.abs(f))

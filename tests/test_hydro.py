@@ -235,6 +235,35 @@ class TestRun:
         assert run.status == "completed"
         assert len(calls) == 1 + 4 * n
 
+    def test_warm_started_solves_are_cheaper(self, monkeypatch):
+        # every solve after the first starts from a nearby A: the RK4 stages
+        # from the step's first-stage A, the post-step solve from the last A
+        from poisswell import elliptic, states
+
+        applies, per_solve = [], []
+        apply, solve = elliptic.apply_screened, states.solve_screened_vector
+
+        def counting_apply(*args):
+            applies.append(1)
+            return apply(*args)
+
+        def counting_solve(*args, **kwargs):
+            applies.clear()
+            A = solve(*args, **kwargs)
+            per_solve.append(len(applies))
+            return A
+
+        monkeypatch.setattr(elliptic, "apply_screened", counting_apply)
+        monkeypatch.setattr(states, "solve_screened_vector", counting_solve)
+        g = Grid((64,))
+        n = 5
+        params = SimParams(epsilon=0.1, T=n * 0.01, dt=0.01, sample_every=2)
+        run = run_hydro(g, gaussian_bump(g, epsilon=0.1), params)
+        assert run.status == "completed"
+        cold, warm = per_solve[0], per_solve[1:]
+        assert len(warm) == 4 * n
+        assert np.mean(warm) < cold
+
     def test_compressive_triggers_monitor(self):
         # caustic formation: u0 = -3 sin x steepens and the monitor fires
         g = Grid((128,))

@@ -217,3 +217,25 @@ class TestStructure:
         rough = np.cos(30 * x)  # inside kept band (|k|<=32), top third (>21)
         assert ops.spectral_tail_fraction(g, smooth) < 1e-20
         assert ops.spectral_tail_fraction(g, rough) > 0.99
+
+
+@pytest.mark.parametrize("shape", [(64,), (16, 12), (8, 6, 10)])
+def test_real_fields_match_the_complex_path(shape, rng):
+    # real fields take the half-spectrum transforms; the complex path of the
+    # same operator is the reference
+    g = Grid(shape)
+    f = random_band_limited(g, rng)
+    v = random_band_limited(g, rng, components=3)
+    cases = [
+        (ops.gradient, f), (ops.laplacian, f), (ops.dealias, f),
+        (lambda g, f: ops.deriv(g, f, g.dim - 1), f),
+        (lambda g, f: ops.shift(g, f, (0.1,) * g.dim), f),
+        (ops.divergence, v), (ops.curl, v), (ops.gradient_part, v),
+        (lambda g, v: ops.advect(g, v, v), v),
+        (lambda g, v: ops.jacobian_transpose_product(g, v, v), v),
+    ]
+    for op, x in cases:
+        real = op(g, x)
+        reference = op(g, x.astype(complex))
+        assert not np.iscomplexobj(real)
+        assert np.max(np.abs(real - reference)) <= 1e-12 * max(1.0, np.max(np.abs(reference)))

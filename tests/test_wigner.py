@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from poisswell.errors import PoisswellError, WignerNotReal
 from poisswell.grid import Grid
 from poisswell.operators import gradient, l2_norm
 from poisswell.states import HydroState, charge_density, reconstruct_spinor
@@ -31,6 +32,15 @@ class TestSlice:
         peak_bin = int(np.argmax(f))
         assert slc.xi[0][peak_bin] == pytest.approx(eps * k, abs=1e-12)
         assert f[peak_bin] * slc.bin_widths[0] >= 0.99 * np.abs(f).sum() * slc.bin_widths[0]
+
+    def test_lost_reality_is_a_typed_error(self, monkeypatch):
+        # an imaginary part the Hermitian correlation cannot produce
+        g = Grid((32,))
+        fftn = np.fft.fftn
+        monkeypatch.setattr(np.fft, "fftn", lambda a, *args, **kw: 1j * fftn(a, *args, **kw))
+        with pytest.raises(WignerNotReal, match="imaginary part") as info:
+            wigner_slice(g, plane_wave(g, 2), 0.25, [(3,)])
+        assert isinstance(info.value, PoisswellError)
 
     def test_zero_state(self):
         g = Grid((32,))
