@@ -107,6 +107,8 @@ def _run_single(cfg: RunConfig, out: Path, manifest: Manifest):
                 "monitor": run.records[-1].monitor,
             },
         }
+        if run.warnings:  # absent when empty: a warning-free report reads as before
+            summary["warnings"] = run.warnings
     report_path = manifest.path("report.json", "report")
     write_json(report_path, {"config": config_as_dict(cfg), "summary": summary})
     plots.emit_diagnostics_timeseries(

@@ -5,8 +5,13 @@ Method-of-lines integration of the WKB hydrodynamic system
     d_t u + (u - A).grad u - (grad A)^T u + grad(|A|^2/2 + V) = 0
     d_t S + |u|^2/2 - A.u + (|A|^2/2 + V) = 0
 
-with classical RK4 and potentials recomputed at every stage.  eps = 0 is
-the pressureless Euler limit, running through the identical code path.
+with potentials recomputed at every stage.  The dispersion term
+``(i eps/2) Lap a`` is the only linear one and the only stiff one; the
+stepper solves it exactly with the integrating factor
+``E(t) = exp(-i eps |k|^2 t/2)`` (Lawson integrating-factor RK4) and takes
+the rest with the four stages of classical RK4, so the step is bounded by
+advection alone.  eps = 0 is the pressureless Euler limit: there the
+factor is 1, no transform is made, and the step is classical RK4.
 
 The velocity equation is the exact gradient of the phase equation; the
 term ``(grad A)^T u`` (components sum_j u_j d_i A_j) is what that gradient
@@ -32,7 +37,7 @@ from .diagnostics import (
     tail_fraction,
 )
 from .errors import InsufficientHistory, StabilityViolation
-from .grid import Grid, dealias_mask, k3
+from .grid import Grid, dealias_mask, k2
 from .operators import (
     advect,
     curl,
@@ -65,6 +70,7 @@ class HydroSolver:
         self.grid = grid
         self.params = params
         self.thresholds = thresholds
+        self._factor_cache = None  # ((eps, dt), (E(dt/2), E(dt)))
 
     def potentials(self, state: HydroState, guess=None) -> Potentials:
         return self_consistent_potentials(
@@ -74,51 +80,60 @@ class HydroSolver:
     # -- right-hand sides ------------------------------------------------------
 
     def rhs(self, state: HydroState, pots: Potentials):
-        """Time derivatives (d_t a, d_t u, d_t S), assembled pseudo-spectrally."""
+        """
+        Time derivatives (d_t a, d_t u, d_t S), assembled pseudo-spectrally:
+        :meth:`nonlinear_rhs` plus the dispersion term ``(i eps/2) Lap a``.
+        """
+        da, du, dS = self.nonlinear_rhs(state, pots)
+        if state.epsilon > 0:
+            da = da + 0.5j * state.epsilon * laplacian(self.grid, state.a)
+        return da, du, dS
+
+    def nonlinear_rhs(self, state: HydroState, pots: Potentials):
+        """:meth:`rhs` without the dispersion term; what the stepper integrates."""
         g = self.grid
         a, u = state.a, state.u
         rel = u - pots.A
         da = -advect(g, rel, a) - 0.5 * a * divergence(g, rel)
-        if state.epsilon > 0:
-            da = da + 0.5j * state.epsilon * laplacian(g, a)
         if np.any(pots.B):
             da = da + 0.5j * apply_sigma_dot(pots.B, a)
         da = dealias(g, da)
 
         a_sq = 0.5 * np.sum(pots.A**2, axis=0)
-        du = -advect(g, rel, u) + jacobian_transpose_product(g, pots.A, u) - gradient(
-            g, a_sq + pots.V
-        )
-        du = dealias(g, du)
-
         dS = -0.5 * np.sum(u**2, axis=0) + np.sum(pots.A * u, axis=0) - (a_sq + pots.V)
         dS = dealias(g, dS)
-        return da, du, dS
+        return da, self.velocity_rhs(u, pots), dS
+
+    def velocity_rhs(self, u, pots: Potentials):
+        """d_t u alone, dealiased."""
+        g = self.grid
+        a_sq = 0.5 * np.sum(pots.A**2, axis=0)
+        du = -advect(g, u - pots.A, u) + jacobian_transpose_product(g, pots.A, u) - gradient(
+            g, a_sq + pots.V
+        )
+        return dealias(g, du)
 
     # -- stepping ---------------------------------------------------------------
 
     def dt_bound(self, state: HydroState, pots: Optional[Potentials] = None):
-        """dt bound  dx / (||u - A||_inf + eps k_max / 2), c = 1."""
+        """
+        The advective dt bound  dx / ||u - A||_inf, c = 1.  The dispersion
+        term sets none: :meth:`step_rk4` solves it exactly.
+        """
         A = pots.A if pots is not None else 0.0
         rel_inf = float(np.max(np.abs(state.u - A)))
-        kmax = max(
-            float(np.max(np.abs(k3(self.grid)[i]))) for i in range(self.grid.dim)
-        )
-        speed = rel_inf + 0.5 * state.epsilon * kmax
         dx = min(self.grid.spacings)
-        return dx / speed if speed > 0 else np.inf
+        return dx / rel_inf if rel_inf > 0 else np.inf
 
-    def _apply(self, state: HydroState, deriv, dt_frac):
-        da, du, dS = deriv
-        out = HydroState(
-            a=state.a + dt_frac * da,
-            u=state.u + dt_frac * du,
-            S=None if state.S is None else state.S + dt_frac * dS,
-            u_mean=state.u_mean,
-            t=state.t + dt_frac,
-            epsilon=state.epsilon,
-        )
-        return out
+    def _factors(self, eps, dt):
+        """The spectral factors E(dt/2) and E(dt); the last pair is kept."""
+        key = (float(eps), float(dt))
+        cached = self._factor_cache
+        if cached is None or cached[0] != key:
+            phase = -0.5j * eps * dt * k2(self.grid)
+            cached = (key, (np.exp(0.5 * phase), np.exp(phase)))
+            self._factor_cache = cached
+        return cached[1]
 
     def _dealias(self, state: HydroState, enforce_gradient=True):
         """
@@ -137,17 +152,30 @@ class HydroSolver:
     def step_rk4(self, state: HydroState, dt, rhs_fn: Optional[Callable] = None,
                  enforce_gradient=True, check_cfl=True, pots=None):
         """
-        One classical RK4 step followed by :meth:`_dealias`.  ``pots``, when
-        given, are the potentials of ``state`` and serve the first stage.
+        One Lawson integrating-factor RK4 step followed by :meth:`_dealias`.
+
+        With ``E(t) = exp(-i eps |k|^2 t/2)`` the exact flow of the
+        dispersion term and ``k1 .. k4`` the nonlinear derivatives
+        (:meth:`nonlinear_rhs`, or ``rhs_fn(state)`` in its place) at the
+        stages
+
+            a2 = E(h/2) (a + h/2 k1)
+            a3 = E(h/2) a + h/2 k2
+            a4 = E(h) a + h E(h/2) k3
+            a' = E(h) a + h/6 (E(h) k1 + 2 E(h/2) k2 + 2 E(h/2) k3 + k4),
+
+        the amplitude advances in spectral space, one forward transform per
+        derivative and one inverse per stage.  ``u`` and ``S`` take the same
+        four stages with E = 1, which is classical RK4; at eps = 0 the
+        amplitude does too, with no transform.  ``pots``, when given, are
+        the potentials of ``state`` and serve the first stage.
 
         The screened solve of each later stage starts from a nearby A: the
         two half-step stages from the A of the stage before, the full-step
         stage from the line ``2 A_3 - A_1`` through the first and third.
         """
         if check_cfl and dt > self.dt_bound(state) * (1.0 + 1e-9):
-            raise StabilityViolation(
-                f"dt={dt:g} exceeds the advection/dispersion bound"
-            )
+            raise StabilityViolation(f"dt={dt:g} exceeds the advective bound")
         if rhs_fn is None:
             if pots is None:
                 pots = self.potentials(state)
@@ -158,17 +186,40 @@ class HydroSolver:
                 guess = a_last if len(stage_A) < 3 else 2.0 * a_last - a1
                 stage_pots = self.potentials(s, guess=guess)
                 stage_A.append(stage_pots.A)
-                return self.rhs(s, stage_pots)
-        k1 = rhs_fn(state) if pots is None else self.rhs(state, pots)
-        k2 = rhs_fn(self._apply(state, k1, 0.5 * dt))
-        k3_ = rhs_fn(self._apply(state, k2, 0.5 * dt))
-        k4 = rhs_fn(self._apply(state, k3_, dt))
+                return self.nonlinear_rhs(s, stage_pots)
+
+        g = self.grid
+        if state.epsilon > 0:
+            half, full = self._factors(state.epsilon, dt)
+            fwd, inv = g.fft, g.ifft
+        else:
+            half = full = None
+            fwd = inv = lambda f: f
+
+        # (a, u, S) with a in the transform space of fwd; E acts on a only
+        def lift(k):
+            return (fwd(k[0]),) + tuple(k[1:])
+
+        def prop(y, factor):
+            return y if factor is None else (factor * y[0],) + tuple(y[1:])
+
+        def axpy(y, h, k):
+            return tuple(None if x is None else x + h * dx for x, dx in zip(y, k))
+
+        def at(y, dt_frac):
+            return HydroState(a=inv(y[0]), u=y[1], S=y[2], u_mean=state.u_mean,
+                              t=state.t + dt_frac, epsilon=state.epsilon)
+
+        y = (fwd(state.a), state.u, state.S)
+        k1 = lift(rhs_fn(state) if pots is None else self.nonlinear_rhs(state, pots))
+        k2 = lift(rhs_fn(at(prop(axpy(y, 0.5 * dt, k1), half), 0.5 * dt)))
+        k3 = lift(rhs_fn(at(axpy(prop(y, half), 0.5 * dt, k2), 0.5 * dt)))
+        k4 = lift(rhs_fn(at(axpy(prop(y, full), dt, prop(k3, half)), dt)))
         combo = tuple(
             (a + 2.0 * b + 2.0 * c + d) / 6.0
-            for a, b, c, d in zip(k1, k2, k3_, k4)
+            for a, b, c, d in zip(prop(k1, full), prop(k2, half), prop(k3, half), k4)
         )
-        new = self._apply(state, combo, dt)
-        new.t = state.t + dt
+        new = at(axpy(prop(y, full), dt, combo), dt)
         return self._dealias(new, enforce_gradient)
 
     # -- full run -----------------------------------------------------------------
@@ -183,7 +234,7 @@ class HydroSolver:
             self.params.mu,
             self.params.mu1,
             self.params.mu2,
-            dt_u=self.rhs(state, pots)[1],
+            dt_u=self.velocity_rhs(state.u, pots),
         )
         sup = fn.monitor if previous is None else max(previous.monitor_sup, fn.monitor)
         return DiagnosticsRecord(
@@ -209,6 +260,8 @@ class HydroSolver:
         The shared run loop with the WKB policy: a crossed dt bound or an
         elliptic breakdown after a monitor warning ends the run as a
         blow-up (before a warning they raise), and the monitor can stop it.
+        Python warnings raised during the run are kept, not shown: their
+        distinct messages go to ``Run.warnings`` in first-seen order.
         """
         state = init.copy()
         state.epsilon = self.params.epsilon
@@ -231,10 +284,11 @@ class HydroSolver:
                 raise RunStopped("monitor triggered")
             warned = warned or verdict is MonitorStatus.WARNING
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             run = run_loop(self, state, advance, every_step=True, watch=watch,
                            tolerate=lambda: warned)
+        run.warnings = list(dict.fromkeys(str(w.message) for w in caught))
         self._fill_residuals(run)
         return run
 

@@ -273,7 +273,8 @@ class Run:
     """
     Trajectory of a solver run plus its diagnostics stream.  ``states``
     holds ``HydroState`` samples for the WKB solver and spinor arrays for
-    the spinor solver.
+    the spinor solver.  ``warnings`` holds the distinct messages of the
+    Python warnings a WKB run raised, in first-seen order.
     """
 
     times: List[float]
@@ -284,6 +285,7 @@ class Run:
     dt: float
     status: str = "completed"
     stop_reason: str = ""
+    warnings: List[str] = field(default_factory=list)
 
     @property
     def charge_drift(self):

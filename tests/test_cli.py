@@ -102,6 +102,20 @@ class TestRunCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["summary"]["status"] == "blowup"
 
+    def test_warnings_in_report(self, tmp_path):
+        # s = 3 is below the 7/2 hypothesis: the run warns, the report says so
+        cfg = write_cfg(tmp_path, EULER_UNIFORM.replace("dt = 0.01", "dt = 0.01\ns = 3.0"))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        assert report["summary"]["warnings"] == ["regularity s=3.0 below the 7/2 hypothesis"]
+
+    def test_no_warnings_key_without_warnings(self, tmp_path):
+        cfg = write_cfg(tmp_path, EULER_UNIFORM)
+        out = tmp_path / "out"
+        main(["run", str(cfg), "--out", str(out)])
+        assert "warnings" not in json.loads((out / "report.json").read_text())["summary"]
+
     def test_bad_config_exit_one(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "[run]\nkind = nonsense\n")
         assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 1

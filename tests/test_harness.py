@@ -1,9 +1,14 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from poisswell.config import parse_config
 from poisswell.errors import PoisswellError
 from poisswell.grid import Grid
 from poisswell.harness import (
+    _rung_errors,
     epsilon_ladder,
     fit_loglog_slope,
     monokinetic_study,
@@ -11,7 +16,11 @@ from poisswell.harness import (
     spinor_vs_wkb,
 )
 from poisswell.initial_data import gaussian_bump, plane_wave, uniform
-from poisswell.states import SimParams
+from poisswell.hydro import run_hydro
+from poisswell.operators import sobolev_norm
+from poisswell.states import SimParams, wkb_current
+
+LADDER_CFG = Path(__file__).resolve().parent.parent / "configs" / "ladder.cfg"
 
 
 @pytest.fixture(scope="module")
@@ -193,3 +202,34 @@ class TestMonokinetic:
         )
         mono = monokinetic_study(runs, [(8,)])
         assert all(d <= 1e-18 for d in mono.defects)
+
+
+def test_reference_ladder_dt_halving_below_one_percent():
+    # the ladder's slopes measure eps, not dt: on each rung of the reference
+    # ladder, halving dt moves xs, rho and the current by <= 1 % of that
+    # rung's eps-error
+    cfg = parse_config(LADDER_CFG.read_text(encoding="utf-8"))
+    grid, params = cfg.build_grid(), cfg.sim_params()
+    init = cfg.build_initial(grid)
+    report, runs = epsilon_ladder(
+        grid, init, params, cfg.epsilons, n_samples=cfg.ladder_samples, preflight=False
+    )
+    s = params.s
+    for rung in report.rungs:
+        run = runs.hydro[rung.epsilon]
+        p = run.params
+        half = run_hydro(grid, init, replace(p, dt=p.dt / 2, sample_every=2 * p.sample_every))
+        assert half.status == "completed" and len(half.times) == len(run.times)
+        xs_d, rho_d, _, _ = _rung_errors(grid, run, half, s)
+        cur_d = max(
+            sobolev_norm(
+                grid,
+                wkb_current(grid, a.a, a.u, pa.A, a.epsilon)
+                - wkb_current(grid, b.a, b.u, pb.A, b.epsilon),
+                s - 3.0,
+            )
+            for a, pa, b, pb in zip(run.states, run.potentials, half.states, half.potentials)
+        )
+        assert xs_d <= 0.01 * rung.xs_error
+        assert rho_d <= 0.01 * rung.rho_error
+        assert cur_d <= 0.01 * rung.current_error

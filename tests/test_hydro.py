@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from poisswell.diagnostics import MonitorThresholds
 from poisswell.elliptic import apply_screened
 from poisswell.errors import InsufficientHistory, StabilityViolation
-from poisswell.grid import Grid
+from poisswell.grid import Grid, k2, k3
 from poisswell.hydro import (
     HydroSolver,
     continuity_form_residual,
@@ -181,6 +183,84 @@ class TestStep:
         with pytest.raises(StabilityViolation):
             solver.step_rk4(st, 1.0)
 
+    def test_dt_above_old_dispersive_bound_accepted(self):
+        # the old bound dx / (||u||_inf + eps k_max / 2) no longer applies
+        g = Grid((64,))
+        eps = 0.5
+        solver = HydroSolver(g, SimParams(epsilon=eps))
+        st = gaussian_bump(g, epsilon=eps)
+        dx = g.spacings[0]
+        u_inf = float(np.max(np.abs(st.u)))
+        old_bound = dx / (u_inf + 0.5 * eps * float(np.max(np.abs(k3(g)[0]))))
+        assert solver.dt_bound(st) == dx / u_inf
+        dt = 0.5 * solver.dt_bound(st)
+        assert dt > 10.0 * old_bound
+        out = solver.step_rk4(st, dt)
+        assert np.all(np.isfinite(out.a)) and np.all(np.isfinite(out.u))
+
+
+class TestIntegratingFactor:
+    def test_free_flow_oracle(self):
+        # no coupling, u = S = 0: one step is the exact free Schroedinger flow
+        g = Grid((64,))
+        eps = 0.2
+        x = g.coordinates()[0]
+        a = np.stack([np.exp(-2.0 * (x - np.pi) ** 2), 0.5j * np.exp(-(x - 2.0) ** 2)])
+        solver = HydroSolver(g, SimParams(epsilon=eps, coupling=False))
+        st = solver._dealias(HydroState(
+            a=a, u=np.zeros((3,) + g.shape), S=np.zeros(g.shape), epsilon=eps
+        ))
+        old_bound = g.spacings[0] / (0.5 * eps * float(np.max(np.abs(k3(g)[0]))))
+        dt = 10.0 * old_bound
+        out = solver.step_rk4(st, dt)
+        exact = g.ifft(np.exp(-0.5j * eps * dt * k2(g)) * g.fft(st.a))
+        assert np.max(np.abs(out.a - exact)) <= 1e-12
+        assert np.max(np.abs(out.u)) == 0.0
+
+    def test_coupled_order_four(self):
+        # dt-halving of the final-state error against a dt/8 reference, at
+        # steps above the old dispersive bound
+        g = Grid((64,))
+        eps, T, dt = 0.2, 0.4, 0.1
+        init = gaussian_bump(g, epsilon=eps, amplitude=0.3)
+
+        def final(h):
+            params = SimParams(epsilon=eps, dt=h, T=T, sample_every=10**6)
+            return run_hydro(g, init, params).states[-1]
+
+        ref = final(dt / 8)
+        errs = []
+        for h in (dt, dt / 2):
+            st = final(h)
+            errs.append(l2_norm(g, st.a - ref.a) + l2_norm(g, st.u - ref.u))
+        assert np.log2(errs[0] / errs[1]) >= 3.8
+
+    def test_euler_step_is_classical_rk4(self, rng):
+        # eps = 0: the factor is 1 and the step is classical RK4 on the full
+        # rhs, to the last bit (A = 0, so no screened solve varies)
+        g = Grid((64,))
+        st = random_state(g, rng, eps=0.0)
+        solver = HydroSolver(g, SimParams(epsilon=0.0, magnetic=False))
+        dt = 0.01
+
+        def full_rhs(s):
+            return solver.rhs(s, solver.potentials(s))
+
+        ks = [full_rhs(st)]
+        for frac in (0.5, 0.5, 1.0):
+            ks.append(full_rhs(HydroState(
+                *(x + (frac * dt) * dx for x, dx in zip((st.a, st.u, st.S), ks[-1])),
+                epsilon=0.0,
+            )))
+        combo = [(a + 2.0 * b + 2.0 * c + d) / 6.0 for a, b, c, d in zip(*ks)]
+        expected = solver._dealias(HydroState(
+            *(x + dt * dx for x, dx in zip((st.a, st.u, st.S), combo)), epsilon=0.0
+        ))
+        out = solver.step_rk4(st, dt)
+        assert np.array_equal(out.a, expected.a)
+        assert np.array_equal(out.u, expected.u)
+        assert np.array_equal(out.S, expected.S)
+
 
 class TestRun:
     def test_uniform_trajectory_constant(self):
@@ -190,6 +270,29 @@ class TestRun:
         final = run.states[-1]
         assert np.max(np.abs(final.a - run.states[0].a)) < 1e-12
         assert np.max(np.abs(final.u)) < 1e-12
+
+    def test_warnings_recorded_not_lost(self, recwarn):
+        # s < 7/2 makes every diagnostics sample warn; the run keeps the
+        # message once and lets none escape
+        g = Grid((32,))
+        params = SimParams(epsilon=0.1, T=0.04, dt=0.01, s=3.0)
+        run = run_hydro(g, gaussian_bump(g, epsilon=0.1), params)
+        assert run.warnings == ["regularity s=3.0 below the 7/2 hypothesis"]
+        assert len(recwarn) == 0
+        assert run_hydro(g, gaussian_bump(g, epsilon=0.1), replace(params, s=4.0)).warnings == []
+
+    def test_sample_velocity_derivative_bitwise(self):
+        # the diagnostics take d_t u alone; it is the rhs's d_t u to the bit
+        from poisswell.diagnostics import functionals
+
+        g = Grid((64,))
+        run = run_hydro(g, gaussian_bump(g, epsilon=0.2), SimParams(epsilon=0.2, T=0.04, dt=0.01))
+        solver = HydroSolver(g, run.params)
+        for st, pots, rec in zip(run.states, run.potentials, run.records):
+            du = solver.rhs(st, pots)[1]
+            assert np.array_equal(solver.velocity_rhs(st.u, pots), du)
+            fn = functionals(g, st, run.params.s, dt_u=du)
+            assert rec.xs_eps_dtu == fn.xs_eps_dtu
 
     def test_charge_conservation_bump(self):
         # acceptance 2 (hydro side): d=1, N=128, eps=0.1, T=0.5
