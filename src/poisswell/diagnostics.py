@@ -1,8 +1,8 @@
 """
 Every monitored functional: charge, the Schrödinger-Poisson energy, the
 Sobolev energy functionals and their weighted variants, the pointwise
-regularity monitor and its running sup, continuity and gauge residuals,
-the a priori growth-envelope check, and the blow-up monitor.
+regularity monitor and its running sup, the blow-up norm sum, continuity
+and gauge residuals, the a priori growth-envelope check, and the blow-up monitor.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .operators import (
     pointwise_norms,
     sobolev_norm,
     spectral_tail_fraction,
+    spectrum,
 )
 
 
@@ -83,44 +84,27 @@ def field_energy(grid: Grid, psi, V, epsilon):
     return epsilon**2 * kin + l2_norm(grid, gradient(grid, V)) ** 2
 
 
-def xs_norm(grid: Grid, a, u, s):
-    """The mixed-regularity state norm  ||a||_{H^{s-1}} + ||u||_{H^s}."""
-    return sobolev_norm(grid, a, s - 1.0) + sobolev_norm(grid, u, s)
-
-
-def pointwise_monitor(grid: Grid, a, u, epsilon):
-    """
-    The regularity monitor
-    1 + ||u||_{W^{1,inf}} + ||a||_{inf} + eps(||a||_{H^1} + ||a||_{W^{1,inf}} + ||a||_{W^{2,3}}).
-    """
-    pa = pointwise_norms(grid, a)
-    pu = pointwise_norms(grid, u)
-    return (
-        1.0
-        + pu.w1_inf
-        + pa.l_inf
-        + epsilon * (sobolev_norm(grid, a, 1.0) + pa.w1_inf + pa.w2_3)
-    )
-
-
-def blowup_sum(grid: Grid, a, u):
-    """The unweighted norm sum whose divergence signals finite-time blow-up."""
-    pa = pointwise_norms(grid, a)
-    pu = pointwise_norms(grid, u)
-    return sobolev_norm(grid, a, 1.0) + pa.w1_inf + pa.w2_3 + pu.w1_inf
-
-
 @dataclass(frozen=True)
 class Functionals:
     xs: float
     xs_eps: float
     xs_eps_dtu: Optional[float]
     monitor: float
+    blowup_sum: float
+    tail_fraction: float
 
 
 def functionals(grid: Grid, state, s, mu=1.0, mu1=1.0, mu2=1.0, dt_u=None):
     """
-    Evaluate the Sobolev energy ladder on a hydro state.
+    Evaluate the Sobolev energy ladder on a hydro state: the state norm
+    ``xs = ||a||_{H^{s-1}} + ||u||_{H^s}`` and its weighted variants, the
+    regularity monitor
+
+        1 + ||u||_{W^{1,inf}} + ||a||_{inf} + eps(||a||_{H^1} + ||a||_{W^{1,inf}} + ||a||_{W^{2,3}}),
+
+    the unweighted norm sum whose divergence signals finite-time blow-up,
+    and the spectral tail fraction of ``a``.  ``a``, ``u`` and ``dt_u`` are
+    each transformed once; every quantity shares those spectra.
 
     ``dt_u`` is the velocity time-derivative from the evolution equation
     (not a finite difference); when omitted the doubly-weighted functional
@@ -131,16 +115,23 @@ def functionals(grid: Grid, state, s, mu=1.0, mu1=1.0, mu2=1.0, dt_u=None):
         raise ValueError("regularity index must be >= 1")
     if s <= 3.5:
         warnings.warn(f"regularity s={s} below the 7/2 hypothesis", stacklevel=2)
-    base = xs_norm(grid, state.a, state.u, s)
-    eps_term = mu * state.epsilon * sobolev_norm(grid, state.a, s)
-    weighted = base + eps_term
+    eps = state.epsilon
+    a, u = spectrum(grid, state.a), spectrum(grid, state.u)
+    pa, pu = pointwise_norms(grid, a), pointwise_norms(grid, u)
+    h1_a, hs_a = sobolev_norm(grid, a, 1.0), sobolev_norm(grid, a, s)
+    base = sobolev_norm(grid, a, s - 1.0) + sobolev_norm(grid, u, s)
+    weighted = base + mu * eps * hs_a
     doubly = None
     if dt_u is not None:
-        doubly = base + mu1 * state.epsilon * sobolev_norm(grid, state.a, s) + mu2 * sobolev_norm(
-            grid, dt_u, s - 1.0
-        )
-    monitor = pointwise_monitor(grid, state.a, state.u, state.epsilon)
-    return Functionals(xs=base, xs_eps=weighted, xs_eps_dtu=doubly, monitor=monitor)
+        doubly = base + mu1 * eps * hs_a + mu2 * sobolev_norm(grid, dt_u, s - 1.0)
+    return Functionals(
+        xs=base,
+        xs_eps=weighted,
+        xs_eps_dtu=doubly,
+        monitor=1.0 + pu.w1_inf + pa.l_inf + eps * (h1_a + pa.w1_inf + pa.w2_3),
+        blowup_sum=h1_a + pa.w1_inf + pa.w2_3 + pu.w1_inf,
+        tail_fraction=spectral_tail_fraction(grid, a),
+    )
 
 
 def continuity_residual(grid: Grid, window: Sequence):
@@ -234,7 +225,3 @@ def blowup_lower_bound_K(epsilon, C, T_star, s):
     return 0.5 * (
         abs(np.log(np.sqrt(epsilon) / (C * T_star))) ** (1.0 / (2.0 * s + 3.0)) - 1.0
     )
-
-
-def tail_fraction(grid: Grid, field):
-    return spectral_tail_fraction(grid, field)

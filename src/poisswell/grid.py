@@ -216,3 +216,29 @@ def inverse_laplacian_modes(grid: Grid, half=False):
 
 def dealias_mask(grid: Grid, half=False):
     return _cached(grid, "_mask", half, lambda: grid.dealias_mask(half))
+
+
+def tail_mask(grid: Grid, half=False):
+    """The top third of the kept band: kept modes with |index_i| > 2 N_i / 9 on some axis."""
+
+    def build():
+        tail = np.zeros((1,) * grid.dim, dtype=bool)
+        for i, n in enumerate(grid.shape):
+            tail = tail | (np.abs(grid._axis_index(i, half)) > (2 * n) // 9)
+        return tail & dealias_mask(grid, half)
+
+    return _cached(grid, "_tail", half, build)
+
+
+def dispersion_factor(grid: Grid, epsilon, t, tables: dict):
+    """
+    exp(-i eps |k|^2 t/2), the flow of (i eps/2) Lap over ``t``, kept in the
+    caller's ``tables`` (each solver owns one, so its tables go with it):
+    two at most, the pair an IF-RK4 step uses.
+    """
+    key = (float(epsilon), float(t))
+    if key not in tables:
+        if len(tables) == 2:
+            tables.clear()
+        tables[key] = np.exp(-0.5j * epsilon * t * k2(grid))
+    return tables[key]

@@ -31,13 +31,11 @@ from .diagnostics import (
     MonitorStatus,
     MonitorThresholds,
     blowup_monitor,
-    blowup_sum,
     charge,
     functionals,
-    tail_fraction,
 )
 from .errors import InsufficientHistory, StabilityViolation
-from .grid import Grid, dealias_mask, k2
+from .grid import Grid, dealias_mask, dispersion_factor
 from .operators import (
     advect,
     curl,
@@ -70,7 +68,7 @@ class HydroSolver:
         self.grid = grid
         self.params = params
         self.thresholds = thresholds
-        self._factor_cache = None  # ((eps, dt), (E(dt/2), E(dt)))
+        self._dispersion = {}  # dispersion_factor's tables
 
     def potentials(self, state: HydroState, guess=None) -> Potentials:
         return self_consistent_potentials(
@@ -89,15 +87,18 @@ class HydroSolver:
             da = da + 0.5j * state.epsilon * laplacian(self.grid, state.a)
         return da, du, dS
 
-    def nonlinear_rhs(self, state: HydroState, pots: Potentials):
-        """:meth:`rhs` without the dispersion term; what the stepper integrates."""
+    def nonlinear_rhs(self, state: HydroState, pots: Potentials, spectral=False):
+        """
+        :meth:`rhs` without the dispersion term; what the stepper integrates.
+        ``spectral`` returns ``d_t a`` as its dealiased spectrum.
+        """
         g = self.grid
         a, u = state.a, state.u
         rel = u - pots.A
         da = -advect(g, rel, a) - 0.5 * a * divergence(g, rel)
         if np.any(pots.B):
             da = da + 0.5j * apply_sigma_dot(pots.B, a)
-        da = dealias(g, da)
+        da = g.fft(da) * dealias_mask(g) if spectral else dealias(g, da)
 
         a_sq = 0.5 * np.sum(pots.A**2, axis=0)
         dS = -0.5 * np.sum(u**2, axis=0) + np.sum(pots.A * u, axis=0) - (a_sq + pots.V)
@@ -125,24 +126,16 @@ class HydroSolver:
         dx = min(self.grid.spacings)
         return dx / rel_inf if rel_inf > 0 else np.inf
 
-    def _factors(self, eps, dt):
-        """The spectral factors E(dt/2) and E(dt); the last pair is kept."""
-        key = (float(eps), float(dt))
-        cached = self._factor_cache
-        if cached is None or cached[0] != key:
-            phase = -0.5j * eps * dt * k2(self.grid)
-            cached = (key, (np.exp(0.5 * phase), np.exp(phase)))
-            self._factor_cache = cached
-        return cached[1]
-
-    def _dealias(self, state: HydroState, enforce_gradient=True):
+    def _dealias(self, state: HydroState, enforce_gradient=True, amplitude=True):
         """
         Truncate ``a`` and ``S`` to the dealiased band and project the
         velocity onto (constant mean) + (zero-mean gradient), so curl u
         stays at spectral zero and the phase remains consistent with u.
+        ``amplitude=False`` leaves ``a``, for a caller that masked it already.
         """
         g = self.grid
-        state.a = g.ifft(g.fft(state.a) * dealias_mask(g))
+        if amplitude:
+            state.a = g.ifft(g.fft(state.a) * dealias_mask(g))
         if state.S is not None:
             state.S = dealias(g, state.S)
         if enforce_gradient:
@@ -155,8 +148,7 @@ class HydroSolver:
         One Lawson integrating-factor RK4 step followed by :meth:`_dealias`.
 
         With ``E(t) = exp(-i eps |k|^2 t/2)`` the exact flow of the
-        dispersion term and ``k1 .. k4`` the nonlinear derivatives
-        (:meth:`nonlinear_rhs`, or ``rhs_fn(state)`` in its place) at the
+        dispersion term and ``k1 .. k4`` the nonlinear derivatives at the
         stages
 
             a2 = E(h/2) (a + h/2 k1)
@@ -164,11 +156,15 @@ class HydroSolver:
             a4 = E(h) a + h E(h/2) k3
             a' = E(h) a + h/6 (E(h) k1 + 2 E(h/2) k2 + 2 E(h/2) k3 + k4),
 
-        the amplitude advances in spectral space, one forward transform per
-        derivative and one inverse per stage.  ``u`` and ``S`` take the same
+        the amplitude advances in spectral space: the stage derivatives arrive
+        as dealiased spectra, each stage makes one inverse transform, and
+        ``a'`` is masked before its one inverse.  ``u`` and ``S`` take the same
         four stages with E = 1, which is classical RK4; at eps = 0 the
-        amplitude does too, with no transform.  ``pots``, when given, are
-        the potentials of ``state`` and serve the first stage.
+        amplitude does too, in physical space, with no transform.  ``pots``,
+        when given, are the potentials of ``state`` and serve the first stage.
+        ``rhs_fn(state)``, when given, stands in for ``nonlinear_rhs(state,
+        pots, spectral=eps > 0)``: its ``d_t a`` is a dealiased spectrum when
+        eps > 0 and a physical field at eps = 0.
 
         The screened solve of each later stage starts from a nearby A: the
         two half-step stages from the A of the stage before, the full-step
@@ -176,6 +172,7 @@ class HydroSolver:
         """
         if check_cfl and dt > self.dt_bound(state) * (1.0 + 1e-9):
             raise StabilityViolation(f"dt={dt:g} exceeds the advective bound")
+        spectral = state.epsilon > 0
         if rhs_fn is None:
             if pots is None:
                 pots = self.potentials(state)
@@ -186,20 +183,18 @@ class HydroSolver:
                 guess = a_last if len(stage_A) < 3 else 2.0 * a_last - a1
                 stage_pots = self.potentials(s, guess=guess)
                 stage_A.append(stage_pots.A)
-                return self.nonlinear_rhs(s, stage_pots)
+                return self.nonlinear_rhs(s, stage_pots, spectral)
 
         g = self.grid
-        if state.epsilon > 0:
-            half, full = self._factors(state.epsilon, dt)
+        if spectral:
+            half = dispersion_factor(g, state.epsilon, 0.5 * dt, self._dispersion)
+            full = dispersion_factor(g, state.epsilon, dt, self._dispersion)
             fwd, inv = g.fft, g.ifft
         else:
             half = full = None
             fwd = inv = lambda f: f
 
         # (a, u, S) with a in the transform space of fwd; E acts on a only
-        def lift(k):
-            return (fwd(k[0]),) + tuple(k[1:])
-
         def prop(y, factor):
             return y if factor is None else (factor * y[0],) + tuple(y[1:])
 
@@ -211,16 +206,18 @@ class HydroSolver:
                               t=state.t + dt_frac, epsilon=state.epsilon)
 
         y = (fwd(state.a), state.u, state.S)
-        k1 = lift(rhs_fn(state) if pots is None else self.nonlinear_rhs(state, pots))
-        k2 = lift(rhs_fn(at(prop(axpy(y, 0.5 * dt, k1), half), 0.5 * dt)))
-        k3 = lift(rhs_fn(at(axpy(prop(y, half), 0.5 * dt, k2), 0.5 * dt)))
-        k4 = lift(rhs_fn(at(axpy(prop(y, full), dt, prop(k3, half)), dt)))
+        k1 = rhs_fn(state) if pots is None else self.nonlinear_rhs(state, pots, spectral)
+        k2 = rhs_fn(at(prop(axpy(y, 0.5 * dt, k1), half), 0.5 * dt))
+        k3 = rhs_fn(at(axpy(prop(y, half), 0.5 * dt, k2), 0.5 * dt))
+        k4 = rhs_fn(at(axpy(prop(y, full), dt, prop(k3, half)), dt))
         combo = tuple(
             (a + 2.0 * b + 2.0 * c + d) / 6.0
             for a, b, c, d in zip(prop(k1, full), prop(k2, half), prop(k3, half), k4)
         )
-        new = at(axpy(prop(y, full), dt, combo), dt)
-        return self._dealias(new, enforce_gradient)
+        y = axpy(prop(y, full), dt, combo)
+        if spectral:
+            y = (y[0] * dealias_mask(g),) + y[1:]
+        return self._dealias(at(y, dt), enforce_gradient, amplitude=not spectral)
 
     # -- full run -----------------------------------------------------------------
 
@@ -245,8 +242,8 @@ class HydroSolver:
             xs_eps_dtu=fn.xs_eps_dtu,
             monitor=fn.monitor,
             monitor_sup=sup,
-            blowup_sum=blowup_sum(g, state.a, state.u),
-            tail_fraction=tail_fraction(g, state.a),
+            blowup_sum=fn.blowup_sum,
+            tail_fraction=fn.tail_fraction,
         )
 
     def default_dt(self, state: HydroState):

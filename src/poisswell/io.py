@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import struct
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -49,10 +48,7 @@ def write_field(path, data, rep="physical"):
             fh.write(struct.pack("<I", n))
         fh.write(struct.pack("<I", ncomp))
         fh.write(struct.pack("<I", REPRESENTATIONS.index(rep)))
-        interleaved = np.empty(data.size * 2)
-        interleaved[0::2] = data.real.ravel()
-        interleaved[1::2] = data.imag.ravel()
-        fh.write(interleaved.astype("<f8").tobytes())
+        fh.write(data.astype("<c16").tobytes())
 
 
 def read_field(path) -> FieldSnapshot:
@@ -63,11 +59,12 @@ def read_field(path) -> FieldSnapshot:
         shape = tuple(struct.unpack("<I", fh.read(4))[0] for _ in range(dim))
         (ncomp,) = struct.unpack("<I", fh.read(4))
         (rep_idx,) = struct.unpack("<I", fh.read(4))
-        count = 2 * ncomp * int(np.prod(shape))
-        raw = np.frombuffer(fh.read(count * 8), dtype="<f8")
+        count = ncomp * int(np.prod(shape))
+        raw = np.frombuffer(fh.read(count * 16), dtype="<c16")
         if raw.size != count:
             raise PoisswellError(f"{path}: truncated snapshot")
-    data = (raw[0::2] + 1j * raw[1::2]).reshape((ncomp,) + shape)
+    # a copy in native order: writable, and every (re, im) bit pattern kept
+    data = raw.astype(complex).reshape((ncomp,) + shape)
     return FieldSnapshot(data=data, rep=REPRESENTATIONS[rep_idx])
 
 
@@ -123,12 +120,10 @@ class Manifest:
     def __init__(self, directory):
         self.directory = Path(directory)
         self.entries = []
-        self._lock = threading.Lock()
 
     def register(self, path, kind, **meta):
         rel = str(Path(path).relative_to(self.directory))
-        with self._lock:
-            self.entries.append({"path": rel, "kind": kind, **meta})
+        self.entries.append({"path": rel, "kind": kind, **meta})
         return Path(path)
 
     def path(self, name, kind, **meta):

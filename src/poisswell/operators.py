@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from typing import Callable
 
 import numpy as np
 
-from .grid import Grid, dealias_mask, inverse_laplacian_modes, k2, k2_safe, k3
+from .grid import Grid, dealias_mask, inverse_laplacian_modes, k2, k2_safe, k3, tail_mask
 
 
 def _transforms(grid: Grid, f):
@@ -134,31 +135,43 @@ def l2_norm(grid: Grid, f):
     return float(np.sqrt(np.sum(np.abs(f) ** 2) * grid.cell_volume))
 
 
-def l2_norm_spectral(grid: Grid, fh):
-    """Same norm evaluated from spectral coefficients (Parseval)."""
-    return float(
-        np.sqrt(np.sum(np.abs(fh) ** 2) * grid.cell_volume / grid.npoints)
-    )
-
-
 def lp_norm(grid: Grid, f, p):
     return float((np.sum(np.abs(f) ** p) * grid.cell_volume) ** (1.0 / p))
 
 
-def _spectral_weight_sum(grid: Grid, f, weight):
-    fh = grid.fft(f)
-    comp_axes = tuple(range(fh.ndim - grid.dim))
-    power = np.abs(fh) ** 2
-    if comp_axes:
-        power = power.sum(axis=comp_axes)
-    return float(np.sum(weight * power) * grid.cell_volume / grid.npoints)
+@dataclass(frozen=True)
+class Spectrum:
+    """
+    A field with its spectrum, taken once for all its norms and derivatives
+    (the half spectrum for a real field).  ``power`` is the component-summed
+    ``|f_hat|^2``, a half-spectrum mode counted with its conjugate partner.
+    """
+
+    f: np.ndarray
+    fh: np.ndarray
+    inverse: Callable
+    half: bool
+    power: np.ndarray
+
+
+def spectrum(grid: Grid, f) -> Spectrum:
+    """The :class:`Spectrum` of a field; a spectrum is returned as it is."""
+    if isinstance(f, Spectrum):
+        return f
+    f = np.asarray(f)
+    fwd, inv, half = _transforms(grid, f)
+    fh = fwd(f)
+    power = np.sum(np.abs(fh) ** 2, axis=tuple(range(fh.ndim - grid.dim)))
+    if half:  # off the last axis's 0 and N/2 planes a mode stands for two
+        power[..., 1:-1] *= 2.0
+    return Spectrum(f=f, fh=fh, inverse=inv, half=half, power=power)
 
 
 def sobolev_norm(grid: Grid, f, s, variant="fourier"):
     """
-    H^s norm of a (possibly multi-component) field.
+    H^s norm of a (possibly multi-component) field or of its :class:`Spectrum`.
 
-    variant="fourier" uses the weight (1+|k|^2)^s; variant="sum" uses the
+    variant="fourier" weights the power spectrum by (1+|k|^2)^s; variant="sum" uses the
     sum of derivative L2 norms over all multi-indices |alpha| <= s (integer
     s only).  Both reduce to the L2 norm at s = 0.  ``s`` may also be a
     :class:`SobolevIndex`, which carries its own variant.
@@ -168,16 +181,18 @@ def sobolev_norm(grid: Grid, f, s, variant="fourier"):
     if s < 0:
         raise ValueError("regularity index must be >= 0")
     if variant == "fourier":
-        weight = (1.0 + k2(grid)) ** s
-        return float(np.sqrt(_spectral_weight_sum(grid, f, weight)))
+        spec = spectrum(grid, f)
+        weight = (1.0 + k2(grid, spec.half)) ** s
+        return float(np.sqrt(np.sum(weight * spec.power) * grid.cell_volume / grid.npoints))
     if variant == "sum":
         n = int(round(s))
         if abs(n - s) > 1e-12:
             raise ValueError("sum variant needs integer s")
+        f = f.f if isinstance(f, Spectrum) else np.asarray(f)
         total = 0.0
         for order in range(n + 1):
             for alpha in combinations_with_replacement(range(grid.dim), order):
-                g = np.asarray(f)
+                g = f
                 for ax in alpha:
                     g = deriv(grid, g, ax)
                 total += l2_norm(grid, g)
@@ -200,60 +215,36 @@ class PointwiseNorms:
     w2_3: float
 
 
-def _component_magnitude(f):
-    f = np.asarray(f)
-    if f.ndim == 0:
-        return np.abs(f)
-    return np.sqrt(np.sum(np.abs(f) ** 2, axis=0)) if f.ndim > 1 else np.abs(f)
-
-
-def _derivative_stack(grid: Grid, f, order):
-    """All distinct derivatives of a given order, stacked on a new axis."""
-    outs = []
-    for alpha in combinations_with_replacement(range(grid.dim), order):
-        g = np.asarray(f)
-        for ax in alpha:
-            g = deriv(grid, g, ax)
-        outs.append(g)
-    return np.stack(outs)
-
-
 def pointwise_norms(grid: Grid, f):
     """
-    Grid realizations of the sup-type norms: L^inf is the max of the
-    pointwise magnitude, W^{1,inf} adds the max over first derivatives,
-    W^{2,3} sums L^3 quadrature norms of derivatives up to order 2.
+    Grid realizations of the sup-type norms of a field or its :class:`Spectrum`:
+    L^inf is the max of the pointwise magnitude, W^{1,inf} adds the max over
+    first derivatives, W^{2,3} sums L^3 quadrature norms of derivatives up to
+    order 2.  One batched inverse of the multipliers ``i k_i`` gives the first
+    derivatives, one of ``-k_i k_j`` (i <= j) the second.
     """
-    f = np.asarray(f)
+    spec = spectrum(grid, f)
+    f, fh, ks = spec.f, spec.fh, k3(grid, spec.half)
+    axes = range(grid.dim)
     stack0 = f if f.ndim > grid.dim else f[None]
-    l_inf = float(np.max(_component_magnitude(stack0))) if f.size else 0.0
-    d1 = _derivative_stack(grid, f, 1)
+    l_inf = float(np.max(np.sqrt(np.sum(np.abs(stack0) ** 2, axis=0))))
+    d1 = spec.inverse(np.stack([1j * ks[i] * fh for i in axes]))
     w1_inf = l_inf + float(np.max(np.abs(d1)))
-    w2_3 = 0.0
-    for order in range(3):
-        g = _derivative_stack(grid, f, order) if order else stack0
-        w2_3 += lp_norm(grid, g, 3)
+    w2_3 = lp_norm(grid, stack0, 3) + lp_norm(grid, d1, 3)
+    del d1  # the two tables are never held at once
+    pairs = combinations_with_replacement(axes, 2)
+    d2 = spec.inverse(np.stack([-(ks[i] * ks[j]) * fh for i, j in pairs]))
+    w2_3 += lp_norm(grid, d2, 3)
     return PointwiseNorms(l_inf=l_inf, w1_inf=w1_inf, w2_3=w2_3)
 
 
 def spectral_tail_fraction(grid: Grid, f):
     """
-    Fraction of spectral energy carried by the top third of the kept
-    (dealiased) band: modes with |index_i| > 2 N_i / 9 on any axis.
+    Fraction of spectral energy of a field or its :class:`Spectrum` carried by the
+    top third of the kept (dealiased) band: modes with |index_i| > 2 N_i / 9 on any axis.
     """
-    fh = grid.fft(f)
-    power = np.abs(fh) ** 2
-    comp_axes = tuple(range(power.ndim - grid.dim))
-    if comp_axes:
-        power = power.sum(axis=comp_axes)
-    tail = np.zeros(grid.shape, dtype=bool)
-    for i, n in enumerate(grid.shape):
-        idx = np.rint(np.fft.fftfreq(n) * n).astype(int)
-        shp = [1] * grid.dim
-        shp[i] = n
-        tail |= (np.abs(idx) > (2 * n) // 9).reshape(shp)
-    tail &= dealias_mask(grid)
-    total = float(power.sum())
+    spec = spectrum(grid, f)
+    total = float(spec.power.sum())
     if total == 0.0:
         return 0.0
-    return float(power[tail].sum() / total)
+    return float(spec.power[tail_mask(grid, spec.half)].sum() / total)

@@ -14,13 +14,14 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernels
-from .diagnostics import DiagnosticsRecord, charge, field_energy, tail_fraction
+from .diagnostics import DiagnosticsRecord, charge, field_energy
 from .errors import StabilityViolation
-from .grid import Grid, dealias_mask, k2
-from .operators import advect, dealias, divergence
+from .grid import Grid, dealias_mask, dispersion_factor
+from .operators import advect, dealias, divergence, spectral_tail_fraction
 from .states import (
     Potentials,
     Run,
+    RunStopped,
     SimParams,
     default_dt,
     run_loop,
@@ -36,7 +37,7 @@ class PauliSolver:
             raise ValueError("the spinor solver needs eps > 0")
         self.grid = grid
         self.params = params
-        self._kinetic_cache = {}
+        self._dispersion = {}  # dispersion_factor's tables
 
     def potentials(self, psi, guess=None) -> Potentials:
         return self_consistent_potentials(
@@ -73,12 +74,8 @@ class PauliSolver:
         return kernels.phase_sigma_rotate(psi, (tau / eps) * W, pots.B, 0.5 * tau)
 
     def _kinetic(self, psi, dt):
-        key = float(dt)
-        phase = self._kinetic_cache.get(key)
-        if phase is None:
-            phase = np.exp(-0.5j * self.params.epsilon * dt * k2(self.grid))
-            self._kinetic_cache[key] = phase
-        return self.grid.ifft(self.grid.fft(psi) * phase)
+        factor = dispersion_factor(self.grid, self.params.epsilon, dt, self._dispersion)
+        return self.grid.ifft(self.grid.fft(psi) * factor)
 
     def step(self, psi, dt):
         """
@@ -125,17 +122,24 @@ class PauliSolver:
             t=t,
             charge=charge(g, psi),
             energy=field_energy(g, psi, pots.V, self.params.epsilon),
-            tail_fraction=tail_fraction(g, psi),
+            tail_fraction=spectral_tail_fraction(g, psi),
         )
 
     def run(self, psi0, tail_warn=0.10) -> Run:
         """
-        The shared run loop; a completed run whose spectral tail passed
-        ``tail_warn`` at some sample carries that as its stop reason.
+        The shared run loop.  A crossed stability bound or an elliptic breakdown
+        ends the run as a blow-up with the samples taken so far; a completed
+        run whose spectral tail passed ``tail_warn`` carries that as its stop reason.
         """
-        run = run_loop(
-            self, np.asarray(psi0, dtype=complex), lambda psi, dt, pots: self.step(psi, dt)
-        )
+
+        def advance(psi, dt, pots):
+            try:
+                return self.step(psi, dt)
+            except StabilityViolation as exc:
+                raise RunStopped(str(exc)) from exc
+
+        run = run_loop(self, np.asarray(psi0, dtype=complex), advance,
+                       tolerate=lambda: True)
         if run.status == "completed" and any(
             r.tail_fraction > tail_warn for r in run.records[1:]
         ):

@@ -1,3 +1,5 @@
+import collections
+
 import numpy as np
 import pytest
 
@@ -41,3 +43,18 @@ def random_band_limited(grid, rng, components=None, kmax=4, amplitude=1.0, compl
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def transform_count(monkeypatch):
+    """Counts the calls of every ``Grid`` transform, by method name."""
+    counts = collections.Counter()
+    for name in ("fft", "ifft", "ifft_real", "rfft", "irfft"):
+        method = getattr(Grid, name)
+
+        def counted(self, f, _method=method, _name=name):
+            counts[_name] += 1
+            return _method(self, f)
+
+        monkeypatch.setattr(Grid, name, counted)
+    return counts

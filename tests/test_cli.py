@@ -66,6 +66,24 @@ base_points = [12, 32, 44]
 """
 
 
+PAULI_DT_ABOVE_BOUND = """
+[run]
+kind = pauli
+
+[grid]
+points = [32]
+
+[params]
+epsilon = 0.05
+T = 1.0
+dt = 0.5
+
+[initial]
+family = gaussian-bump
+amplitude = 0.3
+"""
+
+
 def write_cfg(tmp_path, text, name="run.cfg"):
     p = tmp_path / name
     p.write_text(text, encoding="utf-8")
@@ -101,6 +119,18 @@ class TestRunCommand:
         assert main(["run", str(cfg), "--out", str(out)]) == EXIT_BLOWUP
         report = json.loads((out / "report.json").read_text())
         assert report["summary"]["status"] == "blowup"
+
+    def test_spinor_stability_violation_keeps_artifacts(self, tmp_path):
+        # the fixed dt is about 3x the spinor bound: the first step fails,
+        # and the run ends as a blow-up with its first sample written
+        cfg = write_cfg(tmp_path, PAULI_DT_ABOVE_BOUND)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == EXIT_BLOWUP
+        summary = json.loads((out / "report.json").read_text())["summary"]
+        assert summary["status"] == "blowup"
+        assert "exceeds stability bound" in summary["stop_reason"]
+        assert len((out / "diagnostics.jsonl").read_text().splitlines()) == 1
+        assert (out / "psi_0000.pwf").exists()
 
     def test_warnings_in_report(self, tmp_path):
         # s = 3 is below the 7/2 hypothesis: the run warns, the report says so

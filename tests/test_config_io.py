@@ -2,8 +2,9 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from poisswell.config import RunConfig, parse_config, serialize_config
 from poisswell.errors import ParseError, PoisswellError, ValidationError
@@ -169,6 +170,29 @@ class TestFieldFormat:
         assert snap.rep == "physical"
         assert snap.data.shape == (2, 32, 16)
         assert np.max(np.abs(snap.data - psi)) < 1e-15
+
+    @given(
+        data=st.sampled_from([np.float64, np.complex128]).flatmap(
+            lambda dtype: hnp.arrays(
+                dtype,
+                st.tuples(st.integers(1, 3), hnp.array_shapes(min_dims=1, max_dims=3, max_side=5))
+                .map(lambda c_shape: (c_shape[0],) + c_shape[1]),
+            )
+        ),
+        rep=st.sampled_from(["physical", "spectral"]),
+    )
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_roundtrip_property(self, tmp_path, data, rep):
+        # 1-3 components of a 1-3d field, real or complex, any float values
+        # (signed zeros, infinities, NaNs): the complex128 bits come back
+        path = tmp_path / "property.pwf"
+        write_field(path, data, rep=rep)
+        snap = read_field(path)
+        assert snap.rep == rep
+        assert snap.data.shape == data.shape
+        assert snap.data.dtype == np.complex128
+        assert snap.data.tobytes() == data.astype(np.complex128).tobytes()
 
     def test_roundtrip_scalar(self, rng, tmp_path):
         g = Grid((64,))

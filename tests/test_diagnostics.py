@@ -67,6 +67,22 @@ class TestFunctionals:
         fn = diag.functionals(g, st, s=4.0, mu=0.0)
         assert fn.xs_eps == pytest.approx(fn.xs, rel=1e-14)
 
+    def test_shared_spectra_change_no_value(self, rng):
+        # the monitor, blow-up sum and tail fraction from the shared spectra
+        # equal their definitions evaluated field by field, to the last bit
+        from poisswell.operators import pointwise_norms, sobolev_norm, spectral_tail_fraction
+
+        g = Grid((16, 16, 16))
+        a = 1.0 + random_band_limited(g, rng, components=2, complex_=True, amplitude=0.3)
+        S = random_band_limited(g, rng)
+        st = HydroState(a=a, u=gradient(g, S), S=S, epsilon=0.2)
+        fn = diag.functionals(g, st, s=4.0)
+        pa, pu = pointwise_norms(g, a), pointwise_norms(g, st.u)
+        h1 = sobolev_norm(g, a, 1.0)
+        assert fn.monitor == 1.0 + pu.w1_inf + pa.l_inf + 0.2 * (h1 + pa.w1_inf + pa.w2_3)
+        assert fn.blowup_sum == h1 + pa.w1_inf + pa.w2_3 + pu.w1_inf
+        assert fn.tail_fraction == spectral_tail_fraction(g, a)
+
     def test_weighted_ordering(self, rng):
         g = Grid((64,))
         a = 1.0 + random_band_limited(g, rng, components=2, complex_=True, amplitude=0.3)

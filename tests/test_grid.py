@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from poisswell.grid import Grid, dealias_mask
+from poisswell.grid import Grid, dealias_mask, dispersion_factor, k2
 
 from conftest import random_band_limited
 
@@ -85,3 +85,17 @@ def test_half_tables_are_the_kept_part_of_the_full_ones(shape, rng):
     scale = np.max(np.abs(f)) * g.npoints
     assert np.max(np.abs(g.rfft(f) - g.fft(f)[kept])) <= 1e-13 * scale
     assert np.max(np.abs(g.irfft(g.rfft(f)) - f)) <= 1e-13 * np.max(np.abs(f))
+
+
+def test_dispersion_factor_is_one_cached_table():
+    # both solvers ask for exp(-i eps |k|^2 t/2); a step's pair of tables is
+    # built once, and a third (eps, t) drops them
+    g, tables = Grid((16, 8)), {}
+    half = dispersion_factor(g, 0.2, 0.005, tables)
+    full = dispersion_factor(g, 0.2, 0.01, tables)
+    assert np.array_equal(full, np.exp(-0.5j * 0.2 * 0.01 * k2(g)))
+    assert dispersion_factor(g, 0.2, 0.005, tables) is half
+    assert dispersion_factor(g, 0.2, 0.01, tables) is full
+    dispersion_factor(g, 0.1, 0.01, tables)
+    assert list(tables) == [(0.1, 0.01)]
+    assert np.array_equal(dispersion_factor(g, 0.2, 0.01, tables), full)

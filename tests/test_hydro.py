@@ -6,7 +6,7 @@ import pytest
 from poisswell.diagnostics import MonitorThresholds
 from poisswell.elliptic import apply_screened
 from poisswell.errors import InsufficientHistory, StabilityViolation
-from poisswell.grid import Grid, k2, k3
+from poisswell.grid import Grid, dealias_mask, k2, k3
 from poisswell.hydro import (
     HydroSolver,
     continuity_form_residual,
@@ -118,6 +118,19 @@ class TestRhs:
         res = continuity_form_residual(g, st, pots, da)
         assert res <= 1e-10 * max(1.0, l2_norm(g, charge_density(st.a)))
 
+    def test_spectral_amplitude_derivative(self, rng):
+        # spectral=True hands over the masked spectrum of d_t a: zero above
+        # the band, and the physical derivative once inverted
+        g = Grid((32,))
+        st = random_state(g, rng)
+        solver = HydroSolver(g, SimParams(epsilon=st.epsilon))
+        pots = solver.potentials(st)
+        da_hat, du, dS = solver.nonlinear_rhs(st, pots, spectral=True)
+        da, du2, dS2 = solver.nonlinear_rhs(st, pots)
+        assert np.all(da_hat[:, ~dealias_mask(g)] == 0.0)
+        assert np.array_equal(g.ifft(da_hat), da)
+        assert np.array_equal(du, du2) and np.array_equal(dS, dS2)
+
     def test_module_level_wrappers(self, rng):
         g = Grid((32,))
         st = random_state(g, rng)
@@ -217,6 +230,17 @@ class TestIntegratingFactor:
         assert np.max(np.abs(out.a - exact)) <= 1e-12
         assert np.max(np.abs(out.u)) == 0.0
 
+    @pytest.mark.parametrize("eps", [0.0, 0.2])
+    def test_step_leaves_no_energy_above_the_band(self, eps, rng):
+        # a' is cut to the 2/3 band, whether it is masked as a spectrum before
+        # its one inverse (eps > 0) or dealiased in physical space (eps = 0)
+        g = Grid((32,))
+        a = rng.standard_normal((2, 32)) + 1j * rng.standard_normal((2, 32))
+        solver = HydroSolver(g, SimParams(epsilon=eps, coupling=False))
+        st = HydroState(a=a, u=np.zeros((3, 32)), S=np.zeros(32), epsilon=eps)
+        out = solver.step_rk4(st, 0.01, check_cfl=False)
+        assert np.max(np.abs(g.fft(out.a)[:, ~dealias_mask(g)])) < 1e-13
+
     def test_coupled_order_four(self):
         # dt-halving of the final-state error against a dt/8 reference, at
         # steps above the old dispersive bound
@@ -260,6 +284,32 @@ class TestIntegratingFactor:
         assert np.array_equal(out.a, expected.a)
         assert np.array_equal(out.u, expected.u)
         assert np.array_equal(out.S, expected.S)
+
+
+class TestTransformCounts:
+    def test_step_keeps_the_amplitude_spectral(self, transform_count):
+        # eps > 0, no coupling: the stage derivatives of a arrive as masked
+        # spectra and a' is masked before its one inverse, which is 93
+        # transforms; inverting each derivative and transforming it back,
+        # then dealiasing a' by a forward/inverse pair, took 103
+        g = Grid((16, 16, 16))
+        solver = HydroSolver(g, SimParams(epsilon=0.2, coupling=False))
+        st = solver._dealias(gaussian_bump(g, epsilon=0.2))
+        transform_count.clear()
+        solver.step_rk4(st, 0.01, check_cfl=False)
+        assert sum(transform_count.values()) == 93
+
+    def test_record_transforms_each_field_once(self, transform_count):
+        # one 32^3 sample: d_t u (12 transforms), one spectrum each of a, u
+        # and d_t u, and two derivative tables each for a and u; computing
+        # every norm from its own transforms took 164
+        g = Grid((32, 32, 32))
+        solver = HydroSolver(g, SimParams(epsilon=0.2, T=0.05))
+        st = solver._dealias(gaussian_bump(g, amplitude=0.2, width=1.2, epsilon=0.2))
+        pots = solver.potentials(st)
+        transform_count.clear()
+        solver._record(0.0, st, pots, None)
+        assert sum(transform_count.values()) <= 20
 
 
 class TestRun:

@@ -1,3 +1,5 @@
+from itertools import combinations_with_replacement
+
 import numpy as np
 import pytest
 
@@ -87,10 +89,11 @@ class TestNorms:
         assert ops.l2_norm(g, np.cos(x).ravel()) == pytest.approx(np.sqrt(np.pi), rel=1e-13)
 
     def test_parseval(self, rng):
+        # the L2 norm of a real field from its half-spectrum power
         g = Grid((32, 32))
         f = random_band_limited(g, rng)
         assert ops.l2_norm(g, f) == pytest.approx(
-            ops.l2_norm_spectral(g, g.fft(f)), rel=1e-12
+            ops.sobolev_norm(g, ops.spectrum(g, f), 0.0), rel=1e-12
         )
 
     def test_sobolev_reduces_to_l2_at_zero(self, rng):
@@ -239,3 +242,79 @@ def test_real_fields_match_the_complex_path(shape, rng):
         reference = op(g, x.astype(complex))
         assert not np.iscomplexobj(real)
         assert np.max(np.abs(real - reference)) <= 1e-12 * max(1.0, np.max(np.abs(reference)))
+
+
+def _norms_from_arrays(g, stack0, d1, d2):
+    # the definitions of PointwiseNorms, on given derivative arrays
+    l_inf = float(np.max(np.sqrt(np.sum(np.abs(stack0) ** 2, axis=0))))
+    w1_inf = l_inf + float(np.max(np.abs(d1)))
+    w2_3 = sum(ops.lp_norm(g, d, 3) for d in (stack0, d1, d2))
+    return l_inf, w1_inf, w2_3
+
+
+class TestDerivativeTable:
+    @pytest.mark.parametrize("shape, components, complex_", [
+        ((16, 16, 16), 2, True),
+        ((16, 16, 16), 3, False),
+        ((32, 24), None, False),
+    ])
+    def test_matches_repeated_first_derivatives(self, shape, components, complex_, rng):
+        # reference: every second derivative as deriv(deriv(f)), two
+        # transform pairs each
+        g = Grid(shape)
+        f = random_band_limited(g, rng, components=components, complex_=complex_, kmax=5)
+        pairs = combinations_with_replacement(range(g.dim), 2)
+        d1 = np.stack([ops.deriv(g, f, i) for i in range(g.dim)])
+        d2 = np.stack([ops.deriv(g, ops.deriv(g, f, i), j) for i, j in pairs])
+        expected = _norms_from_arrays(g, f if components else f[None], d1, d2)
+        pw = ops.pointwise_norms(g, f)
+        assert (pw.l_inf, pw.w1_inf, pw.w2_3) == pytest.approx(expected, rel=1e-13)
+
+    def test_mixed_second_derivatives_closed_form(self):
+        # f = sin x sin 2y cos 3z: every second derivative is known exactly
+        g = Grid((16, 16, 16))
+        x, y, z = g.coordinates()
+        sx, cx = np.sin(x), np.cos(x)
+        s2, c2 = np.sin(2 * y), np.cos(2 * y)
+        s3, c3 = np.sin(3 * z), np.cos(3 * z)
+        f = sx * s2 * c3
+        d1 = np.stack([cx * s2 * c3, 2 * sx * c2 * c3, -3 * sx * s2 * s3])
+        d2 = np.stack([
+            -f, 2 * cx * c2 * c3, -3 * cx * s2 * s3,  # xx, xy, xz
+            -4 * f, -6 * sx * c2 * s3,                # yy, yz
+            -9 * f,                                   # zz
+        ])
+        spin = np.array([1.0, 0.5j]).reshape(2, 1, 1, 1)
+        for field, first, second, stack0 in (
+            (f, d1, d2, f[None]),
+            (spin * f, d1[:, None] * spin, d2[:, None] * spin, spin * f),
+        ):
+            pw = ops.pointwise_norms(g, field)
+            expected = _norms_from_arrays(g, stack0, first, second)
+            assert (pw.l_inf, pw.w1_inf, pw.w2_3) == pytest.approx(expected, rel=1e-12)
+
+    def test_spectrum_is_shared_not_retaken(self, rng, transform_count):
+        # one forward transform serves every norm of the field
+        g = Grid((16, 16, 16))
+        u = random_band_limited(g, rng, components=3)
+        spec = ops.spectrum(g, u)
+        transform_count.clear()
+        ops.sobolev_norm(g, spec, 4.0)
+        ops.spectral_tail_fraction(g, spec)
+        ops.pointwise_norms(g, spec)
+        assert dict(transform_count) == {"irfft": 2}
+
+
+@pytest.mark.parametrize("shape", [(64,), (16, 12), (8, 6, 10)])
+def test_half_spectrum_norms_match_the_full_spectrum(shape, rng):
+    # a real field's power sums over the half spectrum, each mode counted
+    # with its conjugate partner; white noise loads every mode, including
+    # the index 0 and N/2 planes that stand for themselves alone
+    g = Grid(shape)
+    for f in (rng.standard_normal(shape), rng.standard_normal((3,) + shape)):
+        full = f.astype(complex)
+        for s in (0.0, 1.0, 2.5, 4.0):
+            assert ops.sobolev_norm(g, f, s) == pytest.approx(
+                ops.sobolev_norm(g, full, s), rel=1e-13)
+        assert ops.spectral_tail_fraction(g, f) == pytest.approx(
+            ops.spectral_tail_fraction(g, full), rel=1e-13)
