@@ -25,6 +25,7 @@ from .diagnostics import MonitorThresholds
 from .errors import PoisswellError
 from .harness import (
     density_current_limit,
+    distinct_warnings,
     epsilon_ladder,
     monokinetic_study,
     spinor_vs_wkb,
@@ -107,8 +108,8 @@ def _run_single(cfg: RunConfig, out: Path, manifest: Manifest):
                 "monitor": run.records[-1].monitor,
             },
         }
-        if run.warnings:  # absent when empty: a warning-free report reads as before
-            summary["warnings"] = run.warnings
+    if run.warnings:  # absent when empty: a warning-free report reads as before
+        summary["warnings"] = run.warnings
     report_path = manifest.path("report.json", "report")
     write_json(report_path, {"config": config_as_dict(cfg), "summary": summary})
     plots.emit_diagnostics_timeseries(
@@ -135,6 +136,8 @@ def _run_ladder(cfg: RunConfig, out: Path, manifest: Manifest, with_wigner: bool
     base_points = cfg.default_base_points(grid)
     mono = monokinetic_study(runs, base_points)
     doc["monokinetic"] = mono.as_dict()
+    if mono.warnings:
+        doc["warnings"] = distinct_warnings([report, mono])
     if with_wigner and mono.slice_data is not None:
         export_slice_csv(
             mono.slice_data, manifest.path("wigner_final.csv", "wigner-slice")

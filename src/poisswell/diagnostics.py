@@ -134,29 +134,40 @@ def functionals(grid: Grid, state, s, mu=1.0, mu1=1.0, mu2=1.0, dt_u=None):
     )
 
 
+def _middle_derivative(t0, x0, t1, x1, t2, x2):
+    """
+    d/dt at ``t1`` of the quadratic through three samples, exact for
+    quadratics whatever the spacing; the centred difference when it is even.
+    """
+    h0, h1 = t1 - t0, t2 - t1
+    return (h0**2 * (x2 - x1) + h1**2 * (x1 - x0)) / (h0 * h1 * (h0 + h1))
+
+
 def continuity_residual(grid: Grid, window: Sequence):
     """
     L2 norm of ``d_t rho + div J`` at the middle of a 3-snapshot window;
-    the time derivative is the centered difference of the densities.
+    the time derivative is that of the quadratic through the three densities.
 
-    ``window`` holds (t, rho, J) triples at consecutive sample times.
+    ``window`` holds (t, rho, J) triples at consecutive sample times, which
+    need not be evenly spaced (a run's forced final sample is not).
     """
     if len(window) < 3:
         raise InsufficientHistory("continuity residual needs 3 snapshots")
-    (t0, rho0, _), (_, _, J1), (t2, rho2, _) = window[-3:]
-    dt_rho = (rho2 - rho0) / (t2 - t0)
+    (t0, rho0, _), (t1, rho1, J1), (t2, rho2, _) = window[-3:]
+    dt_rho = _middle_derivative(t0, rho0, t1, rho1, t2, rho2)
     return l2_norm(grid, dt_rho + divergence(grid, J1))
 
 
 def gauge_residual(grid: Grid, window: Sequence, epsilon):
     """
     L2 norm of the Lorenz-gauge defect ``div A + eps d_t V`` at the middle
-    of a 3-snapshot window of (t, V, A); reported, never enforced.
+    of a 3-snapshot window of (t, V, A), with ``d_t V`` taken as in
+    :func:`continuity_residual`; reported, never enforced.
     """
     if len(window) < 3:
         raise InsufficientHistory("gauge residual needs 3 snapshots")
-    (t0, V0, _), (_, _, A1), (t2, V2, _) = window[-3:]
-    dt_V = (V2 - V0) / (t2 - t0)
+    (t0, V0, _), (t1, V1, A1), (t2, V2, _) = window[-3:]
+    dt_V = _middle_derivative(t0, V0, t1, V1, t2, V2)
     return l2_norm(grid, divergence(grid, A1) + epsilon * dt_V)
 
 

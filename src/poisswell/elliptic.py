@@ -3,7 +3,11 @@ The two elliptic solvers: the plain periodic Poisson problem with a
 neutralizing background, and the density-screened vector problem
 ``(-Delta + rho) A = rhs`` solved by preconditioned conjugate gradients
 (Hestenes & Stiefel 1952; Saad, *Iterative Methods for Sparse Linear
-Systems*, ch. 9).  Both work on the batched real transforms of the grid.
+Systems*, ch. 9).  Both work on the batched real transforms of the grid;
+the conjugate-gradient recurrences run on half spectra, where the
+preconditioner is a pointwise division and inner products are Parseval
+sums, and ``A`` accumulates the search directions inverted to multiply
+them by ``rho``.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import numpy as np
 
 from .errors import NonConvergence
 from .grid import Grid, inverse_laplacian_modes, k2, k2_safe
-from .operators import l2_norm
+from .operators import half_spectrum_vdot, l2_norm
 
 
 def _inverse_laplacian(grid: Grid, f):
@@ -44,15 +48,16 @@ def solve_screened_vector(grid: Grid, rhs, rho, tol=1e-11, max_iters=200, guess=
     Conjugate gradients on the symmetric positive definite operator,
     preconditioned with the constant-coefficient inverse
     ``(-Delta + mean(rho))^-1``, starting from ``guess`` (zero when not
-    given).  A solve returns only once the true residual
-    ``rhs - (-Delta + rho) A``, not the recurrence one, is below ``tol``
-    relative to ``rhs``: when the recurrence passes, the true residual is
-    recomputed and the iteration restarts from it if it does not.  The test
-    is made against ``tol / 2``, because the residual itself is only known
-    to about 1e-12 relative at N = 256 (two FFT evaluations of the same A
-    differ by that much), and the returned A must meet ``tol`` under any of
-    them.  A guess that already meets the test costs one operator
-    application.
+    given), with the recurrences in spectral space: one inverse and one
+    forward transform per iteration.  A solve returns only once the true
+    residual ``rhs - (-Delta + rho) A``, not the recurrence one, is below
+    ``tol`` relative to ``rhs``: when the recurrence passes, the true
+    residual is recomputed through :func:`apply_screened` and the iteration
+    restarts from it if it does not.  The test is made against ``tol / 2``,
+    because the residual itself is only known to about 1e-12 relative at
+    N = 256 (two FFT evaluations of the same A differ by that much), and the
+    returned A must meet ``tol`` under any of them.  A guess that already
+    meets the test costs one operator application.
     For rho == 0 the zero mode of A is pinned to zero and a non-neutral
     rhs is rejected.
 
@@ -81,11 +86,14 @@ def solve_screened_vector(grid: Grid, rhs, rho, tol=1e-11, max_iters=200, guess=
             )
         return _inverse_laplacian(grid, rhs)
 
-    denom = k2(grid, half=True) + rho_mean
+    k2h = k2(grid, half=True)
+    denom = k2h + rho_mean
     goal = 0.5 * tol * rhs_norm  # see the docstring
+    # the same test on a half spectrum: l2_norm is sqrt(vdot * cell volume)
+    goal_sq = goal**2 / grid.cell_volume
     if guess is None:
         A = np.zeros_like(rhs)
-        r = rhs.copy()
+        r = rhs
     else:
         A = np.array(guess, dtype=float)
         r = rhs - apply_screened(grid, A, rho)
@@ -93,7 +101,8 @@ def solve_screened_vector(grid: Grid, rhs, rho, tol=1e-11, max_iters=200, guess=
     # r is the true residual of A at the top of each pass; a NaN residual
     # never passes the test and ends in NonConvergence
     while not l2_norm(grid, r) <= goal:
-        p = None  # (re)start from the steepest-descent direction
+        rh = grid.rfft(r)
+        ph = None  # (re)start from the steepest-descent direction
         while True:
             if iters == max_iters:
                 raise NonConvergence(
@@ -101,14 +110,15 @@ def solve_screened_vector(grid: Grid, rhs, rho, tol=1e-11, max_iters=200, guess=
                     f"after {max_iters} iterations"
                 )
             iters += 1
-            z = grid.irfft(grid.rfft(r) / denom)
-            rz, rz_old = float(np.vdot(r, z)), rz
-            p = z if p is None else z + (rz / rz_old) * p
-            q = apply_screened(grid, p, rho)
-            alpha = rz / float(np.vdot(p, q))
+            zh = rh / denom
+            rz, rz_old = half_spectrum_vdot(grid, rh, zh), rz
+            ph = zh if ph is None else zh + (rz / rz_old) * ph
+            p = grid.irfft(ph)
+            qh = k2h * ph + grid.rfft(rho * p)
+            alpha = rz / half_spectrum_vdot(grid, ph, qh)
             A += alpha * p
-            r -= alpha * q
-            if l2_norm(grid, r) <= goal:
+            rh -= alpha * qh
+            if half_spectrum_vdot(grid, rh, rh) <= goal_sq:
                 break
         r = rhs - apply_screened(grid, A, rho)
     return A

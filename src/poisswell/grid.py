@@ -34,9 +34,11 @@ class Grid:
     shape: tuple
     lengths: tuple = None
 
-    # derived, filled in __post_init__
+    # derived, filled in __post_init__ (the hot loops read them often)
     dim: int = field(init=False)
     spacings: tuple = field(init=False)
+    npoints: int = field(init=False)
+    cell_volume: float = field(init=False)
 
     def __post_init__(self):
         shape = tuple(int(n) for n in np.atleast_1d(self.shape))
@@ -56,6 +58,8 @@ class Grid:
         object.__setattr__(
             self, "spacings", tuple(L / n for L, n in zip(lengths, shape))
         )
+        object.__setattr__(self, "npoints", int(np.prod(shape)))
+        object.__setattr__(self, "cell_volume", float(np.prod(self.spacings)))
 
     # -- geometry -----------------------------------------------------------
 
@@ -63,14 +67,6 @@ class Grid:
     def axes(self):
         """FFT axes (the trailing spatial axes)."""
         return tuple(range(-self.dim, 0))
-
-    @property
-    def npoints(self):
-        return int(np.prod(self.shape))
-
-    @property
-    def cell_volume(self):
-        return float(np.prod(self.spacings))
 
     @property
     def volume(self):

@@ -30,6 +30,11 @@ from .states import (
 from .wigner import concentration_fraction, monokinetic_defect, wigner_slice
 
 
+def distinct_warnings(runs):
+    """The distinct warning messages of several runs, in first-seen order."""
+    return list(dict.fromkeys(w for run in runs for w in run.warnings))
+
+
 def fit_loglog_slope(xs, ys):
     """Least-squares slope of log y against log x; None when degenerate."""
     pairs = [(x, y) for x, y in zip(xs, ys) if x > 0 and y > 0 and np.isfinite(y)]
@@ -80,6 +85,7 @@ class LadderReport:
     slopes: Dict[str, Optional[float]] = field(default_factory=dict)
     degenerate: bool = False
     euler_status: str = "completed"
+    warnings: List[str] = field(default_factory=list)  # of every run made
 
     def metric(self, name):
         return [getattr(r, name) for r in self.rungs]
@@ -108,6 +114,8 @@ class LadderReport:
         }
         if include_timing:
             doc["wall_clock"] = [r.wall_clock for r in self.rungs]
+        if self.warnings:  # absent when empty: a warning-free report reads as before
+            doc["warnings"] = list(self.warnings)
         return doc
 
 
@@ -171,9 +179,11 @@ def epsilon_ladder(
     if any(b >= a for a, b in zip(epsilons, epsilons[1:])):
         raise PoisswellError("epsilon list must be strictly decreasing")
 
+    runs_made = []
     if preflight and params.T > 0:
         pf_params = replace(params, epsilon=0.0, T=1.5 * params.T, dt=None)
         pf = run_hydro(grid, initial, pf_params, thresholds)
+        runs_made.append(pf)
         if pf.status != "completed":
             raise PoisswellError(
                 f"pre-flight Euler run stopped at t={pf.times[-1]:.4g} "
@@ -233,6 +243,7 @@ def epsilon_ladder(
         slopes=slopes,
         degenerate=degenerate,
         euler_status=euler.status,
+        warnings=distinct_warnings(runs_made + [euler] + list(runs.values())),
     )
     return report, LadderRuns(
         grid=grid, initial=initial, euler=euler, hydro=runs,
@@ -346,6 +357,7 @@ class MonokineticReport:
     concentration: List[Optional[float]]
     targets: List
     slice_data: Optional[object] = None  # WignerSlice of the final state
+    warnings: List[str] = field(default_factory=list)  # of the spinor runs
 
     def as_dict(self):
         doc = {
@@ -433,4 +445,5 @@ def monokinetic_study(
         concentration=concentration,
         targets=targets,
         slice_data=slc,
+        warnings=distinct_warnings(spinor_runs.values()),
     )

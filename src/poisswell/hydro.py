@@ -21,7 +21,6 @@ identity whenever curl u = 0, so the phase stays reconstructible.
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, Optional
 
 import numpy as np
@@ -36,14 +35,15 @@ from .diagnostics import (
 )
 from .errors import InsufficientHistory, StabilityViolation
 from .grid import Grid, dealias_mask, dispersion_factor
+from .grid import k3 as wavenumbers
 from .operators import (
-    advect,
     curl,
     dealias,
+    derivative_table,
+    directional,
     divergence,
     gradient,
     gradient_part,
-    jacobian_transpose_product,
     l2_norm,
     laplacian,
 )
@@ -70,9 +70,11 @@ class HydroSolver:
         self.thresholds = thresholds
         self._dispersion = {}  # dispersion_factor's tables
 
-    def potentials(self, state: HydroState, guess=None) -> Potentials:
+    def potentials(self, state: HydroState, guess=None, grad_a=None) -> Potentials:
+        """The potentials of ``state``; ``B`` is left to :meth:`_derivatives`."""
         return self_consistent_potentials(
-            self.grid, self.params, state.a, state.epsilon, state.u, guess=guess
+            self.grid, self.params, state.a, state.epsilon, state.u, guess=guess,
+            grad_a=grad_a, with_B=False,
         )
 
     # -- right-hand sides ------------------------------------------------------
@@ -92,27 +94,73 @@ class HydroSolver:
         :meth:`rhs` without the dispersion term; what the stepper integrates.
         ``spectral`` returns ``d_t a`` as its dealiased spectrum.
         """
+        grad_a = derivative_table(self.grid, self.grid.fft(state.a), half=False)
+        return self._nonlinear(state, grad_a, pots, spectral)
+
+    def _nonlinear(self, state: HydroState, grad_a, pots: Potentials, spectral):
+        """:meth:`nonlinear_rhs` from ``grad_a``, the derivative table of ``a``."""
         g = self.grid
         a, u = state.a, state.u
-        rel = u - pots.A
-        da = -advect(g, rel, a) - 0.5 * a * divergence(g, rel)
-        if np.any(pots.B):
-            da = da + 0.5j * apply_sigma_dot(pots.B, a)
+        da = -directional(g, u - pots.A, grad_a)
+        div_rel, adv_u, jtp, B = self._derivatives(u, pots.A)
+        da = da - 0.5 * a * div_rel
+        if B is not None and np.any(B):
+            da = da + 0.5j * apply_sigma_dot(B, a)
         da = g.fft(da) * dealias_mask(g) if spectral else dealias(g, da)
 
         a_sq = 0.5 * np.sum(pots.A**2, axis=0)
         dS = -0.5 * np.sum(u**2, axis=0) + np.sum(pots.A * u, axis=0) - (a_sq + pots.V)
         dS = dealias(g, dS)
-        return da, self.velocity_rhs(u, pots), dS
+        return da, self._velocity(adv_u, jtp, pots), dS
 
     def velocity_rhs(self, u, pots: Potentials):
         """d_t u alone, dealiased."""
+        _, adv_u, jtp, _ = self._derivatives(u, pots.A)
+        return self._velocity(adv_u, jtp, pots)
+
+    def _derivatives(self, u, A):
+        """
+        ``div(u - A)``, ``(u - A).grad u``, ``(grad A)^T u`` (components
+        sum_j u_j d_i A_j) and ``B = curl A``, all from one Jacobian table
+        each of ``u`` and ``A`` (one forward and one batched inverse transform
+        per field); each table is dropped once read.  A zero ``A`` has no
+        table: its terms are 0 and ``B`` is None.
+        """
         g = self.grid
-        a_sq = 0.5 * np.sum(pots.A**2, axis=0)
-        du = -advect(g, u - pots.A, u) + jacobian_transpose_product(g, pots.A, u) - gradient(
-            g, a_sq + pots.V
-        )
-        return dealias(g, du)
+        axes = range(g.dim)
+        du = derivative_table(g, g.rfft(u), half=True)
+        div_rel = sum(du[i, i] for i in axes)
+        adv_u = directional(g, u - A, du)
+        del du
+        if not np.any(A):
+            return div_rel, adv_u, 0.0, None
+        dA = derivative_table(g, g.rfft(A), half=True)
+        div_rel = div_rel - sum(dA[i, i] for i in axes)
+        jtp = np.zeros_like(u)
+        for i in axes:
+            jtp[i] = np.sum(u * dA[i], axis=0)
+
+        def d(i, j):  # d_i A_j, zero along inactive axes
+            return dA[i, j] if i < g.dim else 0.0
+
+        B = np.zeros_like(A)
+        B[0] = d(1, 2) - d(2, 1)
+        B[1] = d(2, 0) - d(0, 2)
+        B[2] = d(0, 1) - d(1, 0)
+        return div_rel, adv_u, jtp, B
+
+    def _velocity(self, adv_u, jtp, pots: Potentials):
+        """
+        ``d_t u = -(u - A).grad u + (grad A)^T u - grad(|A|^2/2 + V)``,
+        dealiased; the gradient is taken and the mask applied in one spectrum.
+        """
+        g = self.grid
+        ks = wavenumbers(g, half=True)
+        wh = g.rfft(0.5 * np.sum(pots.A**2, axis=0) + pots.V)
+        duh = g.rfft(jtp - adv_u)
+        for i in range(g.dim):
+            duh[i] -= 1j * ks[i] * wh
+        return g.irfft(duh * dealias_mask(g, half=True))
 
     # -- stepping ---------------------------------------------------------------
 
@@ -157,8 +205,11 @@ class HydroSolver:
             a' = E(h) a + h/6 (E(h) k1 + 2 E(h/2) k2 + 2 E(h/2) k3 + k4),
 
         the amplitude advances in spectral space: the stage derivatives arrive
-        as dealiased spectra, each stage makes one inverse transform, and
-        ``a'`` is masked before its one inverse.  ``u`` and ``S`` take the same
+        as dealiased spectra, and ``a'`` is masked before its one inverse.
+        Each stage inverts the spectrum of its amplitude once into ``a`` and
+        its derivative table, which the phase current of the potentials and
+        the advection of ``a`` share; ``u`` and ``A`` are transformed once
+        each, in :meth:`_derivatives`.  ``u`` and ``S`` take the same
         four stages with E = 1, which is classical RK4; at eps = 0 the
         amplitude does too, in physical space, with no transform.  ``pots``,
         when given, are the potentials of ``state`` and serve the first stage.
@@ -172,20 +223,8 @@ class HydroSolver:
         """
         if check_cfl and dt > self.dt_bound(state) * (1.0 + 1e-9):
             raise StabilityViolation(f"dt={dt:g} exceeds the advective bound")
-        spectral = state.epsilon > 0
-        if rhs_fn is None:
-            if pots is None:
-                pots = self.potentials(state)
-            stage_A = [pots.A]
-
-            def rhs_fn(s):
-                a1, a_last = stage_A[0], stage_A[-1]
-                guess = a_last if len(stage_A) < 3 else 2.0 * a_last - a1
-                stage_pots = self.potentials(s, guess=guess)
-                stage_A.append(stage_pots.A)
-                return self.nonlinear_rhs(s, stage_pots, spectral)
-
         g = self.grid
+        spectral = state.epsilon > 0
         if spectral:
             half = dispersion_factor(g, state.epsilon, 0.5 * dt, self._dispersion)
             full = dispersion_factor(g, state.epsilon, dt, self._dispersion)
@@ -206,10 +245,32 @@ class HydroSolver:
                               t=state.t + dt_frac, epsilon=state.epsilon)
 
         y = (fwd(state.a), state.u, state.S)
-        k1 = rhs_fn(state) if pots is None else self.nonlinear_rhs(state, pots, spectral)
-        k2 = rhs_fn(at(prop(axpy(y, 0.5 * dt, k1), half), 0.5 * dt))
-        k3 = rhs_fn(at(axpy(prop(y, half), 0.5 * dt, k2), 0.5 * dt))
-        k4 = rhs_fn(at(axpy(prop(y, full), dt, prop(k3, half)), dt))
+        if rhs_fn is None:
+            if pots is None:
+                pots = self.potentials(state)
+            stage_A = [pots.A]
+
+            def a_table(y, s):  # the derivative table of a, from the spectrum of y[0]
+                return derivative_table(g, y[0] if spectral else g.fft(s.a), half=False)
+
+            def stage(y, dt_frac):
+                a1, a_last = stage_A[0], stage_A[-1]
+                guess = a_last if len(stage_A) < 3 else 2.0 * a_last - a1
+                s = at(y, dt_frac)
+                grad_a = a_table(y, s)
+                stage_pots = self.potentials(s, guess=guess, grad_a=grad_a)
+                stage_A.append(stage_pots.A)
+                return self._nonlinear(s, grad_a, stage_pots, spectral)
+
+            k1 = self._nonlinear(state, a_table(y, state), pots, spectral)
+        else:
+            def stage(y, dt_frac):
+                return rhs_fn(at(y, dt_frac))
+
+            k1 = rhs_fn(state)
+        k2 = stage(prop(axpy(y, 0.5 * dt, k1), half), 0.5 * dt)
+        k3 = stage(axpy(prop(y, half), 0.5 * dt, k2), 0.5 * dt)
+        k4 = stage(axpy(prop(y, full), dt, prop(k3, half)), dt)
         combo = tuple(
             (a + 2.0 * b + 2.0 * c + d) / 6.0
             for a, b, c, d in zip(prop(k1, full), prop(k2, half), prop(k3, half), k4)
@@ -257,8 +318,6 @@ class HydroSolver:
         The shared run loop with the WKB policy: a crossed dt bound or an
         elliptic breakdown after a monitor warning ends the run as a
         blow-up (before a warning they raise), and the monitor can stop it.
-        Python warnings raised during the run are kept, not shown: their
-        distinct messages go to ``Run.warnings`` in first-seen order.
         """
         state = init.copy()
         state.epsilon = self.params.epsilon
@@ -281,11 +340,8 @@ class HydroSolver:
                 raise RunStopped("monitor triggered")
             warned = warned or verdict is MonitorStatus.WARNING
 
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            run = run_loop(self, state, advance, every_step=True, watch=watch,
-                           tolerate=lambda: warned)
-        run.warnings = list(dict.fromkeys(str(w.message) for w in caught))
+        run = run_loop(self, state, advance, every_step=True, watch=watch,
+                       tolerate=lambda: warned)
         self._fill_residuals(run)
         return run
 

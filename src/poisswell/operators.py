@@ -1,8 +1,14 @@
 """
 Spectral differential operators, norms and projections on a :class:`Grid`.
 
-All operators act on physical-space arrays and return physical-space arrays
-unless the name says otherwise.  Multi-component fields (leading axes) are
+The operators named after what they compute (``deriv``, ``gradient``,
+``curl``, ``advect``, ...) act on physical-space arrays and return
+physical-space arrays; each transforms its input itself.  The spectral
+stage path works from a spectrum the caller already holds: an RK4 stage of
+the WKB solver or a spinor transport pass transforms each field once and
+takes every derivative it needs from :func:`derivative_table`, and the
+screened solve takes its inner products from half spectra
+(:func:`half_spectrum_vdot`).  Multi-component fields (leading axes) are
 handled componentwise; vector calculus is always done in the embedded
 3-component sense so d < 3 "slab" fields work transparently.
 """
@@ -78,17 +84,6 @@ def laplacian(grid: Grid, f):
     return inv(-k2(grid, half) * fwd(f))
 
 
-def shift(grid: Grid, f, offsets):
-    """
-    Evaluate ``f`` on the lattice translated by ``offsets`` (one float per
-    active axis) via the spectral interpolant; exact for band-limited fields.
-    """
-    fwd, inv, half = _transforms(grid, f)
-    ks = k3(grid, half)
-    phase = sum(1j * ks[i] * offsets[i] for i in range(grid.dim))
-    return inv(fwd(f) * np.exp(phase))
-
-
 def gradient_part(grid: Grid, vec):
     """
     Helmholtz projection onto zero-mean periodic gradients:
@@ -107,24 +102,51 @@ def gradient_part(grid: Grid, vec):
 
 def advect(grid: Grid, g, f):
     """Directional derivative sum_j g_j d_j f, for f of any component rank."""
-    fwd, inv, half = _transforms(grid, f)
-    ks = k3(grid, half)
-    fh = fwd(f)
-    out = np.zeros_like(np.asarray(f))
-    for j in range(grid.dim):
-        out = out + g[j] * inv(1j * ks[j] * fh)
-    return out
+    fwd, _, half = _transforms(grid, f)
+    return directional(grid, g, derivative_table(grid, fwd(f), half))
 
 
 def jacobian_transpose_product(grid: Grid, A, u):
     """Vector with components sum_j u_j d_i A_j (transpose of advection)."""
-    fwd, inv, half = _transforms(grid, A)
-    ks = k3(grid, half)
-    Ah = fwd(A)
+    fwd, _, half = _transforms(grid, A)
+    dA = derivative_table(grid, fwd(A), half)
     out = np.zeros_like(np.asarray(A))
     for i in range(grid.dim):
-        out[i] = np.sum(u * inv(1j * ks[i] * Ah), axis=0)
+        out[i] = np.sum(u * dA[i], axis=0)
     return out
+
+
+# -- the spectral stage path -------------------------------------------------
+
+
+def derivative_table(grid: Grid, fh, half):
+    """
+    ``d_i f`` on every active axis ``i``, indexed by ``i``, from the spectrum
+    ``fh`` of ``f``: the half spectrum of a real field (``half=True``), which
+    is inverted in one batched transform into a ``(dim, *f.shape)`` array, or
+    the full spectrum of a complex field, inverted one axis at a time into a
+    list (a batched complex inverse is the slower one at 32^3).  For a vector
+    field the entry ``[i, j]`` is ``d_i f_j``, its Jacobian.
+    """
+    ks = k3(grid, half)
+    if half:
+        return grid.irfft(np.stack([1j * ks[i] * fh for i in range(grid.dim)]))
+    return [grid.ifft(1j * ks[i] * fh) for i in range(grid.dim)]
+
+
+def directional(grid: Grid, g, table):
+    """``sum_j g_j d_j f`` from the :func:`derivative_table` of ``f``."""
+    return sum(g[j] * table[j] for j in range(grid.dim))
+
+
+def half_spectrum_vdot(grid: Grid, fh, gh):
+    """
+    ``np.vdot(f, g)`` of two real fields from their half spectra (Parseval):
+    a mode off the last axis's index 0 and N/2 planes stands for itself and
+    its conjugate partner, so it counts twice.
+    """
+    edges = np.vdot(fh[..., 0], gh[..., 0]).real + np.vdot(fh[..., -1], gh[..., -1]).real
+    return (2.0 * np.vdot(fh, gh).real - edges) / grid.npoints
 
 
 # -- norms -------------------------------------------------------------------
@@ -167,45 +189,16 @@ def spectrum(grid: Grid, f) -> Spectrum:
     return Spectrum(f=f, fh=fh, inverse=inv, half=half, power=power)
 
 
-def sobolev_norm(grid: Grid, f, s, variant="fourier"):
+def sobolev_norm(grid: Grid, f, s):
     """
-    H^s norm of a (possibly multi-component) field or of its :class:`Spectrum`.
-
-    variant="fourier" weights the power spectrum by (1+|k|^2)^s; variant="sum" uses the
-    sum of derivative L2 norms over all multi-indices |alpha| <= s (integer
-    s only).  Both reduce to the L2 norm at s = 0.  ``s`` may also be a
-    :class:`SobolevIndex`, which carries its own variant.
+    H^s norm of a (possibly multi-component) field or of its :class:`Spectrum`:
+    the power spectrum weighted by (1+|k|^2)^s; the L2 norm at s = 0.
     """
-    if isinstance(s, SobolevIndex):
-        s, variant = s.s, s.variant
     if s < 0:
         raise ValueError("regularity index must be >= 0")
-    if variant == "fourier":
-        spec = spectrum(grid, f)
-        weight = (1.0 + k2(grid, spec.half)) ** s
-        return float(np.sqrt(np.sum(weight * spec.power) * grid.cell_volume / grid.npoints))
-    if variant == "sum":
-        n = int(round(s))
-        if abs(n - s) > 1e-12:
-            raise ValueError("sum variant needs integer s")
-        f = f.f if isinstance(f, Spectrum) else np.asarray(f)
-        total = 0.0
-        for order in range(n + 1):
-            for alpha in combinations_with_replacement(range(grid.dim), order):
-                g = f
-                for ax in alpha:
-                    g = deriv(grid, g, ax)
-                total += l2_norm(grid, g)
-        return total
-    raise ValueError(f"unknown variant {variant!r}")
-
-
-@dataclass(frozen=True)
-class SobolevIndex:
-    """Regularity index plus which realization of the norm to use."""
-
-    s: float
-    variant: str = "fourier"
+    spec = spectrum(grid, f)
+    weight = (1.0 + k2(grid, spec.half)) ** s
+    return float(np.sqrt(np.sum(weight * spec.power) * grid.cell_volume / grid.npoints))
 
 
 @dataclass(frozen=True)

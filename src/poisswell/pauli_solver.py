@@ -17,7 +17,7 @@ from . import kernels
 from .diagnostics import DiagnosticsRecord, charge, field_energy
 from .errors import StabilityViolation
 from .grid import Grid, dealias_mask, dispersion_factor
-from .operators import advect, dealias, divergence, spectral_tail_fraction
+from .operators import derivative_table, directional, divergence, spectral_tail_fraction
 from .states import (
     Potentials,
     Run,
@@ -58,24 +58,44 @@ class PauliSolver:
             bound = min(bound, self.params.epsilon / w_inf)
         return 0.5 * bound
 
-    def _advect_rhs(self, psi, A, divA):
-        return dealias(self.grid, advect(self.grid, A, psi) + 0.5 * divA * psi)
+    def _advect_rhs(self, psi, psi_hat, A, divA):
+        """The dealiased spectrum of ``A.grad psi + (div A/2) psi``, from ``psi_hat``."""
+        g = self.grid
+        rhs = directional(g, A, derivative_table(g, psi_hat, half=False)) + 0.5 * divA * psi
+        return g.fft(rhs) * dealias_mask(g)
 
-    def _transport(self, psi, tau, pots):
-        if not np.any(pots.A):
+    def _transport(self, psi, tau, pots, divA):
+        """
+        The explicit midpoint rule for ``d_t psi = A.grad psi + (div A/2) psi``
+        (``divA`` is None when A vanishes).  ``psi`` is transformed once: the
+        midpoint's spectrum is assembled from it and the first pass's
+        dealiased derivative, so the second pass needs no forward transform
+        of the midpoint.
+        """
+        if divA is None:
             return psi
-        divA = divergence(self.grid, pots.A)
-        mid = psi + 0.5 * tau * self._advect_rhs(psi, pots.A, divA)
-        return psi + tau * self._advect_rhs(mid, pots.A, divA)
+        g = self.grid
+        psi_hat = g.fft(psi)
+        mid_hat = psi_hat + 0.5 * tau * self._advect_rhs(psi, psi_hat, pots.A, divA)
+        mid = g.ifft(mid_hat)
+        return psi + tau * g.ifft(self._advect_rhs(mid, mid_hat, pots.A, divA))
+
+    def _divergence(self, pots):
+        return divergence(self.grid, pots.A) if np.any(pots.A) else None
 
     def _multiply(self, psi, tau, pots):
         eps = self.params.epsilon
         W = pots.V + 0.5 * np.sum(pots.A**2, axis=0)
         return kernels.phase_sigma_rotate(psi, (tau / eps) * W, pots.B, 0.5 * tau)
 
-    def _kinetic(self, psi, dt):
-        factor = dispersion_factor(self.grid, self.params.epsilon, dt, self._dispersion)
-        return self.grid.ifft(self.grid.fft(psi) * factor)
+    def _kinetic(self, psi, dt, dealias=False):
+        """The exact kinetic flow over ``dt``; ``dealias`` also masks the result."""
+        g = self.grid
+        factor = dispersion_factor(g, self.params.epsilon, dt, self._dispersion)
+        psi_hat = g.fft(psi) * factor
+        if dealias:
+            psi_hat *= dealias_mask(g)
+        return g.ifft(psi_hat)
 
     def step(self, psi, dt):
         """
@@ -98,15 +118,17 @@ class PauliSolver:
         bound = self.dt_bound(psi, pots)
         if dt > bound * (1.0 + 1e-9):
             raise StabilityViolation(f"dt={dt:g} exceeds stability bound {bound:g}")
-        if np.any(pots.A):
+        divA = self._divergence(pots)
+        if divA is not None:
             # the current (hence A) is sensitive to both transport and the
             # multiply phase at O(dt), so the predictor applies half of each
-            predicted = self._multiply(self._transport(psi, tau, pots), tau, pots)
+            predicted = self._multiply(self._transport(psi, tau, pots, divA), tau, pots)
             pots = self.potentials(predicted, guess=pots.A)
-        psi = self._transport(psi, tau, pots)
+            divA = self._divergence(pots)
+        psi = self._transport(psi, tau, pots, divA)
         psi = self._multiply(psi, dt, pots)
-        psi = self._transport(psi, tau, pots)
-        return self._dealias(self._kinetic(psi, tau))
+        psi = self._transport(psi, tau, pots, divA)
+        return self._kinetic(psi, tau, dealias=True)
 
     def _dealias(self, psi):
         return self.grid.ifft(self.grid.fft(psi) * dealias_mask(self.grid))

@@ -8,6 +8,7 @@ loop with its ``Run`` record.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -17,17 +18,21 @@ from . import kernels
 from .elliptic import solve_poisson_neutral, solve_screened_vector
 from .errors import MissingPhase, NonConvergence, NonzeroMean, NotAGradient
 from .grid import Grid, inverse_laplacian_modes, k2_safe, k3
-from .operators import curl, l2_norm
+from .operators import curl, derivative_table, l2_norm
 from .pauli import spin_density
 
 
 @dataclass
 class Potentials:
-    """Scalar potential, vector potential and the cached magnetic field."""
+    """
+    Scalar potential, vector potential and the cached magnetic field; ``B``
+    is None where the caller takes ``curl A`` from its own derivative table
+    (the WKB solver).
+    """
 
     V: np.ndarray
     A: np.ndarray
-    B: np.ndarray
+    B: Optional[np.ndarray]
 
 
 @dataclass
@@ -100,24 +105,27 @@ def charge_density(psi):
     return kernels.spinor_density(psi)
 
 
-def phase_current(grid: Grid, a):
+def phase_current(grid: Grid, a, grad_a=None):
     """
     The quadratic phase current (i/2)(conj(a) grad a - a grad conj(a)),
-    summed over spinor components; real up to roundoff.
+    summed over spinor components; real up to roundoff.  ``grad_a``, the
+    :func:`~poisswell.operators.derivative_table` of ``a``, is taken when
+    the caller holds it.
     """
     a = np.asarray(a)
-    ah = grid.fft(a)
+    if grad_a is None:
+        grad_a = derivative_table(grid, grid.fft(a), half=False)
+    conj_a = np.conj(a)
     out = np.zeros((3,) + grid.shape)
     for i in range(grid.dim):
-        da = grid.ifft(1j * k3(grid)[i] * ah)
         # (i/2)(z - conj(z)) = -Im z
-        out[i] = -np.sum(np.conj(a) * da, axis=0).imag
+        out[i] = -np.sum(conj_a * grad_a[i], axis=0).imag
     return out
 
 
-def kinetic_current(grid: Grid, a):
+def kinetic_current(grid: Grid, a, grad_a=None):
     """Im(conj(a) . grad a), the current the Pauli kinetic term produces."""
-    return -phase_current(grid, a)
+    return -phase_current(grid, a, grad_a)
 
 
 def spin_curl(grid: Grid, a):
@@ -154,13 +162,13 @@ def wkb_current(grid: Grid, a, u, A, epsilon):
     return J
 
 
-def current_epsilon_part(grid: Grid, a, epsilon):
+def current_epsilon_part(grid: Grid, a, epsilon, grad_a=None):
     """The O(eps) piece of the WKB current (vanishes linearly as eps -> 0)."""
-    return epsilon * (kinetic_current(grid, a) - curl(grid, spin_density(a)))
+    return epsilon * (kinetic_current(grid, a, grad_a) - curl(grid, spin_density(a)))
 
 
 def self_consistent_potentials(grid: Grid, params: SimParams, a, epsilon, u=None,
-                               guess=None):
+                               guess=None, grad_a=None, with_B=True):
     """
     V from the neutralized Poisson solve; A from the screened problem
     ``(-Delta + rho) A = eps (Im(conj(a) grad a) - curl(conj(a) sigma a)) + rho u``,
@@ -170,6 +178,8 @@ def self_consistent_potentials(grid: Grid, params: SimParams, a, epsilon, u=None
     amplitude and velocity, and at eps = 0 its source reduces to ``rho u``.
     ``guess``, when given, is the starting iterate of the screened solve
     (a nearby state's A); it changes the work done, not the tolerance met.
+    ``grad_a``, the derivative table of ``a``, spares the current its own
+    transforms; ``with_B=False`` leaves ``B = curl A`` to the caller.
     """
     zero_s = np.zeros(grid.shape)
     zero_v = np.zeros((3,) + grid.shape)
@@ -180,11 +190,11 @@ def self_consistent_potentials(grid: Grid, params: SimParams, a, epsilon, u=None
     if not params.magnetic:
         return Potentials(V=V, A=zero_v, B=zero_v)
     if u is None:
-        rhs = current_epsilon_part(grid, a, epsilon)
+        rhs = current_epsilon_part(grid, a, epsilon, grad_a)
     else:
         rhs = rho * u
         if epsilon > 0:
-            rhs = rhs + current_epsilon_part(grid, a, epsilon)
+            rhs = rhs + current_epsilon_part(grid, a, epsilon, grad_a)
     A = solve_screened_vector(
         grid,
         rhs,
@@ -193,7 +203,7 @@ def self_consistent_potentials(grid: Grid, params: SimParams, a, epsilon, u=None
         max_iters=params.screened_max_iters,
         guess=guess,
     )
-    return Potentials(V=V, A=A, B=curl(grid, A))
+    return Potentials(V=V, A=A, B=curl(grid, A) if with_B else None)
 
 
 def source_terms(grid: Grid, state: HydroState) -> SourceTerms:
@@ -274,7 +284,7 @@ class Run:
     Trajectory of a solver run plus its diagnostics stream.  ``states``
     holds ``HydroState`` samples for the WKB solver and spinor arrays for
     the spinor solver.  ``warnings`` holds the distinct messages of the
-    Python warnings a WKB run raised, in first-seen order.
+    Python warnings the run raised, in first-seen order.
     """
 
     times: List[float]
@@ -327,8 +337,19 @@ def run_loop(solver, state, advance, every_step=False, watch=None,
     ``watch(records)`` judges each new sample.  ``advance`` and ``watch``
     end the run as a blow-up by raising :class:`RunStopped`; a non-finite
     state does the same.  A ``NonConvergence`` ends the run when
-    ``tolerate()`` is true and propagates otherwise.
+    ``tolerate()`` is true and propagates otherwise.  Python warnings raised
+    during the run are kept, not shown: their distinct messages go to
+    ``Run.warnings``.
     """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run = _integrate(solver, state, advance, every_step, watch, tolerate)
+    run.warnings = list(dict.fromkeys(str(w.message) for w in caught))
+    return run
+
+
+def _integrate(solver, state, advance, every_step, watch, tolerate) -> Run:
+    """The body of :func:`run_loop`."""
     p = solver.params
     state = solver._dealias(state)
     pots = solver.potentials(state)

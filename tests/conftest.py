@@ -45,15 +45,31 @@ def rng():
     return np.random.default_rng(1234)
 
 
+class TransformCount(collections.Counter):
+    """
+    Calls of each ``Grid`` transform, by method name; ``components`` counts
+    the fields they transformed (the leading components of each argument).
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.components = collections.Counter()
+
+    def clear(self):
+        super().clear()
+        self.components.clear()
+
+
 @pytest.fixture
 def transform_count(monkeypatch):
-    """Counts the calls of every ``Grid`` transform, by method name."""
-    counts = collections.Counter()
+    """A :class:`TransformCount` of every ``Grid`` transform made."""
+    counts = TransformCount()
     for name in ("fft", "ifft", "ifft_real", "rfft", "irfft"):
         method = getattr(Grid, name)
 
         def counted(self, f, _method=method, _name=name):
             counts[_name] += 1
+            counts.components[_name] += int(np.prod(np.shape(f)[: np.ndim(f) - self.dim]))
             return _method(self, f)
 
         monkeypatch.setattr(Grid, name, counted)

@@ -146,6 +146,26 @@ class TestRunCommand:
         main(["run", str(cfg), "--out", str(out)])
         assert "warnings" not in json.loads((out / "report.json").read_text())["summary"]
 
+    def test_pauli_warnings_in_report(self, tmp_path, monkeypatch):
+        # a spinor run keeps the warnings its samples raise, once each
+        import warnings
+
+        from poisswell import pauli_solver
+
+        energy = pauli_solver.field_energy
+
+        def warning_energy(*args):
+            warnings.warn("energy sample warned")
+            return energy(*args)
+
+        monkeypatch.setattr(pauli_solver, "field_energy", warning_energy)
+        cfg = write_cfg(tmp_path, PAULI_DT_ABOVE_BOUND.replace("dt = 0.5", "dt = 0.01")
+                        .replace("T = 1.0", "T = 0.02"))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == EXIT_OK
+        summary = json.loads((out / "report.json").read_text())["summary"]
+        assert summary["warnings"] == ["energy sample warned"]
+
     def test_bad_config_exit_one(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "[run]\nkind = nonsense\n")
         assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 1
@@ -189,6 +209,22 @@ class TestLadderCommand:
         out2 = tmp_path / "out2"
         main(["ladder", str(cfg), "--out", str(out2)])
         assert (out / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+
+
+def test_ladder_warnings_in_report(tmp_path):
+    # s = 3 is below the 7/2 hypothesis: every hydro run of the ladder warns,
+    # and the report lists the message once; a warning-free ladder has no key
+    cfg = write_cfg(tmp_path, LADDER.replace("s = 4.0", "s = 3.0")
+                    .replace("epsilons = [0.4, 0.2, 0.1]", "epsilons = [0.4]"))
+    out = tmp_path / "out"
+    main(["ladder", str(cfg), "--out", str(out)])
+    doc = json.loads((out / "report.json").read_text())["ladder"]
+    assert doc["warnings"] == ["regularity s=3.0 below the 7/2 hypothesis"]
+
+
+def test_no_warnings_key_in_clean_ladder(ladder_out):
+    _, out = ladder_out
+    assert "warnings" not in json.loads((out / "report.json").read_text())["ladder"]
 
 
 def test_wigner_failure_exits_one(tmp_path, monkeypatch, capsys):

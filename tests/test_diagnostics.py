@@ -138,6 +138,31 @@ class TestResiduals:
         expected = l2_norm(g, divergence(g, A))
         assert diag.gauge_residual(g, window, 0.3) == pytest.approx(expected, rel=1e-12)
 
+    def test_uneven_window_quadratic_in_time_is_exact(self):
+        # rho = 1 + t cos x + t^2 cos 2x on the spacing of a run's forced
+        # final sample (t = 0.40, 0.48, 0.50); J at t1 carries exactly
+        # -d_t rho, and V and A obey the gauge condition the same way.  The
+        # difference (x2 - x0)/(t2 - t0) would leave t1 (t0 + t2 - 2 t1) cos 2x
+        from poisswell.operators import l2_norm
+
+        g = Grid((32,))
+        x = g.coordinates()[0]
+        times = (0.40, 0.48, 0.50)
+        t1 = times[1]
+        rho = [1.0 + t * np.cos(x) + t**2 * np.cos(2 * x) for t in times]
+        J = np.zeros((3,) + g.shape)
+        J[0] = -(np.sin(x) + t1 * np.sin(2 * x))
+        window = [(t, r, J) for t, r in zip(times, rho)]
+        assert diag.continuity_residual(g, window) <= 1e-12
+        stale = l2_norm(g, (rho[2] - rho[0]) / (times[2] - times[0]) - np.cos(x)
+                        - 2 * t1 * np.cos(2 * x))
+        assert stale > 1e-2
+
+        eps = 0.3
+        A = eps * J  # div A = -eps d_t V with V = rho
+        window = [(t, v, A) for t, v in zip(times, rho)]
+        assert diag.gauge_residual(g, window, eps) <= 1e-12
+
     def test_continuity_residual_halves_by_four_hydro(self):
         # acceptance 3 behaviour at module level: order >= 2 in dt
         g = Grid((64,))

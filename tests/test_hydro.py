@@ -289,27 +289,43 @@ class TestIntegratingFactor:
 class TestTransformCounts:
     def test_step_keeps_the_amplitude_spectral(self, transform_count):
         # eps > 0, no coupling: the stage derivatives of a arrive as masked
-        # spectra and a' is masked before its one inverse, which is 93
-        # transforms; inverting each derivative and transforming it back,
-        # then dealiasing a' by a forward/inverse pair, took 103
+        # spectra, each stage inverts a and its derivatives from the stage
+        # spectrum, and u is transformed once per stage for its Jacobian,
+        # which is 53 transforms; taking every derivative by its own
+        # transform took 93
         g = Grid((16, 16, 16))
         solver = HydroSolver(g, SimParams(epsilon=0.2, coupling=False))
         st = solver._dealias(gaussian_bump(g, epsilon=0.2))
         transform_count.clear()
         solver.step_rk4(st, 0.01, check_cfl=False)
-        assert sum(transform_count.values()) == 93
+        assert sum(transform_count.values()) == 53
+
+    def test_coupled_step_transform_budget(self, transform_count):
+        # a coupled 32^3 step and the potentials of its result: 558
+        # transformed components when each operator transformed its own
+        # input and the screened solve iterated in physical space; one
+        # spectrum per field and stage, and spectral CG, make it 384
+        g = Grid((32, 32, 32))
+        solver = HydroSolver(g, SimParams(epsilon=0.2, T=0.05))
+        st = solver._dealias(gaussian_bump(g, amplitude=0.2, width=1.2, epsilon=0.2))
+        pots, dt = solver.potentials(st), solver.default_dt(st)
+        transform_count.clear()
+        new = solver.step_rk4(st, dt, check_cfl=False, pots=pots)
+        solver.potentials(new, guess=pots.A)
+        assert sum(transform_count.components.values()) <= 440
 
     def test_record_transforms_each_field_once(self, transform_count):
-        # one 32^3 sample: d_t u (12 transforms), one spectrum each of a, u
-        # and d_t u, and two derivative tables each for a and u; computing
-        # every norm from its own transforms took 164
+        # one 32^3 sample: d_t u (7 transforms: one Jacobian table each of u
+        # and A, and one masked spectrum), one spectrum each of a, u and
+        # d_t u, and two derivative tables each for a and u, which is 14;
+        # computing every norm from its own transforms took 164
         g = Grid((32, 32, 32))
         solver = HydroSolver(g, SimParams(epsilon=0.2, T=0.05))
         st = solver._dealias(gaussian_bump(g, amplitude=0.2, width=1.2, epsilon=0.2))
         pots = solver.potentials(st)
         transform_count.clear()
         solver._record(0.0, st, pots, None)
-        assert sum(transform_count.values()) <= 20
+        assert sum(transform_count.values()) <= 14
 
 
 class TestRun:
@@ -390,27 +406,33 @@ class TestRun:
 
     def test_warm_started_solves_are_cheaper(self, monkeypatch):
         # every solve after the first starts from a nearby A: the RK4 stages
-        # from the step's first-stage A, the post-step solve from the last A
-        from poisswell import elliptic, states
+        # from the step's first-stage A, the post-step solve from the last A.
+        # Work is counted as the solve's transforms: the conjugate-gradient
+        # iterations apply the operator in spectral space, not through
+        # apply_screened
+        from poisswell import states
 
-        applies, per_solve = [], []
-        apply, solve = elliptic.apply_screened, states.solve_screened_vector
+        transforms, per_solve = [], []
+        rfft, irfft, solve = Grid.rfft, Grid.irfft, states.solve_screened_vector
 
-        def counting_apply(*args):
-            applies.append(1)
-            return apply(*args)
+        def counting(method):
+            def counted(self, f):
+                transforms.append(1)
+                return method(self, f)
+            return counted
 
         def counting_solve(*args, **kwargs):
-            applies.clear()
+            transforms.clear()
             A = solve(*args, **kwargs)
-            per_solve.append(len(applies))
+            per_solve.append(len(transforms))
             return A
 
-        monkeypatch.setattr(elliptic, "apply_screened", counting_apply)
         monkeypatch.setattr(states, "solve_screened_vector", counting_solve)
         g = Grid((64,))
         n = 5
         params = SimParams(epsilon=0.1, T=n * 0.01, dt=0.01, sample_every=2)
+        monkeypatch.setattr(Grid, "rfft", counting(rfft))
+        monkeypatch.setattr(Grid, "irfft", counting(irfft))
         run = run_hydro(g, gaussian_bump(g, epsilon=0.1), params)
         assert run.status == "completed"
         cold, warm = per_solve[0], per_solve[1:]

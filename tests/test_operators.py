@@ -119,25 +119,6 @@ class TestNorms:
         for s in (0.0, 1.0, 3.0):
             assert ops.sobolev_norm(g, np.zeros(g.shape), s) == 0.0
 
-    def test_sobolev_index_carries_variant(self):
-        g = Grid((64,))
-        x = x_of(g)
-        f = np.cos(2 * x).ravel()
-        idx = ops.SobolevIndex(2.0, "sum")
-        assert ops.sobolev_norm(g, f, idx) == ops.sobolev_norm(g, f, 2.0, variant="sum")
-
-    def test_variants_agree_on_monochromatic_fields(self):
-        # on a single mode both variants are explicit: fourier gives
-        # (1+k^2)^{s/2} ||f||_2, sum gives (1 + k + k^2) ||f||_2 for s=2
-        g = Grid((64,))
-        x = x_of(g)
-        f = np.cos(2 * x).ravel()
-        l2 = ops.l2_norm(g, f)
-        four = ops.sobolev_norm(g, f, 2.0, variant="fourier")
-        summ = ops.sobolev_norm(g, f, 2.0, variant="sum")
-        assert four == pytest.approx((1 + 4.0) * l2, rel=1e-12)
-        assert summ == pytest.approx((1 + 2.0 + 4.0) * l2, rel=1e-12)
-
     def test_pointwise_norms_cosine(self):
         g = Grid((128,))
         x = x_of(g)
@@ -184,13 +165,6 @@ class TestStructure:
             ops.curl(g, rolledA), np.roll(ops.curl(g, A), 1, axis=-1), atol=1e-12
         )
 
-    def test_shift_is_spectral_interpolation(self):
-        g = Grid((64,))
-        x = x_of(g).ravel()
-        f = np.cos(3 * x)
-        shifted = ops.shift(g, f, (0.1,))
-        assert np.max(np.abs(shifted - np.cos(3 * (x + 0.1)))) < 1e-12
-
     def test_gradient_part_recovers_gradient(self, rng):
         g = Grid((32, 32))
         phi = random_band_limited(g, rng)
@@ -232,7 +206,6 @@ def test_real_fields_match_the_complex_path(shape, rng):
     cases = [
         (ops.gradient, f), (ops.laplacian, f), (ops.dealias, f),
         (lambda g, f: ops.deriv(g, f, g.dim - 1), f),
-        (lambda g, f: ops.shift(g, f, (0.1,) * g.dim), f),
         (ops.divergence, v), (ops.curl, v), (ops.gradient_part, v),
         (lambda g, v: ops.advect(g, v, v), v),
         (lambda g, v: ops.jacobian_transpose_product(g, v, v), v),
@@ -318,3 +291,32 @@ def test_half_spectrum_norms_match_the_full_spectrum(shape, rng):
                 ops.sobolev_norm(g, full, s), rel=1e-13)
         assert ops.spectral_tail_fraction(g, f) == pytest.approx(
             ops.spectral_tail_fraction(g, full), rel=1e-13)
+
+
+@pytest.mark.parametrize("shape", [(64,), (16, 12), (8, 6, 10)])
+def test_half_spectrum_vdot_is_parseval(shape, rng):
+    # the inner product of two real fields, taken from their half spectra
+    g = Grid(shape)
+    f = rng.standard_normal((3,) + g.shape)
+    h = rng.standard_normal((3,) + g.shape)
+    expected = np.vdot(f, h)
+    got = ops.half_spectrum_vdot(g, g.rfft(f), g.rfft(h))
+    assert abs(got - expected) <= 1e-13 * np.sqrt(np.vdot(f, f) * np.vdot(h, h))
+    assert ops.half_spectrum_vdot(g, g.rfft(f), g.rfft(f)) == pytest.approx(
+        np.vdot(f, f), rel=1e-13)
+
+
+@pytest.mark.parametrize("shape", [(64,), (16, 12), (12, 8, 10)])
+def test_derivative_tables_match_deriv(shape, rng):
+    # the stage tables: a complex amplitude's derivatives, one inverse per
+    # axis, and a real vector's Jacobian d_i f_j, one batched inverse
+    g = Grid(shape)
+    a = random_band_limited(g, rng, components=2, complex_=True, kmax=3)
+    v = random_band_limited(g, rng, components=3, kmax=3)
+    grad_a = ops.derivative_table(g, g.fft(a), half=False)
+    jac = ops.derivative_table(g, g.rfft(v), half=True)
+    assert len(grad_a) == g.dim and jac.shape == (g.dim, 3) + g.shape
+    for i in range(g.dim):
+        assert np.max(np.abs(grad_a[i] - ops.deriv(g, a, i))) <= 1e-13 * np.max(np.abs(a))
+        for j in range(3):
+            assert np.max(np.abs(jac[i, j] - ops.deriv(g, v[j], i))) <= 1e-13 * np.max(np.abs(v))

@@ -6,7 +6,9 @@ from poisswell.grid import Grid
 from poisswell.initial_data import gaussian_bump
 from poisswell.operators import l2_norm
 from poisswell.pauli_solver import PauliSolver, run_pauli
-from poisswell.states import SimParams, charge_density, reconstruct_spinor
+from poisswell.states import Potentials, SimParams, charge_density, reconstruct_spinor
+
+from conftest import random_band_limited
 
 
 def plane_wave_psi(grid, k):
@@ -97,6 +99,41 @@ class TestStep:
         out = solver._multiply(psi, 0.01, pots)
         assert abs(l2_norm(g, out) - l2_norm(g, psi)) < 1e-13
 
+    def test_transport_is_the_physical_midpoint_rule(self, rng):
+        # the transport half step builds its midpoint in spectral space; the
+        # reference is the same midpoint rule with every derivative and mask
+        # taken by the physical-space operators
+        from poisswell.operators import advect, dealias, divergence
+
+        g = Grid((16, 12))
+        solver = PauliSolver(g, SimParams(epsilon=0.3))
+        psi = random_band_limited(g, rng, components=2, complex_=True, kmax=3)
+        A = random_band_limited(g, rng, components=3, kmax=3, amplitude=0.5)
+        pots = Potentials(V=np.zeros(g.shape), A=A, B=np.zeros_like(A))
+        divA = divergence(g, A)
+
+        def rhs(f):
+            return dealias(g, advect(g, A, f) + 0.5 * divA * f)
+
+        tau = 0.05
+        expected = psi + tau * rhs(psi + 0.5 * tau * rhs(psi))
+        got = solver._transport(psi, tau, pots, solver._divergence(pots))
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(psi))
+
+    def test_step_transform_budget(self, transform_count):
+        # a coupled 32^3 step: 290 transformed components when every
+        # derivative and mask made its own transforms and the screened solve
+        # iterated in physical space; 216 now
+        g = Grid((32, 32, 32))
+        params = SimParams(epsilon=0.2, T=0.05)
+        solver = PauliSolver(g, params)
+        st = gaussian_bump(g, amplitude=0.2, width=1.2, epsilon=0.2)
+        psi = solver._dealias(reconstruct_spinor(g, st))
+        dt = solver.default_dt(psi)
+        transform_count.clear()
+        solver.step(psi, dt)
+        assert sum(transform_count.components.values()) <= 240
+
     def test_stability_violation_raised(self):
         g = Grid((32,))
         x = g.coordinates()[0].ravel()
@@ -137,6 +174,24 @@ class TestRun:
         d1 = l2_norm(g, ends[2e-3] - ends[1e-3])
         d2 = l2_norm(g, ends[1e-3] - ends[5e-4])
         assert d1 / d2 >= 3.5  # order ~ 2
+
+    def test_warnings_recorded_not_lost(self, recwarn, monkeypatch):
+        # the shared run loop keeps a spinor run's warnings, as a WKB run's
+        import warnings
+
+        from poisswell import pauli_solver
+
+        tail = pauli_solver.spectral_tail_fraction
+
+        def warning_tail(*args):
+            warnings.warn("tail sample warned")
+            return tail(*args)
+
+        monkeypatch.setattr(pauli_solver, "spectral_tail_fraction", warning_tail)
+        g = Grid((32,))
+        run = run_pauli(g, plane_wave_psi(g, 2), SimParams(epsilon=0.5, T=0.03, dt=0.01))
+        assert run.warnings == ["tail sample warned"]
+        assert len(recwarn) == 0
 
     def test_run_invariants(self):
         g = Grid((64,))
