@@ -14,10 +14,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import sys
 import time
 from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 from . import plots
 from .config import RunConfig, config_as_dict, parse_config, serialize_config
@@ -196,7 +199,14 @@ def run_command(cfg: RunConfig, out_override=None):
         code, summary = _run_spinor_vs_wkb(cfg, out, manifest)
     else:  # pragma: no cover - validate() guards this
         raise PoisswellError(f"unhandled kind {cfg.kind}")
-    manifest.write(extra={"elapsed_seconds": time.perf_counter() - started})
+    manifest.write(extra={
+        "elapsed_seconds": time.perf_counter() - started,
+        "environment": {
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+            "cpu_count": os.cpu_count(),
+        },
+    })
     return code, summary
 
 

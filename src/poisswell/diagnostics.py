@@ -15,10 +15,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InsufficientHistory
-from .grid import Grid
+from .grid import Grid, k2
 from .operators import (
     divergence,
-    gradient,
     l2_norm,
     pointwise_norms,
     sobolev_norm,
@@ -77,11 +76,15 @@ def charge(grid: Grid, a):
 
 
 def field_energy(grid: Grid, psi, V, epsilon):
-    """||eps grad psi||_2^2 + ||grad V||_2^2 (conserved when A == 0)."""
-    kin = sum(
-        l2_norm(grid, gradient(grid, psi[j])) ** 2 for j in range(psi.shape[0])
-    )
-    return epsilon**2 * kin + l2_norm(grid, gradient(grid, V)) ** 2
+    """
+    ||eps grad psi||_2^2 + ||grad V||_2^2 (conserved when A == 0), as the
+    Parseval sums ``eps^2 sum |k|^2 |psi_hat|^2 + sum |k|^2 |V_hat|^2`` from
+    the spectra of ``psi`` (or its :class:`Spectrum`) and ``V``.
+    """
+    psi, V = spectrum(grid, psi), spectrum(grid, V)
+    kin = np.sum(k2(grid, psi.half) * psi.power)
+    pot = np.sum(k2(grid, V.half) * V.power)
+    return float((epsilon**2 * kin + pot) * grid.cell_volume / grid.npoints)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ Systems*, ch. 9).  Both work on the batched real transforms of the grid;
 the conjugate-gradient recurrences run on half spectra, where the
 preconditioner is a pointwise division and inner products are Parseval
 sums, and ``A`` accumulates the search directions inverted to multiply
-them by ``rho``.
+them by ``rho``.  The recurrences update buffers each solve allocates once.
 """
 
 from __future__ import annotations
@@ -49,15 +49,22 @@ def solve_screened_vector(grid: Grid, rhs, rho, tol=1e-11, max_iters=200, guess=
     preconditioned with the constant-coefficient inverse
     ``(-Delta + mean(rho))^-1``, starting from ``guess`` (zero when not
     given), with the recurrences in spectral space: one inverse and one
-    forward transform per iteration.  A solve returns only once the true
-    residual ``rhs - (-Delta + rho) A``, not the recurrence one, is below
-    ``tol`` relative to ``rhs``: when the recurrence passes, the true
-    residual is recomputed through :func:`apply_screened` and the iteration
-    restarts from it if it does not.  The test is made against ``tol / 2``,
-    because the residual itself is only known to about 1e-12 relative at
-    N = 256 (two FFT evaluations of the same A differ by that much), and the
-    returned A must meet ``tol`` under any of them.  A guess that already
-    meets the test costs one operator application.
+    forward transform per iteration.  The preconditioned residual, the
+    search direction, its operator image, ``rho`` times the inverted
+    direction, ``A`` and the residual spectrum are updated in place, in
+    buffers allocated once per solve; each update rounds as its
+    out-of-place form would, so the iterates are the same bits.  ``rhs``,
+    ``rho`` and ``guess`` are not written to.
+
+    A solve returns only once the true residual ``rhs - (-Delta + rho) A``,
+    not the recurrence one, is below ``tol`` relative to ``rhs``: when the
+    recurrence passes, the true residual is recomputed through
+    :func:`apply_screened` and the iteration restarts from it if it does
+    not.  The test is made against ``tol / 2``, because the residual itself
+    is only known to about 1e-12 relative at N = 256 (two FFT evaluations
+    of the same A differ by that much), and the returned A must meet
+    ``tol`` under any of them.  A guess that already meets the test costs
+    one operator application.
     For rho == 0 the zero mode of A is pinned to zero and a non-neutral
     rhs is rejected.
 
@@ -97,12 +104,18 @@ def solve_screened_vector(grid: Grid, rhs, rho, tol=1e-11, max_iters=200, guess=
     else:
         A = np.array(guess, dtype=float)
         r = rhs - apply_screened(grid, A, rho)
+    # the recurrences run in these buffers, updated in place; each update
+    # computes the same expression as its out-of-place form, bit for bit.
+    # z is spent once the direction is updated, so q takes its buffer.
+    zh = qh = np.empty(rhs.shape[:1] + k2h.shape, dtype=complex)
+    ph = np.empty_like(zh)
+    rho_p = np.empty_like(rhs)
     iters, rz = 0, None
     # r is the true residual of A at the top of each pass; a NaN residual
     # never passes the test and ends in NonConvergence
     while not l2_norm(grid, r) <= goal:
         rh = grid.rfft(r)
-        ph = None  # (re)start from the steepest-descent direction
+        restart = True  # from the steepest-descent direction
         while True:
             if iters == max_iters:
                 raise NonConvergence(
@@ -110,14 +123,23 @@ def solve_screened_vector(grid: Grid, rhs, rho, tol=1e-11, max_iters=200, guess=
                     f"after {max_iters} iterations"
                 )
             iters += 1
-            zh = rh / denom
+            np.divide(rh, denom, out=zh)
             rz, rz_old = half_spectrum_vdot(grid, rh, zh), rz
-            ph = zh if ph is None else zh + (rz / rz_old) * ph
+            if restart:
+                np.copyto(ph, zh)
+                restart = False
+            else:  # ph = zh + (rz / rz_old) ph
+                ph *= rz / rz_old
+                ph += zh
             p = grid.irfft(ph)
-            qh = k2h * ph + grid.rfft(rho * p)
+            np.multiply(rho, p, out=rho_p)
+            np.multiply(k2h, ph, out=qh)
+            qh += grid.rfft(rho_p)
             alpha = rz / half_spectrum_vdot(grid, ph, qh)
-            A += alpha * p
-            rh -= alpha * qh
+            p *= alpha
+            A += p
+            qh *= alpha
+            rh -= qh
             if half_spectrum_vdot(grid, rh, rh) <= goal_sq:
                 break
         r = rhs - apply_screened(grid, A, rho)

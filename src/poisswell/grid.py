@@ -136,18 +136,21 @@ class Grid:
     # On a 1d grid the 1d transforms are called directly: they compute the
     # same numbers as the n-dimensional ones, without numpy's n-dimensional
     # argument handling, which costs more than a 256-point transform.
+    # Otherwise a forward or complex inverse transform is given its result
+    # array: numpy then transforms axis after axis in that one array, the
+    # same numbers, where without it each axis allocates a new array.
 
     def fft(self, f):
         """Forward transform over the spatial axes."""
         if self.dim == 1:
             return np.fft.fft(f)
-        return np.fft.fftn(f, axes=self.axes)
+        return np.fft.fftn(f, axes=self.axes, out=np.empty(np.shape(f), complex))
 
     def ifft(self, fh):
         """Inverse transform; returns the complex result."""
         if self.dim == 1:
             return np.fft.ifft(fh)
-        return np.fft.ifftn(fh, axes=self.axes)
+        return np.fft.ifftn(fh, axes=self.axes, out=np.empty(np.shape(fh), complex))
 
     def ifft_real(self, fh):
         """Inverse transform of a spectrally-Hermitian field; drops imag."""
@@ -161,7 +164,9 @@ class Grid:
         """
         if self.dim == 1:
             return np.fft.rfft(f)
-        return np.fft.rfftn(f, axes=self.axes)
+        shape = np.shape(f)
+        out = np.empty(shape[:-1] + (shape[-1] // 2 + 1,), complex)
+        return np.fft.rfftn(f, axes=self.axes, out=out)
 
     def irfft(self, fh):
         """Inverse of :meth:`rfft`: a real field with spatial shape ``shape``."""

@@ -283,15 +283,19 @@ class ComparisonReport:
     epsilon: float
     dt_hydro: float
     dt_spinor: float
+    warnings: List[str] = field(default_factory=list)  # of both runs
 
     def as_dict(self):
-        return {
+        doc = {
             "times": self.times,
             "distances": self.distances,
             "epsilon": self.epsilon,
             "dt_hydro": self.dt_hydro,
             "dt_spinor": self.dt_spinor,
         }
+        if self.warnings:  # absent when empty: a warning-free report reads as before
+            doc["warnings"] = self.warnings
+        return doc
 
 
 def phase_aligned_distance(grid: Grid, psi, phi):
@@ -344,6 +348,7 @@ def spinor_vs_wkb(
         epsilon=params.epsilon,
         dt_hydro=hrun.dt,
         dt_spinor=prun.dt,
+        warnings=distinct_warnings([hrun, prun]),
     )
 
 

@@ -79,6 +79,19 @@ def curl(grid: Grid, vec):
     ]))
 
 
+def curl_divergence(grid: Grid, vec):
+    """``(curl vec, div vec)`` of a real 3-vector field, from one transform of it."""
+    k = k3(grid, half=True)
+    v = grid.rfft(vec)
+    out = grid.irfft(1j * np.stack([
+        k[1] * v[2] - k[2] * v[1],
+        k[2] * v[0] - k[0] * v[2],
+        k[0] * v[1] - k[1] * v[0],
+        sum(k[i] * v[i] for i in range(grid.dim)),
+    ]))
+    return out[:3], out[3]
+
+
 def laplacian(grid: Grid, f):
     fwd, inv, half = _transforms(grid, f)
     return inv(-k2(grid, half) * fwd(f))

@@ -7,9 +7,17 @@ with self-consistently coupled potentials, by Strang splitting: the kinetic
 flow is exact in spectral space; the potential/Stern-Gerlach multiplication
 is an exact pointwise unitary; the advective piece ``A.grad + (div A)/2`` is
 integrated by an explicit midpoint rule inside each nonlinear half-step.
+
+A step keeps psi spectral between substeps where it can: the first kinetic
+half hands its spectrum, and the derivative table taken from it, to the
+phase current and the first transport pass; the last transport half hands
+its spectrum straight to the last kinetic half.  ``B = curl A`` and
+``div A`` come from one transform of A.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -17,7 +25,13 @@ from . import kernels
 from .diagnostics import DiagnosticsRecord, charge, field_energy
 from .errors import StabilityViolation
 from .grid import Grid, dealias_mask, dispersion_factor
-from .operators import derivative_table, directional, divergence, spectral_tail_fraction
+from .operators import (
+    curl_divergence,
+    derivative_table,
+    directional,
+    spectral_tail_fraction,
+    spectrum,
+)
 from .states import (
     Potentials,
     Run,
@@ -39,9 +53,10 @@ class PauliSolver:
         self.params = params
         self._dispersion = {}  # dispersion_factor's tables
 
-    def potentials(self, psi, guess=None) -> Potentials:
+    def potentials(self, psi, guess=None, grad_a=None, with_B=True) -> Potentials:
         return self_consistent_potentials(
-            self.grid, self.params, psi, self.params.epsilon, guess=guess
+            self.grid, self.params, psi, self.params.epsilon, guess=guess,
+            grad_a=grad_a, with_B=with_B,
         )
 
     # -- single step ---------------------------------------------------------
@@ -58,44 +73,68 @@ class PauliSolver:
             bound = min(bound, self.params.epsilon / w_inf)
         return 0.5 * bound
 
-    def _advect_rhs(self, psi, psi_hat, A, divA):
-        """The dealiased spectrum of ``A.grad psi + (div A/2) psi``, from ``psi_hat``."""
+    def _advect_rhs(self, psi, psi_hat, A, divA, table=None):
+        """
+        The dealiased spectrum of ``A.grad psi + (div A/2) psi``, from ``psi_hat``
+        or from its derivative ``table`` when the caller holds it.
+        """
         g = self.grid
-        rhs = directional(g, A, derivative_table(g, psi_hat, half=False)) + 0.5 * divA * psi
-        return g.fft(rhs) * dealias_mask(g)
+        if table is None:
+            table = derivative_table(g, psi_hat, half=False)
+        return g.fft(directional(g, A, table) + 0.5 * divA * psi) * dealias_mask(g)
 
-    def _transport(self, psi, tau, pots, divA):
+    def _transport(self, psi, tau, pots, divA, psi_hat=None, first_hat=None,
+                   spectral=False):
         """
         The explicit midpoint rule for ``d_t psi = A.grad psi + (div A/2) psi``
-        (``divA`` is None when A vanishes).  ``psi`` is transformed once: the
-        midpoint's spectrum is assembled from it and the first pass's
+        (``divA`` is None when A vanishes).  ``psi_hat``, the spectrum of
+        ``psi``, and ``first_hat``, the first pass's :meth:`_advect_rhs`, are
+        taken when the caller holds them; otherwise ``psi`` is transformed
+        once.  The midpoint's spectrum is assembled from the first pass's
         dealiased derivative, so the second pass needs no forward transform
-        of the midpoint.
+        of the midpoint.  ``spectral`` returns the spectrum of the result
+        instead.
         """
-        if divA is None:
-            return psi
         g = self.grid
-        psi_hat = g.fft(psi)
-        mid_hat = psi_hat + 0.5 * tau * self._advect_rhs(psi, psi_hat, pots.A, divA)
+        if divA is None:
+            return g.fft(psi) if spectral else psi
+        if psi_hat is None:
+            psi_hat = g.fft(psi)
+        if first_hat is None:
+            first_hat = self._advect_rhs(psi, psi_hat, pots.A, divA)
+        mid_hat = psi_hat + 0.5 * tau * first_hat
+        first_hat = None  # not held through the second pass
         mid = g.ifft(mid_hat)
-        return psi + tau * g.ifft(self._advect_rhs(mid, mid_hat, pots.A, divA))
+        rhs_hat = self._advect_rhs(mid, mid_hat, pots.A, divA)
+        if spectral:
+            return psi_hat + tau * rhs_hat
+        return psi + tau * g.ifft(rhs_hat)
 
-    def _divergence(self, pots):
-        return divergence(self.grid, pots.A) if np.any(pots.A) else None
+    def _magnetic(self, pots):
+        """
+        ``pots`` with ``B = curl A``, and ``div A`` (None when A vanishes),
+        both from one transform of A.
+        """
+        if not np.any(pots.A):
+            return replace(pots, B=np.zeros_like(pots.A)), None
+        B, divA = curl_divergence(self.grid, pots.A)
+        return replace(pots, B=B), divA
 
     def _multiply(self, psi, tau, pots):
         eps = self.params.epsilon
         W = pots.V + 0.5 * np.sum(pots.A**2, axis=0)
         return kernels.phase_sigma_rotate(psi, (tau / eps) * W, pots.B, 0.5 * tau)
 
-    def _kinetic(self, psi, dt, dealias=False):
-        """The exact kinetic flow over ``dt``; ``dealias`` also masks the result."""
+    def _kinetic(self, psi_hat, dt, dealias=False):
+        """
+        The exact kinetic flow over ``dt``, on the spectrum ``psi_hat``;
+        ``dealias`` also masks the result.
+        """
         g = self.grid
-        factor = dispersion_factor(g, self.params.epsilon, dt, self._dispersion)
-        psi_hat = g.fft(psi) * factor
+        psi_hat = psi_hat * dispersion_factor(g, self.params.epsilon, dt, self._dispersion)
         if dealias:
             psi_hat *= dealias_mask(g)
-        return g.ifft(psi_hat)
+        return psi_hat
 
     def step(self, psi, dt):
         """
@@ -109,26 +148,45 @@ class PauliSolver:
         which is what keeps the nonlinear coupling second order.  The
         transport half preceding the refresh is run once with predictor
         potentials and then redone with the midpoint ones.
+
+        psi is transformed once on entry and inverted once on exit.  The
+        spectrum after the first kinetic half is kept through the step; its
+        derivative table serves the first potentials' phase current and the
+        first pass of the predictor transport, and is taken again from the
+        spectrum for the corrector transport rather than held across the
+        midpoint solve.  The last transport half returns its spectrum to the
+        last kinetic half.
         """
         if dt == 0.0:
             return psi.copy()
-        tau = 0.5 * dt
-        psi = self._kinetic(psi, tau)
-        pots = self.potentials(psi)
+        g, tau = self.grid, 0.5 * dt
+        psi_hat = self._kinetic(g.fft(psi), tau)
+        psi = g.ifft(psi_hat)
+        table = derivative_table(g, psi_hat, half=False)
+        pots = self.potentials(psi, grad_a=table, with_B=False)
         bound = self.dt_bound(psi, pots)
         if dt > bound * (1.0 + 1e-9):
             raise StabilityViolation(f"dt={dt:g} exceeds stability bound {bound:g}")
-        divA = self._divergence(pots)
+        pots, divA = self._magnetic(pots)
         if divA is not None:
             # the current (hence A) is sensitive to both transport and the
-            # multiply phase at O(dt), so the predictor applies half of each
-            predicted = self._multiply(self._transport(psi, tau, pots, divA), tau, pots)
-            pots = self.potentials(predicted, guess=pots.A)
-            divA = self._divergence(pots)
-        psi = self._transport(psi, tau, pots, divA)
+            # multiply phase at O(dt), so the predictor applies half of each;
+            # its first pass takes the table, which is dropped before the
+            # second pass takes the midpoint's
+            first_hat = self._advect_rhs(psi, psi_hat, pots.A, divA, table)
+            table = None
+            predicted = self._transport(psi, tau, pots, divA, psi_hat, first_hat)
+            first_hat = None
+            predicted = self._multiply(predicted, tau, pots)
+            # of the predictor's fields only A, the guess, is held across
+            # the midpoint solve
+            guess, pots, divA = pots.A, None, None
+            pots, divA = self._magnetic(
+                self.potentials(predicted, guess=guess, with_B=False))
+        psi = self._transport(psi, tau, pots, divA, psi_hat)
         psi = self._multiply(psi, dt, pots)
-        psi = self._transport(psi, tau, pots, divA)
-        return self._kinetic(psi, tau, dealias=True)
+        psi_hat = self._transport(psi, tau, pots, divA, spectral=True)
+        return g.ifft(self._kinetic(psi_hat, tau, dealias=True))
 
     def _dealias(self, psi):
         return self.grid.ifft(self.grid.fft(psi) * dealias_mask(self.grid))
@@ -140,11 +198,12 @@ class PauliSolver:
 
     def _record(self, t, psi, pots, previous):
         g = self.grid
+        spec = spectrum(g, psi)
         return DiagnosticsRecord(
             t=t,
             charge=charge(g, psi),
-            energy=field_energy(g, psi, pots.V, self.params.epsilon),
-            tail_fraction=spectral_tail_fraction(g, psi),
+            energy=field_energy(g, spec, pots.V, self.params.epsilon),
+            tail_fraction=spectral_tail_fraction(g, spec),
         )
 
     def run(self, psi0, tail_warn=0.10) -> Run:

@@ -26,8 +26,8 @@ from .pauli import spin_density
 class Potentials:
     """
     Scalar potential, vector potential and the cached magnetic field; ``B``
-    is None where the caller takes ``curl A`` from its own derivative table
-    (the WKB solver).
+    is None where the caller takes ``curl A`` itself (the WKB solver from
+    its derivative table, the spinor step with ``div A``).
     """
 
     V: np.ndarray
@@ -333,7 +333,8 @@ def run_loop(solver, state, advance, every_step=False, watch=None,
     ``dt_bound(state, pots)``, ``_dealias(state)`` and
     ``_record(t, state, pots, previous)``.  ``advance(state, dt, pots)``
     takes one step; ``pots`` are the potentials of ``state`` when
-    ``every_step`` is set, and of the last sample otherwise.
+    ``every_step`` is set, and of the last sample otherwise.  Every-step
+    solves start from an extrapolated A, sample solves from zero.
     ``watch(records)`` judges each new sample.  ``advance`` and ``watch``
     end the run as a blow-up by raising :class:`RunStopped`; a non-finite
     state does the same.  A ``NonConvergence`` ends the run when
@@ -372,14 +373,15 @@ def _integrate(solver, state, advance, every_step, watch, tolerate) -> Run:
             state = advance(state, dt, pots)
             if not _finite(state):
                 raise RunStopped("non-finite state")
-            if every_step or sample:
-                # start from the last A, extrapolated along the last two
-                # steps when every step is solved
-                guess = pots.A
-                if every_step and prev_A is not None:
-                    guess = 2.0 * pots.A - prev_A
+            if every_step:
+                # start from the last A, extrapolated along the last two steps
+                guess = pots.A if prev_A is None else 2.0 * pots.A - prev_A
                 prev_A = pots.A
                 pots = solver.potentials(state, guess=guess)
+            elif sample:
+                # the last sample's A is several steps old: a worse start
+                # than none
+                pots = solver.potentials(state)
             if sample:
                 rec = solver._record(n * dt, state, pots, run.records[-1])
                 run.times.append(rec.t)

@@ -83,6 +83,23 @@ family = gaussian-bump
 amplitude = 0.3
 """
 
+SPINOR_VS_WKB = """
+[run]
+kind = spinor-vs-wkb
+
+[grid]
+points = [32]
+
+[params]
+epsilon = 0.25
+T = 0.02
+s = 4.0
+
+[initial]
+family = gaussian-bump
+amplitude = 0.3
+"""
+
 
 def write_cfg(tmp_path, text, name="run.cfg"):
     p = tmp_path / name
@@ -112,6 +129,22 @@ class TestRunCommand:
             if p.is_file() and p.name != "manifest.json"
         }
         assert on_disk == listed
+
+    def test_manifest_records_environment(self, tmp_path):
+        # the manifest, not the report, says what the run ran on
+        import os
+        import platform
+
+        cfg = write_cfg(tmp_path, EULER_UNIFORM)
+        out = tmp_path / "out"
+        main(["run", str(cfg), "--out", str(out)])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["environment"] == {
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+            "cpu_count": os.cpu_count(),
+        }
+        assert "environment" not in (out / "report.json").read_text()
 
     def test_blowup_exit_code_two_with_artifacts(self, tmp_path):
         cfg = write_cfg(tmp_path, COMPRESSIVE)
@@ -165,6 +198,35 @@ class TestRunCommand:
         assert main(["run", str(cfg), "--out", str(out)]) == EXIT_OK
         summary = json.loads((out / "report.json").read_text())["summary"]
         assert summary["warnings"] == ["energy sample warned"]
+
+    def test_spinor_vs_wkb_warnings_in_report(self, tmp_path, monkeypatch):
+        # a comparison lists the warnings of its WKB run (s = 3 is below the
+        # 7/2 hypothesis) and of its spinor run, once each; without any it
+        # has no key
+        import warnings
+
+        from poisswell import pauli_solver
+
+        cfg = write_cfg(tmp_path, SPINOR_VS_WKB)
+        out = tmp_path / "clean"
+        assert main(["run", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert "warnings" not in json.loads((out / "report.json").read_text())["comparison"]
+
+        energy = pauli_solver.field_energy
+
+        def warning_energy(*args):
+            warnings.warn("energy sample warned")
+            return energy(*args)
+
+        monkeypatch.setattr(pauli_solver, "field_energy", warning_energy)
+        cfg = write_cfg(tmp_path, SPINOR_VS_WKB.replace("s = 4.0", "s = 3.0"))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == EXIT_OK
+        comparison = json.loads((out / "report.json").read_text())["comparison"]
+        assert comparison["warnings"] == [
+            "regularity s=3.0 below the 7/2 hypothesis",
+            "energy sample warned",
+        ]
 
     def test_bad_config_exit_one(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "[run]\nkind = nonsense\n")

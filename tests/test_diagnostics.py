@@ -32,6 +32,24 @@ class TestCharge:
         assert diag.charge(g, a) == pytest.approx(1.0, abs=1e-10)
 
 
+class TestFieldEnergy:
+    @pytest.mark.parametrize("shape", [(64,), (16, 12), (8, 6, 10)])
+    def test_parseval_matches_gradient_quadrature(self, shape, rng):
+        # white-noise fields, so every mode, Nyquist lines included, counts
+        from poisswell.operators import l2_norm, spectrum
+
+        g = Grid(shape)
+        eps = 0.3
+        psi = rng.standard_normal((2,) + shape) + 1j * rng.standard_normal((2,) + shape)
+        V = rng.standard_normal(shape)
+        quadrature = eps**2 * sum(
+            l2_norm(g, gradient(g, psi[j])) ** 2 for j in range(2)
+        ) + l2_norm(g, gradient(g, V)) ** 2
+        for field in (psi, spectrum(g, psi)):
+            energy = diag.field_energy(g, field, V, eps)
+            assert energy == pytest.approx(quadrature, rel=1e-13)
+
+
 class TestFunctionals:
     def test_zero_state(self):
         g = Grid((32,))

@@ -80,6 +80,15 @@ class TestCurl:
         divB = ops.divergence(g, ops.curl(g, A))
         assert np.max(np.abs(divB)) < 1e-12
 
+    @pytest.mark.parametrize("shape", [(64,), (16, 12), (8, 6, 10)])
+    def test_curl_divergence_is_curl_and_divergence(self, shape, rng):
+        # one transform of the field gives both, to the bit
+        g = Grid(shape)
+        A = rng.standard_normal((3,) + shape)
+        B, divA = ops.curl_divergence(g, A)
+        assert np.array_equal(B, ops.curl(g, A))
+        assert np.array_equal(divA, ops.divergence(g, A))
+
 
 class TestNorms:
     def test_l2_of_cosine(self):

@@ -267,3 +267,45 @@ def test_source_terms_bundle(rng):
     # J with A = 0 decomposes into transport plus the eps-order piece
     expected = src.rho * st.u + current_epsilon_part(g, st.a, st.epsilon)
     assert np.max(np.abs(src.J - expected)) < 1e-12
+
+
+class GuessLog:
+    """A solver stand-in for ``run_loop`` whose n-th potentials have ``A = n``."""
+
+    def __init__(self, **params):
+        from poisswell.states import SimParams
+
+        self.params = SimParams(**params)
+        self.guesses = []
+
+    def potentials(self, state, guess=None):
+        from poisswell.states import Potentials
+
+        self.guesses.append(None if guess is None else float(guess[0]))
+        return Potentials(V=np.zeros(1), A=np.full(1, float(len(self.guesses))), B=None)
+
+    def dt_bound(self, state, pots):
+        return np.inf
+
+    def _dealias(self, state):
+        return state
+
+    def _record(self, t, state, pots, previous):
+        from poisswell.diagnostics import DiagnosticsRecord
+
+        return DiagnosticsRecord(t=t, charge=1.0)
+
+
+@pytest.mark.parametrize("every_step, expected", [
+    # A of the last solve, then extrapolated along the last two: 2 A_n - A_{n-1}
+    (True, [None, 1.0, 3.0, 4.0, 5.0]),
+    # samples after steps 2 and 4, each solved from zero
+    (False, [None, None, None]),
+])
+def test_run_loop_guesses(every_step, expected):
+    from poisswell.states import run_loop
+
+    solver = GuessLog(T=0.04, dt=0.01, sample_every=2)
+    run = run_loop(solver, np.zeros(1), lambda state, dt, pots: state, every_step)
+    assert run.status == "completed"
+    assert solver.guesses == expected
