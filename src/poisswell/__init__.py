@@ -5,7 +5,7 @@ for conservation laws, a priori functionals and the semiclassical limit.
 """
 
 from .grid import Grid
-from .states import HydroState, Potentials, SimParams, SourceTerms
+from .states import HydroState, Potentials, SimParams
 
-__all__ = ["Grid", "HydroState", "Potentials", "SimParams", "SourceTerms"]
+__all__ = ["Grid", "HydroState", "Potentials", "SimParams"]
 __version__ = "0.1.0"

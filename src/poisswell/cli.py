@@ -75,7 +75,7 @@ def _run_single(cfg: RunConfig, out: Path, manifest: Manifest):
         params = cfg.sim_params()
         init = cfg.build_initial(grid)
         psi0 = reconstruct_spinor(grid, init)
-        run = PauliSolver(grid, params).run(psi0)
+        run = PauliSolver(grid, params, thresholds).run(psi0)
         docs = _dump_records(manifest, run.records, "diagnostics")
         _write_snapshots(manifest, run.times, run.states, "psi")
         summary = {

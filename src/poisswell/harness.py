@@ -334,7 +334,7 @@ def spinor_vs_wkb(
     psolver = PauliSolver(grid, params)
     psi0 = reconstruct_spinor(grid, initial)
     sp_params = aligned_params(params, grid, psi0, psolver, n_samples)
-    prun = PauliSolver(grid, sp_params).run(psi0)
+    prun = PauliSolver(grid, sp_params, thresholds).run(psi0)
 
     n = min(len(hrun.times), len(prun.times))
     times, distances = [], []

@@ -21,8 +21,6 @@ identity whenever curl u = 0, so the phase stays reconstructible.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
 import numpy as np
 
 from .diagnostics import (
@@ -74,7 +72,7 @@ class HydroSolver:
         """The potentials of ``state``; ``B`` is left to :meth:`_derivatives`."""
         return self_consistent_potentials(
             self.grid, self.params, state.a, state.epsilon, state.u, guess=guess,
-            grad_a=grad_a, with_B=False,
+            grad_a=grad_a,
         )
 
     # -- right-hand sides ------------------------------------------------------
@@ -164,17 +162,16 @@ class HydroSolver:
 
     # -- stepping ---------------------------------------------------------------
 
-    def dt_bound(self, state: HydroState, pots: Optional[Potentials] = None):
+    def dt_bound(self, state: HydroState, pots: Potentials):
         """
         The advective dt bound  dx / ||u - A||_inf, c = 1.  The dispersion
         term sets none: :meth:`step_rk4` solves it exactly.
         """
-        A = pots.A if pots is not None else 0.0
-        rel_inf = float(np.max(np.abs(state.u - A)))
+        rel_inf = float(np.max(np.abs(state.u - pots.A)))
         dx = min(self.grid.spacings)
         return dx / rel_inf if rel_inf > 0 else np.inf
 
-    def _dealias(self, state: HydroState, enforce_gradient=True, amplitude=True):
+    def _dealias(self, state: HydroState, amplitude=True):
         """
         Truncate ``a`` and ``S`` to the dealiased band and project the
         velocity onto (constant mean) + (zero-mean gradient), so curl u
@@ -186,12 +183,10 @@ class HydroSolver:
             state.a = g.ifft(g.fft(state.a) * dealias_mask(g))
         if state.S is not None:
             state.S = dealias(g, state.S)
-        if enforce_gradient:
-            state.u = gradient_part(g, state.u) + state.u_mean.reshape(3, *(1,) * g.dim)
+        state.u = gradient_part(g, state.u) + state.u_mean.reshape(3, *(1,) * g.dim)
         return state
 
-    def step_rk4(self, state: HydroState, dt, rhs_fn: Optional[Callable] = None,
-                 enforce_gradient=True, check_cfl=True, pots=None):
+    def step_rk4(self, state: HydroState, dt, pots=None):
         """
         One Lawson integrating-factor RK4 step followed by :meth:`_dealias`.
 
@@ -211,18 +206,20 @@ class HydroSolver:
         the advection of ``a`` share; ``u`` and ``A`` are transformed once
         each, in :meth:`_derivatives`.  ``u`` and ``S`` take the same
         four stages with E = 1, which is classical RK4; at eps = 0 the
-        amplitude does too, in physical space, with no transform.  ``pots``,
-        when given, are the potentials of ``state`` and serve the first stage.
-        ``rhs_fn(state)``, when given, stands in for ``nonlinear_rhs(state,
-        pots, spectral=eps > 0)``: its ``d_t a`` is a dealiased spectrum when
-        eps > 0 and a physical field at eps = 0.
+        amplitude does too, in physical space, with no transform.
 
+        ``pots`` are the potentials of ``state``; they are computed when not
+        given.  They serve the first stage and set the bound dt is checked
+        against: a dt above :meth:`dt_bound` raises StabilityViolation.
         The screened solve of each later stage starts from a nearby A: the
         two half-step stages from the A of the stage before, the full-step
         stage from the line ``2 A_3 - A_1`` through the first and third.
         """
-        if check_cfl and dt > self.dt_bound(state) * (1.0 + 1e-9):
-            raise StabilityViolation(f"dt={dt:g} exceeds the advective bound")
+        if pots is None:
+            pots = self.potentials(state)
+        bound = self.dt_bound(state, pots)
+        if dt > bound * (1.0 + 1e-9):
+            raise StabilityViolation(f"dt={dt:g} exceeds bound {bound:g} at t={state.t:g}")
         g = self.grid
         spectral = state.epsilon > 0
         if spectral:
@@ -244,30 +241,22 @@ class HydroSolver:
             return HydroState(a=inv(y[0]), u=y[1], S=y[2], u_mean=state.u_mean,
                               t=state.t + dt_frac, epsilon=state.epsilon)
 
+        def a_table(y, s):  # the derivative table of a, from the spectrum of y[0]
+            return derivative_table(g, y[0] if spectral else g.fft(s.a), half=False)
+
+        stage_A = [pots.A]
+
+        def stage(y, dt_frac):
+            a1, a_last = stage_A[0], stage_A[-1]
+            guess = a_last if len(stage_A) < 3 else 2.0 * a_last - a1
+            s = at(y, dt_frac)
+            grad_a = a_table(y, s)
+            stage_pots = self.potentials(s, guess=guess, grad_a=grad_a)
+            stage_A.append(stage_pots.A)
+            return self._nonlinear(s, grad_a, stage_pots, spectral)
+
         y = (fwd(state.a), state.u, state.S)
-        if rhs_fn is None:
-            if pots is None:
-                pots = self.potentials(state)
-            stage_A = [pots.A]
-
-            def a_table(y, s):  # the derivative table of a, from the spectrum of y[0]
-                return derivative_table(g, y[0] if spectral else g.fft(s.a), half=False)
-
-            def stage(y, dt_frac):
-                a1, a_last = stage_A[0], stage_A[-1]
-                guess = a_last if len(stage_A) < 3 else 2.0 * a_last - a1
-                s = at(y, dt_frac)
-                grad_a = a_table(y, s)
-                stage_pots = self.potentials(s, guess=guess, grad_a=grad_a)
-                stage_A.append(stage_pots.A)
-                return self._nonlinear(s, grad_a, stage_pots, spectral)
-
-            k1 = self._nonlinear(state, a_table(y, state), pots, spectral)
-        else:
-            def stage(y, dt_frac):
-                return rhs_fn(at(y, dt_frac))
-
-            k1 = rhs_fn(state)
+        k1 = self._nonlinear(state, a_table(y, state), pots, spectral)
         k2 = stage(prop(axpy(y, 0.5 * dt, k1), half), 0.5 * dt)
         k3 = stage(axpy(prop(y, half), 0.5 * dt, k2), 0.5 * dt)
         k4 = stage(axpy(prop(y, full), dt, prop(k3, half)), dt)
@@ -278,7 +267,7 @@ class HydroSolver:
         y = axpy(prop(y, full), dt, combo)
         if spectral:
             y = (y[0] * dealias_mask(g),) + y[1:]
-        return self._dealias(at(y, dt), enforce_gradient, amplitude=not spectral)
+        return self._dealias(at(y, dt), amplitude=not spectral)
 
     # -- full run -----------------------------------------------------------------
 
@@ -324,14 +313,12 @@ class HydroSolver:
         warned = False
 
         def advance(state, dt, pots):
-            bound = self.dt_bound(state, pots)
-            if dt > bound * (1.0 + 1e-9):
+            try:
+                return self.step_rk4(state, dt, pots)
+            except StabilityViolation as exc:
                 if warned:
-                    raise RunStopped("stability bound crossed")
-                raise StabilityViolation(
-                    f"dt={dt:g} exceeds bound {bound:g} at t={state.t:g}"
-                )
-            return self.step_rk4(state, dt, check_cfl=False, pots=pots)
+                    raise RunStopped("stability bound crossed") from exc
+                raise
 
         def watch(records):
             nonlocal warned
@@ -364,20 +351,6 @@ class HydroSolver:
             records[i].gauge_residual = gauge_residual(
                 g, win_pot, states[i].epsilon
             )
-
-
-def wkb_rhs(grid: Grid, state: HydroState, pots: Potentials, params: Optional[SimParams] = None):
-    params = params or SimParams(epsilon=state.epsilon)
-    return HydroSolver(grid, params).rhs(state, pots)
-
-
-def euler_rhs(grid: Grid, state: HydroState, pots: Potentials):
-    """The eps = 0 time derivatives (d_t a, d_t u); same code path."""
-    if state.epsilon != 0:
-        state = state.copy()
-        state.epsilon = 0.0
-    da, du, _ = wkb_rhs(grid, state, pots)
-    return da, du
 
 
 def run_hydro(grid: Grid, init: HydroState, params: SimParams,

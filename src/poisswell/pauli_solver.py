@@ -11,18 +11,17 @@ integrated by an explicit midpoint rule inside each nonlinear half-step.
 A step keeps psi spectral between substeps where it can: the first kinetic
 half hands its spectrum, and the derivative table taken from it, to the
 phase current and the first transport pass; the last transport half hands
-its spectrum straight to the last kinetic half.  ``B = curl A`` and
-``div A`` come from one transform of A.
+its spectrum straight to the last kinetic half.  The potentials are V and A
+alone; the step takes ``B = curl A``, which only the multiplication reads,
+and ``div A`` from one transform of A.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from . import kernels
-from .diagnostics import DiagnosticsRecord, charge, field_energy
+from .diagnostics import DiagnosticsRecord, MonitorThresholds, charge, field_energy
 from .errors import StabilityViolation
 from .grid import Grid, dealias_mask, dispersion_factor
 from .operators import (
@@ -46,17 +45,19 @@ from .states import (
 class PauliSolver:
     """Strang-splitting integrator on one grid; stateless between calls."""
 
-    def __init__(self, grid: Grid, params: SimParams):
+    def __init__(self, grid: Grid, params: SimParams,
+                 thresholds: MonitorThresholds = MonitorThresholds()):
         if params.epsilon <= 0:
             raise ValueError("the spinor solver needs eps > 0")
         self.grid = grid
         self.params = params
+        self.thresholds = thresholds
         self._dispersion = {}  # dispersion_factor's tables
 
-    def potentials(self, psi, guess=None, grad_a=None, with_B=True) -> Potentials:
+    def potentials(self, psi, guess=None, grad_a=None) -> Potentials:
         return self_consistent_potentials(
             self.grid, self.params, psi, self.params.epsilon, guess=guess,
-            grad_a=grad_a, with_B=with_B,
+            grad_a=grad_a,
         )
 
     # -- single step ---------------------------------------------------------
@@ -110,20 +111,20 @@ class PauliSolver:
             return psi_hat + tau * rhs_hat
         return psi + tau * g.ifft(rhs_hat)
 
-    def _magnetic(self, pots):
+    def _magnetic(self, A):
         """
-        ``pots`` with ``B = curl A``, and ``div A`` (None when A vanishes),
-        both from one transform of A.
+        ``B = curl A`` and ``div A`` (None when A vanishes), both from one
+        transform of A.
         """
-        if not np.any(pots.A):
-            return replace(pots, B=np.zeros_like(pots.A)), None
-        B, divA = curl_divergence(self.grid, pots.A)
-        return replace(pots, B=B), divA
+        if not np.any(A):
+            return np.zeros_like(A), None
+        return curl_divergence(self.grid, A)
 
-    def _multiply(self, psi, tau, pots):
+    def _multiply(self, psi, tau, pots, B):
+        """The exact potential and Stern-Gerlach flow over ``tau``; ``B = curl A``."""
         eps = self.params.epsilon
         W = pots.V + 0.5 * np.sum(pots.A**2, axis=0)
-        return kernels.phase_sigma_rotate(psi, (tau / eps) * W, pots.B, 0.5 * tau)
+        return kernels.phase_sigma_rotate(psi, (tau / eps) * W, B, 0.5 * tau)
 
     def _kinetic(self, psi_hat, dt, dealias=False):
         """
@@ -163,11 +164,11 @@ class PauliSolver:
         psi_hat = self._kinetic(g.fft(psi), tau)
         psi = g.ifft(psi_hat)
         table = derivative_table(g, psi_hat, half=False)
-        pots = self.potentials(psi, grad_a=table, with_B=False)
+        pots = self.potentials(psi, grad_a=table)
         bound = self.dt_bound(psi, pots)
         if dt > bound * (1.0 + 1e-9):
             raise StabilityViolation(f"dt={dt:g} exceeds stability bound {bound:g}")
-        pots, divA = self._magnetic(pots)
+        B, divA = self._magnetic(pots.A)
         if divA is not None:
             # the current (hence A) is sensitive to both transport and the
             # multiply phase at O(dt), so the predictor applies half of each;
@@ -177,14 +178,14 @@ class PauliSolver:
             table = None
             predicted = self._transport(psi, tau, pots, divA, psi_hat, first_hat)
             first_hat = None
-            predicted = self._multiply(predicted, tau, pots)
+            predicted = self._multiply(predicted, tau, pots, B)
             # of the predictor's fields only A, the guess, is held across
             # the midpoint solve
-            guess, pots, divA = pots.A, None, None
-            pots, divA = self._magnetic(
-                self.potentials(predicted, guess=guess, with_B=False))
+            guess, pots, B, divA = pots.A, None, None, None
+            pots = self.potentials(predicted, guess=guess)
+            B, divA = self._magnetic(pots.A)
         psi = self._transport(psi, tau, pots, divA, psi_hat)
-        psi = self._multiply(psi, dt, pots)
+        psi = self._multiply(psi, dt, pots, B)
         psi_hat = self._transport(psi, tau, pots, divA, spectral=True)
         return g.ifft(self._kinetic(psi_hat, tau, dealias=True))
 
@@ -206,11 +207,12 @@ class PauliSolver:
             tail_fraction=spectral_tail_fraction(g, spec),
         )
 
-    def run(self, psi0, tail_warn=0.10) -> Run:
+    def run(self, psi0) -> Run:
         """
         The shared run loop.  A crossed stability bound or an elliptic breakdown
         ends the run as a blow-up with the samples taken so far; a completed
-        run whose spectral tail passed ``tail_warn`` carries that as its stop reason.
+        run whose spectral tail passed ``thresholds.tail`` carries that as its
+        stop reason.
         """
 
         def advance(psi, dt, pots):
@@ -222,7 +224,7 @@ class PauliSolver:
         run = run_loop(self, np.asarray(psi0, dtype=complex), advance,
                        tolerate=lambda: True)
         if run.status == "completed" and any(
-            r.tail_fraction > tail_warn for r in run.records[1:]
+            r.tail_fraction > self.thresholds.tail for r in run.records[1:]
         ):
             run.stop_reason = "spectral tail warning"
         return run

@@ -25,24 +25,14 @@ from .pauli import spin_density
 @dataclass
 class Potentials:
     """
-    Scalar potential, vector potential and the cached magnetic field; ``B``
-    is None where the caller takes ``curl A`` itself (the WKB solver from
-    its derivative table, the spinor step with ``div A``).
+    The scalar potential ``V`` and the vector potential ``A`` of a state.
+    ``B = curl A`` enters only the Stern-Gerlach term, and each solver takes
+    it there: the WKB solver from its Jacobian table of ``A``, the spinor
+    step with ``div A`` from one transform of ``A``.
     """
 
     V: np.ndarray
     A: np.ndarray
-    B: Optional[np.ndarray]
-
-
-@dataclass
-class SourceTerms:
-    """Density and the current pieces entering the vector Poisson source."""
-
-    rho: np.ndarray
-    w: np.ndarray
-    v: np.ndarray
-    J: np.ndarray
 
 
 @dataclass
@@ -168,7 +158,7 @@ def current_epsilon_part(grid: Grid, a, epsilon, grad_a=None):
 
 
 def self_consistent_potentials(grid: Grid, params: SimParams, a, epsilon, u=None,
-                               guess=None, grad_a=None, with_B=True):
+                               guess=None, grad_a=None):
     """
     V from the neutralized Poisson solve; A from the screened problem
     ``(-Delta + rho) A = eps (Im(conj(a) grad a) - curl(conj(a) sigma a)) + rho u``,
@@ -179,16 +169,16 @@ def self_consistent_potentials(grid: Grid, params: SimParams, a, epsilon, u=None
     ``guess``, when given, is the starting iterate of the screened solve
     (a nearby state's A); it changes the work done, not the tolerance met.
     ``grad_a``, the derivative table of ``a``, spares the current its own
-    transforms; ``with_B=False`` leaves ``B = curl A`` to the caller.
+    transforms.
     """
     zero_s = np.zeros(grid.shape)
     zero_v = np.zeros((3,) + grid.shape)
     if not params.coupling:
-        return Potentials(V=zero_s, A=zero_v, B=zero_v)
+        return Potentials(V=zero_s, A=zero_v)
     rho = charge_density(a)
     V = solve_poisson_neutral(grid, rho)
     if not params.magnetic:
-        return Potentials(V=V, A=zero_v, B=zero_v)
+        return Potentials(V=V, A=zero_v)
     if u is None:
         rhs = current_epsilon_part(grid, a, epsilon, grad_a)
     else:
@@ -203,16 +193,7 @@ def self_consistent_potentials(grid: Grid, params: SimParams, a, epsilon, u=None
         max_iters=params.screened_max_iters,
         guess=guess,
     )
-    return Potentials(V=V, A=A, B=curl(grid, A) if with_B else None)
-
-
-def source_terms(grid: Grid, state: HydroState) -> SourceTerms:
-    rho = charge_density(state.a)
-    w = phase_current(grid, state.a)
-    v = spin_curl(grid, state.a)
-    pots_free = np.zeros((3,) + grid.shape)
-    J = wkb_current(grid, state.a, state.u, pots_free, state.epsilon)
-    return SourceTerms(rho=rho, w=w, v=v, J=J)
+    return Potentials(V=V, A=A)
 
 
 def reconstruct_spinor(grid: Grid, state: HydroState):
@@ -330,11 +311,12 @@ def run_loop(solver, state, advance, every_step=False, watch=None,
     steps and at the end.
 
     ``solver`` supplies ``params``, ``potentials(state, guess=None)``,
-    ``dt_bound(state, pots)``, ``_dealias(state)`` and
+    ``dt_bound(state, pots)`` (for the default dt), ``_dealias(state)`` and
     ``_record(t, state, pots, previous)``.  ``advance(state, dt, pots)``
-    takes one step; ``pots`` are the potentials of ``state`` when
-    ``every_step`` is set, and of the last sample otherwise.  Every-step
-    solves start from an extrapolated A, sample solves from zero.
+    takes one step, which checks dt against its own bound; ``pots`` are the
+    potentials of ``state`` when ``every_step`` is set, and of the last
+    sample otherwise.  Every-step solves start from an extrapolated A,
+    sample solves from zero.
     ``watch(records)`` judges each new sample.  ``advance`` and ``watch``
     end the run as a blow-up by raising :class:`RunStopped`; a non-finite
     state does the same.  A ``NonConvergence`` ends the run when

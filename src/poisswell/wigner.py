@@ -25,7 +25,6 @@ import numpy as np
 from .errors import WignerNotReal
 from .grid import Grid, k3
 from .operators import deriv, l2_norm
-from .states import charge_density, pauli_current
 
 CONVENTION = "exp(-i xi.y/eps), marginal-normalized"
 
@@ -113,19 +112,6 @@ def wigner_slice(grid: Grid, psi, epsilon, base_indices: Sequence) -> WignerSlic
             )
         values[p] = np.fft.fftshift(fhat.real)
     return WignerSlice(base_indices=base, xi=xi, values=values, epsilon=epsilon)
-
-
-def wigner_moments(grid: Grid, psi, epsilon, A=None):
-    """
-    The closed-form moments: density rho = |psi|^2 and the full current
-    from the defining formula (the xi-quadrature of a slice reproduces the
-    density marginal; tests cross-validate the two routes).
-    """
-    rho = charge_density(psi)
-    if A is None:
-        A = np.zeros((3,) + grid.shape)
-    J = pauli_current(grid, psi, A, epsilon)
-    return rho, J
 
 
 def monokinetic_defect(grid: Grid, psi, u, epsilon):

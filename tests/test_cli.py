@@ -83,6 +83,22 @@ family = gaussian-bump
 amplitude = 0.3
 """
 
+PAULI_BUMP = """
+[run]
+kind = pauli
+
+[grid]
+points = [64]
+
+[params]
+epsilon = 0.1
+T = 0.05
+
+[initial]
+family = gaussian-bump
+amplitude = 0.2
+"""
+
 SPINOR_VS_WKB = """
 [run]
 kind = spinor-vs-wkb
@@ -198,6 +214,20 @@ class TestRunCommand:
         assert main(["run", str(cfg), "--out", str(out)]) == EXIT_OK
         summary = json.loads((out / "report.json").read_text())["summary"]
         assert summary["warnings"] == ["energy sample warned"]
+
+    def test_pauli_tail_threshold(self, tmp_path):
+        # [thresholds] tail applies to spinor runs: the spectral tail of this
+        # run is tiny but not zero, so it passes a zero threshold only
+        cfg = write_cfg(tmp_path, PAULI_BUMP)
+        out = tmp_path / "default"
+        assert main(["run", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert json.loads((out / "report.json").read_text())["summary"]["stop_reason"] == ""
+        cfg = write_cfg(tmp_path, PAULI_BUMP + "\n[thresholds]\ntail = 0.0\n")
+        out = tmp_path / "zero"
+        assert main(["run", str(cfg), "--out", str(out)]) == EXIT_OK
+        summary = json.loads((out / "report.json").read_text())["summary"]
+        assert summary["status"] == "completed"
+        assert summary["stop_reason"] == "spectral tail warning"
 
     def test_spinor_vs_wkb_warnings_in_report(self, tmp_path, monkeypatch):
         # a comparison lists the warnings of its WKB run (s = 3 is below the

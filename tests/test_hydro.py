@@ -11,9 +11,7 @@ from poisswell.hydro import (
     HydroSolver,
     continuity_form_residual,
     euler_fields_form,
-    euler_rhs,
     run_hydro,
-    wkb_rhs,
 )
 from poisswell.initial_data import compressive, gaussian_bump, plane_wave, uniform
 from poisswell.operators import curl, divergence, gradient, l2_norm
@@ -102,7 +100,7 @@ class TestRhs:
         st.a = np.abs(st.a.real).astype(complex)
         solver = HydroSolver(g, SimParams(epsilon=0.0, magnetic=False))
         pots = solver.potentials(st)
-        da, du = euler_rhs(g, st, pots)
+        da, du, _ = solver.rhs(st, pots)
         from poisswell.operators import advect
 
         expected = -advect(g, st.u, st.u) - gradient(g, pots.V)
@@ -131,25 +129,8 @@ class TestRhs:
         assert np.array_equal(g.ifft(da_hat), da)
         assert np.array_equal(du, du2) and np.array_equal(dS, dS2)
 
-    def test_module_level_wrappers(self, rng):
-        g = Grid((32,))
-        st = random_state(g, rng)
-        solver = HydroSolver(g, SimParams(epsilon=st.epsilon))
-        pots = solver.potentials(st)
-        da, du, dS = wkb_rhs(g, st, pots)
-        da2, du2, dS2 = solver.rhs(st, pots)
-        assert np.array_equal(da, da2) and np.array_equal(du, du2)
-
 
 class TestStep:
-    def test_zero_rhs_identity(self):
-        g = Grid((32,))
-        solver = HydroSolver(g, SimParams(epsilon=0.1))
-        st = uniform(g)
-        out = solver.step_rk4(st, 0.01, rhs_fn=lambda s: (0.0 * s.a, 0.0 * s.u, 0.0 * s.S))
-        assert np.max(np.abs(out.a - st.a)) < 1e-14
-        assert np.max(np.abs(out.u - st.u)) < 1e-14
-
     def test_uniform_state_unchanged(self):
         g = Grid((32,))
         solver = HydroSolver(g, SimParams(epsilon=0.1))
@@ -158,26 +139,27 @@ class TestStep:
         assert np.max(np.abs(out.a - st.a)) < 1e-14
 
     def test_linear_advection_order_four(self):
-        # harness: d_t a + c d_x a = 0 via a custom rhs; dt-halving study
+        # d_t a + c d_x a = 0 through the real right-hand side: no coupling,
+        # eps = 0 and the constant velocity u = u_mean = (c, 0, 0), which the
+        # step keeps; dt-halving study
         g = Grid((64,))
         c = 1.0
         x = g.coordinates()[0].ravel()
-        solver = HydroSolver(g, SimParams(epsilon=0.0))
-
-        def rhs(s):
-            from poisswell.operators import deriv
-
-            return (-c * deriv(g, s.a, 0), 0.0 * s.u, 0.0 * s.S)
+        solver = HydroSolver(g, SimParams(epsilon=0.0, coupling=False))
 
         def advance(dt, n):
+            u = np.zeros((3,) + g.shape)
+            u[0] = c
             st = HydroState(
                 a=np.exp(np.sin(x))[None, :] * np.ones((2, 1)) + 0j,
-                u=np.zeros((3,) + g.shape),
+                u=u,
                 S=np.zeros(g.shape),
+                u_mean=np.array([c, 0.0, 0.0]),
                 epsilon=0.0,
             )
             for _ in range(n):
-                st = solver.step_rk4(st, dt, rhs_fn=rhs, enforce_gradient=False, check_cfl=False)
+                st = solver.step_rk4(st, dt)
+            assert np.array_equal(st.u, u)
             return st.a
 
         T = 0.5
@@ -193,8 +175,21 @@ class TestStep:
         g = Grid((64,))
         solver = HydroSolver(g, SimParams(epsilon=0.5))
         st = gaussian_bump(g, epsilon=0.5)
+        # the bound is dx / ||u - A||_inf = 1.88 (0.98 if A were 0)
         with pytest.raises(StabilityViolation):
-            solver.step_rk4(st, 1.0)
+            solver.step_rk4(st, 4.0)
+
+    def test_bound_of_the_given_potentials(self):
+        # u = 0, so only A sets the bound: dt is checked against the bound of
+        # the potentials the step is handed, not against one with A = 0
+        g = Grid((64,))
+        solver = HydroSolver(g, SimParams(epsilon=0.2))
+        st = gaussian_bump(g, epsilon=0.2, amplitude=0.3, phase_amplitude=0.0)
+        pots = solver.potentials(st)
+        bound = solver.dt_bound(st, pots)
+        assert np.max(np.abs(st.u)) == 0.0 and np.isfinite(bound)
+        with pytest.raises(StabilityViolation, match=r"dt=.* exceeds bound .* at t=0"):
+            solver.step_rk4(st, 5.0 * bound, pots)
 
     def test_dt_above_old_dispersive_bound_accepted(self):
         # the old bound dx / (||u||_inf + eps k_max / 2) no longer applies
@@ -202,13 +197,14 @@ class TestStep:
         eps = 0.5
         solver = HydroSolver(g, SimParams(epsilon=eps))
         st = gaussian_bump(g, epsilon=eps)
+        pots = solver.potentials(st)
         dx = g.spacings[0]
-        u_inf = float(np.max(np.abs(st.u)))
-        old_bound = dx / (u_inf + 0.5 * eps * float(np.max(np.abs(k3(g)[0]))))
-        assert solver.dt_bound(st) == dx / u_inf
-        dt = 0.5 * solver.dt_bound(st)
+        rel_inf = float(np.max(np.abs(st.u - pots.A)))
+        old_bound = dx / (rel_inf + 0.5 * eps * float(np.max(np.abs(k3(g)[0]))))
+        assert solver.dt_bound(st, pots) == dx / rel_inf
+        dt = 0.5 * solver.dt_bound(st, pots)
         assert dt > 10.0 * old_bound
-        out = solver.step_rk4(st, dt)
+        out = solver.step_rk4(st, dt, pots)
         assert np.all(np.isfinite(out.a)) and np.all(np.isfinite(out.u))
 
 
@@ -238,7 +234,7 @@ class TestIntegratingFactor:
         a = rng.standard_normal((2, 32)) + 1j * rng.standard_normal((2, 32))
         solver = HydroSolver(g, SimParams(epsilon=eps, coupling=False))
         st = HydroState(a=a, u=np.zeros((3, 32)), S=np.zeros(32), epsilon=eps)
-        out = solver.step_rk4(st, 0.01, check_cfl=False)
+        out = solver.step_rk4(st, 0.01)
         assert np.max(np.abs(g.fft(out.a)[:, ~dealias_mask(g)])) < 1e-13
 
     def test_coupled_order_four(self):
@@ -297,7 +293,7 @@ class TestTransformCounts:
         solver = HydroSolver(g, SimParams(epsilon=0.2, coupling=False))
         st = solver._dealias(gaussian_bump(g, epsilon=0.2))
         transform_count.clear()
-        solver.step_rk4(st, 0.01, check_cfl=False)
+        solver.step_rk4(st, 0.01)
         assert sum(transform_count.values()) == 53
 
     def test_coupled_step_transform_budget(self, transform_count):
@@ -310,7 +306,7 @@ class TestTransformCounts:
         st = solver._dealias(gaussian_bump(g, amplitude=0.2, width=1.2, epsilon=0.2))
         pots, dt = solver.potentials(st), solver.default_dt(st)
         transform_count.clear()
-        new = solver.step_rk4(st, dt, check_cfl=False, pots=pots)
+        new = solver.step_rk4(st, dt, pots)
         solver.potentials(new, guess=pots.A)
         assert sum(transform_count.components.values()) <= 440
 

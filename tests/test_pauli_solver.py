@@ -4,7 +4,7 @@ import pytest
 from poisswell.errors import StabilityViolation
 from poisswell.grid import Grid
 from poisswell.initial_data import gaussian_bump
-from poisswell.operators import l2_norm
+from poisswell.operators import curl, l2_norm
 from poisswell.pauli_solver import PauliSolver, run_pauli
 from poisswell.states import Potentials, SimParams, charge_density, reconstruct_spinor
 
@@ -27,7 +27,7 @@ class TestPotentials:
         pots = solver.potentials(psi)
         assert np.max(np.abs(pots.V)) < 1e-13
         assert np.max(np.abs(pots.A)) < 1e-13
-        assert np.max(np.abs(pots.B)) < 1e-13
+        assert np.max(np.abs(curl(g, pots.A))) < 1e-13
 
     def test_plane_wave_constant_mode_algebra(self):
         # rho = 1, kinetic current = (1,0,0): (-Delta + 1) A = e1 => A = e1
@@ -37,7 +37,7 @@ class TestPotentials:
         psi = plane_wave_psi(g, round(1 / eps))
         pots = solver.potentials(psi)
         assert np.max(np.abs(pots.A[0] - 1.0)) < 1e-10
-        assert np.max(np.abs(pots.B)) < 1e-10
+        assert np.max(np.abs(curl(g, pots.A))) < 1e-10
 
     def test_dense_oracle_for_screened_coupling(self):
         # same dense-matrix oracle as the elliptic tests, via the solver path
@@ -54,10 +54,37 @@ class TestPotentials:
         res = apply_screened(g, pots.A, rho)
         from poisswell.states import kinetic_current
         from poisswell.pauli import spin_density
-        from poisswell.operators import curl
 
         rhs = eps * (kinetic_current(g, psi) - curl(g, spin_density(psi)))
         assert l2_norm(g, res - rhs) <= 1e-8 * max(1e-30, l2_norm(g, rhs))
+
+
+    def test_potentials_make_no_transform_after_the_solve(self, transform_count,
+                                                          monkeypatch):
+        # the potentials are V and A alone: once the screened solve returns A,
+        # no transform follows (a cached B = curl A took one more rfft and
+        # irfft, of 3 components each)
+        from collections import Counter
+
+        from poisswell import states
+
+        g = Grid((16, 16))
+        solver = PauliSolver(g, SimParams(epsilon=0.2))
+        psi = reconstruct_spinor(g, gaussian_bump(g, epsilon=0.2, phase_amplitude=0.2,
+                                                  spin_angle=0.6))
+        solve = states.solve_screened_vector
+        at_return = []
+
+        def solve_and_count(*args, **kwargs):
+            A = solve(*args, **kwargs)
+            at_return.append((Counter(transform_count), Counter(transform_count.components)))
+            return A
+
+        monkeypatch.setattr(states, "solve_screened_vector", solve_and_count)
+        transform_count.clear()
+        pots = solver.potentials(psi)
+        assert np.any(pots.A)
+        assert at_return == [(Counter(transform_count), Counter(transform_count.components))]
 
 
 class TestStep:
@@ -96,7 +123,7 @@ class TestStep:
         psi[0] = np.sqrt(1.0 + 0.2 * np.cos(x))
         psi[1] = 0.1 * np.exp(1j * x)
         pots = solver.potentials(psi)
-        out = solver._multiply(psi, 0.01, pots)
+        out = solver._multiply(psi, 0.01, pots, curl(g, pots.A))
         assert abs(l2_norm(g, out) - l2_norm(g, psi)) < 1e-13
 
     def test_transport_is_the_physical_midpoint_rule(self, rng):
@@ -109,7 +136,7 @@ class TestStep:
         solver = PauliSolver(g, SimParams(epsilon=0.3))
         psi = random_band_limited(g, rng, components=2, complex_=True, kmax=3)
         A = random_band_limited(g, rng, components=3, kmax=3, amplitude=0.5)
-        pots = Potentials(V=np.zeros(g.shape), A=A, B=np.zeros_like(A))
+        pots = Potentials(V=np.zeros(g.shape), A=A)
         divA = divergence(g, A)
 
         def rhs(f):
@@ -125,7 +152,7 @@ class TestStep:
         # the reference takes every substep from physical-space operators
         # and transforms psi afresh for each
         from poisswell.grid import dealias_mask, k2
-        from poisswell.operators import advect, curl, dealias, divergence
+        from poisswell.operators import advect, dealias, divergence
 
         g = Grid(shape)
         eps = 0.3
@@ -150,10 +177,10 @@ class TestStep:
         psi = kinetic(psi0)
         pots = solver.potentials(psi)
         assert np.any(pots.A)
-        predicted = solver._multiply(transport(psi, pots), tau, pots)
+        predicted = solver._multiply(transport(psi, pots), tau, pots, curl(g, pots.A))
         pots = solver.potentials(predicted, guess=pots.A)
-        assert np.array_equal(pots.B, curl(g, pots.A))
-        psi = transport(solver._multiply(transport(psi, pots), dt, pots), pots)
+        B = curl(g, pots.A)
+        psi = transport(solver._multiply(transport(psi, pots), dt, pots, B), pots)
         expected = kinetic(psi, dealias_mask(g))
         got = solver.step(psi0, dt)
         assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))

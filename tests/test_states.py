@@ -254,19 +254,20 @@ def test_normalize_charge(rng):
     assert l2_norm(g, scaled) == pytest.approx(1.0, abs=1e-10)
 
 
-def test_source_terms_bundle(rng):
-    from poisswell.states import source_terms
-
+def test_source_term_pieces(rng):
     g = Grid((64,))
     a = 1.0 + random_band_limited(g, rng, components=2, complex_=True, amplitude=0.3)
     S = random_band_limited(g, rng, amplitude=0.2)
     st = HydroState(a=a, u=gradient(g, S), S=S, epsilon=0.2)
-    src = source_terms(g, st)
-    assert src.rho.min() >= 0.0
-    assert np.isrealobj(src.w) and np.isrealobj(src.v) and np.isrealobj(src.J)
+    rho = charge_density(st.a)
+    w = phase_current(g, st.a)
+    v = spin_curl(g, st.a)
+    J = wkb_current(g, st.a, st.u, np.zeros((3,) + g.shape), st.epsilon)
+    assert rho.min() >= 0.0
+    assert np.isrealobj(w) and np.isrealobj(v) and np.isrealobj(J)
     # J with A = 0 decomposes into transport plus the eps-order piece
-    expected = src.rho * st.u + current_epsilon_part(g, st.a, st.epsilon)
-    assert np.max(np.abs(src.J - expected)) < 1e-12
+    expected = rho * st.u + current_epsilon_part(g, st.a, st.epsilon)
+    assert np.max(np.abs(J - expected)) < 1e-12
 
 
 class GuessLog:
@@ -282,7 +283,7 @@ class GuessLog:
         from poisswell.states import Potentials
 
         self.guesses.append(None if guess is None else float(guess[0]))
-        return Potentials(V=np.zeros(1), A=np.full(1, float(len(self.guesses))), B=None)
+        return Potentials(V=np.zeros(1), A=np.full(1, float(len(self.guesses))))
 
     def dt_bound(self, state, pots):
         return np.inf

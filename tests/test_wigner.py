@@ -4,12 +4,11 @@ import pytest
 from poisswell.errors import PoisswellError, WignerNotReal
 from poisswell.grid import Grid
 from poisswell.operators import gradient, l2_norm
-from poisswell.states import HydroState, charge_density, reconstruct_spinor
+from poisswell.states import HydroState, charge_density, pauli_current, reconstruct_spinor
 from poisswell.wigner import (
     concentration_fraction,
     export_slice_csv,
     monokinetic_defect,
-    wigner_moments,
     wigner_slice,
 )
 
@@ -95,7 +94,7 @@ class TestMoments:
         g = Grid((64,))
         eps, k = 0.25, 4
         psi = plane_wave(g, k)
-        rho, J = wigner_moments(g, psi, eps)
+        rho, J = charge_density(psi), pauli_current(g, psi, np.zeros((3,) + g.shape), eps)
         assert np.max(np.abs(rho - 1.0)) < 1e-12
         assert np.max(np.abs(J[0] - eps * k)) < 1e-10
         slc = wigner_slice(g, psi, eps, [(7,)])
@@ -104,7 +103,7 @@ class TestMoments:
     def test_zero_state_zero_moments(self):
         g = Grid((32,))
         psi = np.zeros((2,) + g.shape, dtype=complex)
-        rho, J = wigner_moments(g, psi, 0.1)
+        rho, J = charge_density(psi), pauli_current(g, psi, np.zeros((3,) + g.shape), 0.1)
         assert np.max(np.abs(rho)) == 0.0
         assert np.max(np.abs(J)) == 0.0
 
