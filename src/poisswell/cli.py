@@ -33,7 +33,7 @@ from .harness import (
     monokinetic_study,
     spinor_vs_wkb,
 )
-from .hydro import run_hydro
+from .hydro import HydroSolver
 from .io import Manifest, records_to_csv, write_field, write_jsonl, write_json
 from .pauli_solver import PauliSolver
 from .states import reconstruct_spinor
@@ -90,7 +90,7 @@ def _run_single(cfg: RunConfig, out: Path, manifest: Manifest):
         eps = 0.0 if cfg.kind == "euler" else cfg.epsilon
         params = cfg.sim_params(epsilon=eps)
         init = cfg.build_initial(grid, epsilon=eps)
-        run = run_hydro(grid, init, params, thresholds)
+        run = HydroSolver(grid, params, thresholds).run(init)
         docs = _dump_records(manifest, run.records, "diagnostics")
         _write_snapshots(manifest, run.times, [s.a for s in run.states], "amplitude")
         from .diagnostics import envelope_check
@@ -182,7 +182,8 @@ def _run_spinor_vs_wkb(cfg: RunConfig, out: Path, manifest: Manifest):
         manifest.path("report.json", "report"),
         {"config": config_as_dict(cfg), "comparison": rep.as_dict()},
     )
-    return EXIT_OK, {"max_distance": max(rep.distances)}
+    blowup = any(status == "blowup" for status, _ in rep.stops.values())
+    return EXIT_BLOWUP if blowup else EXIT_OK, {"max_distance": max(rep.distances)}
 
 
 def run_command(cfg: RunConfig, out_override=None):

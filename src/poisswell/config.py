@@ -36,7 +36,7 @@ _PARAMS_KEYS = (
 # The keys each section accepts.  [initial] holds the family and its
 # options, which RunConfig.validate checks against _FAMILY_OPTION_KEYS.
 _SECTION_KEYS = {
-    "run": {"kind", "threads", "out_dir"},
+    "run": {"kind", "threads"},
     "grid": {"points", "lengths"},
     "params": set(_PARAMS_KEYS),
     "initial": None,
@@ -249,8 +249,6 @@ def parse_config(text: str) -> RunConfig:
     for k in ("kind", "threads"):
         if k in run:
             setattr(cfg, k, run[k])
-    if "out_dir" in run:
-        cfg.out_dir = run["out_dir"]
     g = sections.get("grid", {})
     if "points" in g:
         pts = g["points"]

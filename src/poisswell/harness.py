@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -16,7 +16,7 @@ import numpy as np
 from .diagnostics import MonitorThresholds
 from .errors import PoisswellError
 from .grid import Grid
-from .hydro import HydroSolver, run_hydro
+from .hydro import HydroSolver
 from .operators import l2_norm, sobolev_norm
 from .pauli_solver import PauliSolver
 from .states import (
@@ -43,22 +43,6 @@ def fit_loglog_slope(xs, ys):
     lx = np.log([p[0] for p in pairs])
     ly = np.log([p[1] for p in pairs])
     return float(np.polyfit(lx, ly, 1)[0])
-
-
-def aligned_params(base: SimParams, grid: Grid, state: HydroState, solver,
-                   n_samples: int) -> SimParams:
-    """
-    Choose dt so snapshots land exactly on the shared sample times
-    T k / n_samples: dt divides the sample interval.
-    """
-    from dataclasses import replace
-
-    if base.T == 0:
-        return base
-    sample_dt = base.T / n_samples
-    dt_raw = base.dt if base.dt is not None else solver.default_dt(state)
-    per = max(1, int(np.ceil(sample_dt / dt_raw - 1e-12)))
-    return replace(base, dt=sample_dt / per, sample_every=per)
 
 
 @dataclass
@@ -168,13 +152,13 @@ def epsilon_ladder(
     """
     Run the WKB system at each epsilon and at epsilon = 0 from the same
     (epsilon-independent) data; errors are measured in the X^{s-2} family
-    of norms, sup over the shared sample times.
+    of norms, sup over the shared sample times.  Each run places its
+    ``n_samples`` samples at ``T k / n_samples`` itself, from its own dt
+    (:func:`~poisswell.states.run_loop`).
 
     Returns (LadderReport, LadderRuns).  A rung that blows up is reported
     and excluded from slope fits; the ladder itself continues.
     """
-    from dataclasses import replace
-
     epsilons = [float(e) for e in epsilons]
     if any(b >= a for a, b in zip(epsilons, epsilons[1:])):
         raise PoisswellError("epsilon list must be strictly decreasing")
@@ -182,7 +166,7 @@ def epsilon_ladder(
     runs_made = []
     if preflight and params.T > 0:
         pf_params = replace(params, epsilon=0.0, T=1.5 * params.T, dt=None)
-        pf = run_hydro(grid, initial, pf_params, thresholds)
+        pf = HydroSolver(grid, pf_params, thresholds).run(initial)
         runs_made.append(pf)
         if pf.status != "completed":
             raise PoisswellError(
@@ -190,17 +174,14 @@ def epsilon_ladder(
                 f"({pf.stop_reason}); lower T below the caustic time"
             )
 
-    euler_params = aligned_params(
-        replace(params, epsilon=0.0), grid, initial,
-        HydroSolver(grid, replace(params, epsilon=0.0)), n_samples,
+    euler = HydroSolver(grid, replace(params, epsilon=0.0), thresholds).run(
+        initial, n_samples
     )
-    euler = run_hydro(grid, initial, euler_params, thresholds)
 
     def run_rung(eps):
         start = time.perf_counter()
-        p_eps = replace(params, epsilon=eps)
-        p_eps = aligned_params(p_eps, grid, initial, HydroSolver(grid, p_eps), n_samples)
-        run = run_hydro(grid, initial, p_eps, thresholds)
+        solver = HydroSolver(grid, replace(params, epsilon=eps), thresholds)
+        run = solver.run(initial, n_samples)
         rung = LadderRung(
             epsilon=eps,
             status=run.status,
@@ -284,6 +265,7 @@ class ComparisonReport:
     dt_hydro: float
     dt_spinor: float
     warnings: List[str] = field(default_factory=list)  # of both runs
+    stops: Dict[str, tuple] = field(default_factory=dict)  # run: (status, stop reason)
 
     def as_dict(self):
         doc = {
@@ -293,7 +275,11 @@ class ComparisonReport:
             "dt_hydro": self.dt_hydro,
             "dt_spinor": self.dt_spinor,
         }
-        if self.warnings:  # absent when empty: a warning-free report reads as before
+        # absent for a clean run and without warnings: such a report reads as before
+        for name, (status, reason) in self.stops.items():
+            if status != "completed" or reason:
+                doc[f"{name}_status"], doc[f"{name}_stop_reason"] = status, reason
+        if self.warnings:
             doc["warnings"] = self.warnings
         return doc
 
@@ -320,21 +306,15 @@ def spinor_vs_wkb(
     """
     Feed the same WKB data to both solvers and track the distance between
     the spinor solution and the reconstructed hydro solution at the shared
-    sample times, minimized over the free global phase.
+    sample times ``T k / n_samples``, which each run places from its own dt,
+    minimized over the free global phase.  The distances stop at the
+    shorter run; the report keeps each run's status and stop reason.
     """
-    from dataclasses import replace
-
     if params.epsilon <= 0:
         raise PoisswellError("the comparison needs eps > 0")
-    hydro_params = aligned_params(
-        params, grid, initial, HydroSolver(grid, params), n_samples
-    )
-    hrun = run_hydro(grid, initial, hydro_params, thresholds)
-
-    psolver = PauliSolver(grid, params)
+    hrun = HydroSolver(grid, params, thresholds).run(initial, n_samples)
     psi0 = reconstruct_spinor(grid, initial)
-    sp_params = aligned_params(params, grid, psi0, psolver, n_samples)
-    prun = PauliSolver(grid, sp_params, thresholds).run(psi0)
+    prun = PauliSolver(grid, params, thresholds).run(psi0, n_samples)
 
     n = min(len(hrun.times), len(prun.times))
     times, distances = [], []
@@ -349,6 +329,8 @@ def spinor_vs_wkb(
         dt_hydro=hrun.dt,
         dt_spinor=prun.dt,
         warnings=distinct_warnings([hrun, prun]),
+        stops={"hydro": (hrun.status, hrun.stop_reason),
+               "spinor": (prun.status, prun.stop_reason)},
     )
 
 
@@ -394,8 +376,6 @@ def monokinetic_study(
     single-peak concentration at the transport-consistent momentum
     (the field-form velocity shifted back by A, i.e. the phase gradient).
     """
-    from dataclasses import replace
-
     grid = ladder.grid
     params = ladder.params
     epsilons = sorted(ladder.hydro.keys(), reverse=True)
@@ -407,10 +387,7 @@ def monokinetic_study(
         init = ladder.initial.copy()
         init.epsilon = eps
         psi0 = reconstruct_spinor(grid, init)
-        p_eps = replace(params, epsilon=eps)
-        solver = PauliSolver(grid, p_eps)
-        sp = aligned_params(p_eps, grid, psi0, solver, ladder.n_samples)
-        run = PauliSolver(grid, sp).run(psi0)
+        run = PauliSolver(grid, replace(params, epsilon=eps)).run(psi0, ladder.n_samples)
         spinor_runs[eps] = run
         if run.status == "completed":
             defects.append(monokinetic_defect(grid, run.states[-1], u_final, eps))

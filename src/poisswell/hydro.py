@@ -53,7 +53,6 @@ from .states import (
     RunStopped,
     SimParams,
     charge_density,
-    default_dt,
     run_loop,
     self_consistent_potentials,
     wkb_current,
@@ -296,17 +295,13 @@ class HydroSolver:
             tail_fraction=fn.tail_fraction,
         )
 
-    def default_dt(self, state: HydroState):
-        if state.epsilon != self.params.epsilon:
-            state = state.copy()
-            state.epsilon = self.params.epsilon
-        return default_dt(self, state)
-
-    def run(self, init: HydroState) -> Run:
+    def run(self, init: HydroState, n_samples=None) -> Run:
         """
         The shared run loop with the WKB policy: a crossed dt bound or an
         elliptic breakdown after a monitor warning ends the run as a
         blow-up (before a warning they raise), and the monitor can stop it.
+        ``n_samples`` places the samples at ``T k / n_samples``
+        (:func:`~poisswell.states.run_loop`).
         """
         state = init.copy()
         state.epsilon = self.params.epsilon
@@ -328,7 +323,7 @@ class HydroSolver:
             warned = warned or verdict is MonitorStatus.WARNING
 
         run = run_loop(self, state, advance, every_step=True, watch=watch,
-                       tolerate=lambda: warned)
+                       tolerate=lambda: warned, n_samples=n_samples)
         self._fill_residuals(run)
         return run
 
@@ -351,11 +346,6 @@ class HydroSolver:
             records[i].gauge_residual = gauge_residual(
                 g, win_pot, states[i].epsilon
             )
-
-
-def run_hydro(grid: Grid, init: HydroState, params: SimParams,
-              thresholds: MonitorThresholds = MonitorThresholds()) -> Run:
-    return HydroSolver(grid, params, thresholds).run(init)
 
 
 def continuity_form_residual(grid: Grid, state: HydroState, pots: Potentials, da):

@@ -36,7 +36,6 @@ from .states import (
     Run,
     RunStopped,
     SimParams,
-    default_dt,
     run_loop,
     self_consistent_potentials,
 )
@@ -194,9 +193,6 @@ class PauliSolver:
 
     # -- full run --------------------------------------------------------------
 
-    def default_dt(self, psi0):
-        return default_dt(self, psi0)
-
     def _record(self, t, psi, pots, previous):
         g = self.grid
         spec = spectrum(g, psi)
@@ -207,12 +203,13 @@ class PauliSolver:
             tail_fraction=spectral_tail_fraction(g, spec),
         )
 
-    def run(self, psi0) -> Run:
+    def run(self, psi0, n_samples=None) -> Run:
         """
         The shared run loop.  A crossed stability bound or an elliptic breakdown
         ends the run as a blow-up with the samples taken so far; a completed
         run whose spectral tail passed ``thresholds.tail`` carries that as its
-        stop reason.
+        stop reason.  ``n_samples`` places the samples at ``T k / n_samples``
+        (:func:`~poisswell.states.run_loop`).
         """
 
         def advance(psi, dt, pots):
@@ -222,13 +219,9 @@ class PauliSolver:
                 raise RunStopped(str(exc)) from exc
 
         run = run_loop(self, np.asarray(psi0, dtype=complex), advance,
-                       tolerate=lambda: True)
+                       tolerate=lambda: True, n_samples=n_samples)
         if run.status == "completed" and any(
             r.tail_fraction > self.thresholds.tail for r in run.records[1:]
         ):
             run.stop_reason = "spectral tail warning"
         return run
-
-
-def run_pauli(grid: Grid, psi0, params: SimParams) -> Run:
-    return PauliSolver(grid, params).run(psi0)

@@ -8,8 +8,9 @@ loop with its ``Run`` record.
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
 import numpy as np
@@ -290,11 +291,12 @@ class RunStopped(Exception):
     """Raised inside :func:`run_loop` to end a run with status ``blowup``."""
 
 
-def default_dt(solver, state, pots=None):
-    """The safety fraction of the solver's dt bound, capped at T/16 and 1e-2."""
+def default_dt(solver, state, pots):
+    """
+    The safety fraction of the solver's dt bound at ``state`` with its
+    potentials ``pots``, capped at T/16 and 1e-2.
+    """
     p = solver.params
-    if pots is None:
-        pots = solver.potentials(state)
     cap = p.T / 16.0 if p.T > 0 else 1e-2
     return max(min(p.cfl_safety * solver.dt_bound(state, pots), cap, 1e-2), 1e-8)
 
@@ -305,10 +307,16 @@ def _finite(state):
 
 
 def run_loop(solver, state, advance, every_step=False, watch=None,
-             tolerate=lambda: False) -> Run:
+             tolerate=lambda: False, n_samples=None) -> Run:
     """
     Integrate ``state`` over [0, T] and sample it every ``sample_every``
     steps and at the end.
+
+    dt is ``params.dt`` or :func:`default_dt` of the dealiased initial
+    state and its potentials.  ``n_samples`` places the samples on the
+    shared times ``T k / n_samples``: dt shrinks to ``T / n_samples / per``
+    for the least ``per`` that does not raise it, samples are taken every
+    ``per`` steps, and ``Run.params`` records that dt and ``sample_every``.
 
     ``solver`` supplies ``params``, ``potentials(state, guess=None)``,
     ``dt_bound(state, pots)`` (for the default dt), ``_dealias(state)`` and
@@ -326,17 +334,24 @@ def run_loop(solver, state, advance, every_step=False, watch=None,
     """
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        run = _integrate(solver, state, advance, every_step, watch, tolerate)
+        run = _integrate(solver, state, advance, every_step, watch, tolerate,
+                         n_samples)
     run.warnings = list(dict.fromkeys(str(w.message) for w in caught))
     return run
 
 
-def _integrate(solver, state, advance, every_step, watch, tolerate) -> Run:
+def _integrate(solver, state, advance, every_step, watch, tolerate,
+               n_samples) -> Run:
     """The body of :func:`run_loop`."""
     p = solver.params
     state = solver._dealias(state)
     pots = solver.potentials(state)
     dt = p.dt if p.dt is not None else default_dt(solver, state, pots)
+    if n_samples is not None and p.T > 0:
+        sample_dt = p.T / n_samples
+        per = max(1, math.ceil(sample_dt / dt - 1e-12))
+        dt = sample_dt / per
+        p = replace(p, dt=dt, sample_every=per)
     n_steps = 0 if p.T == 0 else max(1, int(round(p.T / dt)))
     dt = p.T / n_steps if n_steps else dt
 

@@ -23,11 +23,11 @@ from poisswell.harness import (
     epsilon_ladder,
     monokinetic_study,
 )
-from poisswell.hydro import run_hydro
+from poisswell.hydro import HydroSolver
 from poisswell.initial_data import compressive, gaussian_bump, uniform
 from poisswell.operators import gradient, l2_norm, laplacian
 from poisswell.pauli import stern_gerlach_reality
-from poisswell.pauli_solver import run_pauli
+from poisswell.pauli_solver import PauliSolver
 from poisswell.states import (
     HydroState,
     SimParams,
@@ -95,11 +95,11 @@ def test_c01_elliptic_oracle(rng):
 def test_c02_charge_conservation():
     grid = Grid((128,))
     init = gaussian_bump(grid, epsilon=0.1)
-    hydro = run_hydro(grid, init, SimParams(epsilon=0.1, T=0.5, sample_every=8))
+    hydro = HydroSolver(grid, SimParams(epsilon=0.1, T=0.5, sample_every=8)).run(init)
     assert hydro.status == "completed"
     assert hydro.charge_drift <= 1e-6
     psi0 = reconstruct_spinor(grid, init)
-    spin = run_pauli(grid, psi0, SimParams(epsilon=0.1, T=0.5, sample_every=8))
+    spin = PauliSolver(grid, SimParams(epsilon=0.1, T=0.5, sample_every=8)).run(psi0)
     assert spin.status == "completed"
     assert spin.charge_drift <= 1e-6
     ok(2, f"hydro drift {hydro.charge_drift:.2e}, spinor drift {spin.charge_drift:.2e}")
@@ -110,7 +110,8 @@ def test_c03_continuity_order():
     init = gaussian_bump(grid, epsilon=0.1, amplitude=0.3)
 
     def hydro_residual(dt):
-        run = run_hydro(grid, init, SimParams(epsilon=0.1, dt=dt, T=0.12, sample_every=1))
+        params = SimParams(epsilon=0.1, dt=dt, T=0.12, sample_every=1)
+        run = HydroSolver(grid, params).run(init)
         return run.records[len(run.records) // 2].continuity_residual
 
     r_h = [hydro_residual(dt) for dt in (8e-3, 4e-3)]
@@ -120,7 +121,8 @@ def test_c03_continuity_order():
     psi0 = reconstruct_spinor(grid, init)
 
     def spinor_residual(dt):
-        run = run_pauli(grid, psi0, SimParams(epsilon=0.1, dt=dt, T=0.12, sample_every=1))
+        params = SimParams(epsilon=0.1, dt=dt, T=0.12, sample_every=1)
+        run = PauliSolver(grid, params).run(psi0)
         mid = len(run.times) // 2
         window = []
         for i in (mid - 1, mid, mid + 1):
@@ -174,7 +176,7 @@ def test_c06_free_particle_exactness():
     x = grid.coordinates()[0]
     psi0 = np.zeros((2,) + grid.shape, dtype=complex)
     psi0[0] = np.exp(1j * k * x) * np.ones(grid.shape)
-    run = run_pauli(grid, psi0, SimParams(epsilon=eps, dt=0.05, T=T, coupling=False))
+    run = PauliSolver(grid, SimParams(epsilon=eps, dt=0.05, T=T, coupling=False)).run(psi0)
     exact = np.exp(1j * (k * x - 0.5 * eps * k**2 * T)) * np.ones(grid.shape)
     err = float(np.max(np.abs(run.states[-1][0] - exact)))
     assert err <= 1e-12
@@ -186,7 +188,7 @@ def test_c07_energy_conservation_no_magnetic():
     init = gaussian_bump(grid, epsilon=0.25, amplitude=0.3)
     psi0 = reconstruct_spinor(grid, init)
     params = SimParams(epsilon=0.25, dt=5e-4, T=0.5, magnetic=False, sample_every=100)
-    run = run_pauli(grid, psi0, params)
+    run = PauliSolver(grid, params).run(psi0)
     energies = [r.energy for r in run.records]
     drift = max(abs(e - energies[0]) for e in energies) / abs(energies[0])
     assert drift <= 1e-4
@@ -252,7 +254,7 @@ def test_c11_envelope(ladder):
 def test_c12_blowup_monitor():
     grid = Grid((256,))
     params = SimParams(epsilon=0.0, T=2.0, sample_every=2)
-    run = run_hydro(grid, compressive(grid, beta=3.0), params)
+    run = HydroSolver(grid, params).run(compressive(grid, beta=3.0))
     assert run.status == "blowup"
     assert run.times[-1] < 2.0
     monitors = [r.monitor for r in run.records]
@@ -261,7 +263,7 @@ def test_c12_blowup_monitor():
     assert all(b > a for a, b in zip(last, last[1:])), "M(t) not monotone at the end"
 
     g64 = Grid((64,))
-    quiet = run_hydro(g64, uniform(g64), SimParams(epsilon=0.1, T=10.0, dt=0.05))
+    quiet = HydroSolver(g64, SimParams(epsilon=0.1, T=10.0, dt=0.05)).run(uniform(g64))
     assert quiet.status == "completed"
     th = MonitorThresholds()
     s0 = quiet.records[0].blowup_sum
@@ -313,11 +315,11 @@ def test_c14_three_dimensional_smoke():
     start = time.perf_counter()
     grid = Grid((32, 32, 32))
     init = gaussian_bump(grid, epsilon=0.2, amplitude=0.2, width=1.2)
-    hydro = run_hydro(grid, init, SimParams(epsilon=0.2, T=0.05, sample_every=4))
+    hydro = HydroSolver(grid, SimParams(epsilon=0.2, T=0.05, sample_every=4)).run(init)
     assert hydro.status == "completed"
     assert hydro.charge_drift <= 1e-5
     psi0 = reconstruct_spinor(grid, init)
-    spin = run_pauli(grid, psi0, SimParams(epsilon=0.2, T=0.05, sample_every=4))
+    spin = PauliSolver(grid, SimParams(epsilon=0.2, T=0.05, sample_every=4)).run(psi0)
     assert spin.status == "completed"
     assert spin.charge_drift <= 1e-5
     elapsed = time.perf_counter() - start

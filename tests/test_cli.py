@@ -116,6 +116,25 @@ family = gaussian-bump
 amplitude = 0.3
 """
 
+SPINOR_VS_WKB_DT_ABOVE_BOUND = """
+[run]
+kind = spinor-vs-wkb
+
+[grid]
+points = [32]
+
+[params]
+epsilon = 0.05
+T = 2.0
+dt = 1.0
+
+[initial]
+family = gaussian-bump
+amplitude = 0.5
+width = 0.8
+phase_amplitude = 0.0
+"""
+
 
 def write_cfg(tmp_path, text, name="run.cfg"):
     p = tmp_path / name
@@ -257,6 +276,34 @@ class TestRunCommand:
             "regularity s=3.0 below the 7/2 hypothesis",
             "energy sample warned",
         ]
+
+    def test_spinor_vs_wkb_blowup_exit_two(self, tmp_path):
+        # the samples' dt = T / 10 is about twice the spinor bound: the
+        # spinor run blows up at its first step, the WKB run completes, and
+        # the report says which run stopped and why
+        cfg = write_cfg(tmp_path, SPINOR_VS_WKB_DT_ABOVE_BOUND)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == EXIT_BLOWUP
+        comparison = json.loads((out / "report.json").read_text())["comparison"]
+        assert comparison["times"] == [0.0]
+        assert comparison["spinor_status"] == "blowup"
+        assert "exceeds stability bound" in comparison["spinor_stop_reason"]
+        assert "hydro_status" not in comparison and "hydro_stop_reason" not in comparison
+
+    def test_spinor_vs_wkb_stop_reasons(self, tmp_path):
+        # a completed run's stop reason is reported without failing the
+        # command; a clean comparison has no status keys
+        cfg = write_cfg(tmp_path, SPINOR_VS_WKB)
+        out = tmp_path / "clean"
+        assert main(["run", str(cfg), "--out", str(out)]) == EXIT_OK
+        comparison = json.loads((out / "report.json").read_text())["comparison"]
+        assert not any(k.endswith(("_status", "_stop_reason")) for k in comparison)
+        cfg = write_cfg(tmp_path, SPINOR_VS_WKB + "\n[thresholds]\ntail = 0.0\n")
+        out = tmp_path / "tail"
+        assert main(["run", str(cfg), "--out", str(out)]) == EXIT_OK
+        comparison = json.loads((out / "report.json").read_text())["comparison"]
+        assert comparison["spinor_status"] == "completed"
+        assert comparison["spinor_stop_reason"] == "spectral tail warning"
 
     def test_bad_config_exit_one(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "[run]\nkind = nonsense\n")

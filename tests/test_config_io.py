@@ -93,6 +93,13 @@ class TestParse:
         assert err.value.key == "cfl_saftey"
         assert "[params]" in str(err.value)
 
+    def test_run_out_dir_rejected(self):
+        # the output directory has one key, [output] directory
+        with pytest.raises(ValidationError) as err:
+            parse_config('[run]\nkind = wkb\nout_dir = "out"\n')
+        assert err.value.key == "out_dir"
+        assert "out_dir" in str(err.value)
+
     def test_unknown_section_rejected(self):
         bad = MINIMAL + "\n[param]\nepsilon = 0.2\n"
         with pytest.raises(ValidationError) as err:

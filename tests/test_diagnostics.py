@@ -4,7 +4,7 @@ import pytest
 from poisswell import diagnostics as diag
 from poisswell.errors import InsufficientHistory
 from poisswell.grid import Grid
-from poisswell.hydro import HydroSolver, run_hydro
+from poisswell.hydro import HydroSolver
 from poisswell.initial_data import gaussian_bump, uniform
 from poisswell.operators import gradient
 from poisswell.states import HydroState, SimParams
@@ -186,10 +186,8 @@ class TestResiduals:
         g = Grid((64,))
         residuals = {}
         for dt in (8e-3, 4e-3):
-            run = run_hydro(
-                g,
-                gaussian_bump(g, epsilon=0.1, amplitude=0.3),
-                SimParams(epsilon=0.1, dt=dt, T=0.12, sample_every=1),
+            run = HydroSolver(g, SimParams(epsilon=0.1, dt=dt, T=0.12, sample_every=1)).run(
+                gaussian_bump(g, epsilon=0.1, amplitude=0.3)
             )
             mid = len(run.records) // 2
             residuals[dt] = run.records[mid].continuity_residual
@@ -239,10 +237,8 @@ class TestEnvelope:
 class TestMonitor:
     def test_monitor_sup_is_running_max(self):
         g = Grid((64,))
-        run = run_hydro(
-            g,
-            gaussian_bump(g, epsilon=0.1, amplitude=0.3),
-            SimParams(epsilon=0.1, T=0.2, sample_every=2),
+        run = HydroSolver(g, SimParams(epsilon=0.1, T=0.2, sample_every=2)).run(
+            gaussian_bump(g, epsilon=0.1, amplitude=0.3)
         )
         running = -np.inf
         for rec in run.records:
@@ -251,7 +247,7 @@ class TestMonitor:
 
     def test_uniform_run_never_triggers(self):
         g = Grid((32,))
-        run = run_hydro(g, uniform(g), SimParams(epsilon=0.1, T=1.0, dt=0.05))
+        run = HydroSolver(g, SimParams(epsilon=0.1, T=1.0, dt=0.05)).run(uniform(g))
         th = diag.MonitorThresholds()
         s0 = run.records[0].blowup_sum
         for r in run.records:
@@ -285,7 +281,7 @@ class TestEnergyIdentity:
         g = Grid((128,))
         eps = 0.25
         params = SimParams(epsilon=eps, dt=2e-3, T=0.1, magnetic=False, sample_every=5)
-        run = run_hydro(g, gaussian_bump(g, epsilon=eps, amplitude=0.3), params)
+        run = HydroSolver(g, params).run(gaussian_bump(g, epsilon=eps, amplitude=0.3))
         from poisswell.operators import gradient as grad_op
         from poisswell.operators import l2_norm
         from poisswell.states import phase_current

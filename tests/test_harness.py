@@ -16,7 +16,7 @@ from poisswell.harness import (
     spinor_vs_wkb,
 )
 from poisswell.initial_data import gaussian_bump, plane_wave, uniform
-from poisswell.hydro import run_hydro
+from poisswell.hydro import HydroSolver
 from poisswell.operators import sobolev_norm
 from poisswell.states import SimParams, wkb_current
 
@@ -175,6 +175,25 @@ class TestSpinorVsWkb:
             dists[dt] = rep.distances[-1]
         assert dists[4e-3] / dists[2e-3] >= 3.5
 
+    def test_one_solver_per_route(self, monkeypatch):
+        # each run places its own samples: no solver is built to size dt
+        from poisswell import harness
+
+        built = []
+        for name in ("HydroSolver", "PauliSolver"):
+            cls = getattr(harness, name)
+
+            def counted(*args, _cls=cls, **kwargs):
+                built.append(_cls.__name__)
+                return _cls(*args, **kwargs)
+
+            monkeypatch.setattr(harness, name, counted)
+        g = Grid((32,))
+        rep = spinor_vs_wkb(g, gaussian_bump(g, epsilon=0.2), SimParams(epsilon=0.2, T=0.02),
+                            n_samples=2)
+        assert sorted(built) == ["HydroSolver", "PauliSolver"]
+        assert rep.times == pytest.approx([0.0, 0.01, 0.02])
+
     def test_phase_alignment_closed_form(self, rng):
         g = Grid((32,))
         psi = np.zeros((2,) + g.shape, dtype=complex)
@@ -218,7 +237,8 @@ def test_reference_ladder_dt_halving_below_one_percent():
     for rung in report.rungs:
         run = runs.hydro[rung.epsilon]
         p = run.params
-        half = run_hydro(grid, init, replace(p, dt=p.dt / 2, sample_every=2 * p.sample_every))
+        half_p = replace(p, dt=p.dt / 2, sample_every=2 * p.sample_every)
+        half = HydroSolver(grid, half_p).run(init)
         assert half.status == "completed" and len(half.times) == len(run.times)
         xs_d, rho_d, _, _ = _rung_errors(grid, run, half, s)
         cur_d = max(

@@ -11,11 +11,10 @@ from poisswell.hydro import (
     HydroSolver,
     continuity_form_residual,
     euler_fields_form,
-    run_hydro,
 )
 from poisswell.initial_data import compressive, gaussian_bump, plane_wave, uniform
 from poisswell.operators import curl, divergence, gradient, l2_norm
-from poisswell.states import HydroState, SimParams, charge_density
+from poisswell.states import HydroState, SimParams, charge_density, default_dt
 
 from conftest import random_band_limited
 
@@ -246,7 +245,7 @@ class TestIntegratingFactor:
 
         def final(h):
             params = SimParams(epsilon=eps, dt=h, T=T, sample_every=10**6)
-            return run_hydro(g, init, params).states[-1]
+            return HydroSolver(g, params).run(init).states[-1]
 
         ref = final(dt / 8)
         errs = []
@@ -304,7 +303,8 @@ class TestTransformCounts:
         g = Grid((32, 32, 32))
         solver = HydroSolver(g, SimParams(epsilon=0.2, T=0.05))
         st = solver._dealias(gaussian_bump(g, amplitude=0.2, width=1.2, epsilon=0.2))
-        pots, dt = solver.potentials(st), solver.default_dt(st)
+        pots = solver.potentials(st)
+        dt = default_dt(solver, st, pots)
         transform_count.clear()
         new = solver.step_rk4(st, dt, pots)
         solver.potentials(new, guess=pots.A)
@@ -327,7 +327,7 @@ class TestTransformCounts:
 class TestRun:
     def test_uniform_trajectory_constant(self):
         g = Grid((32,))
-        run = run_hydro(g, uniform(g), SimParams(epsilon=0.1, T=0.2, dt=0.02))
+        run = HydroSolver(g, SimParams(epsilon=0.1, T=0.2, dt=0.02)).run(uniform(g))
         assert run.status == "completed"
         final = run.states[-1]
         assert np.max(np.abs(final.a - run.states[0].a)) < 1e-12
@@ -338,17 +338,19 @@ class TestRun:
         # message once and lets none escape
         g = Grid((32,))
         params = SimParams(epsilon=0.1, T=0.04, dt=0.01, s=3.0)
-        run = run_hydro(g, gaussian_bump(g, epsilon=0.1), params)
+        run = HydroSolver(g, params).run(gaussian_bump(g, epsilon=0.1))
         assert run.warnings == ["regularity s=3.0 below the 7/2 hypothesis"]
         assert len(recwarn) == 0
-        assert run_hydro(g, gaussian_bump(g, epsilon=0.1), replace(params, s=4.0)).warnings == []
+        quiet = HydroSolver(g, replace(params, s=4.0)).run(gaussian_bump(g, epsilon=0.1))
+        assert quiet.warnings == []
 
     def test_sample_velocity_derivative_bitwise(self):
         # the diagnostics take d_t u alone; it is the rhs's d_t u to the bit
         from poisswell.diagnostics import functionals
 
         g = Grid((64,))
-        run = run_hydro(g, gaussian_bump(g, epsilon=0.2), SimParams(epsilon=0.2, T=0.04, dt=0.01))
+        params = SimParams(epsilon=0.2, T=0.04, dt=0.01)
+        run = HydroSolver(g, params).run(gaussian_bump(g, epsilon=0.2))
         solver = HydroSolver(g, run.params)
         for st, pots, rec in zip(run.states, run.potentials, run.records):
             du = solver.rhs(st, pots)[1]
@@ -359,17 +361,15 @@ class TestRun:
     def test_charge_conservation_bump(self):
         # acceptance 2 (hydro side): d=1, N=128, eps=0.1, T=0.5
         g = Grid((128,))
-        run = run_hydro(
-            g, gaussian_bump(g, epsilon=0.1), SimParams(epsilon=0.1, T=0.5, sample_every=8)
-        )
+        params = SimParams(epsilon=0.1, T=0.5, sample_every=8)
+        run = HydroSolver(g, params).run(gaussian_bump(g, epsilon=0.1))
         assert run.status == "completed"
         assert run.charge_drift <= 1e-6
 
     def test_gradient_consistency_and_irrotationality(self):
         g = Grid((128,))
-        run = run_hydro(
-            g, gaussian_bump(g, epsilon=0.1), SimParams(epsilon=0.1, T=0.2, sample_every=4)
-        )
+        params = SimParams(epsilon=0.1, T=0.2, sample_every=4)
+        run = HydroSolver(g, params).run(gaussian_bump(g, epsilon=0.1))
         for st in run.states[1:]:
             u_norm = l2_norm(g, st.u)
             assert l2_norm(g, curl(g, st.u)) <= 1e-8 * u_norm
@@ -377,7 +377,7 @@ class TestRun:
 
     def test_zero_horizon(self):
         g = Grid((32,))
-        run = run_hydro(g, uniform(g), SimParams(epsilon=0.1, T=0.0))
+        run = HydroSolver(g, SimParams(epsilon=0.1, T=0.0)).run(uniform(g))
         assert len(run.states) == 1
 
     def test_screened_solves_per_step(self, monkeypatch):
@@ -396,7 +396,7 @@ class TestRun:
         g = Grid((64,))
         n = 5
         params = SimParams(epsilon=0.1, T=n * 0.01, dt=0.01, sample_every=2)
-        run = run_hydro(g, gaussian_bump(g, epsilon=0.1), params)
+        run = HydroSolver(g, params).run(gaussian_bump(g, epsilon=0.1))
         assert run.status == "completed"
         assert len(calls) == 1 + 4 * n
 
@@ -429,7 +429,7 @@ class TestRun:
         params = SimParams(epsilon=0.1, T=n * 0.01, dt=0.01, sample_every=2)
         monkeypatch.setattr(Grid, "rfft", counting(rfft))
         monkeypatch.setattr(Grid, "irfft", counting(irfft))
-        run = run_hydro(g, gaussian_bump(g, epsilon=0.1), params)
+        run = HydroSolver(g, params).run(gaussian_bump(g, epsilon=0.1))
         assert run.status == "completed"
         cold, warm = per_solve[0], per_solve[1:]
         assert len(warm) == 4 * n
@@ -439,14 +439,14 @@ class TestRun:
         # caustic formation: u0 = -3 sin x steepens and the monitor fires
         g = Grid((128,))
         params = SimParams(epsilon=0.0, T=2.0, sample_every=2)
-        run = run_hydro(g, compressive(g, beta=3.0), params,
-                        thresholds=MonitorThresholds(ratio=30.0))
+        solver = HydroSolver(g, params, thresholds=MonitorThresholds(ratio=30.0))
+        run = solver.run(compressive(g, beta=3.0))
         assert run.status == "blowup"
         assert run.times[-1] < 2.0
 
     def test_uniform_euler_fixed_point(self):
         g = Grid((32,))
-        run = run_hydro(g, uniform(g, epsilon=0.0), SimParams(epsilon=0.0, T=1.0, dt=0.05))
+        run = HydroSolver(g, SimParams(epsilon=0.0, T=1.0, dt=0.05)).run(uniform(g, epsilon=0.0))
         assert run.status == "completed"
         assert np.max(np.abs(run.states[-1].a - run.states[0].a)) < 1e-12
         assert np.max(np.abs(run.states[-1].u)) < 1e-12
@@ -454,7 +454,7 @@ class TestRun:
     def test_two_dimensional_run(self):
         g = Grid((32, 32))
         init = gaussian_bump(g, epsilon=0.1, amplitude=0.2, width=1.0)
-        run = run_hydro(g, init, SimParams(epsilon=0.1, T=0.05, sample_every=2))
+        run = HydroSolver(g, SimParams(epsilon=0.1, T=0.05, sample_every=2)).run(init)
         assert run.status == "completed"
         assert run.charge_drift <= 1e-8
         for st in run.states[1:]:
@@ -466,7 +466,7 @@ class TestRun:
         init = gaussian_bump(g, epsilon=0.0, amplitude=0.3)
         res = {}
         for dt in (8e-3, 4e-3):
-            run = run_hydro(g, init, SimParams(epsilon=0.0, dt=dt, T=0.12, sample_every=1))
+            run = HydroSolver(g, SimParams(epsilon=0.0, dt=dt, T=0.12, sample_every=1)).run(init)
             res[dt] = run.records[len(run.records) // 2].continuity_residual
         assert res[8e-3] / res[4e-3] >= 3.8
 
@@ -475,7 +475,7 @@ class TestRun:
         # transport velocity u - A vanishes and the state is stationary
         g = Grid((64,))
         st = plane_wave(g, modes=(2, 0, 0), epsilon=0.25)
-        run = run_hydro(g, st, SimParams(epsilon=0.25, T=0.1, dt=0.01))
+        run = HydroSolver(g, SimParams(epsilon=0.25, T=0.1, dt=0.01)).run(st)
         assert run.status == "completed"
         assert np.max(np.abs(run.states[-1].a - st.a)) < 1e-10
 
@@ -483,14 +483,14 @@ class TestRun:
 class TestFieldsForm:
     def test_static_state_zero_fields(self):
         g = Grid((32,))
-        run = run_hydro(g, uniform(g, epsilon=0.0), SimParams(epsilon=0.0, T=0.1, dt=0.01))
+        run = HydroSolver(g, SimParams(epsilon=0.0, T=0.1, dt=0.01)).run(uniform(g, epsilon=0.0))
         E, B, u_field = euler_fields_form(g, run, 1)
         assert np.max(np.abs(E)) < 1e-12
         assert np.max(np.abs(B)) < 1e-12
 
     def test_first_snapshot_raises(self):
         g = Grid((32,))
-        run = run_hydro(g, uniform(g, epsilon=0.0), SimParams(epsilon=0.0, T=0.1, dt=0.01))
+        run = HydroSolver(g, SimParams(epsilon=0.0, T=0.1, dt=0.01)).run(uniform(g, epsilon=0.0))
         with pytest.raises(InsufficientHistory):
             euler_fields_form(g, run, 0)
 
@@ -498,10 +498,8 @@ class TestFieldsForm:
         # the electrostatic part of E satisfies the neutralized Gauss law
         # exactly; -Delta B = curl(rho u_field) is the curl of the A equation
         g = Grid((128,))
-        run = run_hydro(
-            g,
-            gaussian_bump(g, epsilon=0.0, amplitude=0.3),
-            SimParams(epsilon=0.0, T=0.1, sample_every=2),
+        run = HydroSolver(g, SimParams(epsilon=0.0, T=0.1, sample_every=2)).run(
+            gaussian_bump(g, epsilon=0.0, amplitude=0.3)
         )
         idx = len(run.times) // 2
         E, B, u_field = euler_fields_form(g, run, idx)

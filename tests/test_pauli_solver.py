@@ -5,8 +5,14 @@ from poisswell.errors import StabilityViolation
 from poisswell.grid import Grid
 from poisswell.initial_data import gaussian_bump
 from poisswell.operators import curl, l2_norm
-from poisswell.pauli_solver import PauliSolver, run_pauli
-from poisswell.states import Potentials, SimParams, charge_density, reconstruct_spinor
+from poisswell.pauli_solver import PauliSolver
+from poisswell.states import (
+    Potentials,
+    SimParams,
+    charge_density,
+    default_dt,
+    reconstruct_spinor,
+)
 
 from conftest import random_band_limited
 
@@ -160,7 +166,7 @@ class TestStep:
         st = gaussian_bump(g, amplitude=0.3, width=0.8, epsilon=eps,
                            phase_amplitude=0.2, spin_angle=0.6)
         psi0 = solver._dealias(reconstruct_spinor(g, st))
-        dt = 0.5 * solver.default_dt(psi0)
+        dt = 0.5 * default_dt(solver, psi0, solver.potentials(psi0))
         tau = 0.5 * dt
 
         def kinetic(psi, mask=True):
@@ -194,7 +200,7 @@ class TestStep:
         solver = PauliSolver(g, params)
         st = gaussian_bump(g, amplitude=0.2, width=1.2, epsilon=0.2)
         psi = solver._dealias(reconstruct_spinor(g, st))
-        dt = solver.default_dt(psi)
+        dt = default_dt(solver, psi, solver.potentials(psi))
         transform_count.clear()
         solver.step(psi, dt)
         assert sum(transform_count.components.values()) <= 200
@@ -213,7 +219,7 @@ class TestRun:
     def test_zero_horizon_returns_initial(self):
         g = Grid((32,))
         psi = plane_wave_psi(g, 1)
-        run = run_pauli(g, psi, SimParams(epsilon=0.5, T=0.0, coupling=False))
+        run = PauliSolver(g, SimParams(epsilon=0.5, T=0.0, coupling=False)).run(psi)
         assert len(run.states) == 1
         assert np.max(np.abs(run.states[0] - psi)) < 1e-13
 
@@ -222,7 +228,7 @@ class TestRun:
         g = Grid((128,))
         state = gaussian_bump(g, epsilon=0.1)
         psi0 = reconstruct_spinor(g, state)
-        run = run_pauli(g, psi0, SimParams(epsilon=0.1, T=0.5, sample_every=8))
+        run = PauliSolver(g, SimParams(epsilon=0.1, T=0.5, sample_every=8)).run(psi0)
         assert run.status == "completed"
         assert run.charge_drift <= 1e-6
 
@@ -232,9 +238,8 @@ class TestRun:
         psi0 = reconstruct_spinor(g, state)
         ends = {}
         for dt in (2e-3, 1e-3, 5e-4):
-            run = run_pauli(
-                g, psi0, SimParams(epsilon=0.25, dt=dt, T=0.2, sample_every=10**6)
-            )
+            params = SimParams(epsilon=0.25, dt=dt, T=0.2, sample_every=10**6)
+            run = PauliSolver(g, params).run(psi0)
             ends[dt] = run.states[-1]
         d1 = l2_norm(g, ends[2e-3] - ends[1e-3])
         d2 = l2_norm(g, ends[1e-3] - ends[5e-4])
@@ -254,14 +259,15 @@ class TestRun:
 
         monkeypatch.setattr(pauli_solver, "spectral_tail_fraction", warning_tail)
         g = Grid((32,))
-        run = run_pauli(g, plane_wave_psi(g, 2), SimParams(epsilon=0.5, T=0.03, dt=0.01))
+        run = PauliSolver(g, SimParams(epsilon=0.5, T=0.03, dt=0.01)).run(plane_wave_psi(g, 2))
         assert run.warnings == ["tail sample warned"]
         assert len(recwarn) == 0
 
     def test_run_invariants(self):
         g = Grid((64,))
         state = gaussian_bump(g, epsilon=0.2)
-        run = run_pauli(g, reconstruct_spinor(g, state), SimParams(epsilon=0.2, T=0.1, sample_every=3))
+        params = SimParams(epsilon=0.2, T=0.1, sample_every=3)
+        run = PauliSolver(g, params).run(reconstruct_spinor(g, state))
         assert all(b > a for a, b in zip(run.times, run.times[1:]))
         c0 = run.records[0].charge
         for rec in run.records:
@@ -272,7 +278,7 @@ class TestRun:
         state = gaussian_bump(g, epsilon=0.25, amplitude=0.3)
         psi0 = reconstruct_spinor(g, state)
         params = SimParams(epsilon=0.25, dt=1e-3, T=0.25, magnetic=False, sample_every=50)
-        run = run_pauli(g, psi0, params)
+        run = PauliSolver(g, params).run(psi0)
         e = [r.energy for r in run.records]
         drift = max(abs(v - e[0]) for v in e) / abs(e[0])
         assert drift <= 1e-4

@@ -310,3 +310,41 @@ def test_run_loop_guesses(every_step, expected):
     run = run_loop(solver, np.zeros(1), lambda state, dt, pots: state, every_step)
     assert run.status == "completed"
     assert solver.guesses == expected
+
+
+@pytest.mark.parametrize("n_samples", [None, 4])
+def test_run_loop_places_samples(n_samples):
+    # n_samples = 4 over T = 0.1 from dt = 0.01: the sample interval 0.025
+    # takes per = 3 steps of 0.025 / 3, and samples land on T k / 4
+    from poisswell.states import run_loop
+
+    solver = GuessLog(T=0.1, dt=0.01, sample_every=2)
+    steps = []
+
+    def advance(state, dt, pots):
+        steps.append(dt)
+        return state
+
+    run = run_loop(solver, np.zeros(1), advance, n_samples=n_samples)
+    assert run.status == "completed"
+    if n_samples is None:
+        assert run.params is solver.params
+        assert len(steps) == 10 and run.times == pytest.approx([0, 0.02, 0.04, 0.06, 0.08, 0.1])
+    else:
+        assert run.params.sample_every == 3
+        assert run.params.dt == pytest.approx(0.025 / 3, rel=1e-15)
+        assert len(steps) == 12 and run.dt == pytest.approx(0.1 / 12, rel=1e-15)
+        assert run.times == pytest.approx([0.1 * k / 4 for k in range(5)], rel=1e-15)
+
+
+def test_run_loop_zero_horizon_takes_no_step():
+    from poisswell.states import run_loop
+
+    solver = GuessLog(T=0.0, dt=0.01)
+
+    def advance(state, dt, pots):
+        raise AssertionError("a T = 0 run takes no step")
+
+    run = run_loop(solver, np.zeros(1), advance, n_samples=4)
+    assert run.status == "completed" and run.times == [0.0]
+    assert run.params is solver.params
