@@ -259,11 +259,11 @@ def main(argv=None):
         cfg = parse_config(text)
         if args.command == "ladder":
             cfg = replace(cfg, kind="ladder")
-            cfg.validate()
         if args.threads is not None:
             cfg = replace(cfg, threads=args.threads)
         if args.sample_every is not None:
             cfg = replace(cfg, sample_every=args.sample_every)
+        cfg.validate()
         code, summary = run_command(cfg, args.out)
         print(json.dumps(summary, sort_keys=True, default=str))
         return code

@@ -116,6 +116,9 @@ class RunConfig:
             raise ValidationError("threads must be >= 1", key="threads")
         if self.sample_every < 1:
             raise ValidationError("sample_every must be >= 1", key="sample_every")
+        if self.sample_every != 1 and self.kind in ("ladder", "monokinetic", "spinor-vs-wkb"):
+            raise ValidationError(f"kind {self.kind!r} samples at the shared times T k / n_samples;"
+                                  " it must be 1", key="sample_every")
         unknown = set(self.family_options) - _FAMILY_OPTION_KEYS
         if unknown:
             raise ValidationError(

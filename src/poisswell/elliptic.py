@@ -3,11 +3,7 @@ The two elliptic solvers: the plain periodic Poisson problem with a
 neutralizing background, and the density-screened vector problem
 ``(-Delta + rho) A = rhs`` solved by preconditioned conjugate gradients
 (Hestenes & Stiefel 1952; Saad, *Iterative Methods for Sparse Linear
-Systems*, ch. 9).  Both work on the batched real transforms of the grid;
-the conjugate-gradient recurrences run on half spectra, where the
-preconditioner is a pointwise division and inner products are Parseval
-sums, and ``A`` accumulates the search directions inverted to multiply
-them by ``rho``.  The recurrences update buffers each solve allocates once.
+Systems*, ch. 9) on half spectra of the grid's batched real transforms.
 """
 
 from __future__ import annotations
@@ -48,23 +44,22 @@ def solve_screened_vector(grid: Grid, rhs, rho, tol=1e-11, max_iters=200, guess=
     Conjugate gradients on the symmetric positive definite operator,
     preconditioned with the constant-coefficient inverse
     ``(-Delta + mean(rho))^-1``, starting from ``guess`` (zero when not
-    given), with the recurrences in spectral space: one inverse and one
-    forward transform per iteration.  The preconditioned residual, the
-    search direction, its operator image, ``rho`` times the inverted
-    direction, ``A`` and the residual spectrum are updated in place, in
-    buffers allocated once per solve; each update rounds as its
-    out-of-place form would, so the iterates are the same bits.  ``rhs``,
+    given).  ``rhs`` is transformed once and not held after that; the solve
+    accumulates ``A_hat += alpha p_hat``, tests residuals as Parseval sums,
+    and inverts a search direction only to multiply it by ``rho``, in its
+    one real work buffer.  Its buffers, allocated once per solve, are
+    updated in place as the out-of-place forms would round; ``rhs``,
     ``rho`` and ``guess`` are not written to.
 
-    A solve returns only once the true residual ``rhs - (-Delta + rho) A``,
-    not the recurrence one, is below ``tol`` relative to ``rhs``: when the
-    recurrence passes, the true residual is recomputed through
-    :func:`apply_screened` and the iteration restarts from it if it does
-    not.  The test is made against ``tol / 2``, because the residual itself
-    is only known to about 1e-12 relative at N = 256 (two FFT evaluations
-    of the same A differ by that much), and the returned A must meet
-    ``tol`` under any of them.  A guess that already meets the test costs
-    one operator application.
+    A solve returns only once the true residual, not the recurrence one, is
+    below ``tol`` relative to ``rhs``: when the recurrence passes, A is
+    inverted from ``A_hat``, the true residual ``rhs_hat - |k|^2 A_hat -
+    rfft(rho A)`` is formed, and the iteration restarts from it if it does
+    not pass.  The test is made against ``tol / 2``, because the residual
+    itself is only known to about 1e-12 relative at N = 256 (two FFT
+    evaluations of the same A differ by that much), and the returned A must
+    meet ``tol`` under any of them.  A guess that already meets the test
+    costs the forward transforms of ``rhs``, ``guess`` and ``rho * guess``.
     For rho == 0 the zero mode of A is pinned to zero and a non-neutral
     rhs is rejected.
 
@@ -95,27 +90,30 @@ def solve_screened_vector(grid: Grid, rhs, rho, tol=1e-11, max_iters=200, guess=
 
     k2h = k2(grid, half=True)
     denom = k2h + rho_mean
-    goal = 0.5 * tol * rhs_norm  # see the docstring
-    # the same test on a half spectrum: l2_norm is sqrt(vdot * cell volume)
-    goal_sq = goal**2 / grid.cell_volume
-    if guess is None:
-        A = np.zeros_like(rhs)
-        r = rhs
+    # |residual| <= tol |rhs| / 2 as a Parseval sum (l2_norm is sqrt(vdot * dV))
+    goal_sq = (0.5 * tol * rhs_norm) ** 2 / grid.cell_volume
+    jh = grid.rfft(rhs)
+    work = np.empty_like(rhs)
+    del rhs  # the source is not held through the iterations
+    # one block; rh and zh are adjacent, so one pass takes <r, r> and <r, z>
+    block = np.empty((5,) + jh.shape, complex)
+    ph, qh, Ah, rh, zh = block
+    A = None if guess is None else np.array(guess, dtype=float)
+    if A is None:
+        Ah[...], rh[...] = 0.0, jh
     else:
-        A = np.array(guess, dtype=float)
-        r = rhs - apply_screened(grid, A, rho)
-    # the recurrences run in these buffers, updated in place; each update
-    # computes the same expression as its out-of-place form, bit for bit.
-    # z is spent once the direction is updated, so q takes its buffer.
-    zh = qh = np.empty(rhs.shape[:1] + k2h.shape, dtype=complex)
-    ph = np.empty_like(zh)
-    rho_p = np.empty_like(rhs)
-    iters, rz = 0, None
-    # r is the true residual of A at the top of each pass; a NaN residual
-    # never passes the test and ends in NonConvergence
-    while not l2_norm(grid, r) <= goal:
-        rh = grid.rfft(r)
-        restart = True  # from the steepest-descent direction
+        grid.rfft(A, out=Ah)
+    iters = 0
+    while True:
+        if A is not None:  # the true residual jh - |k|^2 Ah - rfft(rho A)
+            np.subtract(jh, np.multiply(k2h, Ah, out=rh), out=rh)
+            rh -= grid.rfft(np.multiply(rho, A, out=work), out=qh)
+        np.divide(rh, denom, out=zh)
+        rr, rz = half_spectrum_vdot(grid, rh, block[3:])
+        # a NaN residual never passes the test and ends in NonConvergence
+        if rr <= goal_sq:
+            return np.zeros_like(work) if A is None else A
+        np.copyto(ph, zh)  # restart from the steepest-descent direction
         while True:
             if iters == max_iters:
                 raise NonConvergence(
@@ -123,24 +121,19 @@ def solve_screened_vector(grid: Grid, rhs, rho, tol=1e-11, max_iters=200, guess=
                     f"after {max_iters} iterations"
                 )
             iters += 1
-            np.divide(rh, denom, out=zh)
-            rz, rz_old = half_spectrum_vdot(grid, rh, zh), rz
-            if restart:
-                np.copyto(ph, zh)
-                restart = False
-            else:  # ph = zh + (rz / rz_old) ph
-                ph *= rz / rz_old
-                ph += zh
-            p = grid.irfft(ph)
-            np.multiply(rho, p, out=rho_p)
+            grid.irfft(ph, out=work)
+            work *= rho
             np.multiply(k2h, ph, out=qh)
-            qh += grid.rfft(rho_p)
+            # z is spent: its buffer takes rfft(rho p), then alpha ph
+            qh += grid.rfft(work, out=zh)
             alpha = rz / half_spectrum_vdot(grid, ph, qh)
-            p *= alpha
-            A += p
+            Ah += np.multiply(alpha, ph, out=zh)
             qh *= alpha
             rh -= qh
-            if half_spectrum_vdot(grid, rh, rh) <= goal_sq:
+            np.divide(rh, denom, out=zh)
+            (rr, rz), rz_old = half_spectrum_vdot(grid, rh, block[3:]), rz
+            if rr <= goal_sq:
                 break
-        r = rhs - apply_screened(grid, A, rho)
-    return A
+            ph *= rz / rz_old  # ph = zh + (rz / rz_old) ph
+            ph += zh
+        A = grid.irfft(Ah, out=A)

@@ -127,10 +127,6 @@ class Grid:
             mask = mask & (np.abs(self._axis_index(i, half)) <= n // 3)
         return mask
 
-    def mode_index(self):
-        """Integer mode-index arrays per active axis (fftfreq * N)."""
-        return [self._axis_index(i) for i in range(self.dim)]
-
     # -- transforms ---------------------------------------------------------
 
     # On a 1d grid the 1d transforms are called directly: they compute the
@@ -156,23 +152,23 @@ class Grid:
         """Inverse transform of a spectrally-Hermitian field; drops imag."""
         return np.fft.ifftn(fh, axes=self.axes).real
 
-    def rfft(self, f):
+    def rfft(self, f, out=None):
         """
         Forward transform of a real field over the spatial axes, batched
-        over any leading component axes; the last spatial axis keeps its
-        half spectrum (use the ``half=True`` tables with it).
+        over any leading component axes, into ``out`` when given; the last
+        spatial axis keeps its half spectrum (use the ``half=True`` tables).
         """
         if self.dim == 1:
-            return np.fft.rfft(f)
-        shape = np.shape(f)
-        out = np.empty(shape[:-1] + (shape[-1] // 2 + 1,), complex)
+            return np.fft.rfft(f, out=out)
+        if out is None:
+            out = np.empty(np.shape(f)[:-1] + (self.shape[-1] // 2 + 1,), complex)
         return np.fft.rfftn(f, axes=self.axes, out=out)
 
-    def irfft(self, fh):
-        """Inverse of :meth:`rfft`: a real field with spatial shape ``shape``."""
+    def irfft(self, fh, out=None):
+        """Inverse of :meth:`rfft`, into ``out`` when given: a real field of shape ``shape``."""
         if self.dim == 1:
-            return np.fft.irfft(fh, n=self.shape[0])
-        return np.fft.irfftn(fh, s=self.shape, axes=self.axes)
+            return np.fft.irfft(fh, n=self.shape[0], out=out)
+        return np.fft.irfftn(fh, s=self.shape, axes=self.axes, out=out)
 
 
 # Cached spectral tables.  The grid is frozen, so each table is stored on
@@ -196,6 +192,13 @@ def k3(grid: Grid, half=False):
 
 def k2(grid: Grid, half=False):
     return _cached(grid, "_k2", half, lambda: grid.k_squared(half))
+
+
+def parseval_weights(grid: Grid):
+    """Weights of a half spectrum's float view in a Parseval sum: 1 on the last
+    axis's 0 and N/2 planes, 2 off them, where a mode stands for its partner too."""
+    m = grid.shape[-1] // 2 - 1
+    return _cached(grid, "_parseval", True, lambda: np.r_[1.0, 1.0, [2.0] * (2 * m), 1.0, 1.0])
 
 
 def k2_safe(grid: Grid, half=False):

@@ -113,6 +113,7 @@ class LadderRuns:
     hydro: Dict[float, Run]
     params: SimParams
     n_samples: int
+    thresholds: MonitorThresholds
 
 
 def _rung_errors(grid, run_eps: Run, euler: Run, s):
@@ -228,7 +229,7 @@ def epsilon_ladder(
     )
     return report, LadderRuns(
         grid=grid, initial=initial, euler=euler, hydro=runs,
-        params=params, n_samples=n_samples,
+        params=params, n_samples=n_samples, thresholds=thresholds,
     )
 
 
@@ -345,6 +346,7 @@ class MonokineticReport:
     targets: List
     slice_data: Optional[object] = None  # WignerSlice of the final state
     warnings: List[str] = field(default_factory=list)  # of the spinor runs
+    stops: Dict[float, tuple] = field(default_factory=dict)  # eps: (status, stop reason)
 
     def as_dict(self):
         doc = {
@@ -361,6 +363,11 @@ class MonokineticReport:
             doc["values"] = [
                 [float(v) for v in row] for row in self.slice_data.values
             ]
+        # as in ComparisonReport: only the runs that did not complete cleanly
+        for eps, (status, reason) in self.stops.items():
+            if status != "completed" or reason:
+                doc.setdefault("spinor_status", {})[repr(eps)] = status
+                doc.setdefault("spinor_stop_reason", {})[repr(eps)] = reason
         return doc
 
 
@@ -387,7 +394,8 @@ def monokinetic_study(
         init = ladder.initial.copy()
         init.epsilon = eps
         psi0 = reconstruct_spinor(grid, init)
-        run = PauliSolver(grid, replace(params, epsilon=eps)).run(psi0, ladder.n_samples)
+        run = PauliSolver(grid, replace(params, epsilon=eps), ladder.thresholds).run(
+            psi0, ladder.n_samples)
         spinor_runs[eps] = run
         if run.status == "completed":
             defects.append(monokinetic_defect(grid, run.states[-1], u_final, eps))
@@ -428,4 +436,5 @@ def monokinetic_study(
         targets=targets,
         slice_data=slc,
         warnings=distinct_warnings(spinor_runs.values()),
+        stops={eps: (run.status, run.stop_reason) for eps, run in spinor_runs.items()},
     )

@@ -21,7 +21,9 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import Grid, dealias_mask, inverse_laplacian_modes, k2, k2_safe, k3, tail_mask
+from .grid import (
+    Grid, dealias_mask, inverse_laplacian_modes, k2, k2_safe, k3, parseval_weights, tail_mask,
+)
 
 
 def _transforms(grid: Grid, f):
@@ -119,16 +121,6 @@ def advect(grid: Grid, g, f):
     return directional(grid, g, derivative_table(grid, fwd(f), half))
 
 
-def jacobian_transpose_product(grid: Grid, A, u):
-    """Vector with components sum_j u_j d_i A_j (transpose of advection)."""
-    fwd, _, half = _transforms(grid, A)
-    dA = derivative_table(grid, fwd(A), half)
-    out = np.zeros_like(np.asarray(A))
-    for i in range(grid.dim):
-        out[i] = np.sum(u * dA[i], axis=0)
-    return out
-
-
 # -- the spectral stage path -------------------------------------------------
 
 
@@ -154,12 +146,16 @@ def directional(grid: Grid, g, table):
 
 def half_spectrum_vdot(grid: Grid, fh, gh):
     """
-    ``np.vdot(f, g)`` of two real fields from their half spectra (Parseval):
-    a mode off the last axis's index 0 and N/2 planes stands for itself and
-    its conjugate partner, so it counts twice.
+    ``np.vdot(f, g)`` of two real fields from their half spectra (Parseval),
+    weighted by :func:`~poisswell.grid.parseval_weights`; ``gh`` may stack
+    spectra on a leading axis, for one product with each in one pass.  An
+    ``einsum`` over float views never enters BLAS, whose ``vdot`` runs on
+    every core unless its threads are pinned.
     """
-    edges = np.vdot(fh[..., 0], gh[..., 0]).real + np.vdot(fh[..., -1], gh[..., -1]).real
-    return (2.0 * np.vdot(fh, gh).real - edges) / grid.npoints
+    w = parseval_weights(grid)
+    f = fh.view(float).reshape(-1, len(w))
+    g = gh.view(float).reshape(gh.shape[: gh.ndim - fh.ndim] + f.shape)
+    return np.einsum("...j,j->...", np.einsum("ij,...ij->...j", f, g), w) / grid.npoints
 
 
 # -- norms -------------------------------------------------------------------

@@ -179,9 +179,10 @@ class PauliSolver:
             first_hat = None
             predicted = self._multiply(predicted, tau, pots, B)
             # of the predictor's fields only A, the guess, is held across
-            # the midpoint solve
+            # the midpoint solve; it goes with the predicted psi once it returns
             guess, pots, B, divA = pots.A, None, None, None
             pots = self.potentials(predicted, guess=guess)
+            predicted = guess = None
             B, divA = self._magnetic(pots.A)
         psi = self._transport(psi, tau, pots, divA, psi_hat)
         psi = self._multiply(psi, dt, pots, B)

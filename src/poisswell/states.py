@@ -119,11 +119,6 @@ def kinetic_current(grid: Grid, a, grad_a=None):
     return -phase_current(grid, a, grad_a)
 
 
-def spin_curl(grid: Grid, a):
-    """(1/2) curl of the spin density; divergence-free by construction."""
-    return 0.5 * curl(grid, spin_density(a))
-
-
 def pauli_current(grid: Grid, psi, A, epsilon):
     """
     The Pauli current ``Im(conj(psi)(eps grad - iA)psi) - eps curl(conj(psi) sigma psi)``.
@@ -180,21 +175,20 @@ def self_consistent_potentials(grid: Grid, params: SimParams, a, epsilon, u=None
     V = solve_poisson_neutral(grid, rho)
     if not params.magnetic:
         return Potentials(V=V, A=zero_v)
-    if u is None:
-        rhs = current_epsilon_part(grid, a, epsilon, grad_a)
-    else:
-        rhs = rho * u
-        if epsilon > 0:
-            rhs = rhs + current_epsilon_part(grid, a, epsilon, grad_a)
-    A = solve_screened_vector(
-        grid,
-        rhs,
-        rho,
-        tol=params.screened_tol,
-        max_iters=params.screened_max_iters,
-        guess=guess,
-    )
+    # the source is passed unnamed, so it is freed once the solve holds its spectrum
+    A = solve_screened_vector(grid, _screened_source(grid, a, rho, epsilon, u, grad_a), rho,
+                              tol=params.screened_tol, max_iters=params.screened_max_iters,
+                              guess=guess)
     return Potentials(V=V, A=A)
+
+
+def _screened_source(grid: Grid, a, rho, epsilon, u, grad_a):
+    """The current without its ``-rho A`` part: the screened solve's source."""
+    if u is None:
+        return current_epsilon_part(grid, a, epsilon, grad_a)
+    if epsilon > 0:
+        return rho * u + current_epsilon_part(grid, a, epsilon, grad_a)
+    return rho * u
 
 
 def reconstruct_spinor(grid: Grid, state: HydroState):

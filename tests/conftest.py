@@ -25,10 +25,10 @@ def random_band_limited(grid, rng, components=None, kmax=4, amplitude=1.0, compl
     """Smooth random field: a few low Fourier modes with decaying weights."""
     shape = grid.shape if components is None else (components,) + grid.shape
     fh = np.zeros(shape, dtype=complex)
-    idx = grid.mode_index()
     keep = np.ones(grid.shape, dtype=bool)
-    for i in range(grid.dim):
-        keep &= np.abs(idx[i]) <= kmax
+    for i, n in enumerate(grid.shape):
+        idx = np.rint(np.fft.fftfreq(n) * n).reshape([-1 if j == i else 1 for j in range(grid.dim)])
+        keep &= np.abs(idx) <= kmax
     coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     fh[..., keep] = coeffs[..., keep]
     f = grid.ifft(fh)
@@ -67,10 +67,10 @@ def transform_count(monkeypatch):
     for name in ("fft", "ifft", "ifft_real", "rfft", "irfft"):
         method = getattr(Grid, name)
 
-        def counted(self, f, _method=method, _name=name):
+        def counted(self, f, *args, _method=method, _name=name, **kwargs):
             counts[_name] += 1
             counts.components[_name] += int(np.prod(np.shape(f)[: np.ndim(f) - self.dim]))
-            return _method(self, f)
+            return _method(self, f, *args, **kwargs)
 
         monkeypatch.setattr(Grid, name, counted)
     return counts

@@ -310,6 +310,23 @@ class TestRunCommand:
         assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert "kind" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, text", [("run", SPINOR_VS_WKB), ("ladder", LADDER)],
+                             ids=["spinor-vs-wkb", "ladder"])
+    def test_sample_every_rejected_where_unused(self, tmp_path, capsys, command, text):
+        # the flag and the key exit 1 naming the key, and nothing is written;
+        # the flag's default value of 1 is accepted
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "flag"
+        assert main([command, str(cfg), "--out", str(out), "--sample-every", "3"]) == 1
+        assert "sample_every" in capsys.readouterr().err
+        assert not out.exists()
+        keyed = write_cfg(tmp_path, text.replace("s = 4.0", "s = 4.0\nsample_every = 2"),
+                          name="keyed.cfg")
+        assert main([command, str(keyed), "--out", str(tmp_path / "key")]) == 1
+        assert "sample_every" in capsys.readouterr().err
+        assert main([command, str(cfg), "--out", str(tmp_path / "one"),
+                     "--sample-every", "1"]) == 0
+
     def test_unwritable_output_dir(self, tmp_path):
         cfg = write_cfg(tmp_path, EULER_UNIFORM)
         blocker = tmp_path / "blocked"

@@ -75,6 +75,17 @@ class TestParse:
             parse_config(bad)
         assert "decreasing" in str(err.value)
 
+    @pytest.mark.parametrize("kind", ["ladder", "monokinetic", "spinor-vs-wkb"])
+    def test_sample_every_rejected_for_shared_sample_kinds(self, kind):
+        # these kinds sample at T k / n_samples; a sample_every would be ignored
+        text = LADDER.replace("kind = ladder", f"kind = {kind}")
+        cfg = parse_config(text)
+        assert parse_config(serialize_config(cfg)) == cfg
+        with pytest.raises(ValidationError) as err:
+            parse_config(text.replace("T = 0.3", "T = 0.3\nsample_every = 2"))
+        assert err.value.key == "sample_every"
+        assert "sample_every" in str(err.value)
+
     def test_parse_error_carries_line(self):
         bad = "[run]\nkind = wkb\nthis line is junk\n"
         with pytest.raises(ParseError) as err:

@@ -1,9 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from poisswell import elliptic
 from poisswell.elliptic import apply_screened, solve_poisson_neutral, solve_screened_vector
 from poisswell.errors import NonConvergence
 from poisswell.grid import Grid
@@ -194,19 +195,18 @@ class TestScreenedOracle:
             A = solve_screened_vector(g, rhs, rho, guess=guess)
             assert l2_norm(g, A - exact) <= 1e-8 * l2_norm(g, exact)
 
-    def test_converged_guess_costs_one_application(self, rng, monkeypatch):
+    def test_converged_guess_costs_one_application(self, rng, transform_count):
+        # the operator is applied once, in spectral form: a converged guess
+        # costs the forward transforms of the source, the guess and
+        # rho * guess, and no inverse
         g = Grid((64,))
         rho = banded_density(g, rng, 10.0, 100.0)
         rhs = random_band_limited(g, rng, components=3)
         A = solve_screened_vector(g, rhs, rho)
         guess = A.copy()
-        calls = []
-        apply = elliptic.apply_screened
-        monkeypatch.setattr(
-            elliptic, "apply_screened", lambda *args: calls.append(1) or apply(*args)
-        )
+        transform_count.clear()
         again = solve_screened_vector(g, rhs, rho, guess=guess)
-        assert len(calls) == 1
+        assert dict(transform_count) == {"rfft": 3}
         assert np.array_equal(again, A)
         assert np.array_equal(guess, A)  # the guess is not written to
 
@@ -218,10 +218,12 @@ class TestScreenedOracle:
             solve_screened_vector(g, rhs, rho, max_iters=3)
 
 
-def allocating_screened_solve(grid, rhs, rho, tol=1e-11, max_iters=200, guess=None):
+def allocating_screened_solve(grid, rhs, rho, tol=1e-11, max_iters=200, guess=None,
+                              passes=None):
     """
-    The conjugate-gradient recurrence with a new array for every update, as
-    the screened solve ran before its buffers; the non-vacuum branch only.
+    The spectral conjugate-gradient recurrence with a new array for every
+    update; the non-vacuum branch only.  ``passes``, a list, gets one entry
+    per true-residual pass.
     """
     from poisswell.grid import k2
     from poisswell.operators import half_spectrum_vdot
@@ -230,32 +232,37 @@ def allocating_screened_solve(grid, rhs, rho, tol=1e-11, max_iters=200, guess=No
     rhs = np.asarray(rhs, dtype=float)
     k2h = k2(grid, half=True)
     denom = k2h + float(rho.mean())
-    goal = 0.5 * tol * l2_norm(grid, rhs)
-    goal_sq = goal**2 / grid.cell_volume
+    goal_sq = (0.5 * tol * l2_norm(grid, rhs)) ** 2 / grid.cell_volume
+    jh = grid.rfft(rhs)
     if guess is None:
-        A, r = np.zeros_like(rhs), rhs
+        A, Ah, rh = None, np.zeros_like(jh), jh.copy()
     else:
         A = np.array(guess, dtype=float)
-        r = rhs - apply_screened(grid, A, rho)
-    iters, rz = 0, None
-    while not l2_norm(grid, r) <= goal:
-        rh = grid.rfft(r)
-        ph = None
+        Ah = grid.rfft(A)
+        rh = jh - k2h * Ah - grid.rfft(rho * A)
+    iters = 0
+    while True:
+        zh = rh / denom
+        rr, rz = half_spectrum_vdot(grid, rh, np.stack([rh, zh]))
+        if rr <= goal_sq:
+            return A
+        if passes is not None:
+            passes.append(iters)
+        ph = zh
         while True:
             assert iters < max_iters
             iters += 1
-            zh = rh / denom
-            rz, rz_old = half_spectrum_vdot(grid, rh, zh), rz
-            ph = zh if ph is None else zh + (rz / rz_old) * ph
-            p = grid.irfft(ph)
-            qh = k2h * ph + grid.rfft(rho * p)
+            qh = k2h * ph + grid.rfft(rho * grid.irfft(ph))
             alpha = rz / half_spectrum_vdot(grid, ph, qh)
-            A += alpha * p
-            rh -= alpha * qh
-            if half_spectrum_vdot(grid, rh, rh) <= goal_sq:
+            Ah = Ah + alpha * ph
+            rh = rh - alpha * qh
+            zh = rh / denom
+            (rr, rz), rz_old = half_spectrum_vdot(grid, rh, np.stack([rh, zh])), rz
+            if rr <= goal_sq:
                 break
-        r = rhs - apply_screened(grid, A, rho)
-    return A
+            ph = zh + (rz / rz_old) * ph
+        A = grid.irfft(Ah)
+        rh = jh - k2h * Ah - grid.rfft(rho * A)
 
 
 class TestInPlaceRecurrence:
@@ -272,21 +279,18 @@ class TestInPlaceRecurrence:
         warm = solve_screened_vector(g, rhs, rho, guess=guess)
         assert np.array_equal(warm, allocating_screened_solve(g, rhs, rho, guess=guess))
 
-    def test_restart_same_bits(self, monkeypatch):
-        # at N = 256 and tol = 1e-13 this density's recurrence residual
-        # passes before the true one does, so the solve restarts from it
-        g = Grid((256,))
-        rng = np.random.default_rng(1)
-        rho = banded_density(g, rng, 1e3, 1e3)
-        rhs = random_band_limited(g, rng, components=3, kmax=8)
-        calls = []
-        apply = elliptic.apply_screened
-        monkeypatch.setattr(
-            elliptic, "apply_screened", lambda *args: calls.append(1) or apply(*args)
-        )
-        A = solve_screened_vector(g, rhs, rho, tol=1e-13)
-        assert len(calls) == 2
-        assert np.array_equal(A, allocating_screened_solve(g, rhs, rho, tol=1e-13))
+    def test_restart_same_bits(self):
+        # at these tolerances the recurrence residual passes before the
+        # true one does, so the solve restarts from the true one
+        for shape, tol in [((256,), 3e-15), ((24, 20), 1e-15), ((12, 10, 8), 3e-15)]:
+            g = Grid(shape)
+            rng = np.random.default_rng(0)
+            rho = banded_density(g, rng, 1e3, 1e3)
+            rhs = random_band_limited(g, rng, components=3, kmax=3)
+            passes = []
+            expected = allocating_screened_solve(g, rhs, rho, tol=tol, passes=passes)
+            assert len(passes) >= 2
+            assert np.array_equal(solve_screened_vector(g, rhs, rho, tol=tol), expected)
 
     def test_inputs_unmodified(self, rng):
         g = Grid((16, 12))
@@ -298,3 +302,21 @@ class TestInPlaceRecurrence:
             solve_screened_vector(g, rhs, rho, guess=start)
             for before, after in zip(copies, (rho, rhs, guess)):
                 assert np.array_equal(before, after)
+
+    def test_peak_memory_does_not_grow_with_iterations(self, rng, transform_count):
+        # the iterations allocate nothing that outlives them: a tight
+        # tolerance makes more of them (one inverse transform each, plus one
+        # per pass) with the same peak
+        g = Grid((64, 64))
+        rho = banded_density(g, rng, 1e2, 1e2)
+        rhs = random_band_limited(g, rng, components=3, kmax=6)
+        peaks, inverses = [], []
+        for tol in (1e-3, 1e-12):
+            transform_count.clear()
+            tracemalloc.start()
+            solve_screened_vector(g, rhs, rho, tol=tol)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+            inverses.append(transform_count["irfft"])
+        assert inverses[1] >= 2 * inverses[0]
+        assert peaks[1] <= peaks[0]

@@ -42,14 +42,18 @@ def test_roundtrip_transform(rng):
     assert np.max(np.abs(back - f)) <= 1e-12 * max(1.0, np.max(np.abs(f)))
 
 
-@pytest.mark.parametrize("shape", [(16, 12), (8, 6, 10)])
+@pytest.mark.parametrize("shape", [(16, 12), (8, 6, 10), (64,)])
 def test_transforms_are_numpys_to_the_bit(shape, rng):
     # the transforms that write into one result array compute numpy's
     # n-dimensional transforms exactly, for real and complex, batched input
     g = Grid(shape)
     f = rng.standard_normal((3,) + shape)
     z = f + 1j * rng.standard_normal((3,) + shape)
-    assert np.array_equal(g.rfft(f), np.fft.rfftn(f, axes=g.axes))
+    fh = np.fft.rfftn(f, axes=g.axes)
+    assert np.array_equal(g.rfft(f), fh)
+    out = np.empty_like(f)
+    assert g.irfft(fh, out=out) is out
+    assert np.array_equal(out, np.fft.irfftn(fh, s=shape, axes=g.axes))
     for x in (f, f[0], z):
         assert np.array_equal(g.fft(x), np.fft.fftn(x, axes=g.axes))
         assert np.array_equal(g.ifft(x), np.fft.ifftn(x, axes=g.axes))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from poisswell.config import parse_config
+from poisswell.diagnostics import MonitorThresholds
 from poisswell.errors import PoisswellError
 from poisswell.grid import Grid
 from poisswell.harness import (
@@ -221,6 +222,17 @@ class TestMonokinetic:
         )
         mono = monokinetic_study(runs, [(8,)])
         assert all(d <= 1e-18 for d in mono.defects)
+
+    def test_spinor_runs_take_the_ladders_thresholds(self, small_ladder):
+        # a tail threshold of 0 fires on every spinor run of the study, and
+        # the report names each; with the default thresholds it names none
+        g, _, runs = small_ladder
+        assert not any(k.startswith("spinor_") for k in monokinetic_study(runs, [(12,)]).as_dict())
+        tight = replace(runs, thresholds=MonitorThresholds(tail=0.0))
+        doc = monokinetic_study(tight, [(12,)]).as_dict()
+        eps = [repr(e) for e in (0.4, 0.2, 0.1)]
+        assert doc["spinor_status"] == dict.fromkeys(eps, "completed")
+        assert doc["spinor_stop_reason"] == dict.fromkeys(eps, "spectral tail warning")
 
 
 def test_reference_ladder_dt_halving_below_one_percent():

@@ -412,9 +412,9 @@ class TestRun:
         rfft, irfft, solve = Grid.rfft, Grid.irfft, states.solve_screened_vector
 
         def counting(method):
-            def counted(self, f):
+            def counted(self, f, **kwargs):
                 transforms.append(1)
-                return method(self, f)
+                return method(self, f, **kwargs)
             return counted
 
         def counting_solve(*args, **kwargs):

@@ -3,7 +3,7 @@ import pytest
 
 from poisswell.errors import MissingPhase, NonzeroMean, NotAGradient
 from poisswell.grid import Grid
-from poisswell.operators import curl, divergence, gradient, l2_norm
+from poisswell.operators import curl, gradient, l2_norm
 from poisswell.states import (
     HydroState,
     charge_density,
@@ -13,7 +13,6 @@ from poisswell.states import (
     phase_current,
     recover_phase,
     reconstruct_spinor,
-    spin_curl,
     wkb_current,
 )
 
@@ -76,31 +75,6 @@ class TestPhaseCurrent:
         c = 1.7
         w = phase_current(g, spinup(c * np.exp(1j * x)))
         assert np.max(np.abs(w[0] + c**2)) < 1e-11
-
-
-class TestSpinCurl:
-    def test_constant_amplitude_gives_zero(self):
-        g = Grid((32,))
-        a = spinup(np.full(g.shape, 0.8 + 0.1j))
-        assert np.max(np.abs(spin_curl(g, a))) < 1e-13
-
-    def test_spinup_profile_symbolic(self):
-        # spin density of (f(x2), 0) is (0, 0, f^2); its half-curl has only
-        # component 1: (1/2) d2 (f^2)
-        g = Grid((16, 64))
-        x2 = g.coordinates()[1]
-        f = 1.0 + 0.3 * np.cos(x2) * np.ones(g.shape)
-        v = spin_curl(g, spinup(f))
-        expected = 0.5 * gradient(g, f**2)[1]
-        assert np.max(np.abs(v[0] - expected)) < 1e-12
-        assert np.max(np.abs(v[1])) < 1e-13
-        assert np.max(np.abs(v[2])) < 1e-13
-
-    def test_divergence_free(self, rng):
-        g = Grid((16, 16, 16))
-        a = random_band_limited(g, rng, components=2, complex_=True)
-        v = spin_curl(g, a)
-        assert l2_norm(g, divergence(g, v)) <= 1e-12 * max(1.0, l2_norm(g, v))
 
 
 class TestPauliCurrent:
@@ -261,10 +235,9 @@ def test_source_term_pieces(rng):
     st = HydroState(a=a, u=gradient(g, S), S=S, epsilon=0.2)
     rho = charge_density(st.a)
     w = phase_current(g, st.a)
-    v = spin_curl(g, st.a)
     J = wkb_current(g, st.a, st.u, np.zeros((3,) + g.shape), st.epsilon)
     assert rho.min() >= 0.0
-    assert np.isrealobj(w) and np.isrealobj(v) and np.isrealobj(J)
+    assert np.isrealobj(w) and np.isrealobj(J)
     # J with A = 0 decomposes into transport plus the eps-order piece
     expected = rho * st.u + current_epsilon_part(g, st.a, st.epsilon)
     assert np.max(np.abs(J - expected)) < 1e-12
