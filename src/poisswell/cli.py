@@ -24,7 +24,7 @@ import numpy as np
 
 from . import plots
 from .config import RunConfig, config_as_dict, parse_config, serialize_config
-from .diagnostics import MonitorThresholds
+from .diagnostics import MonitorThresholds, envelope_check
 from .errors import PoisswellError
 from .harness import (
     density_current_limit,
@@ -78,14 +78,7 @@ def _run_single(cfg: RunConfig, out: Path, manifest: Manifest):
         run = PauliSolver(grid, params, thresholds).run(psi0)
         docs = _dump_records(manifest, run.records, "diagnostics")
         _write_snapshots(manifest, run.times, run.states, "psi")
-        summary = {
-            "kind": cfg.kind,
-            "status": run.status,
-            "stop_reason": run.stop_reason,
-            "final_time": run.times[-1],
-            "dt": run.dt,
-            "charge_drift": run.charge_drift,
-        }
+        summary = {}
     else:
         eps = 0.0 if cfg.kind == "euler" else cfg.epsilon
         params = cfg.sim_params(epsilon=eps)
@@ -93,16 +86,8 @@ def _run_single(cfg: RunConfig, out: Path, manifest: Manifest):
         run = HydroSolver(grid, params, thresholds).run(init)
         docs = _dump_records(manifest, run.records, "diagnostics")
         _write_snapshots(manifest, run.times, [s.a for s in run.states], "amplitude")
-        from .diagnostics import envelope_check
-
         env = envelope_check(run.records, cfg.s)
         summary = {
-            "kind": cfg.kind,
-            "status": run.status,
-            "stop_reason": run.stop_reason,
-            "final_time": run.times[-1],
-            "dt": run.dt,
-            "charge_drift": run.charge_drift,
             "envelope_constant": env.constant,
             "envelope_passed": env.passed,
             "final_norms": {
@@ -111,6 +96,8 @@ def _run_single(cfg: RunConfig, out: Path, manifest: Manifest):
                 "monitor": run.records[-1].monitor,
             },
         }
+    summary.update(kind=cfg.kind, status=run.status, stop_reason=run.stop_reason,
+                   final_time=run.times[-1], dt=run.dt, charge_drift=run.charge_drift)
     if run.warnings:  # absent when empty: a warning-free report reads as before
         summary["warnings"] = run.warnings
     report_path = manifest.path("report.json", "report")

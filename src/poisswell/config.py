@@ -6,7 +6,9 @@ RunConfig object, and the round-trip serializer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+import inspect
+import numbers
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -14,47 +16,10 @@ import numpy as np
 from .errors import ParseError, ValidationError
 from .grid import Grid
 from .initial_data import FAMILIES, make_initial_state
-from .states import SimParams
+from .states import SimParams, normalize_charge
 
 KINDS = ("pauli", "wkb", "euler", "ladder", "spinor-vs-wkb", "monokinetic")
-
-_PARAMS_KEYS = (
-    "epsilon",
-    "dt",
-    "t",
-    "s",
-    "mu",
-    "mu1",
-    "mu2",
-    "cfl_safety",
-    "sample_every",
-    "magnetic",
-    "coupling",
-    "normalize",
-)
-
-# The keys each section accepts.  [initial] holds the family and its
-# options, which RunConfig.validate checks against _FAMILY_OPTION_KEYS.
-_SECTION_KEYS = {
-    "run": {"kind", "threads"},
-    "grid": {"points", "lengths"},
-    "params": set(_PARAMS_KEYS),
-    "initial": None,
-    "ladder": {"epsilons", "samples"},
-    "wigner": {"base_points"},
-    "thresholds": {"ratio", "tail"},
-    "output": {"directory"},
-}
-
-_FAMILY_OPTION_KEYS = {
-    "amplitude",
-    "width",
-    "center",
-    "phase_amplitude",
-    "spin_angle",
-    "beta",
-    "modes",
-}
+NORMALIZE = ("mean-density", "charge", "raw")
 
 
 @dataclass
@@ -66,9 +31,6 @@ class RunConfig:
     dt: Optional[float] = None
     T: float = 0.5
     s: float = 4.0
-    mu: float = 1.0
-    mu1: float = 1.0
-    mu2: float = 1.0
     cfl_safety: float = 0.4
     sample_every: int = 1
     magnetic: bool = True
@@ -85,68 +47,48 @@ class RunConfig:
     threads: int = 1
 
     def validate(self):
-        if self.kind not in KINDS:
-            raise ValidationError(f"unknown kind {self.kind!r}", key="kind")
-        if self.epsilon < 0:
-            raise ValidationError("epsilon must be >= 0", key="epsilon")
+        """
+        Convert and check each ``_KEYS`` entry in place, then the constraints
+        that join several keys; the first failure raises a ValidationError
+        that names its key.
+        """
+        for _, key, attr, convert, check in _KEYS:
+            value = getattr(self, attr)
+            try:
+                value = convert(value)
+            except TypeError as exc:
+                raise ValidationError(f"expected {exc}, got {value!r}", key=key) from None
+            if check is not None and value is not None and not check[0](value):
+                raise ValidationError(f"must be {check[1]}, got {value!r}", key=key)
+            setattr(self, attr, value)
         if self.kind == "pauli" and self.epsilon == 0:
             raise ValidationError("the spinor solver needs epsilon > 0", key="epsilon")
-        if self.dt is not None and self.dt <= 0:
-            raise ValidationError("dt must be > 0", key="dt")
-        if self.T < 0:
-            raise ValidationError("T must be >= 0", key="T")
-        if self.family not in FAMILIES:
-            raise ValidationError(
-                f"unknown initial-data family {self.family!r}", key="family"
-            )
-        if not 1 <= len(self.points) <= 3:
-            raise ValidationError("grid needs 1 to 3 axes", key="points")
-        if self.kind in ("ladder", "monokinetic"):
-            if not self.epsilons:
-                raise ValidationError("ladder needs an epsilon list", key="epsilons")
-            if any(b >= a for a, b in zip(self.epsilons, self.epsilons[1:])):
-                raise ValidationError(
-                    "epsilon list must be decreasing", key="epsilons"
-                )
-            if any(e <= 0 for e in self.epsilons):
-                raise ValidationError("ladder epsilons must be > 0", key="epsilons")
-        if self.normalize not in ("mean-density", "charge", "raw"):
-            raise ValidationError("normalize must be mean-density|charge|raw", key="normalize")
-        if self.threads < 1:
-            raise ValidationError("threads must be >= 1", key="threads")
-        if self.sample_every < 1:
-            raise ValidationError("sample_every must be >= 1", key="sample_every")
+        if self.lengths is not None and len(self.lengths) != len(self.points):
+            raise ValidationError("needs one length per grid axis", key="lengths")
+        if self.kind in ("ladder", "monokinetic") and not self.epsilons:
+            raise ValidationError("ladder needs an epsilon list", key="epsilons")
         if self.sample_every != 1 and self.kind in ("ladder", "monokinetic", "spinor-vs-wkb"):
             raise ValidationError(f"kind {self.kind!r} samples at the shared times T k / n_samples;"
                                   " it must be 1", key="sample_every")
-        unknown = set(self.family_options) - _FAMILY_OPTION_KEYS
+        for p in self.base_points:
+            idx = _as_tuple(p)
+            if len(idx) > len(self.points) or not all(0 <= i < n for i, n in zip(idx, self.points)):
+                raise ValidationError(f"base point {p} is not on the grid", key="base_points")
+        accepted = set(inspect.signature(FAMILIES[self.family]).parameters) - {"grid", "epsilon"}
+        unknown = sorted(set(self.family_options) - accepted)
         if unknown:
-            raise ValidationError(
-                f"unknown initial-data options {sorted(unknown)}", key="initial"
-            )
+            raise ValidationError(f"family {self.family!r} takes no such option", key=unknown[0])
         return self
 
     # -- builders -------------------------------------------------------------
 
     def build_grid(self) -> Grid:
-        return Grid(tuple(self.points), None if self.lengths is None else tuple(self.lengths))
+        return Grid(self.points, self.lengths)
 
-    def sim_params(self, epsilon=None, **overrides) -> SimParams:
-        kw = dict(
-            epsilon=self.epsilon if epsilon is None else epsilon,
-            dt=self.dt,
-            T=self.T,
-            s=self.s,
-            mu=self.mu,
-            mu1=self.mu1,
-            mu2=self.mu2,
-            cfl_safety=self.cfl_safety,
-            sample_every=self.sample_every,
-            magnetic=self.magnetic,
-            coupling=self.coupling,
-        )
-        kw.update(overrides)
-        return SimParams(**kw)
+    def sim_params(self, epsilon=None) -> SimParams:
+        """The ``SimParams`` fields this config sets, ``epsilon`` in place of its own when given."""
+        kw = {f.name: getattr(self, f.name) for f in fields(SimParams) if hasattr(self, f.name)}
+        return SimParams(**kw) if epsilon is None else SimParams(**{**kw, "epsilon": epsilon})
 
     def build_initial(self, grid: Grid, epsilon=None):
         eps = self.epsilon if epsilon is None else epsilon
@@ -155,23 +97,89 @@ class RunConfig:
             opts["modes"] = tuple(int(m) for m in np.atleast_1d(opts["modes"]))
         state = make_initial_state(grid, self.family, eps, opts)
         if self.normalize == "charge":
-            from .states import normalize_charge
-
             state.a = normalize_charge(grid, state.a)
         return state
 
     def default_base_points(self, grid: Grid):
-        if self.base_points:
-            pts = []
-            for p in self.base_points:
-                idx = tuple(int(v) for v in np.atleast_1d(p))
-                idx = idx + (0,) * (grid.dim - len(idx))
-                pts.append(idx)
-            return tuple(pts)
-        n = grid.shape[0]
-        return ((n // 4,) + (0,) * (grid.dim - 1),
-                (n // 2,) + (0,) * (grid.dim - 1),
-                (3 * n // 4,) + (0,) * (grid.dim - 1))
+        """The base points padded to the grid's axes; by default a quarter, half and
+        three quarters of the way along the first axis."""
+        pts = self.base_points or tuple(k * grid.shape[0] // 4 for k in (1, 2, 3))
+        return tuple(p + (0,) * (grid.dim - len(p)) for p in map(_as_tuple, pts))
+
+
+# -- the key table --------------------------------------------------------------
+#
+# One row per config key: (section, key, RunConfig attribute, conversion,
+# check).  The conversion raises TypeError naming what it expects; the check,
+# when there is one, is (predicate, what it asks for) on the converted value.
+# The parser accepts exactly these keys, and serialize_config writes them in
+# this order.
+
+
+def _as_tuple(v):
+    return tuple(v) if isinstance(v, (tuple, list)) else (v,)
+
+
+def _is(kind, name, cast=None):
+    """A conversion that takes a ``kind`` (a bool only where a bool is asked for)."""
+
+    def convert(v):
+        if not isinstance(v, kind) or (isinstance(v, bool) and kind is not bool):
+            raise TypeError(name)
+        return v if cast is None else cast(v)
+
+    return convert
+
+
+def _tuple(convert):
+    return lambda v: tuple(convert(x) for x in _as_tuple(v))
+
+
+def _optional(convert):
+    return lambda v: None if v is None else convert(v)
+
+
+def _index(v):
+    return _tuple(_int)(v) if isinstance(v, (tuple, list)) else _int(v)
+
+
+def _one_of(choices):
+    return (lambda v: v in choices, "one of " + ", ".join(choices))
+
+
+_int, _real = _is(numbers.Integral, "an integer", int), _is(numbers.Real, "a number", float)
+_text, _bool = _is(str, "a string"), _is(bool, "true or false")
+_POSITIVE, _NONNEGATIVE = (lambda v: v > 0, "> 0"), (lambda v: v >= 0, ">= 0")
+_AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
+
+_KEYS = (
+    ("run", "kind", "kind", _text, _one_of(KINDS)),
+    ("run", "threads", "threads", _int, _AT_LEAST_1),
+    ("grid", "points", "points", _tuple(_int),
+     (lambda v: 1 <= len(v) <= 3 and all(n >= 4 and n % 2 == 0 for n in v),
+      "1 to 3 even sizes >= 4")),
+    ("grid", "lengths", "lengths", _optional(_tuple(_real)),
+     (lambda v: all(L > 0 for L in v), "positive")),
+    ("params", "epsilon", "epsilon", _real, _NONNEGATIVE),
+    ("params", "dt", "dt", _optional(_real), _POSITIVE),
+    ("params", "T", "T", _real, _NONNEGATIVE),
+    ("params", "s", "s", _real, _AT_LEAST_1),
+    ("params", "cfl_safety", "cfl_safety", _real, (lambda v: 0 < v <= 1, "in (0, 1]")),
+    ("params", "sample_every", "sample_every", _int, _AT_LEAST_1),
+    ("params", "magnetic", "magnetic", _bool, None),
+    ("params", "coupling", "coupling", _bool, None),
+    ("params", "normalize", "normalize", _text, _one_of(NORMALIZE)),
+    ("initial", "family", "family", _text, _one_of(tuple(FAMILIES))),
+    ("ladder", "epsilons", "epsilons", _tuple(_real),
+     (lambda v: all(e > 0 for e in v) and all(b < a for a, b in zip(v, v[1:])),
+      "positive and decreasing")),
+    ("ladder", "samples", "ladder_samples", _int, _AT_LEAST_1),
+    ("wigner", "base_points", "base_points", _tuple(_index), None),
+    ("thresholds", "ratio", "threshold_ratio", _real, None),
+    ("thresholds", "tail", "threshold_tail", _real, None),
+    ("output", "directory", "out_dir", _optional(_text), None),
+)
+_BY_KEY = {(section, key.lower()): attr for section, key, attr, _, _ in _KEYS}
 
 
 # -- text format ---------------------------------------------------------------
@@ -200,15 +208,22 @@ def _parse_scalar(token, lineno):
 
 
 def _parse_value(raw, lineno):
+    """A scalar, or a bracketed list of values split at its top-level commas."""
     raw = raw.strip()
-    if raw.startswith("["):
-        if not raw.endswith("]"):
-            raise ParseError("unterminated list", line=lineno)
-        inner = raw[1:-1].strip()
-        if not inner:
-            return ()
-        return tuple(_parse_scalar(tok, lineno) for tok in inner.split(","))
-    return _parse_scalar(raw, lineno)
+    if not raw.startswith("["):
+        return _parse_scalar(raw, lineno)
+    if not raw.endswith("]"):
+        raise ParseError("unterminated list", line=lineno)
+    if not raw[1:-1].strip():
+        return ()
+    items, depth = [""], 0
+    for ch in raw[1:-1]:
+        depth += (ch == "[") - (ch == "]")
+        if ch == "," and depth == 0:
+            items.append("")
+        else:
+            items[-1] += ch
+    return tuple(_parse_value(tok, lineno) for tok in items)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -239,110 +254,56 @@ def parse_config(text: str) -> RunConfig:
             raise ParseError(f"duplicate key {key!r}", line=lineno)
         sections[current][key] = _parse_value(raw, lineno)
 
-    for name, entries in sections.items():
-        if name not in _SECTION_KEYS:
-            raise ValidationError(f"unknown section [{name}]", key=name)
-        known = _SECTION_KEYS[name]
-        unknown = sorted(set(entries) - known) if known is not None else []
-        if unknown:
-            raise ValidationError(f"unknown key in [{name}]", key=unknown[0])
-
     cfg = RunConfig()
-    run = sections.get("run", {})
-    for k in ("kind", "threads"):
-        if k in run:
-            setattr(cfg, k, run[k])
-    g = sections.get("grid", {})
-    if "points" in g:
-        pts = g["points"]
-        cfg.points = tuple(pts) if isinstance(pts, tuple) else (pts,)
-    if "lengths" in g:
-        lg = g["lengths"]
-        cfg.lengths = tuple(float(v) for v in (lg if isinstance(lg, tuple) else (lg,)))
-    p = sections.get("params", {})
-    for k in _PARAMS_KEYS:
-        if k in p:
-            setattr(cfg, "T" if k == "t" else k, p[k])
-    init = sections.get("initial", {})
-    if "family" in init:
-        cfg.family = init["family"]
-    cfg.family_options = {k: v for k, v in init.items() if k != "family"}
-    lad = sections.get("ladder", {})
-    if "epsilons" in lad:
-        eps = lad["epsilons"]
-        cfg.epsilons = tuple(float(v) for v in (eps if isinstance(eps, tuple) else (eps,)))
-    if "samples" in lad:
-        cfg.ladder_samples = int(lad["samples"])
-    wig = sections.get("wigner", {})
-    if "base_points" in wig:
-        bp = wig["base_points"]
-        cfg.base_points = tuple(bp) if isinstance(bp, tuple) else (bp,)
-    th = sections.get("thresholds", {})
-    if "ratio" in th:
-        cfg.threshold_ratio = float(th["ratio"])
-    if "tail" in th:
-        cfg.threshold_tail = float(th["tail"])
-    out = sections.get("output", {})
-    if "directory" in out:
-        cfg.out_dir = out["directory"]
+    known = {section for section, _ in _BY_KEY}
+    for name, entries in sections.items():
+        if name not in known:
+            raise ValidationError(f"unknown section [{name}]", key=name)
+        for key, value in entries.items():
+            if name == "initial" and key != "family":
+                cfg.family_options[key] = value  # checked against the family's signature
+            elif (name, key) in _BY_KEY:
+                setattr(cfg, _BY_KEY[name, key], value)
+            else:
+                raise ValidationError(f"unknown key in [{name}]", key=key)
     return cfg.validate()
 
 
+def _fmt(v):
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, tuple):
+        return "[" + ", ".join(_fmt(x) for x in v) + "]"
+    if isinstance(v, str):
+        return f'"{v}"'
+    if v is None:
+        return "none"
+    return repr(v)
+
+
 def serialize_config(cfg: RunConfig) -> str:
-    """Emit text that parses back to an equal RunConfig."""
-
-    def fmt(v):
-        if isinstance(v, bool):
-            return "true" if v else "false"
-        if isinstance(v, tuple):
-            return "[" + ", ".join(fmt(x) for x in v) + "]"
-        if isinstance(v, str):
-            return f'"{v}"'
-        if v is None:
-            return "none"
-        return repr(v)
-
-    lines = ["[run]"]
-    lines.append(f"kind = {fmt(cfg.kind)}")
-    lines.append(f"threads = {cfg.threads}")
-    lines += ["", "[grid]", f"points = {fmt(tuple(cfg.points))}"]
-    if cfg.lengths is not None:
-        lines.append(f"lengths = {fmt(tuple(cfg.lengths))}")
-    lines += ["", "[params]"]
-    lines.append(f"epsilon = {cfg.epsilon!r}")
-    if cfg.dt is not None:
-        lines.append(f"dt = {cfg.dt!r}")
-    lines.append(f"T = {cfg.T!r}")
-    lines.append(f"s = {cfg.s!r}")
-    for k in ("mu", "mu1", "mu2", "cfl_safety"):
-        lines.append(f"{k} = {getattr(cfg, k)!r}")
-    lines.append(f"sample_every = {cfg.sample_every}")
-    lines.append(f"magnetic = {fmt(cfg.magnetic)}")
-    lines.append(f"coupling = {fmt(cfg.coupling)}")
-    lines.append(f"normalize = {fmt(cfg.normalize)}")
-    lines += ["", "[initial]", f"family = {fmt(cfg.family)}"]
-    for k in sorted(cfg.family_options):
-        lines.append(f"{k} = {fmt(cfg.family_options[k])}")
-    if cfg.epsilons:
-        lines += ["", "[ladder]", f"epsilons = {fmt(tuple(cfg.epsilons))}"]
-        lines.append(f"samples = {cfg.ladder_samples}")
-    if cfg.base_points:
-        lines += ["", "[wigner]", f"base_points = {fmt(tuple(cfg.base_points))}"]
-    lines += ["", "[thresholds]"]
-    lines.append(f"ratio = {cfg.threshold_ratio!r}")
-    lines.append(f"tail = {cfg.threshold_tail!r}")
-    if cfg.out_dir is not None:
-        lines += ["", "[output]", f"directory = {fmt(cfg.out_dir)}"]
+    """
+    Emit text that parses back to an equal RunConfig: the ``_KEYS`` in table
+    order with the family's options after ``family``.  A key whose value is
+    None is left out, and so is a whole section whose first key is None or
+    empty ([ladder] without epsilons, [wigner], [output]).
+    """
+    lines, current, skip = [], None, False
+    for section, key, attr, _, _ in _KEYS:
+        value = getattr(cfg, attr)
+        empty = value is None or value == ()
+        if section != current:
+            current, skip = section, empty
+            if not skip:
+                lines += ["", f"[{section}]"] if lines else [f"[{section}]"]
+        if skip or empty:
+            continue
+        lines.append(f"{key} = {_fmt(value)}")
+        if attr == "family":
+            lines += [f"{k} = {_fmt(cfg.family_options[k])}" for k in sorted(cfg.family_options)]
     return "\n".join(lines) + "\n"
 
 
 def config_as_dict(cfg: RunConfig):
-    d = asdict(cfg)
-    d["points"] = [int(n) for n in cfg.points]
-    d["epsilons"] = [float(e) for e in cfg.epsilons]
-    d["base_points"] = [
-        [int(v) for v in np.atleast_1d(p)] for p in cfg.base_points
-    ]
-    if cfg.lengths is not None:
-        d["lengths"] = [float(v) for v in cfg.lengths]
-    return d
+    """The config's fields for a JSON report, each base point as a list."""
+    return {**asdict(cfg), "base_points": [list(_as_tuple(p)) for p in cfg.base_points]}

@@ -229,13 +229,3 @@ def envelope_check(records: Sequence[DiagnosticsRecord], s, c_max=1e3, tol=1e-4)
             lo = mid
     return EnvelopeReport(constant=hi, max_violation=violation(hi), passed=True)
 
-
-def blowup_lower_bound_K(epsilon, C, T_star, s):
-    """
-    The nearly-singular lower bound exposed for exploration:
-    K = (1/2)(|log(sqrt(eps)/(C T*))|^{1/(2s+3)} - 1).  The constant C is
-    not computable from theory; no acceptance claim is attached.
-    """
-    return 0.5 * (
-        abs(np.log(np.sqrt(epsilon) / (C * T_star))) ** (1.0 / (2.0 * s + 3.0)) - 1.0
-    )

@@ -17,14 +17,6 @@ class MissingPhase(PoisswellError):
     """Spinor reconstruction requested but no phase is tracked."""
 
 
-class NotAGradient(PoisswellError):
-    """Velocity field has too much curl to be a phase gradient."""
-
-
-class NonzeroMean(PoisswellError):
-    """Velocity field has a nonzero mean; not a periodic gradient."""
-
-
 class WignerNotReal(PoisswellError):
     """A Wigner slice has a significant imaginary part (under-resolved data)."""
 

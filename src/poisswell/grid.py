@@ -82,10 +82,11 @@ class Grid:
             out.append(x.reshape(shp))
         return out
 
-    # -- spectral tables ----------------------------------------------------
+    # -- mode indices -------------------------------------------------------
     #
-    # ``half=True`` gives the table on the half spectrum of :meth:`rfft`:
-    # the last axis keeps only its nonnegative indices 0 .. N//2.
+    # ``half=True`` indexes the half spectrum of :meth:`rfft`: the last axis
+    # keeps only its nonnegative indices 0 .. N//2.  The spectral tables
+    # built on these indices are the cached functions below the class.
 
     def _axis_index(self, i, half=False):
         """Integer mode indices of axis ``i`` (fftfreq * N), broadcastable."""
@@ -95,37 +96,6 @@ class Grid:
         shp = [1] * self.dim
         shp[i] = len(idx)
         return idx.reshape(shp)
-
-    def wavenumbers(self, half=False):
-        """
-        Derivative wavenumber arrays ``k[i]`` broadcastable to ``shape``.
-
-        The Nyquist mode is zeroed so the table is exactly antisymmetric
-        under index negation and odd derivatives of real fields stay real.
-        Always returns 3 entries; entries for inactive axes are zero.
-        """
-        ks = []
-        for i in range(3):
-            if i < self.dim:
-                n, L = self.shape[i], self.lengths[i]
-                idx = self._axis_index(i, half)
-                k = 2.0 * np.pi * (idx * (1.0 / (n * (L / n))))  # as fftfreq
-                ks.append(np.where(np.abs(idx) == n // 2, 0.0, k))
-            else:
-                ks.append(np.zeros((1,) * self.dim))
-        return ks
-
-    def k_squared(self, half=False):
-        """|k|^2 on the grid (from the antisymmetrized table)."""
-        ks = self.wavenumbers(half)
-        return sum(k**2 for k in ks[: self.dim])
-
-    def dealias_mask(self, half=False):
-        """Boolean 2/3-rule mask: keeps |index_i| <= N_i // 3 per axis."""
-        mask = np.ones((1,) * self.dim, dtype=bool)
-        for i, n in enumerate(self.shape):
-            mask = mask & (np.abs(self._axis_index(i, half)) <= n // 3)
-        return mask
 
     # -- transforms ---------------------------------------------------------
 
@@ -186,12 +156,27 @@ def _cached(grid: Grid, name, half, build):
 
 
 def k3(grid: Grid, half=False):
-    """Cached 3-entry wavenumber table (zeros on inactive axes)."""
-    return _cached(grid, "_k3", half, lambda: grid.wavenumbers(half))
+    """
+    Derivative wavenumber arrays ``k[i]`` broadcastable to ``shape``; always
+    3 entries, zero on inactive axes.  The Nyquist mode is zeroed so the
+    table is exactly antisymmetric under index negation and odd derivatives
+    of real fields stay real.
+    """
+
+    def build():
+        ks = [np.zeros((1,) * grid.dim) for _ in range(3)]
+        for i, (n, L) in enumerate(zip(grid.shape, grid.lengths)):
+            idx = grid._axis_index(i, half)
+            k = 2.0 * np.pi * (idx * (1.0 / (n * (L / n))))  # as fftfreq
+            ks[i] = np.where(np.abs(idx) == n // 2, 0.0, k)
+        return ks
+
+    return _cached(grid, "_k3", half, build)
 
 
 def k2(grid: Grid, half=False):
-    return _cached(grid, "_k2", half, lambda: grid.k_squared(half))
+    """|k|^2 on the grid (from the antisymmetrized table)."""
+    return _cached(grid, "_k2", half, lambda: sum(k**2 for k in k3(grid, half)[: grid.dim]))
 
 
 def parseval_weights(grid: Grid):
@@ -219,7 +204,15 @@ def inverse_laplacian_modes(grid: Grid, half=False):
 
 
 def dealias_mask(grid: Grid, half=False):
-    return _cached(grid, "_mask", half, lambda: grid.dealias_mask(half))
+    """Boolean 2/3-rule mask: keeps |index_i| <= N_i // 3 per axis."""
+
+    def build():
+        mask = np.ones((1,) * grid.dim, dtype=bool)
+        for i, n in enumerate(grid.shape):
+            mask = mask & (np.abs(grid._axis_index(i, half)) <= n // 3)
+        return mask
+
+    return _cached(grid, "_mask", half, build)
 
 
 def tail_mask(grid: Grid, half=False):

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -74,7 +74,7 @@ class LadderReport:
     def metric(self, name):
         return [getattr(r, name) for r in self.rungs]
 
-    def as_dict(self, include_timing=False):
+    def as_dict(self):
         doc = {
             "s": self.s,
             "T": self.T,
@@ -82,22 +82,10 @@ class LadderReport:
             "slopes": dict(self.slopes),
             "degenerate": self.degenerate,
             "euler_status": self.euler_status,
-            "rungs": [
-                {
-                    "epsilon": r.epsilon,
-                    "status": r.status,
-                    "stop_time": r.stop_time,
-                    "xs_error": r.xs_error,
-                    "rho_error": r.rho_error,
-                    "current_error": r.current_error,
-                    "eps_term_norm": r.eps_term_norm,
-                    "defect": r.defect,
-                }
-                for r in self.rungs
-            ],
+            # every rung field but the wall clock, which stays out of the report
+            "rungs": [{k: v for k, v in asdict(r).items() if k != "wall_clock"}
+                      for r in self.rungs],
         }
-        if include_timing:
-            doc["wall_clock"] = [r.wall_clock for r in self.rungs]
         if self.warnings:  # absent when empty: a warning-free report reads as before
             doc["warnings"] = list(self.warnings)
         return doc
@@ -190,11 +178,8 @@ def epsilon_ladder(
             wall_clock=time.perf_counter() - start,
         )
         if run.status == "completed" and euler.status == "completed":
-            xs_err, rho_err, cur_err, eps_term = _rung_errors(grid, run, euler, params.s)
-            rung.xs_error = xs_err
-            rung.rho_error = rho_err
-            rung.current_error = cur_err
-            rung.eps_term_norm = eps_term
+            (rung.xs_error, rung.rho_error, rung.current_error,
+             rung.eps_term_norm) = _rung_errors(grid, run, euler, params.s)
         return rung, run
 
     if threads > 1:
@@ -210,13 +195,11 @@ def epsilon_ladder(
     degenerate = any(
         r.xs_error is not None and r.xs_error == 0.0 for r in rungs
     ) or len(ok) < 3
-    slopes = {}
-    for name in ("xs_error", "rho_error", "current_error", "eps_term_norm"):
-        slopes[name] = (
-            None
-            if degenerate
-            else fit_loglog_slope([r.epsilon for r in ok], [getattr(r, name) for r in ok])
-        )
+    slopes = {
+        name: None if degenerate
+        else fit_loglog_slope([r.epsilon for r in ok], [getattr(r, name) for r in ok])
+        for name in ("xs_error", "rho_error", "current_error", "eps_term_norm")
+    }
     report = LadderReport(
         s=params.s,
         T=params.T,

@@ -39,10 +39,8 @@ from .operators import (
     dealias,
     derivative_table,
     directional,
-    divergence,
     gradient,
     gradient_part,
-    l2_norm,
     laplacian,
 )
 from .pauli import apply_sigma_dot
@@ -201,7 +199,7 @@ class HydroSolver:
         the amplitude advances in spectral space: the stage derivatives arrive
         as dealiased spectra, and ``a'`` is masked before its one inverse.
         Each stage inverts the spectrum of its amplitude once into ``a`` and
-        its derivative table, which the phase current of the potentials and
+        its derivative table, which the kinetic current of the potentials and
         the advection of ``a`` share; ``u`` and ``A`` are transformed once
         each, in :meth:`_derivatives`.  ``u`` and ``S`` take the same
         four stages with E = 1, which is classical RK4; at eps = 0 the
@@ -273,15 +271,7 @@ class HydroSolver:
     def _record(self, t, state: HydroState, pots: Potentials, previous):
         # the state carries its own time; ``t`` is the loop's n * dt
         g = self.grid
-        fn = functionals(
-            g,
-            state,
-            self.params.s,
-            self.params.mu,
-            self.params.mu1,
-            self.params.mu2,
-            dt_u=self.velocity_rhs(state.u, pots),
-        )
+        fn = functionals(g, state, self.params.s, dt_u=self.velocity_rhs(state.u, pots))
         sup = fn.monitor if previous is None else max(previous.monitor_sup, fn.monitor)
         return DiagnosticsRecord(
             t=state.t,
@@ -346,18 +336,6 @@ class HydroSolver:
             records[i].gauge_residual = gauge_residual(
                 g, win_pot, states[i].epsilon
             )
-
-
-def continuity_form_residual(grid: Grid, state: HydroState, pots: Potentials, da):
-    """
-    Residual of the density form  d_t rho + div(rho (u - A)) = 0  when
-    d_t rho is assembled from the amplitude equation as 2 Re(conj(a) d_t a);
-    an algebraic identity up to dealiasing truncation.
-    """
-    dt_rho = 2.0 * np.einsum("i...,i...->...", np.conj(state.a), da).real
-    rho = charge_density(state.a)
-    flux = rho * (state.u - pots.A)
-    return l2_norm(grid, dt_rho + divergence(grid, flux))
 
 
 def euler_fields_form(grid: Grid, run: Run, index: int):

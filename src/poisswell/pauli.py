@@ -15,21 +15,6 @@ SIGMA = np.array(
     dtype=complex,
 )
 
-IDENTITY2 = np.eye(2, dtype=complex)
-
-
-def sigma_dot(B):
-    """
-    Pointwise Hermitian matrix field sum_k sigma_k B_k, shape (2, 2, *grid).
-
-    B is real with 3 components; the result acts linearly on spinors.
-    """
-    B = np.asarray(B)
-    out = np.zeros((2, 2) + B.shape[1:], dtype=complex)
-    for k in range(3):
-        out += SIGMA[k].reshape((2, 2) + (1,) * (B.ndim - 1)) * B[k]
-    return out
-
 
 def apply_sigma_dot(B, psi):
     """(sigma . B) psi without materializing the matrix field."""
@@ -39,18 +24,6 @@ def apply_sigma_dot(B, psi):
     out[0] = B[2] * psi[0] + (B[0] - 1j * B[1]) * psi[1]
     out[1] = (B[0] + 1j * B[1]) * psi[0] - B[2] * psi[1]
     return out
-
-
-def pauli_vector_identity_sides(a, b):
-    """
-    Both sides of ``(a.sigma)(b.sigma) = (a.b) I + i (a x b).sigma`` for
-    constant real 3-vectors; used as a property check of the algebra.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    lhs = (a @ SIGMA.reshape(3, 4)).reshape(2, 2) @ (b @ SIGMA.reshape(3, 4)).reshape(2, 2)
-    rhs = float(a @ b) * IDENTITY2 + 1j * (np.cross(a, b) @ SIGMA.reshape(3, 4)).reshape(2, 2)
-    return lhs, rhs
 
 
 def spin_density(psi):

@@ -10,7 +10,7 @@ integrated by an explicit midpoint rule inside each nonlinear half-step.
 
 A step keeps psi spectral between substeps where it can: the first kinetic
 half hands its spectrum, and the derivative table taken from it, to the
-phase current and the first transport pass; the last transport half hands
+kinetic current and the first transport pass; the last transport half hands
 its spectrum straight to the last kinetic half.  The potentials are V and A
 alone; the step takes ``B = curl A``, which only the multiplication reads,
 and ``div A`` from one transform of A.
@@ -151,7 +151,7 @@ class PauliSolver:
 
         psi is transformed once on entry and inverted once on exit.  The
         spectrum after the first kinetic half is kept through the step; its
-        derivative table serves the first potentials' phase current and the
+        derivative table serves the first potentials' kinetic current and the
         first pass of the predictor transport, and is taken again from the
         spectrum for the corrector transport rather than held across the
         midpoint solve.  The last transport half returns its spectrum to the

@@ -1,9 +1,8 @@
 """
 Physical state containers and the algebraic source-term formulas: charge
-density, phase and spin currents, the full Pauli current, and the WKB
-amplitude/phase reconstruction machinery.  Also the pieces both solvers
-share: the self-consistent potentials, the default step size and the run
-loop with its ``Run`` record.
+density, the kinetic, WKB and Pauli currents, and the spinor reconstruction
+of a WKB state.  Also the pieces both solvers share: the self-consistent
+potentials, the default step size and the run loop with its ``Run`` record.
 """
 
 from __future__ import annotations
@@ -17,8 +16,8 @@ import numpy as np
 
 from . import kernels
 from .elliptic import solve_poisson_neutral, solve_screened_vector
-from .errors import MissingPhase, NonConvergence, NonzeroMean, NotAGradient
-from .grid import Grid, inverse_laplacian_modes, k2_safe, k3
+from .errors import MissingPhase, NonConvergence
+from .grid import Grid
 from .operators import curl, derivative_table, l2_norm
 from .pauli import spin_density
 
@@ -44,9 +43,6 @@ class SimParams:
     dt: Optional[float] = None
     T: float = 0.5
     s: float = 4.0
-    mu: float = 1.0
-    mu1: float = 1.0
-    mu2: float = 1.0
     cfl_safety: float = 0.4
     screened_tol: float = 1e-11
     screened_max_iters: int = 200
@@ -81,14 +77,8 @@ class HydroState:
     epsilon: float = 0.1
 
     def copy(self):
-        return HydroState(
-            a=self.a.copy(),
-            u=self.u.copy(),
-            S=None if self.S is None else self.S.copy(),
-            u_mean=self.u_mean.copy(),
-            t=self.t,
-            epsilon=self.epsilon,
-        )
+        return replace(self, a=self.a.copy(), u=self.u.copy(), u_mean=self.u_mean.copy(),
+                       S=None if self.S is None else self.S.copy())
 
 
 def charge_density(psi):
@@ -96,10 +86,10 @@ def charge_density(psi):
     return kernels.spinor_density(psi)
 
 
-def phase_current(grid: Grid, a, grad_a=None):
+def kinetic_current(grid: Grid, a, grad_a=None):
     """
-    The quadratic phase current (i/2)(conj(a) grad a - a grad conj(a)),
-    summed over spinor components; real up to roundoff.  ``grad_a``, the
+    ``Im(conj(a) . grad a)`` summed over spinor components, the current the
+    Pauli kinetic term produces.  ``grad_a``, the
     :func:`~poisswell.operators.derivative_table` of ``a``, is taken when
     the caller holds it.
     """
@@ -109,14 +99,8 @@ def phase_current(grid: Grid, a, grad_a=None):
     conj_a = np.conj(a)
     out = np.zeros((3,) + grid.shape)
     for i in range(grid.dim):
-        # (i/2)(z - conj(z)) = -Im z
-        out[i] = -np.sum(conj_a * grad_a[i], axis=0).imag
+        out[i] = np.sum(conj_a * grad_a[i], axis=0).imag
     return out
-
-
-def kinetic_current(grid: Grid, a, grad_a=None):
-    """Im(conj(a) . grad a), the current the Pauli kinetic term produces."""
-    return -phase_current(grid, a, grad_a)
 
 
 def pauli_current(grid: Grid, psi, A, epsilon):
@@ -134,23 +118,24 @@ def pauli_current(grid: Grid, psi, A, epsilon):
     return J
 
 
-def wkb_current(grid: Grid, a, u, A, epsilon):
+def wkb_current(grid: Grid, a, u, A, epsilon, grad_a=None, rho=None):
     """
     The Pauli current of ``a exp(iS/eps)`` in closed form,
     ``rho (u - A) + eps (Im(conj(a) grad a) - curl(conj(a) sigma a))``;
     algebraically identical to :func:`pauli_current` on reconstructed
-    spinors, and equal to ``rho (u - A)`` at eps = 0.
+    spinors.  A ``None`` for ``u`` or ``A`` reads as zero: with both None
+    it is the O(eps) part, and with ``A = None`` the screened solve's source.
+    At eps = 0 it is ``rho (u - A)``, made without a transform.  ``grad_a``
+    (the derivative table of ``a``) and ``rho`` are taken when given.
     """
-    rho = charge_density(a)
-    J = epsilon * (kinetic_current(grid, a) - curl(grid, spin_density(a)))
-    for i in range(3):
-        J[i] += rho * (u[i] - A[i])
+    if rho is None:
+        rho = charge_density(a)
+    if A is not None:
+        u = -A if u is None else u - A
+    J = np.zeros((3,) + grid.shape) if u is None else rho * u
+    if epsilon > 0:
+        J += epsilon * (kinetic_current(grid, a, grad_a) - curl(grid, spin_density(a)))
     return J
-
-
-def current_epsilon_part(grid: Grid, a, epsilon, grad_a=None):
-    """The O(eps) piece of the WKB current (vanishes linearly as eps -> 0)."""
-    return epsilon * (kinetic_current(grid, a, grad_a) - curl(grid, spin_density(a)))
 
 
 def self_consistent_potentials(grid: Grid, params: SimParams, a, epsilon, u=None,
@@ -176,19 +161,10 @@ def self_consistent_potentials(grid: Grid, params: SimParams, a, epsilon, u=None
     if not params.magnetic:
         return Potentials(V=V, A=zero_v)
     # the source is passed unnamed, so it is freed once the solve holds its spectrum
-    A = solve_screened_vector(grid, _screened_source(grid, a, rho, epsilon, u, grad_a), rho,
+    A = solve_screened_vector(grid, wkb_current(grid, a, u, None, epsilon, grad_a, rho), rho,
                               tol=params.screened_tol, max_iters=params.screened_max_iters,
                               guess=guess)
     return Potentials(V=V, A=A)
-
-
-def _screened_source(grid: Grid, a, rho, epsilon, u, grad_a):
-    """The current without its ``-rho A`` part: the screened solve's source."""
-    if u is None:
-        return current_epsilon_part(grid, a, epsilon, grad_a)
-    if epsilon > 0:
-        return rho * u + current_epsilon_part(grid, a, epsilon, grad_a)
-    return rho * u
 
 
 def reconstruct_spinor(grid: Grid, state: HydroState):
@@ -214,33 +190,6 @@ def reconstruct_spinor(grid: Grid, state: HydroState):
         if any(abs(state.u_mean[i]) > 0 for i in range(grid.dim, 3)):
             raise MissingPhase("mean velocity along an inactive axis")
     return np.asarray(state.a) * np.exp(1j * phase)
-
-
-def recover_phase(grid: Grid, u, curl_tol=1e-6, mean_tol=1e-10):
-    """
-    Zero-mean S with grad S = u, solved spectrally via Delta S = div u.
-
-    Raises NotAGradient when u carries relatively too much curl and
-    NonzeroMean when any component mean exceeds ``mean_tol`` (a nonzero-mean
-    field is not the gradient of any periodic function).
-    """
-    u = np.asarray(u, dtype=float)
-    u_norm = l2_norm(grid, u)
-    if u_norm == 0.0:
-        return np.zeros(grid.shape)
-    means = [abs(float(np.mean(u[i]))) for i in range(3)]
-    if max(means) > mean_tol:
-        raise NonzeroMean(f"mean velocity {max(means):.3e} exceeds {mean_tol:g}")
-    c = curl(grid, u)
-    if l2_norm(grid, c) > curl_tol * u_norm:
-        raise NotAGradient("velocity field is not curl-free")
-    ks = k3(grid)
-    kdot = np.zeros(grid.shape, dtype=complex)
-    for i in range(grid.dim):
-        kdot += ks[i] * grid.fft(u[i])
-    sh = kdot / (1j * k2_safe(grid))
-    sh[~inverse_laplacian_modes(grid)] = 0.0
-    return grid.ifft_real(sh)
 
 
 def normalize_charge(grid: Grid, a, target=1.0):

@@ -136,6 +136,19 @@ phase_amplitude = 0.0
 """
 
 
+# one bad value each, named by the key the error must name
+BAD_VALUES = [
+    ("points", EULER_UNIFORM.replace("points = [32]", "points = [5]")),
+    ("lengths", EULER_UNIFORM.replace("points = [32]", "points = [32]\nlengths = [0]")),
+    ("epsilon", EULER_UNIFORM.replace("epsilon = 0.0", 'epsilon = "abc"')),
+    ("samples", LADDER.replace("samples = 3", "samples = 0")),
+    # a 1-d grid has no second index for these base points
+    ("base_points", LADDER.replace("[12, 32, 44]", "[[1, 2], [3, 4]]")),
+    ("width", EULER_UNIFORM + "width = 1\n"),
+    ("cfl_safety", EULER_UNIFORM.replace("dt = 0.01", "cfl_safety = 0")),
+]
+
+
 def write_cfg(tmp_path, text, name="run.cfg"):
     p = tmp_path / name
     p.write_text(text, encoding="utf-8")
@@ -309,6 +322,16 @@ class TestRunCommand:
         cfg = write_cfg(tmp_path, "[run]\nkind = nonsense\n")
         assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert "kind" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, text", BAD_VALUES, ids=[key for key, _ in BAD_VALUES])
+    def test_bad_value_exits_one_naming_key(self, tmp_path, capsys, key, text):
+        # each of these once ended in a traceback (or, for cfl_safety, in a run
+        # that did not end); main returning means no exception escaped
+        cfg = write_cfg(tmp_path, text)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command, text", [("run", SPINOR_VS_WKB), ("ladder", LADDER)],
                              ids=["spinor-vs-wkb", "ladder"])

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from poisswell.config import RunConfig, parse_config, serialize_config
+from poisswell.config import _KEYS, RunConfig, parse_config, serialize_config
 from poisswell.errors import ParseError, PoisswellError, ValidationError
 from poisswell.grid import Grid
 from poisswell.io import (
@@ -111,6 +111,14 @@ class TestParse:
         assert err.value.key == "out_dir"
         assert "out_dir" in str(err.value)
 
+    @pytest.mark.parametrize("key", ["mu", "mu1", "mu2"])
+    def test_removed_weight_keys_rejected(self, key):
+        # the functional weights are no longer config keys; they stay 1
+        with pytest.raises(ValidationError) as err:
+            parse_config(MINIMAL + f"\n[params]\n{key} = 2.0\n")
+        assert err.value.key == key
+        assert key in str(err.value)
+
     def test_unknown_section_rejected(self):
         bad = MINIMAL + "\n[param]\nepsilon = 0.2\n"
         with pytest.raises(ValidationError) as err:
@@ -156,6 +164,36 @@ class TestParse:
         ).validate()
         again = parse_config(serialize_config(cfg))
         assert again == cfg
+
+    def test_roundtrip_every_key_non_default(self):
+        cfg = RunConfig(
+            kind="pauli",
+            threads=2,
+            points=(16, 32),
+            lengths=(1.5, 3.0),
+            epsilon=0.3,
+            dt=2e-3,
+            T=0.7,
+            s=5.5,
+            cfl_safety=0.25,
+            sample_every=3,
+            magnetic=False,
+            coupling=False,
+            normalize="charge",
+            family="plane-wave",
+            family_options={"modes": (1, 2)},
+            epsilons=(0.3, 0.1),
+            ladder_samples=7,
+            base_points=((1, 2), 5),
+            threshold_ratio=20.0,
+            threshold_tail=0.25,
+            out_dir="elsewhere",
+        ).validate()
+        default = RunConfig()
+        assert all(getattr(cfg, attr) != getattr(default, attr) for _, _, attr, _, _ in _KEYS)
+        text = serialize_config(cfg)
+        assert "base_points = [[1, 2], 5]" in text
+        assert parse_config(text) == cfg
 
     @given(
         kind=st.sampled_from(["wkb", "euler", "pauli"]),

@@ -265,13 +265,6 @@ class TestMonitor:
             is diag.MonitorStatus.WARNING
         )
 
-    def test_k_lower_bound_formula(self):
-        # frozen from the closed form: 0.5 (|log(sqrt(eps)/(C T))|^{1/(2s+3)} - 1)
-        val = diag.blowup_lower_bound_K(1e-4, C=1.0, T_star=0.5, s=4.0)
-        expected = 0.5 * (abs(np.log(np.sqrt(1e-4) / 0.5)) ** (1.0 / 11.0) - 1.0)
-        assert val == pytest.approx(expected, rel=1e-12)
-        assert diag.blowup_lower_bound_K(1e-12, 1.0, 0.5, 4.0) > val
-
 
 class TestEnergyIdentity:
     def test_energy_relation_discrete(self):
@@ -284,13 +277,13 @@ class TestEnergyIdentity:
         run = HydroSolver(g, params).run(gaussian_bump(g, epsilon=eps, amplitude=0.3))
         from poisswell.operators import gradient as grad_op
         from poisswell.operators import l2_norm
-        from poisswell.states import phase_current
+        from poisswell.states import kinetic_current
 
         solver = HydroSolver(g, params)
 
         def pieces(i):
             st = run.states[i]
-            w = phase_current(g, st.a)
+            w = -kinetic_current(g, st.a)  # the phase current
             uw = float(np.sum(st.u * w) * g.cell_volume)
             ga = sum(l2_norm(g, grad_op(g, st.a[s])) ** 2 for s in range(2))
             du = solver.rhs(st, run.potentials[i])[1]

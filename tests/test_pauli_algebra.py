@@ -3,14 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poisswell.grid import Grid
-from poisswell.pauli import (
-    SIGMA,
-    apply_sigma_dot,
-    pauli_vector_identity_sides,
-    sigma_dot,
-    spin_density,
-    stern_gerlach_reality,
-)
+from poisswell.pauli import SIGMA, apply_sigma_dot, spin_density, stern_gerlach_reality
 
 from conftest import random_band_limited
 
@@ -32,57 +25,78 @@ class TestPauliMatrices:
         assert np.allclose(SIGMA[1] @ SIGMA[2], 1j * SIGMA[0])
         assert np.allclose(SIGMA[2] @ SIGMA[0], 1j * SIGMA[1])
 
-    def test_sigma_dot_e3_is_sigma3(self):
+    def test_sigma_dot_e3_is_sigma3(self, rng):
         g = Grid((8,))
         B = np.zeros((3,) + g.shape)
         B[2] = 1.0
-        M = sigma_dot(B)
-        assert np.allclose(M[..., 0], SIGMA[2])
+        psi = random_band_limited(g, rng, components=2, complex_=True)
+        assert np.allclose(apply_sigma_dot(B, psi), np.einsum("ij,j...->i...", SIGMA[2], psi))
 
-    def test_sigma_dot_zero(self):
+    def test_sigma_dot_zero(self, rng):
         g = Grid((8,))
-        M = sigma_dot(np.zeros((3,) + g.shape))
-        assert np.max(np.abs(M)) == 0.0
+        psi = random_band_limited(g, rng, components=2, complex_=True)
+        assert np.max(np.abs(apply_sigma_dot(np.zeros((3,) + g.shape), psi))) == 0.0
 
     def test_sigma_dot_pointwise_assembly(self):
-        # direct 2x2 assembly oracle for B = (1, 1, 0)
-        M = sigma_dot(np.array([1.0, 1.0, 0.0]).reshape(3, 1))
+        # direct 2x2 assembly oracle for B = (1, 1, 0), applied to the basis spinors
         expected = np.array([[0.0, 1.0 - 1.0j], [1.0 + 1.0j, 0.0]])
-        assert np.allclose(M[..., 0], expected)
+        B = np.array([1.0, 1.0, 0.0]).reshape(3, 1)
+        for j in range(2):
+            e = np.zeros((2, 1), dtype=complex)
+            e[j] = 1.0
+            assert np.allclose(apply_sigma_dot(B, e)[:, 0], expected[:, j])
 
     def test_sigma_dot_hermitian_field(self, rng):
+        # <phi, (sigma.B) psi> = <(sigma.B) phi, psi> at every point
         g = Grid((16,))
         B = random_band_limited(g, rng, components=3)
-        M = sigma_dot(B)
-        assert np.allclose(M, np.conj(np.swapaxes(M, 0, 1)))
+        phi, psi = (random_band_limited(g, rng, components=2, complex_=True) for _ in range(2))
+        lhs = np.sum(np.conj(phi) * apply_sigma_dot(B, psi), axis=0)
+        rhs = np.sum(np.conj(apply_sigma_dot(B, phi)) * psi, axis=0)
+        assert np.allclose(lhs, rhs)
 
     def test_apply_matches_matrix(self, rng):
         g = Grid((16,))
         B = random_band_limited(g, rng, components=3)
         psi = random_band_limited(g, rng, components=2, complex_=True)
         direct = apply_sigma_dot(B, psi)
-        M = sigma_dot(B)
+        M = np.einsum("kij,k...->ij...", SIGMA, B)
         via_matrix = np.einsum("ij...,j...->i...", M, psi)
         assert np.max(np.abs(direct - via_matrix)) < 1e-13
 
 
+def identity_sides(a, b, psi):
+    """Both sides of (a.sigma)(b.sigma) psi = (a.b) psi + i ((a x b).sigma) psi
+    for constant real 3-vectors, through ``apply_sigma_dot``."""
+    a, b = (np.asarray(v, dtype=float).reshape(3, 1) for v in (a, b))
+    lhs = apply_sigma_dot(a, apply_sigma_dot(b, psi))
+    rhs = float(a[:, 0] @ b[:, 0]) * psi + 1j * apply_sigma_dot(np.cross(a, b, axis=0), psi)
+    return lhs, rhs
+
+
+BASIS = np.eye(2, dtype=complex).reshape(2, 2, 1)
+
+
 class TestVectorIdentity:
     def test_e3_squared_is_identity(self):
-        lhs, rhs = pauli_vector_identity_sides([0, 0, 1], [0, 0, 1])
-        assert np.allclose(lhs, np.eye(2))
-        assert np.allclose(rhs, np.eye(2))
+        for e in BASIS:
+            lhs, rhs = identity_sides([0, 0, 1], [0, 0, 1], e)
+            assert np.allclose(lhs, e)
+            assert np.allclose(rhs, e)
 
     def test_e1_e2_gives_i_sigma3(self):
-        lhs, rhs = pauli_vector_identity_sides([1, 0, 0], [0, 1, 0])
-        assert np.allclose(lhs, 1j * SIGMA[2])
-        assert np.allclose(rhs, 1j * SIGMA[2])
+        for e in BASIS:
+            lhs, rhs = identity_sides([1, 0, 0], [0, 1, 0], e)
+            assert np.allclose(lhs, 1j * np.einsum("ij,j...->i...", SIGMA[2], e))
+            assert np.allclose(rhs, lhs)
 
     @settings(max_examples=50, deadline=None)
     @given(a=finite_vec, b=finite_vec)
     def test_identity_holds_for_random_vectors(self, a, b):
-        lhs, rhs = pauli_vector_identity_sides(a, b)
-        scale = max(1.0, np.max(np.abs(lhs)))
-        assert np.max(np.abs(lhs - rhs)) <= 1e-13 * scale
+        for e in BASIS:
+            lhs, rhs = identity_sides(a, b, e)
+            scale = max(1.0, np.max(np.abs(lhs)))
+            assert np.max(np.abs(lhs - rhs)) <= 1e-13 * scale
 
 
 class TestSternGerlach:

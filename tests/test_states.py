@@ -1,17 +1,16 @@
 import numpy as np
 import pytest
 
-from poisswell.errors import MissingPhase, NonzeroMean, NotAGradient
+from poisswell.errors import MissingPhase
 from poisswell.grid import Grid
 from poisswell.operators import curl, gradient, l2_norm
+from poisswell.pauli import spin_density
 from poisswell.states import (
     HydroState,
     charge_density,
-    current_epsilon_part,
+    kinetic_current,
     normalize_charge,
     pauli_current,
-    phase_current,
-    recover_phase,
     reconstruct_spinor,
     wkb_current,
 )
@@ -55,26 +54,27 @@ class TestDensity:
 
 
 class TestPhaseCurrent:
+    # the kinetic current Im(conj(a) grad a), which is minus the phase current
+    # (i/2)(conj(a) grad a - a grad conj(a))
     def test_uniform_is_zero(self):
         g = Grid((32,))
-        w = phase_current(g, spinup(np.ones(g.shape)))
+        w = kinetic_current(g, spinup(np.ones(g.shape)))
         assert np.max(np.abs(w)) < 1e-14
 
     def test_plane_wave_amplitude(self):
-        # oracle: (i/2)(conj(a) a' - a conj(a)') with a = e^{ix} gives
-        # (i/2)(i - (-i)) = -1
+        # oracle: Im(conj(a) a') with a = e^{ix} gives Im(i) = 1
         g = Grid((64,))
         x = g.coordinates()[0].ravel()
-        w = phase_current(g, spinup(np.exp(1j * x)))
-        assert np.max(np.abs(w[0] + 1.0)) < 1e-12
+        w = kinetic_current(g, spinup(np.exp(1j * x)))
+        assert np.max(np.abs(w[0] - 1.0)) < 1e-12
         assert np.max(np.abs(w[1:])) < 1e-13
 
     def test_quadratic_scaling(self):
         g = Grid((64,))
         x = g.coordinates()[0].ravel()
         c = 1.7
-        w = phase_current(g, spinup(c * np.exp(1j * x)))
-        assert np.max(np.abs(w[0] + c**2)) < 1e-11
+        w = kinetic_current(g, spinup(c * np.exp(1j * x)))
+        assert np.max(np.abs(w[0] - c**2)) < 1e-11
 
 
 class TestPauliCurrent:
@@ -142,8 +142,9 @@ class TestWkbCurrent:
     def test_epsilon_part_scales_linearly(self, rng):
         g = Grid((64,))
         a = 1.0 + random_band_limited(g, rng, components=2, complex_=True, amplitude=0.3)
-        n1 = l2_norm(g, current_epsilon_part(g, a, 0.2))
-        n2 = l2_norm(g, current_epsilon_part(g, a, 0.1))
+        # u = A = None: the O(eps) part alone
+        n1 = l2_norm(g, wkb_current(g, a, None, None, 0.2))
+        n2 = l2_norm(g, wkb_current(g, a, None, None, 0.1))
         assert n2 == pytest.approx(0.5 * n1, rel=1e-12)
 
 
@@ -183,44 +184,6 @@ class TestReconstruct:
             reconstruct_spinor(g, st)
 
 
-class TestRecoverPhase:
-    def test_cosine_antiderivative(self):
-        g = Grid((64,))
-        x = g.coordinates()[0].ravel()
-        u = np.zeros((3,) + g.shape)
-        u[0] = np.cos(x)
-        S = recover_phase(g, u)
-        assert np.max(np.abs(S - np.sin(x))) < 1e-12
-
-    def test_zero_velocity(self):
-        g = Grid((32,))
-        S = recover_phase(g, np.zeros((3,) + g.shape))
-        assert np.max(np.abs(S)) == 0.0
-
-    def test_rotational_field_rejected(self, rng):
-        g = Grid((16, 16))
-        A = random_band_limited(g, rng, components=3)
-        sol = curl(g, A)
-        sol -= sol.mean(axis=tuple(range(1, sol.ndim)), keepdims=True)
-        with pytest.raises(NotAGradient):
-            recover_phase(g, sol)
-
-    def test_nonzero_mean_rejected(self):
-        g = Grid((32,))
-        u = np.zeros((3,) + g.shape)
-        u[0] = 1.0
-        with pytest.raises(NonzeroMean):
-            recover_phase(g, u)
-
-    def test_roundtrip_with_gradient(self, rng):
-        g = Grid((32, 32))
-        S = random_band_limited(g, rng)
-        S -= S.mean()
-        u = gradient(g, S)
-        back = recover_phase(g, u)
-        assert l2_norm(g, gradient(g, back) - u) <= 1e-8 * l2_norm(g, u)
-
-
 def test_normalize_charge(rng):
     g = Grid((64,))
     a = random_band_limited(g, rng, components=2, complex_=True)
@@ -234,13 +197,16 @@ def test_source_term_pieces(rng):
     S = random_band_limited(g, rng, amplitude=0.2)
     st = HydroState(a=a, u=gradient(g, S), S=S, epsilon=0.2)
     rho = charge_density(st.a)
-    w = phase_current(g, st.a)
+    w = kinetic_current(g, st.a)
     J = wkb_current(g, st.a, st.u, np.zeros((3,) + g.shape), st.epsilon)
     assert rho.min() >= 0.0
     assert np.isrealobj(w) and np.isrealobj(J)
-    # J with A = 0 decomposes into transport plus the eps-order piece
-    expected = rho * st.u + current_epsilon_part(g, st.a, st.epsilon)
-    assert np.max(np.abs(J - expected)) < 1e-12
+    # J with A = 0 decomposes into transport plus the eps-order piece, and
+    # A = None (the screened solve's source) reads as A = 0
+    eps_part = st.epsilon * (w - curl(g, spin_density(st.a)))
+    assert np.max(np.abs(J - (rho * st.u + eps_part))) < 1e-12
+    assert np.max(np.abs(wkb_current(g, st.a, st.u, None, st.epsilon) - J)) < 1e-12
+    assert np.max(np.abs(wkb_current(g, st.a, None, None, st.epsilon) - eps_part)) < 1e-12
 
 
 class GuessLog:
