@@ -7,11 +7,10 @@ RunConfig object, and the round-trip serializer.
 from __future__ import annotations
 
 import inspect
+import math
 import numbers
 from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
-
-import numpy as np
 
 from .errors import ParseError, ValidationError
 from .grid import Grid
@@ -53,14 +52,7 @@ class RunConfig:
         that names its key.
         """
         for _, key, attr, convert, check in _KEYS:
-            value = getattr(self, attr)
-            try:
-                value = convert(value)
-            except TypeError as exc:
-                raise ValidationError(f"expected {exc}, got {value!r}", key=key) from None
-            if check is not None and value is not None and not check[0](value):
-                raise ValidationError(f"must be {check[1]}, got {value!r}", key=key)
-            setattr(self, attr, value)
+            setattr(self, attr, _checked(key, getattr(self, attr), convert, check))
         if self.kind == "pauli" and self.epsilon == 0:
             raise ValidationError("the spinor solver needs epsilon > 0", key="epsilon")
         if self.lengths is not None and len(self.lengths) != len(self.points):
@@ -78,6 +70,11 @@ class RunConfig:
         unknown = sorted(set(self.family_options) - accepted)
         if unknown:
             raise ValidationError(f"family {self.family!r} takes no such option", key=unknown[0])
+        for key, value in self.family_options.items():
+            self.family_options[key] = _checked(key, value, *_OPTIONS[key])
+        center = self.family_options.get("center")
+        if center is not None and len(center) != len(self.points):
+            raise ValidationError("needs one coordinate per grid axis", key="center")
         return self
 
     # -- builders -------------------------------------------------------------
@@ -92,10 +89,7 @@ class RunConfig:
 
     def build_initial(self, grid: Grid, epsilon=None):
         eps = self.epsilon if epsilon is None else epsilon
-        opts = dict(self.family_options)
-        if self.family == "plane-wave" and "modes" in opts:
-            opts["modes"] = tuple(int(m) for m in np.atleast_1d(opts["modes"]))
-        state = make_initial_state(grid, self.family, eps, opts)
+        state = make_initial_state(grid, self.family, eps, self.family_options)
         if self.normalize == "charge":
             state.a = normalize_charge(grid, state.a)
         return state
@@ -113,7 +107,19 @@ class RunConfig:
 # check).  The conversion raises TypeError naming what it expects; the check,
 # when there is one, is (predicate, what it asks for) on the converted value.
 # The parser accepts exactly these keys, and serialize_config writes them in
-# this order.
+# this order.  The [initial] options a family takes are checked the same way,
+# by name, from _OPTIONS.
+
+
+def _checked(key, value, convert, check):
+    """``value`` converted and checked, or a ValidationError naming ``key``."""
+    try:
+        value = convert(value)
+    except TypeError as exc:
+        raise ValidationError(f"expected {exc}, got {value!r}", key=key) from None
+    if check is not None and value is not None and not check[0](value):
+        raise ValidationError(f"must be {check[1]}, got {value!r}", key=key)
+    return value
 
 
 def _as_tuple(v):
@@ -180,6 +186,17 @@ _KEYS = (
     ("output", "directory", "out_dir", _optional(_text), None),
 )
 _BY_KEY = {(section, key.lower()): attr for section, key, attr, _, _ in _KEYS}
+
+_FINITE = (math.isfinite, "finite")
+_OPTIONS = {
+    "amplitude": (_real, _FINITE),
+    "width": (_real, (lambda v: 0 < v < math.inf, "> 0 and finite")),
+    "center": (_optional(_tuple(_real)), (lambda v: all(map(math.isfinite, v)), "finite")),
+    "phase_amplitude": (_real, _FINITE),
+    "spin_angle": (_real, _FINITE),
+    "modes": (_tuple(_int), (lambda v: 1 <= len(v) <= 3, "1 to 3 integers")),
+    "beta": (_real, _FINITE),
+}
 
 
 # -- text format ---------------------------------------------------------------

@@ -9,11 +9,16 @@ is an exact pointwise unitary; the advective piece ``A.grad + (div A)/2`` is
 integrated by an explicit midpoint rule inside each nonlinear half-step.
 
 A step keeps psi spectral between substeps where it can: the first kinetic
-half hands its spectrum, and the derivative table taken from it, to the
-kinetic current and the first transport pass; the last transport half hands
-its spectrum straight to the last kinetic half.  The potentials are V and A
-alone; the step takes ``B = curl A``, which only the multiplication reads,
-and ``div A`` from one transform of A.
+half hands its spectrum to both transport passes; the last transport half
+hands its spectrum straight to the last kinetic half.  The potentials are V
+and A alone; the step takes ``B = curl A``, which only the multiplication
+reads, and ``div A`` from one transform of A.
+
+A run makes one screened solve per step, at the step's midpoint.  Each
+step's predictor takes the potentials at its start extrapolated linearly
+in time from the last two solved points (the initial potentials and the
+midpoints), and a sample solves V alone; its A is solved from the stored
+state when first read.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import numpy as np
 
 from . import kernels
 from .diagnostics import DiagnosticsRecord, MonitorThresholds, charge, field_energy
+from .elliptic import solve_poisson_neutral
 from .errors import StabilityViolation
 from .grid import Grid, dealias_mask, dispersion_factor
 from .operators import (
@@ -32,10 +38,12 @@ from .operators import (
     spectrum,
 )
 from .states import (
+    LazyPotentials,
     Potentials,
     Run,
     RunStopped,
     SimParams,
+    charge_density,
     run_loop,
     self_consistent_potentials,
 )
@@ -53,11 +61,25 @@ class PauliSolver:
         self.thresholds = thresholds
         self._dispersion = {}  # dispersion_factor's tables
 
-    def potentials(self, psi, guess=None, grad_a=None) -> Potentials:
+    def potentials(self, psi, guess=None) -> Potentials:
         return self_consistent_potentials(
             self.grid, self.params, psi, self.params.epsilon, guess=guess,
-            grad_a=grad_a,
         )
+
+    def _sample_potentials(self, psi) -> Potentials:
+        """
+        The potentials a sample keeps: ``V`` now, which its record's energy
+        reads, and ``A`` solved from ``psi``, the stored state, when first
+        read; that ``A`` is :meth:`potentials`' cold solve, bit for bit.
+        """
+        if not (self.params.magnetic and self.params.coupling):
+            return self.potentials(psi)
+        V = solve_poisson_neutral(self.grid, charge_density(psi))
+        return LazyPotentials(V, psi, self.potentials)
+
+    def _fields(self, pots):
+        """The fields a step's predictor takes: ``(pots, B, div A)``."""
+        return (pots, *self._magnetic(pots.A))
 
     # -- single step ---------------------------------------------------------
 
@@ -73,37 +95,28 @@ class PauliSolver:
             bound = min(bound, self.params.epsilon / w_inf)
         return 0.5 * bound
 
-    def _advect_rhs(self, psi, psi_hat, A, divA, table=None):
-        """
-        The dealiased spectrum of ``A.grad psi + (div A/2) psi``, from ``psi_hat``
-        or from its derivative ``table`` when the caller holds it.
-        """
+    def _advect_rhs(self, psi, psi_hat, A, divA):
+        """The dealiased spectrum of ``A.grad psi + (div A/2) psi``, from ``psi_hat``."""
         g = self.grid
-        if table is None:
-            table = derivative_table(g, psi_hat, half=False)
+        table = derivative_table(g, psi_hat, half=False)
         return g.fft(directional(g, A, table) + 0.5 * divA * psi) * dealias_mask(g)
 
-    def _transport(self, psi, tau, pots, divA, psi_hat=None, first_hat=None,
-                   spectral=False):
+    def _transport(self, psi, tau, pots, divA, psi_hat=None, spectral=False):
         """
         The explicit midpoint rule for ``d_t psi = A.grad psi + (div A/2) psi``
         (``divA`` is None when A vanishes).  ``psi_hat``, the spectrum of
-        ``psi``, and ``first_hat``, the first pass's :meth:`_advect_rhs`, are
-        taken when the caller holds them; otherwise ``psi`` is transformed
-        once.  The midpoint's spectrum is assembled from the first pass's
-        dealiased derivative, so the second pass needs no forward transform
-        of the midpoint.  ``spectral`` returns the spectrum of the result
-        instead.
+        ``psi``, is taken when the caller holds it; otherwise ``psi`` is
+        transformed once.  The midpoint's spectrum is assembled from the
+        first pass's dealiased derivative, so the second pass needs no
+        forward transform of the midpoint.  ``spectral`` returns the
+        spectrum of the result instead.
         """
         g = self.grid
         if divA is None:
             return g.fft(psi) if spectral else psi
         if psi_hat is None:
             psi_hat = g.fft(psi)
-        if first_hat is None:
-            first_hat = self._advect_rhs(psi, psi_hat, pots.A, divA)
-        mid_hat = psi_hat + 0.5 * tau * first_hat
-        first_hat = None  # not held through the second pass
+        mid_hat = psi_hat + 0.5 * tau * self._advect_rhs(psi, psi_hat, pots.A, divA)
         mid = g.ifft(mid_hat)
         rhs_hat = self._advect_rhs(mid, mid_hat, pots.A, divA)
         if spectral:
@@ -136,7 +149,7 @@ class PauliSolver:
             psi_hat *= dealias_mask(g)
         return psi_hat
 
-    def step(self, psi, dt):
+    def step(self, psi, dt, fields=None, solved=None):
         """
         One Strang step, kinetic halves outside:
 
@@ -144,46 +157,48 @@ class PauliSolver:
 
         The self-consistent potentials are evaluated at mid-step: the
         density is insensitive to the multiplication flow, so after the
-        kinetic and transport halves it is midpoint-accurate to O(dt^2),
-        which is what keeps the nonlinear coupling second order.  The
-        transport half preceding the refresh is run once with predictor
-        potentials and then redone with the midpoint ones.
+        kinetic half it is midpoint-accurate to O(dt^2), which is what
+        keeps the nonlinear coupling second order.  Without a magnetic
+        coupling that is the step's one solve.  With one, the current
+        (hence A) also moves with the transport and the multiplication
+        phase at O(dt), so a predictor first applies half of each with the
+        potentials at the step's start; the midpoint potentials are solved
+        from the predicted psi, from the predictor's A, and drive the step.
+
+        ``fields``, the predictor's ``(pots, B, div A)``, are the potentials
+        of ``psi``, solved here, when not given; :meth:`run` passes them
+        extrapolated, so its steps make one screened solve each.  ``solved``,
+        a list, receives the midpoint's fields.  The stability bound is
+        checked with the potentials the step starts from.
 
         psi is transformed once on entry and inverted once on exit.  The
-        spectrum after the first kinetic half is kept through the step; its
-        derivative table serves the first potentials' kinetic current and the
-        first pass of the predictor transport, and is taken again from the
-        spectrum for the corrector transport rather than held across the
-        midpoint solve.  The last transport half returns its spectrum to the
-        last kinetic half.
+        spectrum after the first kinetic half is kept through the step and
+        serves both first transport passes; the last transport half returns
+        its spectrum to the last kinetic half.
         """
         if dt == 0.0:
             return psi.copy()
-        g, tau = self.grid, 0.5 * dt
+        g, tau, p = self.grid, 0.5 * dt, self.params
+        magnetic = p.magnetic and p.coupling
+        if magnetic and fields is None:
+            fields = self._fields(self.potentials(psi))
         psi_hat = self._kinetic(g.fft(psi), tau)
         psi = g.ifft(psi_hat)
-        table = derivative_table(g, psi_hat, half=False)
-        pots = self.potentials(psi, grad_a=table)
+        pots, B, divA = fields if magnetic else self._fields(self.potentials(psi))
         bound = self.dt_bound(psi, pots)
         if dt > bound * (1.0 + 1e-9):
             raise StabilityViolation(f"dt={dt:g} exceeds stability bound {bound:g}")
-        B, divA = self._magnetic(pots.A)
-        if divA is not None:
-            # the current (hence A) is sensitive to both transport and the
-            # multiply phase at O(dt), so the predictor applies half of each;
-            # its first pass takes the table, which is dropped before the
-            # second pass takes the midpoint's
-            first_hat = self._advect_rhs(psi, psi_hat, pots.A, divA, table)
-            table = None
-            predicted = self._transport(psi, tau, pots, divA, psi_hat, first_hat)
-            first_hat = None
+        if magnetic:
+            predicted = self._transport(psi, tau, pots, divA, psi_hat)
             predicted = self._multiply(predicted, tau, pots, B)
             # of the predictor's fields only A, the guess, is held across
             # the midpoint solve; it goes with the predicted psi once it returns
-            guess, pots, B, divA = pots.A, None, None, None
+            guess, fields, pots, B, divA = pots.A, None, None, None, None
             pots = self.potentials(predicted, guess=guess)
             predicted = guess = None
-            B, divA = self._magnetic(pots.A)
+            _, B, divA = mid = self._fields(pots)
+            if solved is not None:
+                solved.append(mid)
         psi = self._transport(psi, tau, pots, divA, psi_hat)
         psi = self._multiply(psi, dt, pots, B)
         psi_hat = self._transport(psi, tau, pots, divA, spectral=True)
@@ -211,18 +226,59 @@ class PauliSolver:
         run whose spectral tail passed ``thresholds.tail`` carries that as its
         stop reason.  ``n_samples`` places the samples at ``T k / n_samples``
         (:func:`~poisswell.states.run_loop`).
+
+        With a magnetic coupling each step's predictor takes the potentials
+        at its start, extrapolated linearly in time from the last two solved
+        points: the initial potentials P_0 at t = 0 and each step's midpoint
+        potentials at t_n + dt/2.  Step 1 takes P_0, step 2
+        ``2 P_{1/2} - P_0`` and later steps ``1.5 P_{n-1/2} - 0.5 P_{n-3/2}``;
+        B and div A go with A, being linear in it.  The run, not the
+        solver, keeps the two points, and each step makes one screened
+        solve, at its midpoint.  A sample keeps V and solves A from the
+        stored state when first read (:meth:`_sample_potentials`).
         """
+        magnetic = self.params.magnetic and self.params.coupling
+        solved = []  # the fields of the last two solved points, oldest first
+        taken = 0
+
+        def predictor(pots):
+            if not solved:
+                solved.append(self._fields(pots))  # the first step's pots are P_0
+                return solved[0]
+            # the step starts half a step past the last midpoint, which lies
+            # half a step past P_0 and a whole step past an earlier midpoint
+            return _extrapolate(1.0 if taken == 1 else 0.5, *solved)
 
         def advance(psi, dt, pots):
+            nonlocal taken
             try:
-                return self.step(psi, dt)
+                psi = self.step(psi, dt, predictor(pots) if magnetic else None, solved)
             except StabilityViolation as exc:
                 raise RunStopped(str(exc)) from exc
+            taken += 1
+            del solved[:-2]
+            return psi
 
         run = run_loop(self, np.asarray(psi0, dtype=complex), advance,
-                       tolerate=lambda: True, n_samples=n_samples)
+                       tolerate=lambda: True, n_samples=n_samples,
+                       sample_potentials=self._sample_potentials)
         if run.status == "completed" and any(
             r.tail_fraction > self.thresholds.tail for r in run.records[1:]
         ):
             run.stop_reason = "spectral tail warning"
         return run
+
+
+def _extrapolate(w, older, last):
+    """
+    ``(1 + w) last - w older`` of two points' fields ``(pots, B, div A)``;
+    a None ``div A`` (A = 0) reads as zero.
+    """
+
+    def line(x0, x1):
+        if x0 is None and x1 is None:
+            return None
+        return (1.0 + w) * (0.0 if x1 is None else x1) - w * (0.0 if x0 is None else x0)
+
+    (p0, B0, d0), (p1, B1, d1) = older, last
+    return Potentials(V=line(p0.V, p1.V), A=line(p0.A, p1.A)), line(B0, B1), line(d0, d1)

@@ -35,6 +35,24 @@ class Potentials:
     A: np.ndarray
 
 
+class LazyPotentials(Potentials):
+    """
+    ``V`` now and ``A = solve(state).A`` when first read; until then it
+    holds ``V``, ``state`` and ``solve`` and no other array.
+    """
+
+    def __init__(self, V, state, solve):
+        self.V = V
+        self._state, self._solve = state, solve
+
+    @property
+    def A(self):
+        if self._solve is not None:
+            self._A = self._solve(self._state).A
+            self._state = self._solve = None
+        return self._A
+
+
 @dataclass
 class SimParams:
     """Run parameters shared by the solvers and the diagnostics."""
@@ -250,7 +268,7 @@ def _finite(state):
 
 
 def run_loop(solver, state, advance, every_step=False, watch=None,
-             tolerate=lambda: False, n_samples=None) -> Run:
+             tolerate=lambda: False, n_samples=None, sample_potentials=None) -> Run:
     """
     Integrate ``state`` over [0, T] and sample it every ``sample_every``
     steps and at the end.
@@ -266,8 +284,13 @@ def run_loop(solver, state, advance, every_step=False, watch=None,
     ``_record(t, state, pots, previous)``.  ``advance(state, dt, pots)``
     takes one step, which checks dt against its own bound; ``pots`` are the
     potentials of ``state`` when ``every_step`` is set, and of the last
-    sample otherwise.  Every-step solves start from an extrapolated A,
-    sample solves from zero.
+    sample otherwise.  Every-step solves start from an extrapolated A.
+    Otherwise a sample's potentials are ``sample_potentials(stored state)``,
+    ``solver.potentials`` (from zero) by default.  A spinor run reads
+    ``pots`` on its first step only, where they are the initial
+    potentials; its later steps take the potentials they extrapolate from
+    the midpoint solves of the steps before, and its samples keep V with
+    A solved from the stored state when first read.
     ``watch(records)`` judges each new sample.  ``advance`` and ``watch``
     end the run as a blow-up by raising :class:`RunStopped`; a non-finite
     state does the same.  A ``NonConvergence`` ends the run when
@@ -278,13 +301,13 @@ def run_loop(solver, state, advance, every_step=False, watch=None,
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         run = _integrate(solver, state, advance, every_step, watch, tolerate,
-                         n_samples)
+                         n_samples, sample_potentials or solver.potentials)
     run.warnings = list(dict.fromkeys(str(w.message) for w in caught))
     return run
 
 
 def _integrate(solver, state, advance, every_step, watch, tolerate,
-               n_samples) -> Run:
+               n_samples, sample_potentials) -> Run:
     """The body of :func:`run_loop`."""
     p = solver.params
     state = solver._dealias(state)
@@ -318,14 +341,15 @@ def _integrate(solver, state, advance, every_step, watch, tolerate,
                 guess = pots.A if prev_A is None else 2.0 * pots.A - prev_A
                 prev_A = pots.A
                 pots = solver.potentials(state, guess=guess)
-            elif sample:
-                # the last sample's A is several steps old: a worse start
-                # than none
-                pots = solver.potentials(state)
             if sample:
+                stored = state.copy()
+                if not every_step:
+                    # the last sample's A is several steps old: a worse
+                    # start than none
+                    pots = sample_potentials(stored)
                 rec = solver._record(n * dt, state, pots, run.records[-1])
                 run.times.append(rec.t)
-                run.states.append(state.copy())
+                run.states.append(stored)
                 run.potentials.append(pots)
                 run.records.append(rec)
                 if watch is not None:

@@ -131,6 +131,38 @@ class TestParse:
             parse_config(bad)
         assert "ampltude" in str(err.value)
 
+    @pytest.mark.parametrize("key, line", [
+        ("width", "width = 0"),
+        ("amplitude", 'amplitude = "abc"'),
+        ("center", "center = [1.0]"),
+    ])
+    def test_bad_family_option_value_names_key(self, key, line, tmp_path, capsys):
+        # each once ended in a traceback from the family (ZeroDivisionError,
+        # numpy's UFuncNoLoopError, IndexError on the 2-d grid); now the
+        # parse names the key and `poisswell run` exits 1
+        from poisswell.cli import main
+
+        bad = ("[run]\nkind = wkb\n\n[grid]\npoints = [16, 16]\n\n"
+               f"[initial]\nfamily = gaussian-bump\n{line}\n")
+        with pytest.raises(ValidationError) as err:
+            parse_config(bad)
+        assert err.value.key == key
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(bad, encoding="utf-8")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert f"{key}:" in err and "Traceback" not in err
+
+    def test_every_family_option_has_a_check(self):
+        import inspect
+
+        from poisswell.config import _OPTIONS
+        from poisswell.initial_data import FAMILIES
+
+        for family in FAMILIES.values():
+            options = set(inspect.signature(family).parameters) - {"grid", "epsilon"}
+            assert options <= set(_OPTIONS)
+
     def test_duplicate_key_rejected(self):
         bad = "[run]\nkind = wkb\nkind = euler\n"
         with pytest.raises(ParseError):

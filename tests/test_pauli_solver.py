@@ -180,11 +180,12 @@ class TestStep:
 
             return psi + tau * rhs(psi + 0.5 * tau * rhs(psi))
 
+        # the predictor steps with the potentials of psi0, the step's start
+        start = solver.potentials(psi0)
+        assert np.any(start.A)
         psi = kinetic(psi0)
-        pots = solver.potentials(psi)
-        assert np.any(pots.A)
-        predicted = solver._multiply(transport(psi, pots), tau, pots, curl(g, pots.A))
-        pots = solver.potentials(predicted, guess=pots.A)
+        predicted = solver._multiply(transport(psi, start), tau, start, curl(g, start.A))
+        pots = solver.potentials(predicted, guess=start.A)
         B = curl(g, pots.A)
         psi = transport(solver._multiply(transport(psi, pots), dt, pots, B), pots)
         expected = kinetic(psi, dealias_mask(g))
@@ -192,18 +193,21 @@ class TestStep:
         assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
     def test_step_transform_budget(self, transform_count):
-        # a coupled 32^3 step makes 194 transformed components: psi is
-        # transformed once on entry and once on exit, and the screened
-        # solves iterate in spectral space
+        # a coupled 32^3 step given its predictor potentials, as a run's
+        # steps are, makes 134 transformed components: psi is transformed
+        # once on entry and once on exit, the midpoint solve is the only
+        # one, and it iterates in spectral space
         g = Grid((32, 32, 32))
         params = SimParams(epsilon=0.2, T=0.05)
         solver = PauliSolver(g, params)
         st = gaussian_bump(g, amplitude=0.2, width=1.2, epsilon=0.2)
         psi = solver._dealias(reconstruct_spinor(g, st))
-        dt = default_dt(solver, psi, solver.potentials(psi))
+        pots = solver.potentials(psi)
+        dt = default_dt(solver, psi, pots)
+        fields = solver._fields(pots)
         transform_count.clear()
-        solver.step(psi, dt)
-        assert sum(transform_count.components.values()) <= 200
+        solver.step(psi, dt, fields)
+        assert sum(transform_count.components.values()) <= 134
 
     def test_stability_violation_raised(self):
         g = Grid((32,))
@@ -282,3 +286,103 @@ class TestRun:
         e = [r.energy for r in run.records]
         drift = max(abs(v - e[0]) for v in e) / abs(e[0])
         assert drift <= 1e-4
+
+
+def tilted_spin_psi(grid, eps=0.2):
+    return reconstruct_spinor(grid, gaussian_bump(grid, epsilon=eps, amplitude=0.3,
+                                                  phase_amplitude=0.2, spin_angle=0.5))
+
+
+class TestRunScheme:
+    """A magnetic run's steps predict from extrapolated potentials."""
+
+    def test_one_screened_solve_per_step(self, monkeypatch):
+        # each solve notes how many steps had begun: the initial solve, then
+        # one per step, and none at the samples taken after every step
+        from poisswell import states
+
+        begun, solves = [], []
+        solve, step = states.solve_screened_vector, PauliSolver.step
+
+        def counted_solve(*args, **kwargs):
+            solves.append(len(begun))
+            return solve(*args, **kwargs)
+
+        def counted_step(self, *args, **kwargs):
+            begun.append(1)
+            return step(self, *args, **kwargs)
+
+        monkeypatch.setattr(states, "solve_screened_vector", counted_solve)
+        monkeypatch.setattr(PauliSolver, "step", counted_step)
+        g = Grid((16, 16))
+        params = SimParams(epsilon=0.2, T=0.05, dt=0.01, sample_every=1)
+        run = PauliSolver(g, params).run(tilted_spin_psi(g))
+        assert run.status == "completed" and len(run.times) == 6
+        assert len(begun) == 5
+        assert solves == [0, 1, 2, 3, 4, 5]
+
+    def test_predictor_extrapolates_the_solved_points(self, monkeypatch):
+        # step 1 takes P_0, step 2 2 P_1/2 - P_0, later steps
+        # 1.5 P_n-1/2 - 0.5 P_n-3/2, for V, A, B and div A alike
+        seen = []  # (predictor fields, midpoint fields) per step
+        step = PauliSolver.step
+
+        def spy(self, psi, dt, fields=None, solved=None):
+            out = step(self, psi, dt, fields, solved)
+            seen.append((fields, solved[-1]))
+            return out
+
+        monkeypatch.setattr(PauliSolver, "step", spy)
+        g = Grid((16, 16))
+        solver = PauliSolver(g, SimParams(epsilon=0.2, T=0.04, dt=0.01))
+        run = solver.run(tilted_spin_psi(g))
+        assert len(seen) == 4
+        points = [solver._fields(run.potentials[0])] + [mid for _, mid in seen]
+        first = seen[0][0]
+        assert first[0] is run.potentials[0]
+        assert all(np.array_equal(a, b) for a, b in zip(first[1:], points[0][1:]))
+        for n, (fields, _) in enumerate(seen[1:], start=1):
+            w = 1.0 if n == 1 else 0.5
+            (p0, B0, d0), (p1, B1, d1) = points[n - 1], points[n]
+            expected = ((1 + w) * p1.V - w * p0.V, (1 + w) * p1.A - w * p0.A,
+                        (1 + w) * B1 - w * B0, (1 + w) * d1 - w * d0)
+            got = (fields[0].V, fields[0].A, fields[1], fields[2])
+            assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+    def test_first_step_is_the_standalone_step(self):
+        # a lone step solves the potentials of psi, which are the run's P_0
+        g = Grid((16, 16))
+        solver = PauliSolver(g, SimParams(epsilon=0.2, T=0.01, dt=0.01))
+        psi0 = tilted_spin_psi(g)
+        run = solver.run(psi0)
+        assert np.array_equal(run.states[-1], solver.step(solver._dealias(psi0), 0.01))
+
+    def test_sample_A_is_the_cold_solve_of_the_stored_state(self):
+        # a sample keeps V and the stored state; A, solved when first read,
+        # has the bits of an eager cold solve
+        g = Grid((16, 16))
+        solver = PauliSolver(g, SimParams(epsilon=0.2, T=0.04, dt=0.01, sample_every=2))
+        run = solver.run(tilted_spin_psi(g))
+        assert len(run.potentials) == 3
+        for pots, psi in zip(run.potentials[1:], run.states[1:]):
+            held = [v for v in vars(pots).values() if isinstance(v, np.ndarray)]
+            assert len(held) == 2 and held[0] is pots.V and held[1] is psi
+        for pots, psi in zip(run.potentials, run.states):
+            assert np.array_equal(pots.A, solver.potentials(psi).A)
+            assert np.array_equal(pots.V, solver.potentials(psi).V)
+
+    def test_self_convergence_order_two_2d(self):
+        # 32^2 tilted-spin data with the magnetic coupling: the errors
+        # against dt = 1.25e-4 fall at second order (4.01 and 4.05 seen)
+        g = Grid((32, 32))
+        eps = 0.25
+        psi0 = tilted_spin_psi(g, eps)
+        ends = {}
+        for dt in (4e-3, 2e-3, 1e-3, 1.25e-4):
+            params = SimParams(epsilon=eps, dt=dt, T=0.1, sample_every=10**6, magnetic=True)
+            run = PauliSolver(g, params).run(psi0)
+            assert run.status == "completed"
+            ends[dt] = run.states[-1]
+        e = [l2_norm(g, ends[dt] - ends[1.25e-4]) for dt in (4e-3, 2e-3, 1e-3)]
+        assert e[0] / e[1] >= 3.9
+        assert e[1] / e[2] >= 3.9
