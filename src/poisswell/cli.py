@@ -68,21 +68,15 @@ def _write_snapshots(manifest, times, fields, stem):
         write_field(manifest.path(f"{stem}_{i:04d}.pwf", "snapshot", t=t), data)
 
 
-def _run_single(cfg: RunConfig, out: Path, manifest: Manifest):
-    grid = cfg.build_grid()
+def _run_single(cfg: RunConfig, grid, init, manifest: Manifest):
     thresholds = _thresholds(cfg)
+    params = cfg.sim_params(epsilon=init.epsilon)
     if cfg.kind == "pauli":
-        params = cfg.sim_params()
-        init = cfg.build_initial(grid)
-        psi0 = reconstruct_spinor(grid, init)
-        run = PauliSolver(grid, params, thresholds).run(psi0)
+        run = PauliSolver(grid, params, thresholds).run(reconstruct_spinor(grid, init))
         docs = _dump_records(manifest, run.records, "diagnostics")
         _write_snapshots(manifest, run.times, run.states, "psi")
         summary = {}
     else:
-        eps = 0.0 if cfg.kind == "euler" else cfg.epsilon
-        params = cfg.sim_params(epsilon=eps)
-        init = cfg.build_initial(grid, epsilon=eps)
         run = HydroSolver(grid, params, thresholds).run(init)
         docs = _dump_records(manifest, run.records, "diagnostics")
         _write_snapshots(manifest, run.times, [s.a for s in run.states], "amplitude")
@@ -108,14 +102,11 @@ def _run_single(cfg: RunConfig, out: Path, manifest: Manifest):
     return EXIT_BLOWUP if summary["status"] == "blowup" else EXIT_OK, summary
 
 
-def _run_ladder(cfg: RunConfig, out: Path, manifest: Manifest, with_wigner: bool):
-    grid = cfg.build_grid()
-    params = cfg.sim_params()
-    init = cfg.build_initial(grid)
+def _run_ladder(cfg: RunConfig, grid, init, manifest: Manifest, with_wigner: bool):
     report, runs = epsilon_ladder(
         grid,
         init,
-        params,
+        cfg.sim_params(),
         cfg.epsilons,
         n_samples=cfg.ladder_samples,
         thresholds=_thresholds(cfg),
@@ -160,11 +151,8 @@ def _run_ladder(cfg: RunConfig, out: Path, manifest: Manifest, with_wigner: bool
     return status, {"slopes": doc["slopes"], "degenerate": doc["degenerate"]}
 
 
-def _run_spinor_vs_wkb(cfg: RunConfig, out: Path, manifest: Manifest):
-    grid = cfg.build_grid()
-    params = cfg.sim_params()
-    init = cfg.build_initial(grid)
-    rep = spinor_vs_wkb(grid, init, params, thresholds=_thresholds(cfg))
+def _run_spinor_vs_wkb(cfg: RunConfig, grid, init, manifest: Manifest):
+    rep = spinor_vs_wkb(grid, init, cfg.sim_params(), thresholds=_thresholds(cfg))
     write_json(
         manifest.path("report.json", "report"),
         {"config": config_as_dict(cfg), "comparison": rep.as_dict()},
@@ -174,17 +162,20 @@ def _run_spinor_vs_wkb(cfg: RunConfig, out: Path, manifest: Manifest):
 
 
 def run_command(cfg: RunConfig, out_override=None):
+    started = time.perf_counter()
+    # the data is built first: data the family rejects leaves no directory
+    grid = cfg.build_grid()
+    init = cfg.build_initial(grid, epsilon=0.0 if cfg.kind == "euler" else None)
     out = _output_dir(cfg, out_override)
     manifest = Manifest(out)
     manifest.path("config.txt", "config")
     (out / "config.txt").write_text(serialize_config(cfg), encoding="utf-8")
-    started = time.perf_counter()
     if cfg.kind in ("pauli", "wkb", "euler"):
-        code, summary = _run_single(cfg, out, manifest)
+        code, summary = _run_single(cfg, grid, init, manifest)
     elif cfg.kind in ("ladder", "monokinetic"):
-        code, summary = _run_ladder(cfg, out, manifest, with_wigner=cfg.kind == "monokinetic")
+        code, summary = _run_ladder(cfg, grid, init, manifest, with_wigner=cfg.kind == "monokinetic")
     elif cfg.kind == "spinor-vs-wkb":
-        code, summary = _run_spinor_vs_wkb(cfg, out, manifest)
+        code, summary = _run_spinor_vs_wkb(cfg, grid, init, manifest)
     else:  # pragma: no cover - validate() guards this
         raise PoisswellError(f"unhandled kind {cfg.kind}")
     manifest.write(extra={

@@ -97,7 +97,7 @@ class Functionals:
     tail_fraction: float
 
 
-def functionals(grid: Grid, state, s, mu=1.0, mu1=1.0, mu2=1.0, dt_u=None):
+def functionals(grid: Grid, state, s, dt_u=None):
     """
     Evaluate the Sobolev energy ladder on a hydro state: the state norm
     ``xs = ||a||_{H^{s-1}} + ||u||_{H^s}`` and its weighted variants, the
@@ -123,10 +123,10 @@ def functionals(grid: Grid, state, s, mu=1.0, mu1=1.0, mu2=1.0, dt_u=None):
     pa, pu = pointwise_norms(grid, a), pointwise_norms(grid, u)
     h1_a, hs_a = sobolev_norm(grid, a, 1.0), sobolev_norm(grid, a, s)
     base = sobolev_norm(grid, a, s - 1.0) + sobolev_norm(grid, u, s)
-    weighted = base + mu * eps * hs_a
+    weighted = base + eps * hs_a
     doubly = None
     if dt_u is not None:
-        doubly = base + mu1 * eps * hs_a + mu2 * sobolev_norm(grid, dt_u, s - 1.0)
+        doubly = base + eps * hs_a + sobolev_norm(grid, dt_u, s - 1.0)
     return Functionals(
         xs=base,
         xs_eps=weighted,

@@ -354,11 +354,7 @@ class MonokineticReport:
         return doc
 
 
-def monokinetic_study(
-    ladder: LadderRuns,
-    base_points,
-    window_bins: int = 3,
-) -> MonokineticReport:
+def monokinetic_study(ladder: LadderRuns, base_points) -> MonokineticReport:
     """
     Spinor runs at each ladder epsilon from the reconstructed shared data;
     the concentration defect is measured against the Euler velocity at the
@@ -402,9 +398,7 @@ def monokinetic_study(
                 (u_field_final[ax][idx] + A_final[ax][idx]) for ax in range(grid.dim)
             )
             targets.append(target)
-            concentration.append(
-                concentration_fraction(slc, p, target, window_bins=window_bins)
-            )
+            concentration.append(concentration_fraction(slc, p, target))
     else:
         targets = [tuple(0.0 for _ in range(grid.dim)) for _ in base_points]
         concentration = [None for _ in base_points]

@@ -31,7 +31,7 @@ from .diagnostics import (
     charge,
     functionals,
 )
-from .errors import InsufficientHistory, StabilityViolation
+from .errors import InsufficientHistory, NonConvergence, StabilityViolation
 from .grid import Grid, dealias_mask, dispersion_factor
 from .grid import k3 as wavenumbers
 from .operators import (
@@ -51,6 +51,7 @@ from .states import (
     RunStopped,
     SimParams,
     charge_density,
+    finite,
     run_loop,
     self_consistent_potentials,
     wkb_current,
@@ -287,22 +288,35 @@ class HydroSolver:
 
     def run(self, init: HydroState, n_samples=None) -> Run:
         """
-        The shared run loop with the WKB policy: a crossed dt bound or an
-        elliptic breakdown after a monitor warning ends the run as a
-        blow-up (before a warning they raise), and the monitor can stop it.
-        ``n_samples`` places the samples at ``T k / n_samples``
+        The shared run loop with the WKB policy.  Each step is followed by
+        the solve of the new state's potentials, started from the last A,
+        then from the line ``2 A_n - A_{n-1}`` through the last two.  A
+        crossed dt bound or an elliptic breakdown after a monitor warning
+        ends the run as a blow-up (before a warning they raise); a
+        non-finite state and the monitor end it at any time.  ``n_samples``
+        places the samples at ``T k / n_samples``
         (:func:`~poisswell.states.run_loop`).
         """
         state = init.copy()
         state.epsilon = self.params.epsilon
-        warned = False
+        warned, prev_A = False, None
 
-        def advance(state, dt, pots):
+        def advance(state, dt, pots, sample):
+            nonlocal prev_A
             try:
-                return self.step_rk4(state, dt, pots)
+                state = finite(self.step_rk4(state, dt, pots))
+                guess = pots.A if prev_A is None else 2.0 * pots.A - prev_A
+                prev_A = pots.A
+                return state, self.potentials(state, guess=guess)
             except StabilityViolation as exc:
                 if warned:
                     raise RunStopped("stability bound crossed") from exc
+                raise
+            except NonConvergence as exc:
+                # elliptic breakdown mid-collapse is blow-up phenomenology;
+                # on a healthy trajectory it should surface
+                if warned:
+                    raise RunStopped("elliptic solve diverged") from exc
                 raise
 
         def watch(records):
@@ -312,8 +326,7 @@ class HydroSolver:
                 raise RunStopped("monitor triggered")
             warned = warned or verdict is MonitorStatus.WARNING
 
-        run = run_loop(self, state, advance, every_step=True, watch=watch,
-                       tolerate=lambda: warned, n_samples=n_samples)
+        run = run_loop(self, state, advance, watch, n_samples)
         self._fill_residuals(run)
         return run
 

@@ -28,7 +28,7 @@ import numpy as np
 from . import kernels
 from .diagnostics import DiagnosticsRecord, MonitorThresholds, charge, field_energy
 from .elliptic import solve_poisson_neutral
-from .errors import StabilityViolation
+from .errors import NonConvergence, StabilityViolation
 from .grid import Grid, dealias_mask, dispersion_factor
 from .operators import (
     curl_divergence,
@@ -44,6 +44,7 @@ from .states import (
     RunStopped,
     SimParams,
     charge_density,
+    finite,
     run_loop,
     self_consistent_potentials,
 )
@@ -221,10 +222,11 @@ class PauliSolver:
 
     def run(self, psi0, n_samples=None) -> Run:
         """
-        The shared run loop.  A crossed stability bound or an elliptic breakdown
-        ends the run as a blow-up with the samples taken so far; a completed
-        run whose spectral tail passed ``thresholds.tail`` carries that as its
-        stop reason.  ``n_samples`` places the samples at ``T k / n_samples``
+        The shared run loop.  A crossed stability bound, an elliptic breakdown
+        or a non-finite state ends the run as a blow-up with the samples
+        taken so far; a completed run whose spectral tail passed
+        ``thresholds.tail`` carries that as its stop reason.  ``n_samples``
+        places the samples at ``T k / n_samples``
         (:func:`~poisswell.states.run_loop`).
 
         With a magnetic coupling each step's predictor takes the potentials
@@ -249,19 +251,19 @@ class PauliSolver:
             # half a step past P_0 and a whole step past an earlier midpoint
             return _extrapolate(1.0 if taken == 1 else 0.5, *solved)
 
-        def advance(psi, dt, pots):
+        def advance(psi, dt, pots, sample):
             nonlocal taken
             try:
-                psi = self.step(psi, dt, predictor(pots) if magnetic else None, solved)
+                psi = finite(self.step(psi, dt, predictor(pots) if magnetic else None, solved))
             except StabilityViolation as exc:
                 raise RunStopped(str(exc)) from exc
+            except NonConvergence as exc:
+                raise RunStopped("elliptic solve diverged") from exc
             taken += 1
             del solved[:-2]
-            return psi
+            return psi, self._sample_potentials(psi) if sample else pots
 
-        run = run_loop(self, np.asarray(psi0, dtype=complex), advance,
-                       tolerate=lambda: True, n_samples=n_samples,
-                       sample_potentials=self._sample_potentials)
+        run = run_loop(self, np.asarray(psi0, dtype=complex), advance, n_samples=n_samples)
         if run.status == "completed" and any(
             r.tail_fraction > self.thresholds.tail for r in run.records[1:]
         ):

@@ -3,6 +3,8 @@ Physical state containers and the algebraic source-term formulas: charge
 density, the kinetic, WKB and Pauli currents, and the spinor reconstruction
 of a WKB state.  Also the pieces both solvers share: the self-consistent
 potentials, the default step size and the run loop with its ``Run`` record.
+The loop owns the time grid, the samples and the run status; each solver's
+``advance`` owns its potentials and its stop rules.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from . import kernels
 from .elliptic import solve_poisson_neutral, solve_screened_vector
-from .errors import MissingPhase, NonConvergence
+from .errors import MissingPhase
 from .grid import Grid
 from .operators import curl, derivative_table, l2_norm
 from .pauli import spin_density
@@ -62,8 +64,6 @@ class SimParams:
     T: float = 0.5
     s: float = 4.0
     cfl_safety: float = 0.4
-    screened_tol: float = 1e-11
-    screened_max_iters: int = 200
     sample_every: int = 1
     magnetic: bool = True
     coupling: bool = True
@@ -156,6 +156,9 @@ def wkb_current(grid: Grid, a, u, A, epsilon, grad_a=None, rho=None):
     return J
 
 
+SCREENED_TOL, SCREENED_MAX_ITERS = 1e-11, 200  # of every screened solve
+
+
 def self_consistent_potentials(grid: Grid, params: SimParams, a, epsilon, u=None,
                                guess=None, grad_a=None):
     """
@@ -180,7 +183,7 @@ def self_consistent_potentials(grid: Grid, params: SimParams, a, epsilon, u=None
         return Potentials(V=V, A=zero_v)
     # the source is passed unnamed, so it is freed once the solve holds its spectrum
     A = solve_screened_vector(grid, wkb_current(grid, a, u, None, epsilon, grad_a, rho), rho,
-                              tol=params.screened_tol, max_iters=params.screened_max_iters,
+                              tol=SCREENED_TOL, max_iters=SCREENED_MAX_ITERS,
                               guess=guess)
     return Potentials(V=V, A=A)
 
@@ -262,13 +265,15 @@ def default_dt(solver, state, pots):
     return max(min(p.cfl_safety * solver.dt_bound(state, pots), cap, 1e-2), 1e-8)
 
 
-def _finite(state):
+def finite(state):
+    """``state``, or :class:`RunStopped` ("non-finite state") if it holds a NaN or an infinity."""
     arrays = (state.a, state.u) if isinstance(state, HydroState) else (state,)
-    return all(np.all(np.isfinite(x)) for x in arrays)
+    if not all(np.all(np.isfinite(x)) for x in arrays):
+        raise RunStopped("non-finite state")
+    return state
 
 
-def run_loop(solver, state, advance, every_step=False, watch=None,
-             tolerate=lambda: False, n_samples=None, sample_potentials=None) -> Run:
+def run_loop(solver, state, advance, watch=None, n_samples=None) -> Run:
     """
     Integrate ``state`` over [0, T] and sample it every ``sample_every``
     steps and at the end.
@@ -279,35 +284,28 @@ def run_loop(solver, state, advance, every_step=False, watch=None,
     for the least ``per`` that does not raise it, samples are taken every
     ``per`` steps, and ``Run.params`` records that dt and ``sample_every``.
 
-    ``solver`` supplies ``params``, ``potentials(state, guess=None)``,
-    ``dt_bound(state, pots)`` (for the default dt), ``_dealias(state)`` and
-    ``_record(t, state, pots, previous)``.  ``advance(state, dt, pots)``
-    takes one step, which checks dt against its own bound; ``pots`` are the
-    potentials of ``state`` when ``every_step`` is set, and of the last
-    sample otherwise.  Every-step solves start from an extrapolated A.
-    Otherwise a sample's potentials are ``sample_potentials(stored state)``,
-    ``solver.potentials`` (from zero) by default.  A spinor run reads
-    ``pots`` on its first step only, where they are the initial
-    potentials; its later steps take the potentials they extrapolate from
-    the midpoint solves of the steps before, and its samples keep V with
-    A solved from the stored state when first read.
-    ``watch(records)`` judges each new sample.  ``advance`` and ``watch``
-    end the run as a blow-up by raising :class:`RunStopped`; a non-finite
-    state does the same.  A ``NonConvergence`` ends the run when
-    ``tolerate()`` is true and propagates otherwise.  Python warnings raised
-    during the run are kept, not shown: their distinct messages go to
-    ``Run.warnings``.
+    ``solver`` supplies ``params``, ``potentials(state)``, ``dt_bound(state,
+    pots)`` (for the default dt), ``_dealias(state)`` and ``_record(t,
+    state, pots, previous)``.  ``advance(state, dt, pots, sample)`` takes
+    one step with the potentials it returned last (the initial ones first)
+    and returns ``(new state, potentials)``: the potentials its next step
+    reads and, when ``sample`` is set, those the record reads.  A sample
+    stores the returned state and potentials as they are, uncopied.
+    ``advance`` owns its stop rules: it ends the run as a blow-up by
+    raising :class:`RunStopped`, through :func:`finite` on a non-finite
+    state before it solves any of that state's potentials.
+    ``watch(records)``, which judges each new sample, can do the same.
+    Python warnings raised during the run are kept, not shown: their
+    distinct messages go to ``Run.warnings``.
     """
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        run = _integrate(solver, state, advance, every_step, watch, tolerate,
-                         n_samples, sample_potentials or solver.potentials)
+        run = _integrate(solver, state, advance, watch, n_samples)
     run.warnings = list(dict.fromkeys(str(w.message) for w in caught))
     return run
 
 
-def _integrate(solver, state, advance, every_step, watch, tolerate,
-               n_samples, sample_potentials) -> Run:
+def _integrate(solver, state, advance, watch, n_samples) -> Run:
     """The body of :func:`run_loop`."""
     p = solver.params
     state = solver._dealias(state)
@@ -323,45 +321,25 @@ def _integrate(solver, state, advance, every_step, watch, tolerate,
 
     run = Run(
         times=[0.0],
-        states=[state.copy()],
+        states=[state],
         potentials=[pots],
         records=[solver._record(0.0, state, pots, None)],
         params=p,
         dt=dt,
     )
-    prev_A = None
     for n in range(1, n_steps + 1):
         sample = n % p.sample_every == 0 or n == n_steps
         try:
-            state = advance(state, dt, pots)
-            if not _finite(state):
-                raise RunStopped("non-finite state")
-            if every_step:
-                # start from the last A, extrapolated along the last two steps
-                guess = pots.A if prev_A is None else 2.0 * pots.A - prev_A
-                prev_A = pots.A
-                pots = solver.potentials(state, guess=guess)
+            state, pots = advance(state, dt, pots, sample)
             if sample:
-                stored = state.copy()
-                if not every_step:
-                    # the last sample's A is several steps old: a worse
-                    # start than none
-                    pots = sample_potentials(stored)
                 rec = solver._record(n * dt, state, pots, run.records[-1])
                 run.times.append(rec.t)
-                run.states.append(stored)
+                run.states.append(state)
                 run.potentials.append(pots)
                 run.records.append(rec)
                 if watch is not None:
                     watch(run.records)
         except RunStopped as stop:
             run.status, run.stop_reason = "blowup", str(stop)
-            break
-        except NonConvergence:
-            # elliptic breakdown mid-collapse is blow-up phenomenology;
-            # on a healthy trajectory it should surface
-            if not tolerate():
-                raise
-            run.status, run.stop_reason = "blowup", "elliptic solve diverged"
             break
     return run

@@ -74,3 +74,42 @@ def transform_count(monkeypatch):
 
         monkeypatch.setattr(Grid, name, counted)
     return counts
+
+
+class EllipticSpy:
+    """
+    What the elliptic solves of a run saw: ``finite`` holds, per Poisson or
+    screened solve, whether its density was finite.  ``fail_at = n`` makes
+    the n-th screened solve (1 is a run's initial one) raise NonConvergence.
+    """
+
+    def __init__(self):
+        self.finite = []
+        self.screened = 0
+        self.fail_at = None
+
+
+@pytest.fixture
+def elliptic_spy(monkeypatch):
+    """An :class:`EllipticSpy` on every Poisson and screened solve made."""
+    from poisswell import pauli_solver, states
+    from poisswell.errors import NonConvergence
+
+    spy = EllipticSpy()
+    poisson, screened = states.solve_poisson_neutral, states.solve_screened_vector
+
+    def spied_poisson(grid, rho, *args, **kwargs):
+        spy.finite.append(bool(np.all(np.isfinite(rho))))
+        return poisson(grid, rho, *args, **kwargs)
+
+    def spied_screened(grid, rhs, rho, *args, **kwargs):
+        spy.finite.append(bool(np.all(np.isfinite(rho))))
+        spy.screened += 1
+        if spy.screened == spy.fail_at:
+            raise NonConvergence("screened solve forced to fail")
+        return screened(grid, rhs, rho, *args, **kwargs)
+
+    for module in (states, pauli_solver):
+        monkeypatch.setattr(module, "solve_poisson_neutral", spied_poisson)
+    monkeypatch.setattr(states, "solve_screened_vector", spied_screened)
+    return spy

@@ -146,6 +146,8 @@ BAD_VALUES = [
     ("base_points", LADDER.replace("[12, 32, 44]", "[[1, 2], [3, 4]]")),
     ("width", EULER_UNIFORM + "width = 1\n"),
     ("cfl_safety", EULER_UNIFORM.replace("dt = 0.01", "cfl_safety = 0")),
+    # the family itself rejects a bump that drives the density negative
+    ("amplitude", PAULI_BUMP.replace("amplitude = 0.2", "amplitude = 50")),
 ]
 
 

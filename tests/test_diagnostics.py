@@ -81,9 +81,10 @@ class TestFunctionals:
         g = Grid((64,))
         a = 1.0 + random_band_limited(g, rng, components=2, complex_=True, amplitude=0.3)
         S = random_band_limited(g, rng)
-        st = HydroState(a=a, u=gradient(g, S), S=S, epsilon=0.3)
-        fn = diag.functionals(g, st, s=4.0, mu=0.0)
-        assert fn.xs_eps == pytest.approx(fn.xs, rel=1e-14)
+        # eps weighs the H^s part of xs_eps: at eps = 0 it is xs
+        st = HydroState(a=a, u=gradient(g, S), S=S, epsilon=0.0)
+        fn = diag.functionals(g, st, s=4.0)
+        assert fn.xs_eps == fn.xs
 
     def test_shared_spectra_change_no_value(self, rng):
         # the monitor, blow-up sum and tail fraction from the shared spectra

@@ -10,7 +10,7 @@ from poisswell.grid import Grid, dealias_mask, k2, k3
 from poisswell.hydro import HydroSolver, euler_fields_form
 from poisswell.initial_data import compressive, gaussian_bump, plane_wave, uniform
 from poisswell.operators import curl, divergence, gradient, l2_norm
-from poisswell.states import HydroState, SimParams, charge_density, default_dt
+from poisswell.states import HydroState, Potentials, SimParams, charge_density, default_dt
 
 from conftest import random_band_limited
 
@@ -397,6 +397,23 @@ class TestRun:
         assert run.status == "completed"
         assert len(calls) == 1 + 4 * n
 
+    def test_every_step_solve_extrapolates_A(self, monkeypatch):
+        # the solve after each step starts from the last A, then from the
+        # line 2 A_n - A_{n-1} through the last two; the n-th solve has A = n
+        g = Grid((16,))
+        solver = HydroSolver(g, SimParams(epsilon=0.1, T=0.04, dt=0.01, sample_every=2))
+        guesses = []
+
+        def potentials(state, guess=None):
+            guesses.append(None if guess is None else float(guess[0, 0]))
+            return Potentials(V=np.zeros(g.shape), A=np.full((3,) + g.shape, float(len(guesses))))
+
+        monkeypatch.setattr(solver, "potentials", potentials)
+        monkeypatch.setattr(solver, "step_rk4", lambda state, dt, pots: replace(state, t=state.t + dt))
+        run = solver.run(uniform(g))
+        assert run.status == "completed"
+        assert guesses == [None, 1.0, 3.0, 4.0, 5.0]
+
     def test_warm_started_solves_are_cheaper(self, monkeypatch):
         # every solve after the first starts from a nearby A: the RK4 stages
         # from the step's first-stage A, the post-step solve from the last A.
@@ -475,6 +492,104 @@ class TestRun:
         run = HydroSolver(g, SimParams(epsilon=0.25, T=0.1, dt=0.01)).run(st)
         assert run.status == "completed"
         assert np.max(np.abs(run.states[-1].a - st.a)) < 1e-10
+
+
+def step_calls(monkeypatch, change):
+    """
+    Route ``HydroSolver.step_rk4`` through ``change(n, result)``, which
+    returns the n-th step's result (n counts from 1).
+    """
+    step, calls = HydroSolver.step_rk4, []
+
+    def changed(self, *args, **kwargs):
+        calls.append(1)
+        return change(len(calls), step(self, *args, **kwargs))
+
+    monkeypatch.setattr(HydroSolver, "step_rk4", changed)
+
+
+def bump_run(thresholds=MonitorThresholds()):
+    """A 4-step WKB run sampled after every step; ``tail = 0.0`` warns at the first sample."""
+    g = Grid((32,))
+    params = SimParams(epsilon=0.1, T=0.04, dt=0.01)
+    return HydroSolver(g, params, thresholds).run(gaussian_bump(g, epsilon=0.1))
+
+
+WARN = MonitorThresholds(tail=0.0)
+
+
+class TestStopRules:
+    """
+    How a WKB run ends.  Before a monitor warning an elliptic breakdown or a
+    crossed bound raises; after one it ends the run as a blow-up.  The
+    screened solves are the initial one, then four per step: three RK4
+    stages and the solve of the new state.
+    """
+
+    @pytest.mark.parametrize("fail_at", [2, 5])
+    @pytest.mark.parametrize("thresholds", [MonitorThresholds(), WARN], ids=["quiet", "warned"])
+    def test_nonconvergence_before_a_warning_raises(self, elliptic_spy, fail_at, thresholds):
+        # the first sample, and so the first warning, follows step 1's solves
+        from poisswell.errors import NonConvergence
+
+        elliptic_spy.fail_at = fail_at
+        with pytest.raises(NonConvergence):
+            bump_run(thresholds)
+
+    @pytest.mark.parametrize("fail_at", [6, 9])  # step 2: a stage, the new state's solve
+    def test_nonconvergence_after_a_warning_ends_the_run(self, elliptic_spy, fail_at):
+        elliptic_spy.fail_at = fail_at
+        run = bump_run(WARN)
+        assert run.status == "blowup" and run.stop_reason == "elliptic solve diverged"
+        assert len(run.times) == 2
+
+    def test_stability_violation_before_a_warning_raises(self, monkeypatch):
+        def violate(n, state):
+            raise StabilityViolation("forced")
+
+        step_calls(monkeypatch, violate)
+        with pytest.raises(StabilityViolation, match="forced"):
+            bump_run(WARN)
+
+    def test_stability_violation_after_a_warning_ends_the_run(self, monkeypatch):
+        def violate(n, state):
+            if n == 2:
+                raise StabilityViolation("forced")
+            return state
+
+        step_calls(monkeypatch, violate)
+        run = bump_run(WARN)
+        assert run.status == "blowup" and run.stop_reason == "stability bound crossed"
+        assert len(run.times) == 2
+
+    def test_non_finite_state_ends_the_run_unsolved(self, monkeypatch, elliptic_spy):
+        # step 2 returns a NaN amplitude: the run ends, and no solve sees it
+        def poison(n, state):
+            if n == 2:
+                state.a[0, 3] = np.nan
+            return state
+
+        step_calls(monkeypatch, poison)
+        run = bump_run()
+        assert run.status == "blowup" and run.stop_reason == "non-finite state"
+        assert len(run.times) == 2
+        assert elliptic_spy.finite and all(elliptic_spy.finite)
+
+    def test_samples_are_the_states_the_steps_returned(self, monkeypatch):
+        # every stored sample keeps the bits its step returned
+        returned = []
+
+        def keep(n, state):
+            returned.append(state.copy())
+            return state
+
+        step_calls(monkeypatch, keep)
+        run = bump_run()
+        assert run.status == "completed" and len(run.states) == 5
+        for st, ref in zip(run.states[1:], returned):
+            for name in ("a", "u", "S", "u_mean"):
+                assert np.array_equal(getattr(st, name), getattr(ref, name))
+            assert st.t == ref.t
 
 
 class TestFieldsForm:

@@ -386,3 +386,66 @@ class TestRunScheme:
         e = [l2_norm(g, ends[dt] - ends[1.25e-4]) for dt in (4e-3, 2e-3, 1e-3)]
         assert e[0] / e[1] >= 3.9
         assert e[1] / e[2] >= 3.9
+
+
+class TestStopRules:
+    """How a spinor run ends: each failure ends it as a blow-up."""
+
+    @staticmethod
+    def run(monkeypatch=None, change=None):
+        """
+        A 4-step magnetic run sampled after every step; ``change(n, psi)``
+        returns the n-th step's result in place of ``psi``.
+        """
+        if change is not None:
+            step, calls = PauliSolver.step, []
+
+            def changed(self, *args, **kwargs):
+                calls.append(1)
+                return change(len(calls), step(self, *args, **kwargs))
+
+            monkeypatch.setattr(PauliSolver, "step", changed)
+        g = Grid((16, 16))
+        return PauliSolver(g, SimParams(epsilon=0.2, T=0.04, dt=0.01)).run(tilted_spin_psi(g))
+
+    @pytest.mark.parametrize("fail_at", [2, 4])  # the midpoint solves of steps 1 and 3
+    def test_failed_midpoint_solve_ends_the_run(self, elliptic_spy, fail_at):
+        elliptic_spy.fail_at = fail_at
+        run = self.run()
+        assert run.status == "blowup" and run.stop_reason == "elliptic solve diverged"
+        assert len(run.times) == fail_at - 1
+
+    def test_crossed_bound_ends_the_run_with_its_message(self, monkeypatch):
+        def violate(n, psi):
+            if n == 2:
+                raise StabilityViolation("dt=0.01 exceeds stability bound 0.005")
+            return psi
+
+        run = self.run(monkeypatch, violate)
+        assert run.status == "blowup"
+        assert run.stop_reason == "dt=0.01 exceeds stability bound 0.005"
+        assert len(run.times) == 2
+
+    def test_non_finite_state_ends_the_run_unsolved(self, monkeypatch, elliptic_spy):
+        # step 2 returns a NaN: the run ends, and no solve sees it
+        def poison(n, psi):
+            if n == 2:
+                psi[0, 3, 5] = np.nan
+            return psi
+
+        run = self.run(monkeypatch, poison)
+        assert run.status == "blowup" and run.stop_reason == "non-finite state"
+        assert len(run.times) == 2
+        assert elliptic_spy.finite and all(elliptic_spy.finite)
+
+    def test_samples_are_the_states_the_steps_returned(self, monkeypatch):
+        # every stored sample keeps the bits its step returned
+        returned = []
+
+        def keep(n, psi):
+            returned.append(psi.copy())
+            return psi
+
+        run = self.run(monkeypatch, keep)
+        assert run.status == "completed" and len(run.states) == 5
+        assert all(np.array_equal(psi, ref) for psi, ref in zip(run.states[1:], returned))

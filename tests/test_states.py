@@ -209,20 +209,18 @@ def test_source_term_pieces(rng):
     assert np.max(np.abs(wkb_current(g, st.a, None, None, st.epsilon) - eps_part)) < 1e-12
 
 
-class GuessLog:
-    """A solver stand-in for ``run_loop`` whose n-th potentials have ``A = n``."""
+class StandIn:
+    """A solver stand-in for ``run_loop`` with zero potentials."""
 
     def __init__(self, **params):
         from poisswell.states import SimParams
 
         self.params = SimParams(**params)
-        self.guesses = []
 
-    def potentials(self, state, guess=None):
+    def potentials(self, state):
         from poisswell.states import Potentials
 
-        self.guesses.append(None if guess is None else float(guess[0]))
-        return Potentials(V=np.zeros(1), A=np.full(1, float(len(self.guesses))))
+        return Potentials(V=np.zeros(1), A=np.zeros(1))
 
     def dt_bound(self, state, pots):
         return np.inf
@@ -236,52 +234,41 @@ class GuessLog:
         return DiagnosticsRecord(t=t, charge=1.0)
 
 
-@pytest.mark.parametrize("every_step, expected", [
-    # A of the last solve, then extrapolated along the last two: 2 A_n - A_{n-1}
-    (True, [None, 1.0, 3.0, 4.0, 5.0]),
-    # samples after steps 2 and 4, each solved from zero
-    (False, [None, None, None]),
-])
-def test_run_loop_guesses(every_step, expected):
-    from poisswell.states import run_loop
-
-    solver = GuessLog(T=0.04, dt=0.01, sample_every=2)
-    run = run_loop(solver, np.zeros(1), lambda state, dt, pots: state, every_step)
-    assert run.status == "completed"
-    assert solver.guesses == expected
-
-
 @pytest.mark.parametrize("n_samples", [None, 4])
 def test_run_loop_places_samples(n_samples):
     # n_samples = 4 over T = 0.1 from dt = 0.01: the sample interval 0.025
     # takes per = 3 steps of 0.025 / 3, and samples land on T k / 4
     from poisswell.states import run_loop
 
-    solver = GuessLog(T=0.1, dt=0.01, sample_every=2)
-    steps = []
+    solver = StandIn(T=0.1, dt=0.01, sample_every=2)
+    steps, sampled = [], []
 
-    def advance(state, dt, pots):
+    def advance(state, dt, pots, sample):
         steps.append(dt)
-        return state
+        if sample:
+            sampled.append(len(steps))
+        return state, pots
 
     run = run_loop(solver, np.zeros(1), advance, n_samples=n_samples)
     assert run.status == "completed"
     if n_samples is None:
         assert run.params is solver.params
         assert len(steps) == 10 and run.times == pytest.approx([0, 0.02, 0.04, 0.06, 0.08, 0.1])
+        assert sampled == [2, 4, 6, 8, 10]
     else:
         assert run.params.sample_every == 3
         assert run.params.dt == pytest.approx(0.025 / 3, rel=1e-15)
         assert len(steps) == 12 and run.dt == pytest.approx(0.1 / 12, rel=1e-15)
         assert run.times == pytest.approx([0.1 * k / 4 for k in range(5)], rel=1e-15)
+        assert sampled == [3, 6, 9, 12]
 
 
 def test_run_loop_zero_horizon_takes_no_step():
     from poisswell.states import run_loop
 
-    solver = GuessLog(T=0.0, dt=0.01)
+    solver = StandIn(T=0.0, dt=0.01)
 
-    def advance(state, dt, pots):
+    def advance(state, dt, pots, sample):
         raise AssertionError("a T = 0 run takes no step")
 
     run = run_loop(solver, np.zeros(1), advance, n_samples=4)
