@@ -109,9 +109,9 @@ def functionals(grid: Grid, state, s, dt_u=None):
     and the spectral tail fraction of ``a``.  ``a``, ``u`` and ``dt_u`` are
     each transformed once; every quantity shares those spectra.
 
-    ``dt_u`` is the velocity time-derivative from the evolution equation
-    (not a finite difference); when omitted the doubly-weighted functional
-    is skipped.  The theory needs s > 7/2; any s >= 1 is accepted with a
+    ``dt_u`` is the velocity time-derivative ``grad d_t S`` from the phase
+    equation (not a finite difference); when omitted the doubly-weighted
+    functional is skipped.  The theory needs s > 7/2; any s >= 1 is accepted with a
     warning for exploratory runs.
     """
     if s < 1.0:

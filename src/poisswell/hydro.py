@@ -1,22 +1,20 @@
 """
-Method-of-lines integration of the WKB hydrodynamic system
+Method-of-lines integration of the WKB hydrodynamic system in the variables
+of the ansatz ``psi = a exp(iS/eps)``,
 
     d_t a + (u - A).grad a + (a/2) div(u - A) = (i eps/2) Lap a + (i/2)(sigma.B) a
-    d_t u + (u - A).grad u - (grad A)^T u + grad(|A|^2/2 + V) = 0
-    d_t S + |u|^2/2 - A.u + (|A|^2/2 + V) = 0
+    d_t S + |u|^2/2 - A.u + (|A|^2/2 + V) = 0,        u = u_mean + grad S,
 
-with potentials recomputed at every stage.  The dispersion term
-``(i eps/2) Lap a`` is the only linear one and the only stiff one; the
-stepper solves it exactly with the integrating factor
-``E(t) = exp(-i eps |k|^2 t/2)`` (Lawson integrating-factor RK4) and takes
-the rest with the four stages of classical RK4, so the step is bounded by
-advection alone.  eps = 0 is the pressureless Euler limit: there the
-factor is 1, no transform is made, and the step is classical RK4.
-
-The velocity equation is the exact gradient of the phase equation; the
-term ``(grad A)^T u`` (components sum_j u_j d_i A_j) is what that gradient
-produces, and keeping it in that form makes ``d_t u = grad(d_t S)`` an
-identity whenever curl u = 0, so the phase stays reconstructible.
+with potentials recomputed at every stage.  The velocity is not evolved:
+each stage reads ``u`` and ``div u = Lap S`` from one batched inverse
+transform of the spectrum of ``S``, so ``u`` is a gradient (plus its
+constant mean) by construction.  The dispersion term ``(i eps/2) Lap a`` is
+the only linear one and the only stiff one; the stepper solves it exactly
+with the integrating factor ``E(t) = exp(-i eps |k|^2 t/2)`` (Lawson
+integrating-factor RK4) and takes the rest with the four stages of classical
+RK4, so the step is bounded by advection alone.  eps = 0 is the pressureless
+Euler limit: there the factor is 1, the amplitude takes no transform, and
+the step is classical RK4.
 """
 
 from __future__ import annotations
@@ -33,14 +31,13 @@ from .diagnostics import (
 )
 from .errors import InsufficientHistory, NonConvergence, StabilityViolation
 from .grid import Grid, dealias_mask, dispersion_factor
-from .grid import k3 as wavenumbers
 from .operators import (
     curl,
+    curl_divergence,
     dealias,
     derivative_table,
     directional,
     gradient,
-    gradient_part,
     laplacian,
 )
 from .pauli import apply_sigma_dot
@@ -52,6 +49,7 @@ from .states import (
     SimParams,
     charge_density,
     finite,
+    phase_velocity,
     run_loop,
     self_consistent_potentials,
     wkb_current,
@@ -66,97 +64,61 @@ class HydroSolver:
         self.thresholds = thresholds
         self._dispersion = {}  # dispersion_factor's tables
 
-    def potentials(self, state: HydroState, guess=None, grad_a=None) -> Potentials:
-        """The potentials of ``state``; ``B`` is left to :meth:`_derivatives`."""
+    def potentials(self, state: HydroState, guess=None) -> Potentials:
+        """The potentials of ``state``; ``B`` is left to :meth:`_nonlinear`."""
         return self_consistent_potentials(
             self.grid, self.params, state.a, state.epsilon, state.u, guess=guess,
-            grad_a=grad_a,
         )
 
     # -- right-hand sides ------------------------------------------------------
 
     def rhs(self, state: HydroState, pots: Potentials):
         """
-        Time derivatives (d_t a, d_t u, d_t S), assembled pseudo-spectrally:
+        Time derivatives (d_t a, d_t S), assembled pseudo-spectrally:
         :meth:`nonlinear_rhs` plus the dispersion term ``(i eps/2) Lap a``.
         """
-        da, du, dS = self.nonlinear_rhs(state, pots)
+        da, dS = self.nonlinear_rhs(state, pots)
         if state.epsilon > 0:
             da = da + 0.5j * state.epsilon * laplacian(self.grid, state.a)
-        return da, du, dS
+        return da, dS
 
     def nonlinear_rhs(self, state: HydroState, pots: Potentials, spectral=False):
         """
         :meth:`rhs` without the dispersion term; what the stepper integrates.
-        ``spectral`` returns ``d_t a`` as its dealiased spectrum.
+        ``spectral`` returns both as their dealiased spectra, ``d_t S`` as a
+        half spectrum.
         """
-        grad_a = derivative_table(self.grid, self.grid.fft(state.a), half=False)
-        return self._nonlinear(state, grad_a, pots, spectral)
-
-    def _nonlinear(self, state: HydroState, grad_a, pots: Potentials, spectral):
-        """:meth:`nonlinear_rhs` from ``grad_a``, the derivative table of ``a``."""
         g = self.grid
-        a, u = state.a, state.u
-        da = -directional(g, u - pots.A, grad_a)
-        div_rel, adv_u, jtp, B = self._derivatives(u, pots.A)
-        da = da - 0.5 * a * div_rel
-        if B is not None and np.any(B):
+        grad_a = derivative_table(g, g.fft(state.a), half=False)
+        da, dS = self._nonlinear(state.a, grad_a, state.u, laplacian(g, state.S), pots, spectral)
+        return (da, dS) if spectral else (da, g.irfft(dS))
+
+    def _nonlinear(self, a, grad_a, u, lap_S, pots: Potentials, spectral):
+        """
+        ``(d_t a, d_t S)`` without the dispersion term, at the amplitude ``a``
+        with its derivative table ``grad_a``, the velocity ``u`` and its
+        divergence ``lap_S``.  Both are dealiased: ``d_t a`` is returned as
+        its spectrum when ``spectral`` and in physical space otherwise,
+        ``d_t S`` as its half spectrum (:meth:`_phase_rhs`).  ``B = curl A``
+        and ``div A`` come from one transform of ``A``; a zero ``A`` has none.
+        """
+        g = self.grid
+        div_rel, B = lap_S, None
+        if np.any(pots.A):
+            B, div_A = curl_divergence(g, pots.A)
+            div_rel = lap_S - div_A
+        da = -directional(g, u - pots.A, grad_a) - 0.5 * a * div_rel
+        if B is not None:
             da = da + 0.5j * apply_sigma_dot(B, a)
         da = g.fft(da) * dealias_mask(g) if spectral else dealias(g, da)
+        return da, self._phase_rhs(u, pots)
 
+    def _phase_rhs(self, u, pots: Potentials):
+        """The dealiased half spectrum of ``d_t S = -|u|^2/2 + A.u - (|A|^2/2 + V)``."""
+        g = self.grid
         a_sq = 0.5 * np.sum(pots.A**2, axis=0)
         dS = -0.5 * np.sum(u**2, axis=0) + np.sum(pots.A * u, axis=0) - (a_sq + pots.V)
-        dS = dealias(g, dS)
-        return da, self._velocity(adv_u, jtp, pots), dS
-
-    def velocity_rhs(self, u, pots: Potentials):
-        """d_t u alone, dealiased."""
-        _, adv_u, jtp, _ = self._derivatives(u, pots.A)
-        return self._velocity(adv_u, jtp, pots)
-
-    def _derivatives(self, u, A):
-        """
-        ``div(u - A)``, ``(u - A).grad u``, ``(grad A)^T u`` (components
-        sum_j u_j d_i A_j) and ``B = curl A``, all from one Jacobian table
-        each of ``u`` and ``A`` (one forward and one batched inverse transform
-        per field); each table is dropped once read.  A zero ``A`` has no
-        table: its terms are 0 and ``B`` is None.
-        """
-        g = self.grid
-        axes = range(g.dim)
-        du = derivative_table(g, g.rfft(u), half=True)
-        div_rel = sum(du[i, i] for i in axes)
-        adv_u = directional(g, u - A, du)
-        del du
-        if not np.any(A):
-            return div_rel, adv_u, 0.0, None
-        dA = derivative_table(g, g.rfft(A), half=True)
-        div_rel = div_rel - sum(dA[i, i] for i in axes)
-        jtp = np.zeros_like(u)
-        for i in axes:
-            jtp[i] = np.sum(u * dA[i], axis=0)
-
-        def d(i, j):  # d_i A_j, zero along inactive axes
-            return dA[i, j] if i < g.dim else 0.0
-
-        B = np.zeros_like(A)
-        B[0] = d(1, 2) - d(2, 1)
-        B[1] = d(2, 0) - d(0, 2)
-        B[2] = d(0, 1) - d(1, 0)
-        return div_rel, adv_u, jtp, B
-
-    def _velocity(self, adv_u, jtp, pots: Potentials):
-        """
-        ``d_t u = -(u - A).grad u + (grad A)^T u - grad(|A|^2/2 + V)``,
-        dealiased; the gradient is taken and the mask applied in one spectrum.
-        """
-        g = self.grid
-        ks = wavenumbers(g, half=True)
-        wh = g.rfft(0.5 * np.sum(pots.A**2, axis=0) + pots.V)
-        duh = g.rfft(jtp - adv_u)
-        for i in range(g.dim):
-            duh[i] -= 1j * ks[i] * wh
-        return g.irfft(duh * dealias_mask(g, half=True))
+        return g.rfft(dS) * dealias_mask(g, half=True)
 
     # -- stepping ---------------------------------------------------------------
 
@@ -169,24 +131,17 @@ class HydroSolver:
         dx = min(self.grid.spacings)
         return dx / rel_inf if rel_inf > 0 else np.inf
 
-    def _dealias(self, state: HydroState, amplitude=True):
-        """
-        Truncate ``a`` and ``S`` to the dealiased band and project the
-        velocity onto (constant mean) + (zero-mean gradient), so curl u
-        stays at spectral zero and the phase remains consistent with u.
-        ``amplitude=False`` leaves ``a``, for a caller that masked it already.
-        """
+    def _dealias(self, state: HydroState):
+        """``state`` with ``a`` and ``S`` cut to the dealiased band."""
         g = self.grid
-        if amplitude:
-            state.a = g.ifft(g.fft(state.a) * dealias_mask(g))
-        if state.S is not None:
-            state.S = dealias(g, state.S)
-        state.u = gradient_part(g, state.u) + state.u_mean.reshape(3, *(1,) * g.dim)
-        return state
+        S_hat = g.rfft(state.S) * dealias_mask(g, half=True)
+        return HydroState(g, dealias(g, state.a), g.irfft(S_hat), state.u_mean, state.t,
+                          state.epsilon, S_hat=S_hat)
 
     def step_rk4(self, state: HydroState, dt, pots=None):
         """
-        One Lawson integrating-factor RK4 step followed by :meth:`_dealias`.
+        One Lawson integrating-factor RK4 step, its result cut to the
+        dealiased band.
 
         With ``E(t) = exp(-i eps |k|^2 t/2)`` the exact flow of the
         dispersion term and ``k1 .. k4`` the nonlinear derivatives at the
@@ -199,12 +154,14 @@ class HydroSolver:
 
         the amplitude advances in spectral space: the stage derivatives arrive
         as dealiased spectra, and ``a'`` is masked before its one inverse.
-        Each stage inverts the spectrum of its amplitude once into ``a`` and
-        its derivative table, which the kinetic current of the potentials and
-        the advection of ``a`` share; ``u`` and ``A`` are transformed once
-        each, in :meth:`_derivatives`.  ``u`` and ``S`` take the same
-        four stages with E = 1, which is classical RK4; at eps = 0 the
-        amplitude does too, in physical space, with no transform.
+        The phase takes the same four stages in spectral space with E = 1,
+        which is classical RK4; at eps = 0 the amplitude does too, in
+        physical space, with no transform.  Each stage inverts the spectrum
+        of its amplitude once into ``a`` and its derivative table, which the
+        kinetic current of the potentials and the advection of ``a`` share,
+        and the spectrum of its phase once into ``u`` and ``div u``
+        (:func:`~poisswell.states.phase_velocity`); ``A`` is transformed
+        once, for ``B`` and ``div A``.
 
         ``pots`` are the potentials of ``state``; they are computed when not
         given.  They serve the first stage and set the bound dt is checked
@@ -228,51 +185,52 @@ class HydroSolver:
             half = full = None
             fwd = inv = lambda f: f
 
-        # (a, u, S) with a in the transform space of fwd; E acts on a only
+        # (a, S_hat) with a in the transform space of fwd; E acts on a only
         def prop(y, factor):
-            return y if factor is None else (factor * y[0],) + tuple(y[1:])
+            return y if factor is None else (factor * y[0], y[1])
 
         def axpy(y, h, k):
-            return tuple(None if x is None else x + h * dx for x, dx in zip(y, k))
-
-        def at(y, dt_frac):
-            return HydroState(a=inv(y[0]), u=y[1], S=y[2], u_mean=state.u_mean,
-                              t=state.t + dt_frac, epsilon=state.epsilon)
-
-        def a_table(y, s):  # the derivative table of a, from the spectrum of y[0]
-            return derivative_table(g, y[0] if spectral else g.fft(s.a), half=False)
+            return tuple(x + h * dx for x, dx in zip(y, k))
 
         stage_A = [pots.A]
 
-        def stage(y, dt_frac):
-            a1, a_last = stage_A[0], stage_A[-1]
-            guess = a_last if len(stage_A) < 3 else 2.0 * a_last - a1
-            s = at(y, dt_frac)
-            grad_a = a_table(y, s)
-            stage_pots = self.potentials(s, guess=guess, grad_a=grad_a)
-            stage_A.append(stage_pots.A)
-            return self._nonlinear(s, grad_a, stage_pots, spectral)
+        def stage(y, a, stage_pots=None):
+            grad_a = derivative_table(g, y[0] if spectral else g.fft(a), half=False)
+            u, lap_S = phase_velocity(g, y[1], state.u_mean, laplacian=True)
+            if stage_pots is None:
+                a1, a_last = stage_A[0], stage_A[-1]
+                guess = a_last if len(stage_A) < 3 else 2.0 * a_last - a1
+                stage_pots = self_consistent_potentials(
+                    g, self.params, a, state.epsilon, u, guess=guess, grad_a=grad_a
+                )
+                stage_A.append(stage_pots.A)
+            return self._nonlinear(a, grad_a, u, lap_S, stage_pots, spectral)
 
-        y = (fwd(state.a), state.u, state.S)
-        k1 = self._nonlinear(state, a_table(y, state), pots, spectral)
-        k2 = stage(prop(axpy(y, 0.5 * dt, k1), half), 0.5 * dt)
-        k3 = stage(axpy(prop(y, half), 0.5 * dt, k2), 0.5 * dt)
-        k4 = stage(axpy(prop(y, full), dt, prop(k3, half)), dt)
+        y = (fwd(state.a), g.rfft(state.S))
+        k1 = stage(y, state.a, pots)
+        y2 = prop(axpy(y, 0.5 * dt, k1), half)
+        k2 = stage(y2, inv(y2[0]))
+        y3 = axpy(prop(y, half), 0.5 * dt, k2)
+        k3 = stage(y3, inv(y3[0]))
+        y4 = axpy(prop(y, full), dt, prop(k3, half))
+        k4 = stage(y4, inv(y4[0]))
         combo = tuple(
             (a + 2.0 * b + 2.0 * c + d) / 6.0
             for a, b, c, d in zip(prop(k1, full), prop(k2, half), prop(k3, half), k4)
         )
-        y = axpy(prop(y, full), dt, combo)
-        if spectral:
-            y = (y[0] * dealias_mask(g),) + y[1:]
-        return self._dealias(at(y, dt), amplitude=not spectral)
+        a_hat, S_hat = axpy(prop(y, full), dt, combo)
+        a = inv(a_hat * dealias_mask(g)) if spectral else dealias(g, a_hat)
+        S_hat = S_hat * dealias_mask(g, half=True)
+        return HydroState(g, a, g.irfft(S_hat), state.u_mean, state.t + dt, state.epsilon,
+                          S_hat=S_hat)
 
     # -- full run -----------------------------------------------------------------
 
     def _record(self, t, state: HydroState, pots: Potentials, previous):
         # the state carries its own time; ``t`` is the loop's n * dt
         g = self.grid
-        fn = functionals(g, state, self.params.s, dt_u=self.velocity_rhs(state.u, pots))
+        dt_u = derivative_table(g, self._phase_rhs(state.u, pots), half=True)  # grad d_t S
+        fn = functionals(g, state, self.params.s, dt_u=dt_u)
         sup = fn.monitor if previous is None else max(previous.monitor_sup, fn.monitor)
         return DiagnosticsRecord(
             t=state.t,

@@ -10,7 +10,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .grid import Grid
-from .operators import gradient
 from .states import HydroState
 
 
@@ -23,12 +22,7 @@ def _spinor(profile, spin_angle=0.0):
 
 def uniform(grid: Grid, epsilon=0.1) -> HydroState:
     """Spin-up state of unit density at rest: the neutral fixed point."""
-    return HydroState(
-        a=_spinor(np.ones(grid.shape)),
-        u=np.zeros((3,) + grid.shape),
-        S=np.zeros(grid.shape),
-        epsilon=epsilon,
-    )
+    return HydroState(grid, a=_spinor(np.ones(grid.shape)), S=np.zeros(grid.shape), epsilon=epsilon)
 
 
 def periodic_bump(grid: Grid, width, center):
@@ -70,12 +64,7 @@ def gaussian_bump(
         S = S + phase_amplitude * np.sin(2.0 * np.pi * xs[i] / grid.lengths[i]) * (
             grid.lengths[i] / (2.0 * np.pi)
         )
-    return HydroState(
-        a=_spinor(np.sqrt(rho), spin_angle),
-        u=gradient(grid, S),
-        S=S,
-        epsilon=epsilon,
-    )
+    return HydroState(grid, a=_spinor(np.sqrt(rho), spin_angle), S=S, epsilon=epsilon)
 
 
 def plane_wave(grid: Grid, modes=(1, 0, 0), epsilon=0.1) -> HydroState:
@@ -90,13 +79,8 @@ def plane_wave(grid: Grid, modes=(1, 0, 0), epsilon=0.1) -> HydroState:
             raise ValidationError("plane-wave mode on an inactive axis", key="modes")
         if i < grid.dim:
             u_mean[i] = epsilon * m * 2.0 * np.pi / grid.lengths[i]
-    return HydroState(
-        a=_spinor(np.ones(grid.shape)),
-        u=np.zeros((3,) + grid.shape) + u_mean.reshape(3, *(1,) * grid.dim),
-        S=np.zeros(grid.shape),
-        u_mean=u_mean,
-        epsilon=epsilon,
-    )
+    return HydroState(grid, a=_spinor(np.ones(grid.shape)), S=np.zeros(grid.shape),
+                      u_mean=u_mean, epsilon=epsilon)
 
 
 def compressive(grid: Grid, beta=3.0, epsilon=0.0) -> HydroState:
@@ -109,12 +93,7 @@ def compressive(grid: Grid, beta=3.0, epsilon=0.0) -> HydroState:
     S = beta * np.cos(2.0 * np.pi * xs[0] / L) * (L / (2.0 * np.pi)) ** 2 * np.ones(
         grid.shape
     )
-    return HydroState(
-        a=_spinor(np.ones(grid.shape)),
-        u=gradient(grid, S),
-        S=S,
-        epsilon=epsilon,
-    )
+    return HydroState(grid, a=_spinor(np.ones(grid.shape)), S=S, epsilon=epsilon)
 
 
 FAMILIES = {

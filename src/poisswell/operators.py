@@ -21,9 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import (
-    Grid, dealias_mask, inverse_laplacian_modes, k2, k2_safe, k3, parseval_weights, tail_mask,
-)
+from .grid import Grid, dealias_mask, k2, k3, parseval_weights, tail_mask
 
 
 def _transforms(grid: Grid, f):
@@ -97,22 +95,6 @@ def curl_divergence(grid: Grid, vec):
 def laplacian(grid: Grid, f):
     fwd, inv, half = _transforms(grid, f)
     return inv(-k2(grid, half) * fwd(f))
-
-
-def gradient_part(grid: Grid, vec):
-    """
-    Helmholtz projection onto zero-mean periodic gradients:
-    ``u_hat -> k (k . u_hat) / |k|^2`` with the zero mode removed.
-    """
-    vec = np.asarray(vec)
-    fwd, inv, half = _transforms(grid, vec)
-    ks = k3(grid, half)
-    vh = fwd(vec[: grid.dim])
-    kdot = sum(ks[i] * vh[i] for i in range(grid.dim)) / k2_safe(grid, half)
-    kdot[~inverse_laplacian_modes(grid, half)] = 0.0
-    out = np.zeros_like(vec)
-    out[: grid.dim] = inv(np.stack([ks[i] * kdot for i in range(grid.dim)]))
-    return out
 
 
 def advect(grid: Grid, g, f):

@@ -9,9 +9,10 @@ The loop owns the time grid, the samples and the run status; each solver's
 
 from __future__ import annotations
 
+import copy
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from typing import List, Optional
 
 import numpy as np
@@ -19,7 +20,7 @@ import numpy as np
 from . import kernels
 from .elliptic import solve_poisson_neutral, solve_screened_vector
 from .errors import MissingPhase
-from .grid import Grid
+from .grid import Grid, k2, k3
 from .operators import curl, derivative_table, l2_norm
 from .pauli import spin_density
 
@@ -29,8 +30,7 @@ class Potentials:
     """
     The scalar potential ``V`` and the vector potential ``A`` of a state.
     ``B = curl A`` enters only the Stern-Gerlach term, and each solver takes
-    it there: the WKB solver from its Jacobian table of ``A``, the spinor
-    step with ``div A`` from one transform of ``A``.
+    it there, with ``div A``, from one transform of ``A``.
     """
 
     V: np.ndarray
@@ -80,23 +80,55 @@ class SimParams:
 @dataclass
 class HydroState:
     """
-    WKB state: spinor amplitude ``a``, velocity ``u`` and phase ``S``.
-
-    ``u = u_mean + grad(S)`` with a constant ``u_mean`` carried separately so
-    traveling (plane-wave) data stays representable on the torus; for the
+    WKB state of the ansatz ``psi = a exp(iS/eps)``: spinor amplitude ``a``,
+    phase ``S`` and a constant mean velocity ``u_mean``, carried separately
+    so traveling (plane-wave) data stays representable on the torus; for the
     default families ``u_mean`` is zero.
+
+    The velocity ``u = u_mean + grad S`` is derived data: it is computed once,
+    when the state is made, from ``S_hat``, the half spectrum of ``S``, when
+    the maker holds it, and from a transform of ``S`` otherwise.  A state
+    without ``S`` raises :class:`~poisswell.errors.MissingPhase`.
     """
 
+    grid: Grid
     a: np.ndarray
-    u: np.ndarray
-    S: Optional[np.ndarray] = None
+    S: np.ndarray
     u_mean: np.ndarray = field(default_factory=lambda: np.zeros(3))
     t: float = 0.0
     epsilon: float = 0.1
+    S_hat: InitVar[Optional[np.ndarray]] = None
+    u: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self, S_hat):
+        if self.S is None:
+            raise MissingPhase("a WKB state needs its phase S")
+        if S_hat is None:
+            S_hat = self.grid.rfft(self.S)
+        self.u = phase_velocity(self.grid, S_hat, self.u_mean)
 
     def copy(self):
-        return replace(self, a=self.a.copy(), u=self.u.copy(), u_mean=self.u_mean.copy(),
-                       S=None if self.S is None else self.S.copy())
+        out = copy.copy(self)
+        for name in ("a", "S", "u", "u_mean"):
+            setattr(out, name, getattr(self, name).copy())
+        return out
+
+
+def phase_velocity(grid: Grid, S_hat, u_mean, laplacian=False):
+    """
+    ``u = u_mean + grad S`` from ``S_hat``, the half spectrum of the phase, in
+    one batched inverse transform; ``laplacian`` also returns ``div u =
+    Lap S`` from the same inverse.
+    """
+    ks = k3(grid, half=True)
+    multipliers = [1j * ks[i] for i in range(grid.dim)]
+    if laplacian:
+        multipliers.append(-k2(grid, half=True))
+    table = grid.irfft(np.stack([m * S_hat for m in multipliers]))
+    u = np.zeros((3,) + grid.shape)
+    u[: grid.dim] = table[: grid.dim]
+    u += np.reshape(u_mean, (3,) + (1,) * grid.dim)
+    return (u, table[grid.dim]) if laplacian else u
 
 
 def charge_density(psi):
@@ -195,8 +227,6 @@ def reconstruct_spinor(grid: Grid, state: HydroState):
     """
     if state.epsilon <= 0:
         raise MissingPhase("reconstruction needs eps > 0")
-    if state.S is None:
-        raise MissingPhase("no phase tracked on this state")
     phase = state.S / state.epsilon
     if np.any(state.u_mean):
         xs = grid.coordinates()
@@ -267,7 +297,7 @@ def default_dt(solver, state, pots):
 
 def finite(state):
     """``state``, or :class:`RunStopped` ("non-finite state") if it holds a NaN or an infinity."""
-    arrays = (state.a, state.u) if isinstance(state, HydroState) else (state,)
+    arrays = (state.a, state.S) if isinstance(state, HydroState) else (state,)
     if not all(np.all(np.isfinite(x)) for x in arrays):
         raise RunStopped("non-finite state")
     return state

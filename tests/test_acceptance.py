@@ -25,7 +25,7 @@ from poisswell.harness import (
 )
 from poisswell.hydro import HydroSolver
 from poisswell.initial_data import compressive, gaussian_bump, uniform
-from poisswell.operators import gradient, l2_norm, laplacian
+from poisswell.operators import l2_norm, laplacian
 from poisswell.pauli import stern_gerlach_reality
 from poisswell.pauli_solver import PauliSolver
 from poisswell.states import (
@@ -161,7 +161,7 @@ def test_c05_current_identity(rng):
             a = 1.0 + random_band_limited(grid, rng, components=2, complex_=True, amplitude=0.3)
             S = random_band_limited(grid, rng, amplitude=0.2)
             A = random_band_limited(grid, rng, components=3, amplitude=0.3)
-            st = HydroState(a=a, u=gradient(grid, S), S=S, epsilon=eps)
+            st = HydroState(grid, a=a, S=S, epsilon=eps)
             psi = reconstruct_spinor(grid, st)
             J_psi = pauli_current(grid, psi, A, eps)
             J_wkb = wkb_current(grid, a, st.u, A, eps)

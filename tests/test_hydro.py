@@ -9,8 +9,16 @@ from poisswell.errors import InsufficientHistory, StabilityViolation
 from poisswell.grid import Grid, dealias_mask, k2, k3
 from poisswell.hydro import HydroSolver, euler_fields_form
 from poisswell.initial_data import compressive, gaussian_bump, plane_wave, uniform
-from poisswell.operators import curl, divergence, gradient, l2_norm
-from poisswell.states import HydroState, Potentials, SimParams, charge_density, default_dt
+from poisswell.operators import curl, dealias, derivative_table, divergence, gradient, l2_norm
+from poisswell.states import (
+    HydroState,
+    Potentials,
+    SimParams,
+    charge_density,
+    default_dt,
+    phase_velocity,
+    self_consistent_potentials,
+)
 
 from conftest import random_band_limited
 
@@ -18,7 +26,7 @@ from conftest import random_band_limited
 def random_state(grid, rng, eps=0.1, amp=0.25):
     a = 1.0 + random_band_limited(grid, rng, components=2, complex_=True, amplitude=amp)
     S = random_band_limited(grid, rng, amplitude=0.2)
-    return HydroState(a=a, u=gradient(grid, S), S=S, epsilon=eps)
+    return HydroState(grid, a=a, S=S, epsilon=eps)
 
 
 class TestPotentials:
@@ -33,8 +41,7 @@ class TestPotentials:
         # eps=0, rho=1, u=(cos x,0,0): (-Delta+1)A = cos x => A = cos x / 2
         g = Grid((64,))
         x = g.coordinates()[0].ravel()
-        st = uniform(g, epsilon=0.0)
-        st.u[0] = np.cos(x)
+        st = HydroState(g, a=uniform(g).a, S=np.sin(x), epsilon=0.0)
         solver = HydroSolver(g, SimParams(epsilon=0.0))
         pots = solver.potentials(st)
         assert np.max(np.abs(pots.A[0] - np.cos(x) / 2.0)) < 1e-10
@@ -61,19 +68,26 @@ class TestRhs:
         g = Grid((32,))
         solver = HydroSolver(g, SimParams(epsilon=0.1))
         st = uniform(g)
-        da, du, dS = solver.rhs(st, solver.potentials(st))
+        da, dS = solver.rhs(st, solver.potentials(st))
         assert np.max(np.abs(da)) < 1e-13
-        assert np.max(np.abs(du)) < 1e-13
         assert np.max(np.abs(dS)) < 1e-13
 
     def test_velocity_derivative_is_phase_gradient(self, rng):
-        # the u equation is the literal gradient of the S equation
+        # the record's d_t u is the gradient of the rhs's d_t S, taken from
+        # its dealiased spectrum: to the bit, and d_t S is that spectrum inverted
+        from poisswell.diagnostics import functionals
+
         g = Grid((64,))
         st = random_state(g, rng)
         solver = HydroSolver(g, SimParams(epsilon=st.epsilon))
         pots = solver.potentials(st)
-        da, du, dS = solver.rhs(st, pots)
-        assert l2_norm(g, du - gradient(g, dS)) <= 1e-10 * max(1.0, l2_norm(g, du))
+        dS_hat = solver.nonlinear_rhs(st, pots, spectral=True)[1]
+        dS = solver.rhs(st, pots)[1]
+        assert np.array_equal(g.irfft(dS_hat), dS)
+        du = derivative_table(g, dS_hat, half=True)
+        assert l2_norm(g, du[0] - gradient(g, dS)[0]) <= 1e-12 * l2_norm(g, du)
+        rec = solver._record(0.0, st, pots, None)
+        assert rec.xs_eps_dtu == functionals(g, st, solver.params.s, dt_u=du).xs_eps_dtu
 
     def test_frozen_constant_potential_is_inert(self):
         # a=(1,0), u=0, A=(alpha,0,0) constant: all derivatives vanish
@@ -82,20 +96,19 @@ class TestRhs:
         solver = HydroSolver(g, SimParams(epsilon=0.1))
         pots = solver.potentials(st)
         pots.A[0] = 0.4
-        da, du, dS = solver.rhs(st, pots)
+        da, dS = solver.rhs(st, pots)
         assert np.max(np.abs(da)) < 1e-13
-        assert np.max(np.abs(du)) < 1e-13
         # dS picks up the constant -|A|^2/2 only: a uniform phase shift
         assert np.max(np.abs(dS + 0.08)) < 1e-13
 
     def test_euler_reduces_to_euler_poisson_without_magnetic(self, rng):
-        # A=0, eps=0, real a: d_t u + u.grad u + grad V = 0
+        # A=0, eps=0, real a: d_t u + u.grad u + grad V = 0 with d_t u = grad d_t S
         g = Grid((64,))
         st = random_state(g, rng, eps=0.0)
         st.a = np.abs(st.a.real).astype(complex)
         solver = HydroSolver(g, SimParams(epsilon=0.0, magnetic=False))
         pots = solver.potentials(st)
-        da, du, _ = solver.rhs(st, pots)
+        du = gradient(g, solver.rhs(st, pots)[1])
         from poisswell.operators import advect
 
         expected = -advect(g, st.u, st.u) - gradient(g, pots.V)
@@ -107,23 +120,24 @@ class TestRhs:
         st = random_state(g, rng, eps=0.0, amp=0.2)
         solver = HydroSolver(g, SimParams(epsilon=0.0))
         pots = solver.potentials(st)
-        da, du, dS = solver.rhs(st, pots)
+        da, dS = solver.rhs(st, pots)
         dt_rho = 2.0 * np.einsum("i...,i...->...", np.conj(st.a), da).real
         res = l2_norm(g, dt_rho + divergence(g, charge_density(st.a) * (st.u - pots.A)))
         assert res <= 1e-10 * max(1.0, l2_norm(g, charge_density(st.a)))
 
     def test_spectral_amplitude_derivative(self, rng):
-        # spectral=True hands over the masked spectrum of d_t a: zero above
-        # the band, and the physical derivative once inverted
+        # spectral=True hands over the masked spectra of d_t a and d_t S: zero
+        # above the band, and the physical derivatives once inverted
         g = Grid((32,))
         st = random_state(g, rng)
         solver = HydroSolver(g, SimParams(epsilon=st.epsilon))
         pots = solver.potentials(st)
-        da_hat, du, dS = solver.nonlinear_rhs(st, pots, spectral=True)
-        da, du2, dS2 = solver.nonlinear_rhs(st, pots)
+        da_hat, dS_hat = solver.nonlinear_rhs(st, pots, spectral=True)
+        da, dS = solver.nonlinear_rhs(st, pots)
         assert np.all(da_hat[:, ~dealias_mask(g)] == 0.0)
+        assert np.all(dS_hat[~dealias_mask(g, half=True)] == 0.0)
         assert np.array_equal(g.ifft(da_hat), da)
-        assert np.array_equal(du, du2) and np.array_equal(dS, dS2)
+        assert np.array_equal(g.irfft(dS_hat), dS)
 
 
 class TestStep:
@@ -147,8 +161,8 @@ class TestStep:
             u = np.zeros((3,) + g.shape)
             u[0] = c
             st = HydroState(
+                g,
                 a=np.exp(np.sin(x))[None, :] * np.ones((2, 1)) + 0j,
-                u=u,
                 S=np.zeros(g.shape),
                 u_mean=np.array([c, 0.0, 0.0]),
                 epsilon=0.0,
@@ -212,9 +226,7 @@ class TestIntegratingFactor:
         x = g.coordinates()[0]
         a = np.stack([np.exp(-2.0 * (x - np.pi) ** 2), 0.5j * np.exp(-(x - 2.0) ** 2)])
         solver = HydroSolver(g, SimParams(epsilon=eps, coupling=False))
-        st = solver._dealias(HydroState(
-            a=a, u=np.zeros((3,) + g.shape), S=np.zeros(g.shape), epsilon=eps
-        ))
+        st = solver._dealias(HydroState(g, a=a, S=np.zeros(g.shape), epsilon=eps))
         old_bound = g.spacings[0] / (0.5 * eps * float(np.max(np.abs(k3(g)[0]))))
         dt = 10.0 * old_bound
         out = solver.step_rk4(st, dt)
@@ -229,7 +241,7 @@ class TestIntegratingFactor:
         g = Grid((32,))
         a = rng.standard_normal((2, 32)) + 1j * rng.standard_normal((2, 32))
         solver = HydroSolver(g, SimParams(epsilon=eps, coupling=False))
-        st = HydroState(a=a, u=np.zeros((3, 32)), S=np.zeros(32), epsilon=eps)
+        st = HydroState(g, a=a, S=np.zeros(32), epsilon=eps)
         out = solver.step_rk4(st, 0.01)
         assert np.max(np.abs(g.fft(out.a)[:, ~dealias_mask(g)])) < 1e-13
 
@@ -253,50 +265,51 @@ class TestIntegratingFactor:
 
     def test_euler_step_is_classical_rk4(self, rng):
         # eps = 0: the factor is 1 and the step is classical RK4 on the full
-        # rhs, to the last bit (A = 0, so no screened solve varies)
+        # rhs of (a, S_hat), to the last bit (A = 0, so no screened solve
+        # varies); u and div u come from S_hat at each stage
         g = Grid((64,))
         st = random_state(g, rng, eps=0.0)
-        solver = HydroSolver(g, SimParams(epsilon=0.0, magnetic=False))
+        params = SimParams(epsilon=0.0, magnetic=False)
+        solver = HydroSolver(g, params)
         dt = 0.01
 
-        def full_rhs(s):
-            return solver.rhs(s, solver.potentials(s))
+        def full_rhs(a, S_hat):
+            grad_a = derivative_table(g, g.fft(a), half=False)
+            u, lap_S = phase_velocity(g, S_hat, st.u_mean, laplacian=True)
+            pots = self_consistent_potentials(g, params, a, 0.0, u)
+            return solver._nonlinear(a, grad_a, u, lap_S, pots, spectral=False)
 
-        ks = [full_rhs(st)]
+        y = (st.a, g.rfft(st.S))
+        ks = [full_rhs(*y)]
         for frac in (0.5, 0.5, 1.0):
-            ks.append(full_rhs(HydroState(
-                *(x + (frac * dt) * dx for x, dx in zip((st.a, st.u, st.S), ks[-1])),
-                epsilon=0.0,
-            )))
+            ks.append(full_rhs(*(x + (frac * dt) * dx for x, dx in zip(y, ks[-1]))))
         combo = [(a + 2.0 * b + 2.0 * c + d) / 6.0 for a, b, c, d in zip(*ks)]
-        expected = solver._dealias(HydroState(
-            *(x + dt * dx for x, dx in zip((st.a, st.u, st.S), combo)), epsilon=0.0
-        ))
+        a, S_hat = (x + dt * dx for x, dx in zip(y, combo))
+        S_hat = S_hat * dealias_mask(g, half=True)
         out = solver.step_rk4(st, dt)
-        assert np.array_equal(out.a, expected.a)
-        assert np.array_equal(out.u, expected.u)
-        assert np.array_equal(out.S, expected.S)
+        assert np.array_equal(out.a, dealias(g, a))
+        assert np.array_equal(out.S, g.irfft(S_hat))
+        assert np.array_equal(out.u, phase_velocity(g, S_hat, st.u_mean))
 
 
 class TestTransformCounts:
     def test_step_keeps_the_amplitude_spectral(self, transform_count):
-        # eps > 0, no coupling: the stage derivatives of a arrive as masked
-        # spectra, each stage inverts a and its derivatives from the stage
-        # spectrum, and u is transformed once per stage for its Jacobian,
-        # which is 53 transforms; taking every derivative by its own
-        # transform took 93
+        # eps > 0, no coupling: the stage derivatives of a and S arrive as
+        # masked spectra; each stage inverts a and its derivatives from the
+        # stage spectrum, and u and div u from the stage's S_hat in one
+        # batched inverse
         g = Grid((16, 16, 16))
         solver = HydroSolver(g, SimParams(epsilon=0.2, coupling=False))
         st = solver._dealias(gaussian_bump(g, epsilon=0.2))
         transform_count.clear()
         solver.step_rk4(st, 0.01)
-        assert sum(transform_count.values()) == 53
+        assert sum(transform_count.values()) == 32
 
     def test_coupled_step_transform_budget(self, transform_count):
-        # a coupled 32^3 step and the potentials of its result: 558
-        # transformed components when each operator transformed its own
-        # input and the screened solve iterated in physical space; one
-        # spectrum per field and stage, and spectral CG, make it 384
+        # a coupled 32^3 step and the potentials of its result: one spectrum
+        # per field and stage, u from S_hat and spectral CG make 297
+        # transformed components; the bound leaves room for two more CG
+        # iterations (six components each), whose count the data can move
         g = Grid((32, 32, 32))
         solver = HydroSolver(g, SimParams(epsilon=0.2, T=0.05))
         st = solver._dealias(gaussian_bump(g, amplitude=0.2, width=1.2, epsilon=0.2))
@@ -305,20 +318,19 @@ class TestTransformCounts:
         transform_count.clear()
         new = solver.step_rk4(st, dt, pots)
         solver.potentials(new, guess=pots.A)
-        assert sum(transform_count.components.values()) <= 440
+        assert sum(transform_count.components.values()) <= 310
 
     def test_record_transforms_each_field_once(self, transform_count):
-        # one 32^3 sample: d_t u (7 transforms: one Jacobian table each of u
-        # and A, and one masked spectrum), one spectrum each of a, u and
-        # d_t u, and two derivative tables each for a and u, which is 14;
-        # computing every norm from its own transforms took 164
+        # one 32^3 sample: d_t u = grad d_t S (one spectrum and its
+        # derivative table), one spectrum each of a, u and d_t u, and two
+        # derivative tables each for a and u
         g = Grid((32, 32, 32))
         solver = HydroSolver(g, SimParams(epsilon=0.2, T=0.05))
         st = solver._dealias(gaussian_bump(g, amplitude=0.2, width=1.2, epsilon=0.2))
         pots = solver.potentials(st)
         transform_count.clear()
         solver._record(0.0, st, pots, None)
-        assert sum(transform_count.values()) <= 14
+        assert sum(transform_count.values()) <= 9
 
 
 class TestRun:
@@ -342,7 +354,8 @@ class TestRun:
         assert quiet.warnings == []
 
     def test_sample_velocity_derivative_bitwise(self):
-        # the diagnostics take d_t u alone; it is the rhs's d_t u to the bit
+        # every sample's d_t u is the gradient of the rhs's d_t S, from its
+        # spectrum, to the bit
         from poisswell.diagnostics import functionals
 
         g = Grid((64,))
@@ -350,9 +363,9 @@ class TestRun:
         run = HydroSolver(g, params).run(gaussian_bump(g, epsilon=0.2))
         solver = HydroSolver(g, run.params)
         for st, pots, rec in zip(run.states, run.potentials, run.records):
-            du = solver.rhs(st, pots)[1]
-            assert np.array_equal(solver.velocity_rhs(st.u, pots), du)
-            fn = functionals(g, st, run.params.s, dt_u=du)
+            dS_hat = solver.nonlinear_rhs(st, pots, spectral=True)[1]
+            assert np.array_equal(g.irfft(dS_hat), solver.rhs(st, pots)[1])
+            fn = functionals(g, st, run.params.s, dt_u=derivative_table(g, dS_hat, half=True))
             assert rec.xs_eps_dtu == fn.xs_eps_dtu
 
     def test_charge_conservation_bump(self):
@@ -567,6 +580,20 @@ class TestStopRules:
         def poison(n, state):
             if n == 2:
                 state.a[0, 3] = np.nan
+            return state
+
+        step_calls(monkeypatch, poison)
+        run = bump_run()
+        assert run.status == "blowup" and run.stop_reason == "non-finite state"
+        assert len(run.times) == 2
+        assert elliptic_spy.finite and all(elliptic_spy.finite)
+
+    def test_non_finite_phase_ends_the_run_unsolved(self, monkeypatch, elliptic_spy):
+        # step 2 returns a NaN phase next to a finite u: that state is
+        # non-finite too, and no solve sees what follows from it
+        def poison(n, state):
+            if n == 2:
+                state.S[3] = np.nan
             return state
 
         step_calls(monkeypatch, poison)

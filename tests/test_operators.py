@@ -174,21 +174,6 @@ class TestStructure:
             ops.curl(g, rolledA), np.roll(ops.curl(g, A), 1, axis=-1), atol=1e-12
         )
 
-    def test_gradient_part_recovers_gradient(self, rng):
-        g = Grid((32, 32))
-        phi = random_band_limited(g, rng)
-        u = ops.gradient(g, phi)
-        proj = ops.gradient_part(g, u)
-        assert np.max(np.abs(proj - u)) < 1e-12
-
-    def test_gradient_part_kills_solenoidal(self, rng):
-        g = Grid((32, 32))
-        A = random_band_limited(g, rng, components=3)
-        sol = ops.curl(g, A)
-        sol -= sol.mean(axis=(-2, -1), keepdims=True)
-        proj = ops.gradient_part(g, sol)
-        assert np.max(np.abs(proj)) < 1e-11
-
     def test_dealias_idempotent(self, rng):
         g = Grid((64,))
         f = rng.standard_normal(g.shape)
@@ -215,7 +200,7 @@ def test_real_fields_match_the_complex_path(shape, rng):
     cases = [
         (ops.gradient, f), (ops.laplacian, f), (ops.dealias, f),
         (lambda g, f: ops.deriv(g, f, g.dim - 1), f),
-        (ops.divergence, v), (ops.curl, v), (ops.gradient_part, v),
+        (ops.divergence, v), (ops.curl, v),
         (lambda g, v: ops.advect(g, v, v), v),
     ]
     for op, x in cases:

@@ -3,7 +3,7 @@ import pytest
 
 from poisswell.errors import MissingPhase
 from poisswell.grid import Grid
-from poisswell.operators import curl, gradient, l2_norm
+from poisswell.operators import curl, l2_norm
 from poisswell.pauli import spin_density
 from poisswell.states import (
     HydroState,
@@ -133,7 +133,7 @@ class TestWkbCurrent:
         a = 1.0 + random_band_limited(g, rng, components=2, complex_=True, amplitude=0.3)
         S = random_band_limited(g, rng, amplitude=0.2)
         A = random_band_limited(g, rng, components=3, amplitude=0.3)
-        state = HydroState(a=a, u=gradient(g, S), S=S, epsilon=eps)
+        state = HydroState(g, a=a, S=S, epsilon=eps)
         psi = reconstruct_spinor(g, state)
         J_psi = pauli_current(g, psi, A, eps)
         J_wkb = wkb_current(g, a, state.u, A, eps)
@@ -151,7 +151,7 @@ class TestWkbCurrent:
 class TestReconstruct:
     def test_zero_phase(self):
         g = Grid((32,))
-        st = HydroState(a=spinup(np.ones(g.shape)), u=np.zeros((3,) + g.shape), S=np.zeros(g.shape), epsilon=0.5)
+        st = HydroState(g, a=spinup(np.ones(g.shape)), S=np.zeros(g.shape), epsilon=0.5)
         psi = reconstruct_spinor(g, st)
         assert np.max(np.abs(psi - st.a)) < 1e-14
 
@@ -160,8 +160,8 @@ class TestReconstruct:
         eps = 0.25
         x = g.coordinates()[0].ravel()
         st = HydroState(
+            g,
             a=spinup(np.ones(g.shape)),
-            u=np.zeros((3,) + g.shape),
             S=np.zeros(g.shape),
             u_mean=np.array([eps, 0.0, 0.0]),
             epsilon=eps,
@@ -173,15 +173,15 @@ class TestReconstruct:
         g = Grid((32,))
         a = random_band_limited(g, rng, components=2, complex_=True)
         S = random_band_limited(g, rng)
-        st = HydroState(a=a, u=gradient(g, S), S=S, epsilon=0.1)
+        st = HydroState(g, a=a, S=S, epsilon=0.1)
         psi = reconstruct_spinor(g, st)
         assert np.max(np.abs(charge_density(psi) - charge_density(a))) < 1e-12
 
     def test_missing_phase_raises(self):
+        # a WKB state is (a, S): without its phase it is not made at all
         g = Grid((32,))
-        st = HydroState(a=spinup(np.ones(g.shape)), u=np.zeros((3,) + g.shape), S=None, epsilon=0.1)
-        with pytest.raises(MissingPhase):
-            reconstruct_spinor(g, st)
+        with pytest.raises(MissingPhase, match="phase"):
+            HydroState(g, a=spinup(np.ones(g.shape)), S=None, epsilon=0.1)
 
 
 def test_normalize_charge(rng):
@@ -195,7 +195,7 @@ def test_source_term_pieces(rng):
     g = Grid((64,))
     a = 1.0 + random_band_limited(g, rng, components=2, complex_=True, amplitude=0.3)
     S = random_band_limited(g, rng, amplitude=0.2)
-    st = HydroState(a=a, u=gradient(g, S), S=S, epsilon=0.2)
+    st = HydroState(g, a=a, S=S, epsilon=0.2)
     rho = charge_density(st.a)
     w = kinetic_current(g, st.a)
     J = wkb_current(g, st.a, st.u, np.zeros((3,) + g.shape), st.epsilon)

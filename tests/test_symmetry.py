@@ -67,7 +67,7 @@ MAPS = {"parity": reflect, "translation": translate}
 
 def mapped_state(st, m):
     """The WKB state ``st`` under the point map ``m`` of :data:`MAPS`."""
-    return HydroState(a=m(st.a, "spinor"), u=m(st.u, "polar"), S=m(st.S), epsilon=st.epsilon)
+    return HydroState(st.grid, a=m(st.a, "spinor"), S=m(st.S), epsilon=st.epsilon)
 
 
 def rel_diff(x, y):
@@ -103,8 +103,7 @@ def test_pauli_step_commutes_with_rotation(bump, axis):
 def test_hydro_step_commutes_with_rotation(bump, axis):
     g, st = bump
     solver = HydroSolver(g, SimParams(epsilon=EPS, T=DT))
-    turned = HydroState(a=rotate(st.a, axis, "spinor"), u=rotate(st.u, axis, "vector"),
-                        S=rotate(st.S, axis), epsilon=EPS)
+    turned = HydroState(g, a=rotate(st.a, axis, "spinor"), S=rotate(st.S, axis), epsilon=EPS)
     stepped = solver.step_rk4(turned, DT)
     expected = solver.step_rk4(st.copy(), DT)
     assert rel_diff(stepped.a, rotate(expected.a, axis, "spinor")) < 1e-12
@@ -190,7 +189,7 @@ def test_steps_commute_with_in_plane_rotation(amplitude, width, center, spin_ang
     psi = reconstruct_spinor(g, st)
     stepped = pauli.step(turn(psi, "spinor"), DT)
     assert rel_diff(stepped, turn(pauli.step(psi, DT), "spinor")) < 1e-12
-    turned = HydroState(a=turn(st.a, "spinor"), u=turn(st.u, "vector"), S=turn(st.S), epsilon=EPS)
+    turned = HydroState(g, a=turn(st.a, "spinor"), S=turn(st.S), epsilon=EPS)
     stepped = hydro.step_rk4(turned, DT)
     expected = hydro.step_rk4(st.copy(), DT)
     assert rel_diff(stepped.a, turn(expected.a, "spinor")) < 1e-12

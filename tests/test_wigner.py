@@ -61,8 +61,8 @@ class TestSlice:
         x = g.coordinates()[0].ravel()
         S = 0.3 * np.sin(x)
         st = HydroState(
+            g,
             a=np.stack([np.ones(g.shape, dtype=complex), np.zeros(g.shape, dtype=complex)]),
-            u=gradient(g, S),
             S=S,
             epsilon=eps,
         )
@@ -127,8 +127,8 @@ class TestDefect:
         x = g.coordinates()[0].ravel()
         S = 0.2 * np.sin(x)
         st = HydroState(
+            g,
             a=np.stack([np.ones(g.shape, dtype=complex), np.zeros(g.shape, dtype=complex)]),
-            u=gradient(g, S),
             S=S,
             epsilon=eps,
         )
@@ -141,7 +141,7 @@ class TestDefect:
         eps = 0.1
         a = 1.0 + random_band_limited(g, rng, components=2, complex_=True, amplitude=0.3)
         S = random_band_limited(g, rng, amplitude=0.2)
-        st = HydroState(a=a, u=gradient(g, S), S=S, epsilon=eps)
+        st = HydroState(g, a=a, S=S, epsilon=eps)
         psi = reconstruct_spinor(g, st)
         expected = eps**2 * sum(
             l2_norm(g, gradient(g, a[s])) ** 2 for s in range(2)
@@ -162,7 +162,7 @@ class TestDefect:
         S = random_band_limited(g, rng, amplitude=0.2)
         vals = {}
         for eps in (0.2, 0.1):
-            st = HydroState(a=a, u=gradient(g, S), S=S, epsilon=eps)
+            st = HydroState(g, a=a, S=S, epsilon=eps)
             psi = reconstruct_spinor(g, st)
             vals[eps] = monokinetic_defect(g, psi, st.u, eps)
         assert vals[0.1] / vals[0.2] <= 0.3
