@@ -111,8 +111,8 @@ def functionals(grid: Grid, state, s, dt_u=None):
 
     ``dt_u`` is the velocity time-derivative ``grad d_t S`` from the phase
     equation (not a finite difference); when omitted the doubly-weighted
-    functional is skipped.  The theory needs s > 7/2; any s >= 1 is accepted with a
-    warning for exploratory runs.
+    functional is skipped.  The theory needs s > 7/2; any s >= 1 is
+    accepted with a warning for exploratory runs.
     """
     if s < 1.0:
         raise ValueError("regularity index must be >= 1")

@@ -124,6 +124,7 @@ def phase_velocity(grid: Grid, S_hat, u_mean, laplacian=False):
     multipliers = [1j * ks[i] for i in range(grid.dim)]
     if laplacian:
         multipliers.append(-k2(grid, half=True))
+    # the rows live only inside the stack: held across the inverse they raise peak memory
     table = grid.irfft(np.stack([m * S_hat for m in multipliers]))
     u = np.zeros((3,) + grid.shape)
     u[: grid.dim] = table[: grid.dim]
