@@ -30,7 +30,7 @@ from .diagnostics import (
     functionals,
 )
 from .errors import InsufficientHistory, NonConvergence, StabilityViolation
-from .grid import Grid, dealias_mask, dispersion_factor
+from .grid import Grid, dealias_mask, dispersion_factor, k3
 from .operators import (
     curl,
     curl_divergence,
@@ -39,6 +39,7 @@ from .operators import (
     directional,
     gradient,
     laplacian,
+    spectrum,
 )
 from .pauli import apply_sigma_dot
 from .states import (
@@ -47,6 +48,7 @@ from .states import (
     Run,
     RunStopped,
     SimParams,
+    SolveHistory,
     charge_density,
     finite,
     phase_velocity,
@@ -138,7 +140,7 @@ class HydroSolver:
         return HydroState(g, dealias(g, state.a), g.irfft(S_hat), state.u_mean, state.t,
                           state.epsilon, S_hat=S_hat)
 
-    def step_rk4(self, state: HydroState, dt, pots=None):
+    def step_rk4(self, state: HydroState, dt, pots=None, history: SolveHistory = None):
         """
         One Lawson integrating-factor RK4 step, its result cut to the
         dealiased band.
@@ -166,9 +168,16 @@ class HydroSolver:
         ``pots`` are the potentials of ``state``; they are computed when not
         given.  They serve the first stage and set the bound dt is checked
         against: a dt above :meth:`dt_bound` raises StabilityViolation.
-        The screened solve of each later stage starts from a nearby A: the
-        two half-step stages from the A of the stage before, the full-step
-        stage from the line ``2 A_3 - A_1`` through the first and third.
+
+        The screened solve of each later stage starts from a nearby A.  A
+        run passes its ``history`` of post-step A's, the last of them
+        ``pots.A``: stage ``s`` (2, 3 or 4) then starts from their
+        extrapolation to its time, ``t + dt/2`` or ``t + dt``, plus its
+        defect from the step before, and leaves its new defect there
+        (:class:`~poisswell.states.SolveHistory`).  Without one the two
+        half-step stages start from the A of the stage before and the
+        full-step stage from the line ``2 A_3 - A_1`` through the first and
+        third.
         """
         if pots is None:
             pots = self.potentials(state)
@@ -192,28 +201,34 @@ class HydroSolver:
         def axpy(y, h, k):
             return tuple(x + h * dx for x, dx in zip(y, k))
 
-        stage_A = [pots.A]
+        stage_A = [pots.A]  # the in-step guesses' points, without a history
 
-        def stage(y, a, stage_pots=None):
+        def stage(y, a, site=None):
             grad_a = derivative_table(g, y[0] if spectral else g.fft(a), half=False)
             u, lap_S = phase_velocity(g, y[1], state.u_mean, laplacian=True)
-            if stage_pots is None:
-                a1, a_last = stage_A[0], stage_A[-1]
-                guess = a_last if len(stage_A) < 3 else 2.0 * a_last - a1
-                stage_pots = self_consistent_potentials(
-                    g, self.params, a, state.epsilon, u, guess=guess, grad_a=grad_a
-                )
+            if site is None:
+                return self._nonlinear(a, grad_a, u, lap_S, pots, spectral)
+            if history is not None:
+                guess = history.ahead(0.5 if site < 4 else 1.0, site)
+            else:
+                guess = stage_A[-1] if len(stage_A) < 3 else 2.0 * stage_A[-1] - stage_A[0]
+            stage_pots = self_consistent_potentials(
+                g, self.params, a, state.epsilon, u, guess=guess, grad_a=grad_a
+            )
+            if history is not None:
+                history.solved(site, guess, stage_pots.A)
+            else:
                 stage_A.append(stage_pots.A)
             return self._nonlinear(a, grad_a, u, lap_S, stage_pots, spectral)
 
         y = (fwd(state.a), g.rfft(state.S))
-        k1 = stage(y, state.a, pots)
+        k1 = stage(y, state.a)
         y2 = prop(axpy(y, 0.5 * dt, k1), half)
-        k2 = stage(y2, inv(y2[0]))
+        k2 = stage(y2, inv(y2[0]), 2)
         y3 = axpy(prop(y, half), 0.5 * dt, k2)
-        k3 = stage(y3, inv(y3[0]))
+        k3 = stage(y3, inv(y3[0]), 3)
         y4 = axpy(prop(y, full), dt, prop(k3, half))
-        k4 = stage(y4, inv(y4[0]))
+        k4 = stage(y4, inv(y4[0]), 4)
         combo = tuple(
             (a + 2.0 * b + 2.0 * c + d) / 6.0
             for a, b, c, d in zip(prop(k1, full), prop(k2, half), prop(k3, half), k4)
@@ -228,8 +243,10 @@ class HydroSolver:
 
     def _record(self, t, state: HydroState, pots: Potentials, previous):
         # the state carries its own time; ``t`` is the loop's n * dt
-        g = self.grid
-        dt_u = derivative_table(g, self._phase_rhs(state.u, pots), half=True)  # grad d_t S
+        g, ks = self.grid, k3(self.grid, half=True)
+        dS_hat = self._phase_rhs(state.u, pots)
+        # d_t u = grad d_t S, whose norm reads only its spectrum
+        dt_u = spectrum(g, None, np.stack([1j * ks[i] * dS_hat for i in range(g.dim)]))
         fn = functionals(g, state, self.params.s, dt_u=dt_u)
         sup = fn.monitor if previous is None else max(previous.monitor_sup, fn.monitor)
         return DiagnosticsRecord(
@@ -246,26 +263,33 @@ class HydroSolver:
 
     def run(self, init: HydroState, n_samples=None) -> Run:
         """
-        The shared run loop with the WKB policy.  Each step is followed by
-        the solve of the new state's potentials, started from the last A,
-        then from the line ``2 A_n - A_{n-1}`` through the last two.  A
-        crossed dt bound or an elliptic breakdown after a monitor warning
-        ends the run as a blow-up (before a warning they raise); a
-        non-finite state and the monitor end it at any time.  ``n_samples``
-        places the samples at ``T k / n_samples``
-        (:func:`~poisswell.states.run_loop`).
+        The shared run loop with the WKB policy.  With a magnetic coupling
+        the run keeps a :class:`~poisswell.states.SolveHistory` of the last
+        four post-step A's: each step's stages start from it
+        (:meth:`step_rk4`), and the solve of the new state's potentials
+        after each step starts from the polynomial through them, at the
+        next step: the last A, then the line through the last two, the
+        quadratic through three, and the cubic through four.  A crossed dt
+        bound or an elliptic breakdown after a monitor warning ends the run
+        as a blow-up (before a warning they raise); a non-finite state and
+        the monitor end it at any time.  ``n_samples`` places the samples at
+        ``T k / n_samples`` (:func:`~poisswell.states.run_loop`).
         """
         state = init.copy()
         state.epsilon = self.params.epsilon
-        warned, prev_A = False, None
+        warned = False
+        history = SolveHistory(4) if self.params.magnetic and self.params.coupling else None
 
         def advance(state, dt, pots, sample):
-            nonlocal prev_A
             try:
-                state = finite(self.step_rk4(state, dt, pots))
-                guess = pots.A if prev_A is None else 2.0 * pots.A - prev_A
-                prev_A = pots.A
-                return state, self.potentials(state, guess=guess)
+                if history is not None and not history.points:
+                    history.push(0, pots.A)
+                state = finite(self.step_rk4(state, dt, pots, history))
+                if history is None:
+                    return state, self.potentials(state)
+                pots = self.potentials(state, guess=history.ahead(1.0))
+                history.push(history.nodes[-1] + 1, pots.A)
+                return state, pots
             except StabilityViolation as exc:
                 if warned:
                     raise RunStopped("stability bound crossed") from exc

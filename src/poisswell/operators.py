@@ -167,13 +167,21 @@ class Spectrum:
     power: np.ndarray
 
 
-def spectrum(grid: Grid, f) -> Spectrum:
-    """The :class:`Spectrum` of a field; a spectrum is returned as it is."""
+def spectrum(grid: Grid, f, fh=None) -> Spectrum:
+    """
+    The :class:`Spectrum` of a field; a spectrum is returned as it is.
+    ``fh``, the half spectrum of a real ``f``, is taken when the caller holds
+    it, and then ``f`` may be None for a spectrum that only :func:`sobolev_norm`
+    and :func:`spectral_tail_fraction` read.
+    """
     if isinstance(f, Spectrum):
         return f
-    f = np.asarray(f)
-    fwd, inv, half = _transforms(grid, f)
-    fh = fwd(f)
+    if fh is None:
+        f = np.asarray(f)
+        fwd, inv, half = _transforms(grid, f)
+        fh = fwd(f)
+    else:
+        inv, half = grid.irfft, True
     power = np.sum(np.abs(fh) ** 2, axis=tuple(range(fh.ndim - grid.dim)))
     if half:  # off the last axis's 0 and N/2 planes a mode stands for two
         power[..., 1:-1] *= 2.0

@@ -17,8 +17,9 @@ reads, and ``div A`` from one transform of A.
 A run makes one screened solve per step, at the step's midpoint.  Each
 step's predictor takes the potentials at its start extrapolated linearly
 in time from the last two solved points (the initial potentials and the
-midpoints), and a sample solves V alone; its A is solved from the stored
-state when first read.
+midpoints); the midpoint solve starts from the quadratic through the A's
+of the last three.  A sample solves V alone; its A is solved from the
+stored state when first read.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .states import (
     Run,
     RunStopped,
     SimParams,
+    SolveHistory,
     charge_density,
     finite,
     run_loop,
@@ -150,7 +152,7 @@ class PauliSolver:
             psi_hat *= dealias_mask(g)
         return psi_hat
 
-    def step(self, psi, dt, fields=None, solved=None):
+    def step(self, psi, dt, fields=None, solved=None, history: SolveHistory = None):
         """
         One Strang step, kinetic halves outside:
 
@@ -164,13 +166,16 @@ class PauliSolver:
         (hence A) also moves with the transport and the multiplication
         phase at O(dt), so a predictor first applies half of each with the
         potentials at the step's start; the midpoint potentials are solved
-        from the predicted psi, from the predictor's A, and drive the step.
+        from the predicted psi and drive the step.
 
         ``fields``, the predictor's ``(pots, B, div A)``, are the potentials
         of ``psi``, solved here, when not given; :meth:`run` passes them
         extrapolated, so its steps make one screened solve each.  ``solved``,
-        a list, receives the midpoint's fields.  The stability bound is
-        checked with the potentials the step starts from.
+        a list, receives the midpoint's fields.  The midpoint solve starts
+        from ``history``'s extrapolation one step past its last point
+        (:class:`~poisswell.states.SolveHistory`), and from the predictor's
+        A without one.  The stability bound is checked with the potentials
+        the step starts from.
 
         psi is transformed once on entry and inverted once on exit.  The
         spectrum after the first kinetic half is kept through the step and
@@ -192,9 +197,11 @@ class PauliSolver:
         if magnetic:
             predicted = self._transport(psi, tau, pots, divA, psi_hat)
             predicted = self._multiply(predicted, tau, pots, B)
-            # of the predictor's fields only A, the guess, is held across
+            # of the predictor's fields at most A, the guess, is held across
             # the midpoint solve; it goes with the predicted psi once it returns
             guess, fields, pots, B, divA = pots.A, None, None, None, None
+            if history is not None:
+                guess = history.ahead(1.0)
             pots = self.potentials(predicted, guess=guess)
             predicted = guess = None
             _, B, divA = mid = self._fields(pots)
@@ -236,16 +243,23 @@ class PauliSolver:
         ``2 P_{1/2} - P_0`` and later steps ``1.5 P_{n-1/2} - 0.5 P_{n-3/2}``;
         B and div A go with A, being linear in it.  The run, not the
         solver, keeps the two points, and each step makes one screened
-        solve, at its midpoint.  A sample keeps V and solves A from the
-        stored state when first read (:meth:`_sample_potentials`).
+        solve, at its midpoint.  That solve starts from the polynomial
+        through the A's of the last three solved points, the two plus one
+        older, at the new midpoint: P_0 at step 1, the line ``3 A_{1/2} -
+        2 A_0`` at step 2, and quadratics after that; from step 4 the
+        midpoint at ``n + 1/2`` starts from ``A_{n-5/2} - 3 A_{n-3/2} +
+        3 A_{n-1/2}``.  A sample keeps V and solves A from the stored state
+        when first read (:meth:`_sample_potentials`).
         """
         magnetic = self.params.magnetic and self.params.coupling
         solved = []  # the fields of the last two solved points, oldest first
+        history = SolveHistory(3)  # their A's and one older, at their times in steps
         taken = 0
 
         def predictor(pots):
             if not solved:
                 solved.append(self._fields(pots))  # the first step's pots are P_0
+                history.push(0.0, pots.A)
                 return solved[0]
             # the step starts half a step past the last midpoint, which lies
             # half a step past P_0 and a whole step past an earlier midpoint
@@ -254,12 +268,15 @@ class PauliSolver:
         def advance(psi, dt, pots, sample):
             nonlocal taken
             try:
-                psi = finite(self.step(psi, dt, predictor(pots) if magnetic else None, solved))
+                psi = finite(self.step(psi, dt, predictor(pots) if magnetic else None, solved,
+                                       history))
             except StabilityViolation as exc:
                 raise RunStopped(str(exc)) from exc
             except NonConvergence as exc:
                 raise RunStopped("elliptic solve diverged") from exc
             taken += 1
+            if magnetic:
+                history.push(taken - 0.5, solved[-1][0].A)
             del solved[:-2]
             return psi, self._sample_potentials(psi) if sample else pots
 

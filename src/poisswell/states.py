@@ -9,7 +9,9 @@ The loop owns the time grid, the samples and the run status; each solver's
 
 from __future__ import annotations
 
+import collections
 import copy
+import itertools
 import math
 import warnings
 from dataclasses import InitVar, dataclass, field, replace
@@ -219,6 +221,60 @@ def self_consistent_potentials(grid: Grid, params: SimParams, a, epsilon, u=None
                               tol=SCREENED_TOL, max_iters=SCREENED_MAX_ITERS,
                               guess=guess)
     return Potentials(V=V, A=A)
+
+
+def lagrange_weights(nodes, x):
+    """
+    The weights ``w`` with ``p(x) = sum_j w_j p(nodes[j])`` for every
+    polynomial ``p`` of degree below ``len(nodes)``, whose distinct nodes
+    need not be evenly spaced: Lagrange interpolation, or extrapolation for
+    an ``x`` past the nodes.
+    """
+    return [math.prod((x - m) / (n - m) for m in nodes if m != n) for n in nodes]
+
+
+class SolveHistory:
+    """
+    What a run keeps of one screened-solve site to start its next solves
+    warm (Fischer 1998, successive right-hand sides): the A's of its last
+    ``depth`` solved points with their times in steps, and per stage site
+    the *defect*, that stage's last solved A minus the points' extrapolation
+    to its time.  A guess changes the work of a solve, not the tolerance it
+    meets.
+    """
+
+    def __init__(self, depth):
+        self.nodes = collections.deque(maxlen=depth)
+        self.points = collections.deque(maxlen=depth)
+        self.defects = {}
+
+    def push(self, node, A):
+        self.nodes.append(node)
+        self.points.append(A)
+
+    def ahead(self, offset, site=None):
+        """
+        A new array: the polynomial through the held points at ``offset``
+        steps past the last, plus the defect of ``site`` when one is held.
+        """
+        w = lagrange_weights(self.nodes, self.nodes[-1] + offset)
+        guess = w[0] * self.points[0]
+        for wj, A in zip(w[1:], itertools.islice(self.points, 1, None)):
+            guess += wj * A
+        if site in self.defects:
+            guess += self.defects[site]
+        return guess
+
+    def solved(self, site, guess, A):
+        """
+        Take the defect of ``site`` from its solved ``A`` and the ``guess``
+        :meth:`ahead` gave it, whose buffer this spends.
+        """
+        miss = np.subtract(A, guess, out=guess)
+        if site in self.defects:
+            self.defects[site] += miss
+        else:
+            self.defects[site] = miss
 
 
 def reconstruct_spinor(grid: Grid, state: HydroState):

@@ -113,3 +113,34 @@ def elliptic_spy(monkeypatch):
         monkeypatch.setattr(module, "solve_poisson_neutral", spied_poisson)
     monkeypatch.setattr(states, "solve_screened_vector", spied_screened)
     return spy
+
+
+@pytest.fixture
+def cg_iterations(monkeypatch):
+    """
+    A list that receives, per screened solve made, in call order, its
+    conjugate-gradient work counted as the inverse transforms made inside
+    it: one per iteration, plus one per true-residual test that follows
+    iterations.  A cold solve of n iterations counts n + 1; a guess that
+    already meets the tolerance counts 0.
+    """
+    from poisswell import states
+
+    counts, inside = [], []
+    irfft, solve = Grid.irfft, states.solve_screened_vector
+
+    def counted_irfft(self, fh, *args, **kwargs):
+        if inside:
+            inside[-1] += 1
+        return irfft(self, fh, *args, **kwargs)
+
+    def counted_solve(*args, **kwargs):
+        inside.append(0)
+        try:
+            return solve(*args, **kwargs)
+        finally:
+            counts.append(inside.pop())
+
+    monkeypatch.setattr(Grid, "irfft", counted_irfft)
+    monkeypatch.setattr(states, "solve_screened_vector", counted_solve)
+    return counts

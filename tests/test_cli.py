@@ -1,9 +1,12 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from poisswell.cli import EXIT_BLOWUP, EXIT_OK, main
+
+BLOWUP_CFG = Path(__file__).resolve().parent.parent / "configs" / "blowup.cfg"
 
 EULER_UNIFORM = """
 [run]
@@ -432,6 +435,18 @@ def test_env_var_output_root(tmp_path, monkeypatch):
     monkeypatch.setenv("POISSWELL_OUT", str(target))
     assert main(["run", str(cfg)]) == EXIT_OK
     assert (target / "report.json").exists()
+
+
+def test_reference_blowup_config(tmp_path):
+    # configs/blowup.cfg: the N = 256 caustic trips the monitor after 67
+    # samples, at t = 0.86275; every screened solve of the run enters it
+    out = tmp_path / "out"
+    assert main(["run", str(BLOWUP_CFG), "--out", str(out)]) == EXIT_BLOWUP
+    summary = json.loads((out / "report.json").read_text())["summary"]
+    assert summary["status"] == "blowup"
+    assert summary["stop_reason"] == "monitor triggered"
+    assert len((out / "diagnostics.jsonl").read_text().splitlines()) == 67
+    assert summary["final_time"] == pytest.approx(0.86275, abs=1e-4)
 
 
 def test_plot_on_empty_report(tmp_path):

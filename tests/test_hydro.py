@@ -321,16 +321,16 @@ class TestTransformCounts:
         assert sum(transform_count.components.values()) <= 310
 
     def test_record_transforms_each_field_once(self, transform_count):
-        # one 32^3 sample: d_t u = grad d_t S (one spectrum and its
-        # derivative table), one spectrum each of a, u and d_t u, and two
-        # derivative tables each for a and u
+        # one 32^3 sample: one spectrum each of a, u and d_t S (d_t u = grad
+        # d_t S is normed from i k times it) and two derivative tables each
+        # for a and u
         g = Grid((32, 32, 32))
         solver = HydroSolver(g, SimParams(epsilon=0.2, T=0.05))
         st = solver._dealias(gaussian_bump(g, amplitude=0.2, width=1.2, epsilon=0.2))
         pots = solver.potentials(st)
         transform_count.clear()
         solver._record(0.0, st, pots, None)
-        assert sum(transform_count.values()) <= 9
+        assert sum(transform_count.values()) <= 7
 
 
 class TestRun:
@@ -390,75 +390,53 @@ class TestRun:
         run = HydroSolver(g, SimParams(epsilon=0.1, T=0.0)).run(uniform(g))
         assert len(run.states) == 1
 
-    def test_screened_solves_per_step(self, monkeypatch):
+    def test_screened_solves_per_step(self, cg_iterations):
         # one solve for the initial potentials, then four per RK4 step: the
         # first stage reuses the potentials the run loop already holds
-        from poisswell import states
-
-        calls = []
-        solve = states.solve_screened_vector
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(states, "solve_screened_vector", counting)
         g = Grid((64,))
         n = 5
         params = SimParams(epsilon=0.1, T=n * 0.01, dt=0.01, sample_every=2)
         run = HydroSolver(g, params).run(gaussian_bump(g, epsilon=0.1))
         assert run.status == "completed"
-        assert len(calls) == 1 + 4 * n
+        assert len(cg_iterations) == 1 + 4 * n
 
     def test_every_step_solve_extrapolates_A(self, monkeypatch):
-        # the solve after each step starts from the last A, then from the
-        # line 2 A_n - A_{n-1} through the last two; the n-th solve has A = n
+        # the solve after each step starts from the polynomial through the
+        # last four post-step A's at the next step: the last A, the line
+        # through two, the quadratic through three, then the cubic.  The
+        # solve after step n (0: the initial one) returns A = p(n), cubic in
+        # n, so from step 4 on the guess is p(n) itself, which no lower
+        # order gives
         g = Grid((16,))
-        solver = HydroSolver(g, SimParams(epsilon=0.1, T=0.04, dt=0.01, sample_every=2))
+        solver = HydroSolver(g, SimParams(epsilon=0.1, T=0.06, dt=0.01, sample_every=2))
         guesses = []
+
+        def p(n):
+            return 1.0 + n - 2.0 * n**2 + 0.5 * n**3
 
         def potentials(state, guess=None):
             guesses.append(None if guess is None else float(guess[0, 0]))
-            return Potentials(V=np.zeros(g.shape), A=np.full((3,) + g.shape, float(len(guesses))))
+            return Potentials(V=np.zeros(g.shape), A=np.full((3,) + g.shape, p(len(guesses) - 1)))
 
         monkeypatch.setattr(solver, "potentials", potentials)
-        monkeypatch.setattr(solver, "step_rk4", lambda state, dt, pots: replace(state, t=state.t + dt))
+        monkeypatch.setattr(solver, "step_rk4",
+                            lambda state, dt, pots, history: replace(state, t=state.t + dt))
         run = solver.run(uniform(g))
         assert run.status == "completed"
-        assert guesses == [None, 1.0, 3.0, 4.0, 5.0]
+        assert guesses[0] is None
+        assert guesses[1:] == pytest.approx(
+            [p(0), 2 * p(1) - p(0), p(0) - 3 * p(1) + 3 * p(2), p(4), p(5), p(6)], abs=1e-12
+        )
 
-    def test_warm_started_solves_are_cheaper(self, monkeypatch):
+    def test_warm_started_solves_are_cheaper(self, cg_iterations):
         # every solve after the first starts from a nearby A: the RK4 stages
-        # from the step's first-stage A, the post-step solve from the last A.
-        # Work is counted as the solve's transforms: the conjugate-gradient
-        # iterations apply the operator in spectral space, not through
-        # apply_screened
-        from poisswell import states
-
-        transforms, per_solve = [], []
-        rfft, irfft, solve = Grid.rfft, Grid.irfft, states.solve_screened_vector
-
-        def counting(method):
-            def counted(self, f, **kwargs):
-                transforms.append(1)
-                return method(self, f, **kwargs)
-            return counted
-
-        def counting_solve(*args, **kwargs):
-            transforms.clear()
-            A = solve(*args, **kwargs)
-            per_solve.append(len(transforms))
-            return A
-
-        monkeypatch.setattr(states, "solve_screened_vector", counting_solve)
+        # and the post-step solve from the run's history of post-step A's
         g = Grid((64,))
         n = 5
         params = SimParams(epsilon=0.1, T=n * 0.01, dt=0.01, sample_every=2)
-        monkeypatch.setattr(Grid, "rfft", counting(rfft))
-        monkeypatch.setattr(Grid, "irfft", counting(irfft))
         run = HydroSolver(g, params).run(gaussian_bump(g, epsilon=0.1))
         assert run.status == "completed"
-        cold, warm = per_solve[0], per_solve[1:]
+        cold, warm = cg_iterations[0], cg_iterations[1:]
         assert len(warm) == 4 * n
         assert np.mean(warm) < cold
 

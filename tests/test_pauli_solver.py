@@ -327,8 +327,8 @@ class TestRunScheme:
         seen = []  # (predictor fields, midpoint fields) per step
         step = PauliSolver.step
 
-        def spy(self, psi, dt, fields=None, solved=None):
-            out = step(self, psi, dt, fields, solved)
+        def spy(self, psi, dt, fields=None, solved=None, history=None):
+            out = step(self, psi, dt, fields, solved, history)
             seen.append((fields, solved[-1]))
             return out
 
