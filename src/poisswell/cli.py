@@ -33,7 +33,7 @@ from .harness import (
     monokinetic_study,
     spinor_vs_wkb,
 )
-from .hydro import HydroSolver
+from .hydro import HydroSolver, fill_residuals
 from .io import Manifest, records_to_csv, write_field, write_jsonl, write_json
 from .pauli_solver import PauliSolver
 from .states import reconstruct_spinor
@@ -78,6 +78,7 @@ def _run_single(cfg: RunConfig, grid, init, manifest: Manifest):
         summary = {}
     else:
         run = HydroSolver(grid, params, thresholds).run(init)
+        fill_residuals(run)
         docs = _dump_records(manifest, run.records, "diagnostics")
         _write_snapshots(manifest, run.times, [s.a for s in run.states], "amplitude")
         env = envelope_check(run.records, cfg.s)

@@ -120,7 +120,7 @@ def functionals(grid: Grid, state, s, dt_u=None):
         warnings.warn(f"regularity s={s} below the 7/2 hypothesis", stacklevel=2)
     eps = state.epsilon
     a, u = spectrum(grid, state.a), spectrum(grid, state.u)
-    pa, pu = pointwise_norms(grid, a), pointwise_norms(grid, u)
+    pa, pu = pointwise_norms(grid, a), pointwise_norms(grid, u, second=False)
     h1_a, hs_a = sobolev_norm(grid, a, 1.0), sobolev_norm(grid, a, s)
     base = sobolev_norm(grid, a, s - 1.0) + sobolev_norm(grid, u, s)
     weighted = base + eps * hs_a

@@ -293,19 +293,24 @@ def spinor_vs_wkb(
     sample times ``T k / n_samples``, which each run places from its own dt,
     minimized over the free global phase.  The distances stop at the
     shorter run; the report keeps each run's status and stop reason.
+
+    The WKB run is held through the spinor run only as what the comparison
+    reads: its samples reconstructed as spinors, with its times, dt, status,
+    stop reason and warnings.  Its states and potentials are freed before
+    the spinor run starts.
     """
     if params.epsilon <= 0:
         raise PoisswellError("the comparison needs eps > 0")
     hrun = HydroSolver(grid, params, thresholds).run(initial, n_samples)
+    hrun = replace(hrun, states=[reconstruct_spinor(grid, s) for s in hrun.states],
+                   potentials=[])
     psi0 = reconstruct_spinor(grid, initial)
     prun = PauliSolver(grid, params, thresholds).run(psi0, n_samples)
 
     n = min(len(hrun.times), len(prun.times))
-    times, distances = [], []
-    for i in range(n):
-        psi_wkb = reconstruct_spinor(grid, hrun.states[i])
-        times.append(hrun.times[i])
-        distances.append(phase_aligned_distance(grid, prun.states[i], psi_wkb))
+    times, distances = hrun.times[:n], []
+    for psi, psi_wkb in zip(prun.states[:n], hrun.states):
+        distances.append(phase_aligned_distance(grid, psi, psi_wkb))
     return ComparisonReport(
         times=times,
         distances=distances,

@@ -19,6 +19,8 @@ the step is classical RK4.
 
 from __future__ import annotations
 
+import collections
+
 import numpy as np
 
 from .diagnostics import (
@@ -27,7 +29,9 @@ from .diagnostics import (
     MonitorThresholds,
     blowup_monitor,
     charge,
+    continuity_residual,
     functionals,
+    gauge_residual,
 )
 from .errors import InsufficientHistory, NonConvergence, StabilityViolation
 from .grid import Grid, dealias_mask, dispersion_factor, k3
@@ -225,14 +229,24 @@ class HydroSolver:
         k1 = stage(y, state.a)
         y2 = prop(axpy(y, 0.5 * dt, k1), half)
         k2 = stage(y2, inv(y2[0]), 2)
+        del y2
         y3 = axpy(prop(y, half), 0.5 * dt, k2)
+        # the running sum E(h) k1 + 2 E(h/2) k2 + ..., added left to right
+        combo = tuple(a + 2.0 * b for a, b in zip(prop(k1, full), prop(k2, half)))
+        del k1, k2
         k3 = stage(y3, inv(y3[0]), 3)
-        y4 = axpy(prop(y, full), dt, prop(k3, half))
+        del y3
+        k3 = prop(k3, half)
+        y4 = axpy(prop(y, full), dt, k3)
+        for c, dc in zip(combo, k3):
+            c += 2.0 * dc
+        del k3
         k4 = stage(y4, inv(y4[0]), 4)
-        combo = tuple(
-            (a + 2.0 * b + 2.0 * c + d) / 6.0
-            for a, b, c, d in zip(prop(k1, full), prop(k2, half), prop(k3, half), k4)
-        )
+        del y4
+        for c, dc in zip(combo, k4):
+            c += dc
+            c /= 6.0
+        del k4
         a_hat, S_hat = axpy(prop(y, full), dt, combo)
         a = inv(a_hat * dealias_mask(g)) if spectral else dealias(g, a_hat)
         S_hat = S_hat * dealias_mask(g, half=True)
@@ -308,29 +322,28 @@ class HydroSolver:
                 raise RunStopped("monitor triggered")
             warned = warned or verdict is MonitorStatus.WARNING
 
-        run = run_loop(self, state, advance, watch, n_samples)
-        self._fill_residuals(run)
-        return run
+        return run_loop(self, state, advance, watch, n_samples)
 
-    def _fill_residuals(self, run: Run):
-        from .diagnostics import continuity_residual, gauge_residual
 
-        g = self.grid
-        times, states, pots, records = run.times, run.states, run.potentials, run.records
-        if len(times) < 3:
-            return
-        rho = [charge_density(s.a) for s in states]
-        J = [
-            wkb_current(g, s.a, s.u, p.A, s.epsilon)
-            for s, p in zip(states, pots)
-        ]
-        for i in range(1, len(times) - 1):
-            win_rho = [(times[j], rho[j], J[j]) for j in (i - 1, i, i + 1)]
-            records[i].continuity_residual = continuity_residual(g, win_rho)
-            win_pot = [(times[j], pots[j].V, pots[j].A) for j in (i - 1, i, i + 1)]
-            records[i].gauge_residual = gauge_residual(
-                g, win_pot, states[i].epsilon
-            )
+def fill_residuals(run: Run):
+    """
+    Set the continuity and gauge residuals of each inner sample record of a
+    WKB run; :meth:`HydroSolver.run` leaves them unset.  The densities and
+    currents are made in one pass over a window of three samples.
+    """
+    times, states, pots = run.times, run.states, run.potentials
+    if len(times) < 3:
+        return
+    g = states[0].grid
+    window = collections.deque(maxlen=3)  # (t, rho, J) of the last three samples
+    for i, (t, s, p) in enumerate(zip(times, states, pots)):
+        window.append((t, charge_density(s.a), wkb_current(g, s.a, s.u, p.A, s.epsilon)))
+        if i < 2:
+            continue
+        record = run.records[i - 1]
+        record.continuity_residual = continuity_residual(g, list(window))
+        win_pot = [(times[j], pots[j].V, pots[j].A) for j in (i - 2, i - 1, i)]
+        record.gauge_residual = gauge_residual(g, win_pot, states[i - 1].epsilon)
 
 
 def euler_fields_form(grid: Grid, run: Run, index: int):

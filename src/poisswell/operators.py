@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -204,16 +204,17 @@ def sobolev_norm(grid: Grid, f, s):
 class PointwiseNorms:
     l_inf: float
     w1_inf: float
-    w2_3: float
+    w2_3: Optional[float]
 
 
-def pointwise_norms(grid: Grid, f):
+def pointwise_norms(grid: Grid, f, second=True):
     """
     Grid realizations of the sup-type norms of a field or its :class:`Spectrum`:
     L^inf is the max of the pointwise magnitude, W^{1,inf} adds the max over
     first derivatives, W^{2,3} sums L^3 quadrature norms of derivatives up to
     order 2.  One batched inverse of the multipliers ``i k_i`` gives the first
-    derivatives, one of ``-k_i k_j`` (i <= j) the second.
+    derivatives, one of ``-k_i k_j`` (i <= j) the second; without ``second``
+    that one is not made and ``w2_3`` is None.
     """
     spec = spectrum(grid, f)
     f, fh, ks = spec.f, spec.fh, k3(grid, spec.half)
@@ -222,6 +223,8 @@ def pointwise_norms(grid: Grid, f):
     l_inf = float(np.max(np.sqrt(np.sum(np.abs(stack0) ** 2, axis=0))))
     d1 = spec.inverse(np.stack([1j * ks[i] * fh for i in axes]))
     w1_inf = l_inf + float(np.max(np.abs(d1)))
+    if not second:
+        return PointwiseNorms(l_inf=l_inf, w1_inf=w1_inf, w2_3=None)
     w2_3 = lp_norm(grid, stack0, 3) + lp_norm(grid, d1, 3)
     del d1  # the two tables are never held at once
     pairs = combinations_with_replacement(axes, 2)

@@ -208,14 +208,12 @@ def self_consistent_potentials(grid: Grid, params: SimParams, a, epsilon, u=None
     ``grad_a``, the derivative table of ``a``, spares the current its own
     transforms.
     """
-    zero_s = np.zeros(grid.shape)
-    zero_v = np.zeros((3,) + grid.shape)
     if not params.coupling:
-        return Potentials(V=zero_s, A=zero_v)
+        return Potentials(V=np.zeros(grid.shape), A=np.zeros((3,) + grid.shape))
     rho = charge_density(a)
     V = solve_poisson_neutral(grid, rho)
     if not params.magnetic:
-        return Potentials(V=V, A=zero_v)
+        return Potentials(V=V, A=np.zeros((3,) + grid.shape))
     # the source is passed unnamed, so it is freed once the solve holds its spectrum
     A = solve_screened_vector(grid, wkb_current(grid, a, u, None, epsilon, grad_a, rho), rho,
                               tol=SCREENED_TOL, max_iters=SCREENED_MAX_ITERS,

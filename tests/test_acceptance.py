@@ -23,7 +23,7 @@ from poisswell.harness import (
     epsilon_ladder,
     monokinetic_study,
 )
-from poisswell.hydro import HydroSolver
+from poisswell.hydro import HydroSolver, fill_residuals
 from poisswell.initial_data import compressive, gaussian_bump, uniform
 from poisswell.operators import l2_norm, laplacian
 from poisswell.pauli import stern_gerlach_reality
@@ -112,6 +112,7 @@ def test_c03_continuity_order():
     def hydro_residual(dt):
         params = SimParams(epsilon=0.1, dt=dt, T=0.12, sample_every=1)
         run = HydroSolver(grid, params).run(init)
+        fill_residuals(run)
         return run.records[len(run.records) // 2].continuity_residual
 
     r_h = [hydro_residual(dt) for dt in (8e-3, 4e-3)]
