@@ -173,15 +173,22 @@ class HydroSolver:
         given.  They serve the first stage and set the bound dt is checked
         against: a dt above :meth:`dt_bound` raises StabilityViolation.
 
-        The screened solve of each later stage starts from a nearby A.  A
-        run passes its ``history`` of post-step A's, the last of them
-        ``pots.A``: stage ``s`` (2, 3 or 4) then starts from their
-        extrapolation to its time, ``t + dt/2`` or ``t + dt``, plus its
-        defect from the step before, and leaves its new defect there
-        (:class:`~poisswell.states.SolveHistory`).  Without one the two
-        half-step stages start from the A of the stage before and the
-        full-step stage from the line ``2 A_3 - A_1`` through the first and
-        third.
+        The screened solve of each later stage starts from a nearby A: the
+        in-step guesses, by which the two half-step stages start from the A
+        of the stage before and the full-step stage from the line
+        ``2 A_3 - A_1`` through the first and third.  A run passes its
+        ``history`` of post-step A's, the last of them ``pots.A``
+        (:class:`~poisswell.states.SolveHistory`).  Stage ``s`` (2, 3 or 4)
+        leaves there its defect against their extrapolation to its time,
+        ``t + dt/2`` or ``t + dt``, once the history holds two points, and
+        from the next step on starts from that extrapolation plus the defect
+        instead of the in-step guess.
+
+        The step holds what its next stage reads: each stage's amplitude and
+        phase are dropped once that stage has inverted them, and ``k1 .. k3``
+        are folded into the running sum of the last line, added left to
+        right, before stage 4.  The in-step guesses keep the stage A's until
+        the step returns, and only while they are used.
         """
         if pots is None:
             pots = self.potentials(state)
@@ -205,24 +212,29 @@ class HydroSolver:
         def axpy(y, h, k):
             return tuple(x + h * dx for x, dx in zip(y, k))
 
-        stage_A = [pots.A]  # the in-step guesses' points, without a history
+        stage_A = [pots.A]  # the in-step guesses' points, while a stage uses them
 
         def stage(y, a, site=None):
             grad_a = derivative_table(g, y[0] if spectral else g.fft(a), half=False)
             u, lap_S = phase_velocity(g, y[1], state.u_mean, laplacian=True)
             if site is None:
                 return self._nonlinear(a, grad_a, u, lap_S, pots, spectral)
-            if history is not None:
-                guess = history.ahead(0.5 if site < 4 else 1.0, site)
+            offset = 0.5 if site < 4 else 1.0
+            defect = history is not None and site in history.defects
+            if defect:
+                guess = history.ahead(offset, site)
             else:
                 guess = stage_A[-1] if len(stage_A) < 3 else 2.0 * stage_A[-1] - stage_A[0]
             stage_pots = self_consistent_potentials(
                 g, self.params, a, state.epsilon, u, guess=guess, grad_a=grad_a
             )
-            if history is not None:
+            if defect:
                 history.solved(site, guess, stage_pots.A)
             else:
                 stage_A.append(stage_pots.A)
+                # a defect off a constant trend would carry this step's slope into later guesses
+                if history is not None and len(history.points) > 1:
+                    history.solved(site, history.ahead(offset), stage_pots.A)
             return self._nonlinear(a, grad_a, u, lap_S, stage_pots, spectral)
 
         y = (fwd(state.a), g.rfft(state.S))
