@@ -344,8 +344,6 @@ def fill_residuals(run: Run):
     currents are made in one pass over a window of three samples.
     """
     times, states, pots = run.times, run.states, run.potentials
-    if len(times) < 3:
-        return
     g = states[0].grid
     window = collections.deque(maxlen=3)  # (t, rho, J) of the last three samples
     for i, (t, s, p) in enumerate(zip(times, states, pots)):

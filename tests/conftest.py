@@ -1,4 +1,5 @@
 import collections
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +44,29 @@ def random_band_limited(grid, rng, components=None, kmax=4, amplitude=1.0, compl
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def traced_peak():
+    """
+    ``measure(call, *args, **kwargs)`` returns the call's result and the
+    peak of the memory tracemalloc traced during the call, in bytes above
+    what was traced when it started.  numpy reports its array buffers to
+    tracemalloc, so the peak counts the arrays the call holds at once.
+    """
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+
+    def measure(call, *args, **kwargs):
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = call(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1] - base
+
+    yield measure
+    if started:
+        tracemalloc.stop()
 
 
 class TransformCount(collections.Counter):

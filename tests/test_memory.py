@@ -1,0 +1,89 @@
+"""
+What a WKB run holds and computes: the peak of one RK4 step, the release
+of the WKB run before the spinor run of the comparison, and the residuals
+that only :func:`~poisswell.hydro.fill_residuals` makes.
+"""
+
+import weakref
+
+import numpy as np
+
+from poisswell import harness
+from poisswell.diagnostics import continuity_residual, gauge_residual
+from poisswell.grid import Grid
+from poisswell.hydro import HydroSolver, fill_residuals
+from poisswell.initial_data import gaussian_bump
+from poisswell.pauli_solver import PauliSolver
+from poisswell.states import SimParams, charge_density, wkb_current
+
+
+def test_rk4_step_peak_within_budget(traced_peak):
+    # one coupled 16^3 step, its dispersion tables made by a step before:
+    # 2.64 MB traced when each stage's state is dropped once inverted and
+    # k1..k3 are folded into one sum; 3.37 MB when y2 and k1..k3 stay
+    # referenced until the step returns
+    g = Grid((16, 16, 16))
+    solver = HydroSolver(g, SimParams(epsilon=0.2, T=0.05))
+    state = solver._dealias(gaussian_bump(g, amplitude=0.2, width=1.2, epsilon=0.2))
+    pots = solver.potentials(state)
+    dt = 0.05 / 8
+    solver.step_rk4(state, dt, pots)
+    _, peak = traced_peak(solver.step_rk4, state, dt, pots)
+    assert peak <= 2.9 * 2**20
+
+
+def test_wkb_run_freed_before_the_spinor_run(monkeypatch):
+    # the comparison keeps the WKB samples as spinors: no state of the WKB
+    # run is alive once the spinor run starts
+    states, alive = [], []
+    hydro_run, pauli_run = HydroSolver.run, PauliSolver.run
+
+    def spied_hydro(self, *args, **kwargs):
+        run = hydro_run(self, *args, **kwargs)
+        states.extend(weakref.ref(s) for s in run.states)
+        return run
+
+    def spied_pauli(self, *args, **kwargs):
+        alive.append(sum(ref() is not None for ref in states))
+        return pauli_run(self, *args, **kwargs)
+
+    monkeypatch.setattr(HydroSolver, "run", spied_hydro)
+    monkeypatch.setattr(PauliSolver, "run", spied_pauli)
+    g = Grid((32, 32))
+    init = gaussian_bump(g, epsilon=0.2, amplitude=0.2, width=1.0)
+    report = harness.spinor_vs_wkb(g, init, SimParams(epsilon=0.2, T=0.02), n_samples=4)
+    assert len(report.distances) == 5 and len(states) == 5
+    assert alive == [0]
+
+
+def wkb_run(n_samples=8):
+    g = Grid((64,))
+    params = SimParams(epsilon=0.1, T=0.08)
+    return HydroSolver(g, params).run(gaussian_bump(g, epsilon=0.1, amplitude=0.3), n_samples)
+
+
+def test_run_leaves_residuals_unset():
+    run = wkb_run()
+    assert len(run.records) == 9
+    assert all(r.continuity_residual is None and r.gauge_residual is None for r in run.records)
+
+
+def test_windowed_residuals_equal_the_all_sample_ones():
+    # fill_residuals walks three samples at a time; the residuals are
+    # bitwise those made from the densities and currents of every sample
+    run = wkb_run()
+    g, times, states, pots = run.states[0].grid, run.times, run.states, run.potentials
+    rho = [charge_density(s.a) for s in states]
+    J = [wkb_current(g, s.a, s.u, p.A, s.epsilon) for s, p in zip(states, pots)]
+    expected = []
+    for i in range(1, len(times) - 1):
+        window = [(times[j], rho[j], J[j]) for j in (i - 1, i, i + 1)]
+        win_pot = [(times[j], pots[j].V, pots[j].A) for j in (i - 1, i, i + 1)]
+        expected.append((continuity_residual(g, window),
+                         gauge_residual(g, win_pot, states[i].epsilon)))
+    fill_residuals(run)
+    got = [(r.continuity_residual, r.gauge_residual) for r in run.records[1:-1]]
+    assert got == expected
+    assert np.all(np.array(expected) > 0)
+    ends = run.records[0], run.records[-1]
+    assert all(r.continuity_residual is None and r.gauge_residual is None for r in ends)
