@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 blow-up detected (artifacts still written),
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import platform
@@ -62,25 +63,30 @@ def _dump_records(manifest, records, stem):
     return docs
 
 
-def _write_snapshots(manifest, times, fields, stem):
+def _write_snapshot(manifest, stem, i, t, data):
     # one file per sampled time; the cadence is the run's sample_every
-    for i, (t, data) in enumerate(zip(times, fields)):
-        write_field(manifest.path(f"{stem}_{i:04d}.pwf", "snapshot", t=t), data)
+    write_field(manifest.path(f"{stem}_{i:04d}.pwf", "snapshot", t=t), data)
 
 
 def _run_single(cfg: RunConfig, grid, init, manifest: Manifest):
     thresholds = _thresholds(cfg)
     params = cfg.sim_params(epsilon=init.epsilon)
     if cfg.kind == "pauli":
-        run = PauliSolver(grid, params, thresholds).run(reconstruct_spinor(grid, init))
+        taken = itertools.count()
+
+        def keep(t, psi, pots):  # each sample is written as it is taken, and not held
+            _write_snapshot(manifest, "psi", next(taken), t, psi)
+            return None, None
+
+        run = PauliSolver(grid, params, thresholds).run(reconstruct_spinor(grid, init), keep=keep)
         docs = _dump_records(manifest, run.records, "diagnostics")
-        _write_snapshots(manifest, run.times, run.states, "psi")
         summary = {}
     else:
         run = HydroSolver(grid, params, thresholds).run(init)
         fill_residuals(run)
         docs = _dump_records(manifest, run.records, "diagnostics")
-        _write_snapshots(manifest, run.times, [s.a for s in run.states], "amplitude")
+        for i, (t, state) in enumerate(zip(run.times, run.states)):
+            _write_snapshot(manifest, "amplitude", i, t, state.a)
         env = envelope_check(run.records, cfg.s)
         summary = {
             "envelope_constant": env.constant,

@@ -294,18 +294,18 @@ def spinor_vs_wkb(
     minimized over the free global phase.  The distances stop at the
     shorter run; the report keeps each run's status and stop reason.
 
-    The WKB run is held through the spinor run only as what the comparison
-    reads: its samples reconstructed as spinors, with its times, dt, status,
-    stop reason and warnings.  Its states and potentials are freed before
-    the spinor run starts.
+    Each run stores only what the comparison reads: the WKB run each sample
+    reconstructed as a spinor when it is taken, the spinor run each
+    sample's spinor, and neither its potentials.  No WKB state outlives
+    the WKB run.
     """
     if params.epsilon <= 0:
         raise PoisswellError("the comparison needs eps > 0")
-    hrun = HydroSolver(grid, params, thresholds).run(initial, n_samples)
-    hrun = replace(hrun, states=[reconstruct_spinor(grid, s) for s in hrun.states],
-                   potentials=[])
+    hrun = HydroSolver(grid, params, thresholds).run(
+        initial, n_samples, keep=lambda t, state, pots: (reconstruct_spinor(grid, state), None))
     psi0 = reconstruct_spinor(grid, initial)
-    prun = PauliSolver(grid, params, thresholds).run(psi0, n_samples)
+    prun = PauliSolver(grid, params, thresholds).run(
+        psi0, n_samples, keep=lambda t, psi, pots: (psi, None))
 
     n = min(len(hrun.times), len(prun.times))
     times, distances = hrun.times[:n], []

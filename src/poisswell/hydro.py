@@ -55,6 +55,7 @@ from .states import (
     SolveHistory,
     charge_density,
     finite,
+    keep_all,
     phase_velocity,
     run_loop,
     self_consistent_potentials,
@@ -287,7 +288,7 @@ class HydroSolver:
             tail_fraction=fn.tail_fraction,
         )
 
-    def run(self, init: HydroState, n_samples=None) -> Run:
+    def run(self, init: HydroState, n_samples=None, keep=keep_all) -> Run:
         """
         The shared run loop with the WKB policy.  With a magnetic coupling
         the run keeps a :class:`~poisswell.states.SolveHistory` of the last
@@ -299,7 +300,8 @@ class HydroSolver:
         bound or an elliptic breakdown after a monitor warning ends the run
         as a blow-up (before a warning they raise); a non-finite state and
         the monitor end it at any time.  ``n_samples`` places the samples at
-        ``T k / n_samples`` (:func:`~poisswell.states.run_loop`).
+        ``T k / n_samples``, and ``keep`` says what the run stores of each
+        (:func:`~poisswell.states.run_loop`).
         """
         state = init.copy()
         state.epsilon = self.params.epsilon
@@ -334,7 +336,7 @@ class HydroSolver:
                 raise RunStopped("monitor triggered")
             warned = warned or verdict is MonitorStatus.WARNING
 
-        return run_loop(self, state, advance, watch, n_samples)
+        return run_loop(self, state, advance, watch, n_samples, keep)
 
 
 def fill_residuals(run: Run):

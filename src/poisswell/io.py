@@ -55,10 +55,14 @@ def read_field(path) -> FieldSnapshot:
     with open(path, "rb") as fh:
         if fh.read(4) != MAGIC:
             raise PoisswellError(f"{path}: not a PWF1 snapshot")
-        (dim,) = struct.unpack("<I", fh.read(4))
-        shape = tuple(struct.unpack("<I", fh.read(4))[0] for _ in range(dim))
-        (ncomp,) = struct.unpack("<I", fh.read(4))
-        (rep_idx,) = struct.unpack("<I", fh.read(4))
+        try:
+            (dim,) = struct.unpack("<I", fh.read(4))
+            shape = tuple(struct.unpack("<I", fh.read(4))[0] for _ in range(dim))
+            ncomp, rep_idx = struct.unpack("<2I", fh.read(8))
+        except struct.error:
+            raise PoisswellError(f"{path}: header cut short") from None
+        if rep_idx >= len(REPRESENTATIONS):
+            raise PoisswellError(f"{path}: unknown representation {rep_idx}")
         count = ncomp * int(np.prod(shape))
         raw = np.frombuffer(fh.read(count * 16), dtype="<c16")
         if raw.size != count:

@@ -47,6 +47,7 @@ from .states import (
     SolveHistory,
     charge_density,
     finite,
+    keep_all,
     run_loop,
     self_consistent_potentials,
 )
@@ -227,14 +228,14 @@ class PauliSolver:
             tail_fraction=spectral_tail_fraction(g, spec),
         )
 
-    def run(self, psi0, n_samples=None) -> Run:
+    def run(self, psi0, n_samples=None, keep=keep_all) -> Run:
         """
         The shared run loop.  A crossed stability bound, an elliptic breakdown
         or a non-finite state ends the run as a blow-up with the samples
         taken so far; a completed run whose spectral tail passed
         ``thresholds.tail`` carries that as its stop reason.  ``n_samples``
-        places the samples at ``T k / n_samples``
-        (:func:`~poisswell.states.run_loop`).
+        places the samples at ``T k / n_samples``, and ``keep`` says what the
+        run stores of each (:func:`~poisswell.states.run_loop`).
 
         With a magnetic coupling each step's predictor takes the potentials
         at its start, extrapolated linearly in time from the last two solved
@@ -280,7 +281,8 @@ class PauliSolver:
             del solved[:-2]
             return psi, self._sample_potentials(psi) if sample else pots
 
-        run = run_loop(self, np.asarray(psi0, dtype=complex), advance, n_samples=n_samples)
+        run = run_loop(self, np.asarray(psi0, dtype=complex), advance, n_samples=n_samples,
+                       keep=keep)
         if run.status == "completed" and any(
             r.tail_fraction > self.thresholds.tail for r in run.records[1:]
         ):

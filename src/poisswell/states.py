@@ -312,10 +312,12 @@ def normalize_charge(grid: Grid, a, target=1.0):
 @dataclass
 class Run:
     """
-    Trajectory of a solver run plus its diagnostics stream.  ``states``
-    holds ``HydroState`` samples for the WKB solver and spinor arrays for
-    the spinor solver.  ``warnings`` holds the distinct messages of the
-    Python warnings the run raised, in first-seen order.
+    Trajectory of a solver run plus its diagnostics stream.  ``times`` and
+    ``records`` hold every sample; ``states`` and ``potentials`` what the
+    run's ``keep`` stored of them (:func:`run_loop`), by default every
+    sample's state (a ``HydroState`` or a spinor array) and potentials.
+    ``warnings`` holds the distinct messages of the Python warnings the
+    run raised, in first-seen order.
     """
 
     times: List[float]
@@ -358,7 +360,12 @@ def finite(state):
     return state
 
 
-def run_loop(solver, state, advance, watch=None, n_samples=None) -> Run:
+def keep_all(t, state, pots):
+    """The default ``keep`` of :func:`run_loop`: a sample stores its state and potentials."""
+    return state, pots
+
+
+def run_loop(solver, state, advance, watch=None, n_samples=None, keep=keep_all) -> Run:
     """
     Integrate ``state`` over [0, T] and sample it every ``sample_every``
     steps and at the end.
@@ -374,8 +381,11 @@ def run_loop(solver, state, advance, watch=None, n_samples=None) -> Run:
     state, pots, previous)``.  ``advance(state, dt, pots, sample)`` takes
     one step with the potentials it returned last (the initial ones first)
     and returns ``(new state, potentials)``: the potentials its next step
-    reads and, when ``sample`` is set, those the record reads.  A sample
-    stores the returned state and potentials as they are, uncopied.
+    reads and, when ``sample`` is set, those the record reads.
+    ``keep(t, state, pots)`` returns what the run stores of each sample,
+    once its record is made: a ``(state, potentials)`` pair whose ``None``
+    items are not stored.  The default, :func:`keep_all`, stores both as
+    they are, uncopied.
     ``advance`` owns its stop rules: it ends the run as a blow-up by
     raising :class:`RunStopped`, through :func:`finite` on a non-finite
     state before it solves any of that state's potentials.
@@ -385,12 +395,19 @@ def run_loop(solver, state, advance, watch=None, n_samples=None) -> Run:
     """
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        run = _integrate(solver, state, advance, watch, n_samples)
+        run = _integrate(solver, state, advance, watch, n_samples, keep)
     run.warnings = list(dict.fromkeys(str(w.message) for w in caught))
     return run
 
 
-def _integrate(solver, state, advance, watch, n_samples) -> Run:
+def _store(run, kept):
+    """Append the non-None items of ``kept`` to ``run.states`` and ``run.potentials``."""
+    for items, item in zip((run.states, run.potentials), kept):
+        if item is not None:
+            items.append(item)
+
+
+def _integrate(solver, state, advance, watch, n_samples, keep) -> Run:
     """The body of :func:`run_loop`."""
     p = solver.params
     state = solver._dealias(state)
@@ -406,12 +423,13 @@ def _integrate(solver, state, advance, watch, n_samples) -> Run:
 
     run = Run(
         times=[0.0],
-        states=[state],
-        potentials=[pots],
+        states=[],
+        potentials=[],
         records=[solver._record(0.0, state, pots, None)],
         params=p,
         dt=dt,
     )
+    _store(run, keep(0.0, state, pots))
     for n in range(1, n_steps + 1):
         sample = n % p.sample_every == 0 or n == n_steps
         try:
@@ -419,9 +437,8 @@ def _integrate(solver, state, advance, watch, n_samples) -> Run:
             if sample:
                 rec = solver._record(n * dt, state, pots, run.records[-1])
                 run.times.append(rec.t)
-                run.states.append(state)
-                run.potentials.append(pots)
                 run.records.append(rec)
+                _store(run, keep(rec.t, state, pots))
                 if watch is not None:
                     watch(run.records)
         except RunStopped as stop:

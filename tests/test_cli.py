@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from poisswell.cli import EXIT_BLOWUP, EXIT_OK, main
+from poisswell.io import read_field
 
 BLOWUP_CFG = Path(__file__).resolve().parent.parent / "configs" / "blowup.cfg"
 
@@ -265,6 +266,56 @@ class TestRunCommand:
         summary = json.loads((out / "report.json").read_text())["summary"]
         assert summary["status"] == "completed"
         assert summary["stop_reason"] == "spectral tail warning"
+
+    def test_pauli_snapshots_written_as_taken(self, tmp_path, monkeypatch):
+        # the run holds no spinor: each sample is on disk, with its bits,
+        # under the name and time the manifest gives it
+        from poisswell.pauli_solver import PauliSolver
+
+        runs, sampled = [], []
+        run, record = PauliSolver.run, PauliSolver._record
+
+        def spied_run(self, *args, **kwargs):
+            runs.append(run(self, *args, **kwargs))
+            return runs[-1]
+
+        def spied_record(self, t, psi, *args):
+            sampled.append(psi.copy())
+            return record(self, t, psi, *args)
+
+        monkeypatch.setattr(PauliSolver, "run", spied_run)
+        monkeypatch.setattr(PauliSolver, "_record", spied_record)
+        cfg = write_cfg(tmp_path, PAULI_BUMP)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == EXIT_OK
+        (done,) = runs
+        assert done.states == [] and done.potentials == []
+        snaps = [e for e in json.loads((out / "manifest.json").read_text())["artifacts"]
+                 if e["kind"] == "snapshot"]
+        assert len(snaps) == len(sampled) == len(done.times) > 2
+        for i, (entry, t, psi) in enumerate(zip(snaps, done.times, sampled)):
+            assert entry["path"] == f"psi_{i:04d}.pwf" and entry["t"] == t
+            assert read_field(out / entry["path"]).data.tobytes() == psi.tobytes()
+
+    def test_pauli_error_leaves_snapshots_taken(self, tmp_path, monkeypatch):
+        # an error mid-run exits 1 with the samples taken before it on disk
+        from poisswell.errors import PoisswellError
+        from poisswell.pauli_solver import PauliSolver
+
+        step, calls = PauliSolver.step, []
+
+        def failing_step(self, *args):
+            calls.append(1)
+            if len(calls) == 3:
+                raise PoisswellError("step failed")
+            return step(self, *args)
+
+        monkeypatch.setattr(PauliSolver, "step", failing_step)
+        cfg = write_cfg(tmp_path, PAULI_BUMP)
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 1
+        assert sorted(p.name for p in out.glob("psi_*.pwf")) == [
+            "psi_0000.pwf", "psi_0001.pwf", "psi_0002.pwf"]
 
     def test_spinor_vs_wkb_warnings_in_report(self, tmp_path, monkeypatch):
         # a comparison lists the warnings of its WKB run (s = 3 is below the

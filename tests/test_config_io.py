@@ -1,4 +1,6 @@
 import json
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -313,6 +315,21 @@ class TestFieldFormat:
         p = tmp_path / "bogus.pwf"
         p.write_bytes(b"NOPE" + b"\0" * 16)
         with pytest.raises(PoisswellError):
+            read_field(p)
+
+
+    @pytest.mark.parametrize("corrupt", ["representation", "cut short"])
+    def test_corrupt_header_names_the_file(self, tmp_path, corrupt):
+        # a 4x4 field's header is magic, dim, two sizes, ncomp and rep: 24 bytes
+        p = tmp_path / "x.pwf"
+        write_field(p, np.zeros((1, 4, 4), dtype=complex))
+        raw = p.read_bytes()
+        if corrupt == "representation":
+            raw = raw[:20] + struct.pack("<I", 2) + raw[24:]
+        else:
+            raw = raw[:14]
+        p.write_bytes(raw)
+        with pytest.raises(PoisswellError, match=re.escape(str(p))):
             read_field(p)
 
 

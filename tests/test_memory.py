@@ -1,7 +1,8 @@
 """
-What a WKB run holds and computes: the peak of one RK4 step, the release
-of the WKB run before the spinor run of the comparison, and the residuals
-that only :func:`~poisswell.hydro.fill_residuals` makes.
+What a run holds and computes: the peak of one RK4 step, the release of
+the WKB states before the spinor run of the comparison and the comparison's
+peak, and the residuals that only :func:`~poisswell.hydro.fill_residuals`
+makes.
 """
 
 import weakref
@@ -33,27 +34,37 @@ def test_rk4_step_peak_within_budget(traced_peak):
 
 
 def test_wkb_run_freed_before_the_spinor_run(monkeypatch):
-    # the comparison keeps the WKB samples as spinors: no state of the WKB
-    # run is alive once the spinor run starts
+    # the comparison keeps the WKB samples as spinors: no state the WKB run
+    # sampled is alive once the spinor run starts
     states, alive = [], []
-    hydro_run, pauli_run = HydroSolver.run, PauliSolver.run
+    record, pauli_run = HydroSolver._record, PauliSolver.run
 
-    def spied_hydro(self, *args, **kwargs):
-        run = hydro_run(self, *args, **kwargs)
-        states.extend(weakref.ref(s) for s in run.states)
-        return run
+    def spied_record(self, t, state, *args):
+        states.append(weakref.ref(state))
+        return record(self, t, state, *args)
 
     def spied_pauli(self, *args, **kwargs):
         alive.append(sum(ref() is not None for ref in states))
         return pauli_run(self, *args, **kwargs)
 
-    monkeypatch.setattr(HydroSolver, "run", spied_hydro)
+    monkeypatch.setattr(HydroSolver, "_record", spied_record)
     monkeypatch.setattr(PauliSolver, "run", spied_pauli)
     g = Grid((32, 32))
     init = gaussian_bump(g, epsilon=0.2, amplitude=0.2, width=1.0)
     report = harness.spinor_vs_wkb(g, init, SimParams(epsilon=0.2, T=0.02), n_samples=4)
     assert len(report.distances) == 5 and len(states) == 5
     assert alive == [0]
+
+
+def test_spinor_vs_wkb_peak_within_budget(traced_peak):
+    # the c14 comparison on 16^3: 5.3 MB traced when each run stores its
+    # samples as spinors and no potentials; 7.4 MB when the WKB run holds
+    # its states and potentials until it ends and is reconstructed after
+    g = Grid((16, 16, 16))
+    init = gaussian_bump(g, amplitude=0.2, width=1.2, epsilon=0.2)
+    report, peak = traced_peak(harness.spinor_vs_wkb, g, init, SimParams(epsilon=0.2, T=0.05))
+    assert len(report.distances) == 11
+    assert peak <= 6.3 * 2**20
 
 
 def wkb_run(n_samples=8):

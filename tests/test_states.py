@@ -274,3 +274,29 @@ def test_run_loop_zero_horizon_takes_no_step():
     run = run_loop(solver, np.zeros(1), advance, n_samples=4)
     assert run.status == "completed" and run.times == [0.0]
     assert run.params is solver.params
+
+
+@pytest.mark.parametrize("kind", ["hydro", "pauli"])
+def test_default_run_keeps_every_sample(kind, monkeypatch):
+    # without a keep, a run stores each sample's state and potentials, the
+    # very objects its record read
+    from poisswell.hydro import HydroSolver
+    from poisswell.initial_data import gaussian_bump
+    from poisswell.pauli_solver import PauliSolver
+    from poisswell.states import SimParams
+
+    g = Grid((32,))
+    init = gaussian_bump(g, epsilon=0.2, amplitude=0.3)
+    cls = HydroSolver if kind == "hydro" else PauliSolver
+    seen, record = [], cls._record
+
+    def spied_record(self, t, state, pots, previous):
+        seen.append((state, pots))
+        return record(self, t, state, pots, previous)
+
+    monkeypatch.setattr(cls, "_record", spied_record)
+    solver = cls(g, SimParams(epsilon=0.2, T=0.02))
+    run = solver.run(init if kind == "hydro" else reconstruct_spinor(g, init), 4)
+    assert len(run.times) == len(seen) == len(run.states) == len(run.potentials) == 5
+    assert all(s is state for s, (state, _) in zip(run.states, seen))
+    assert all(p is pots for p, (_, pots) in zip(run.potentials, seen))
