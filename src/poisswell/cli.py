@@ -34,7 +34,7 @@ from .harness import (
     monokinetic_study,
     spinor_vs_wkb,
 )
-from .hydro import HydroSolver, fill_residuals
+from .hydro import HydroSolver, residual_window
 from .io import Manifest, records_to_csv, write_field, write_jsonl, write_json
 from .pauli_solver import PauliSolver
 from .states import reconstruct_spinor
@@ -63,30 +63,28 @@ def _dump_records(manifest, records, stem):
     return docs
 
 
-def _write_snapshot(manifest, stem, i, t, data):
-    # one file per sampled time; the cadence is the run's sample_every
-    write_field(manifest.path(f"{stem}_{i:04d}.pwf", "snapshot", t=t), data)
-
-
 def _run_single(cfg: RunConfig, grid, init, manifest: Manifest):
     thresholds = _thresholds(cfg)
     params = cfg.sim_params(epsilon=init.epsilon)
+    taken = itertools.count()
     if cfg.kind == "pauli":
-        taken = itertools.count()
 
-        def keep(t, psi, pots):  # each sample is written as it is taken, and not held
-            _write_snapshot(manifest, "psi", next(taken), t, psi)
-            return None, None
+        def keep(record, psi, pots):  # each sample is written as it is taken, and not held
+            write_field(manifest.path(f"psi_{next(taken):04d}.pwf", "snapshot", t=record.t), psi)
 
         run = PauliSolver(grid, params, thresholds).run(reconstruct_spinor(grid, init), keep=keep)
-        docs = _dump_records(manifest, run.records, "diagnostics")
-        summary = {}
     else:
-        run = HydroSolver(grid, params, thresholds).run(init)
-        fill_residuals(run)
-        docs = _dump_records(manifest, run.records, "diagnostics")
-        for i, (t, state) in enumerate(zip(run.times, run.states)):
-            _write_snapshot(manifest, "amplitude", i, t, state.a)
+        residuals = residual_window(grid)
+
+        def keep(record, state, pots):  # written as taken too, and the window fills the residuals
+            path = manifest.path(f"amplitude_{next(taken):04d}.pwf", "snapshot", t=record.t)
+            write_field(path, state.a)
+            residuals(record, state, pots)
+
+        run = HydroSolver(grid, params, thresholds).run(init, keep=keep)
+    docs = _dump_records(manifest, run.records, "diagnostics")
+    summary = {}
+    if cfg.kind != "pauli":
         env = envelope_check(run.records, cfg.s)
         summary = {
             "envelope_constant": env.constant,
@@ -120,7 +118,7 @@ def _run_ladder(cfg: RunConfig, grid, init, manifest: Manifest, with_wigner: boo
         threads=cfg.threads,
     )
     doc = report.as_dict()
-    doc["density_current"] = density_current_limit(runs, report)
+    doc["density_current"] = density_current_limit(report)
     base_points = cfg.default_base_points(grid)
     mono = monokinetic_study(runs, base_points)
     doc["monokinetic"] = mono.as_dict()

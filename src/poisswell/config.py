@@ -18,7 +18,7 @@ from .initial_data import FAMILIES, make_initial_state
 from .states import SimParams, normalize_charge
 
 KINDS = ("pauli", "wkb", "euler", "ladder", "spinor-vs-wkb", "monokinetic")
-NORMALIZE = ("mean-density", "charge", "raw")
+NORMALIZE = ("mean-density", "charge")
 
 
 @dataclass
@@ -168,7 +168,7 @@ _KEYS = (
      (lambda v: all(L > 0 for L in v), "positive")),
     ("params", "epsilon", "epsilon", _real, _NONNEGATIVE),
     ("params", "dt", "dt", _optional(_real), _POSITIVE),
-    ("params", "T", "T", _real, _NONNEGATIVE),
+    ("params", "T", "T", _real, (lambda v: 0 <= v < math.inf, ">= 0 and finite")),
     ("params", "s", "s", _real, _AT_LEAST_1),
     ("params", "cfl_safety", "cfl_safety", _real, (lambda v: 0 < v <= 1, "in (0, 1]")),
     ("params", "sample_every", "sample_every", _int, _AT_LEAST_1),
@@ -181,8 +181,8 @@ _KEYS = (
       "positive and decreasing")),
     ("ladder", "samples", "ladder_samples", _int, _AT_LEAST_1),
     ("wigner", "base_points", "base_points", _tuple(_index), None),
-    ("thresholds", "ratio", "threshold_ratio", _real, None),
-    ("thresholds", "tail", "threshold_tail", _real, None),
+    ("thresholds", "ratio", "threshold_ratio", _real, _POSITIVE),
+    ("thresholds", "tail", "threshold_tail", _real, (lambda v: 0 <= v <= 1, "in [0, 1]")),
     ("output", "directory", "out_dir", _optional(_text), None),
 )
 _BY_KEY = {(section, key.lower()): attr for section, key, attr, _, _ in _KEYS}

@@ -93,7 +93,7 @@ class LadderReport:
 
 @dataclass
 class LadderRuns:
-    """The raw trajectories behind a report, for follow-up studies."""
+    """The runs behind a report: the Euler reference stores its samples, each rung's run none."""
 
     grid: Grid
     initial: HydroState
@@ -104,27 +104,17 @@ class LadderRuns:
     thresholds: MonitorThresholds
 
 
-def _rung_errors(grid, run_eps: Run, euler: Run, s):
-    """Sup-in-time errors over the shared sample times."""
-    n = min(len(run_eps.times), len(euler.times))
-    xs_err = rho_err = cur_err = eps_term = 0.0
-    for i in range(n):
-        se, s0 = run_eps.states[i], euler.states[i]
-        xs_err = max(
-            xs_err,
-            sobolev_norm(grid, se.a - s0.a, s - 3.0)
-            + sobolev_norm(grid, se.u - s0.u, s - 2.0),
-        )
-        rho_eps = charge_density(se.a)
-        rho0 = charge_density(s0.a)
-        rho_err = max(rho_err, sobolev_norm(grid, rho_eps - rho0, s - 3.0))
-        A_eps = run_eps.potentials[i].A
-        A0 = euler.potentials[i].A
-        J_eps = wkb_current(grid, se.a, se.u, A_eps, se.epsilon)
-        J0 = rho0 * (s0.u - A0)
-        cur_err = max(cur_err, sobolev_norm(grid, J_eps - J0, s - 3.0))
-        eps_part = J_eps - rho_eps * (se.u - A_eps)
-        eps_term = max(eps_term, sobolev_norm(grid, eps_part, s - 3.0))
+def _rung_errors(grid, sample, reference, s):
+    """The rung errors of one ``(state, potentials)`` sample against the Euler one of its index."""
+    (se, pots), (s0, pots0) = sample, reference
+    xs_err = (sobolev_norm(grid, se.a - s0.a, s - 3.0)
+              + sobolev_norm(grid, se.u - s0.u, s - 2.0))
+    rho_eps = charge_density(se.a)
+    rho0 = charge_density(s0.a)
+    rho_err = sobolev_norm(grid, rho_eps - rho0, s - 3.0)
+    J_eps = wkb_current(grid, se.a, se.u, pots.A, se.epsilon)
+    cur_err = sobolev_norm(grid, J_eps - rho0 * (s0.u - pots0.A), s - 3.0)
+    eps_term = sobolev_norm(grid, J_eps - rho_eps * (se.u - pots.A), s - 3.0)
     return xs_err, rho_err, cur_err, eps_term
 
 
@@ -143,7 +133,9 @@ def epsilon_ladder(
     (epsilon-independent) data; errors are measured in the X^{s-2} family
     of norms, sup over the shared sample times.  Each run places its
     ``n_samples`` samples at ``T k / n_samples`` itself, from its own dt
-    (:func:`~poisswell.states.run_loop`).
+    (:func:`~poisswell.states.run_loop`).  Each rung measures each sample
+    as it is taken against the Euler sample of the same index; the Euler
+    reference is the only run that stores its samples.
 
     Returns (LadderReport, LadderRuns).  A rung that blows up is reported
     and excluded from slope fits; the ladder itself continues.
@@ -155,7 +147,7 @@ def epsilon_ladder(
     runs_made = []
     if preflight and params.T > 0:
         pf_params = replace(params, epsilon=0.0, T=1.5 * params.T, dt=None)
-        pf = HydroSolver(grid, pf_params, thresholds).run(initial)
+        pf = HydroSolver(grid, pf_params, thresholds).run(initial, keep=lambda *sample: None)
         runs_made.append(pf)
         if pf.status != "completed":
             raise PoisswellError(
@@ -169,8 +161,17 @@ def epsilon_ladder(
 
     def run_rung(eps):
         start = time.perf_counter()
+        # each sample meets the Euler sample of its index as it is taken; the rung stores none
+        references = zip(euler.states, euler.potentials)
+        errors = [0.0] * 4  # sup over the samples taken so far
+
+        def keep(record, state, pots):
+            reference = next(references, None)
+            if reference is not None and euler.status == "completed":
+                errors[:] = map(max, errors, _rung_errors(grid, (state, pots), reference, params.s))
+
         solver = HydroSolver(grid, replace(params, epsilon=eps), thresholds)
-        run = solver.run(initial, n_samples)
+        run = solver.run(initial, n_samples, keep)
         rung = LadderRung(
             epsilon=eps,
             status=run.status,
@@ -178,8 +179,7 @@ def epsilon_ladder(
             wall_clock=time.perf_counter() - start,
         )
         if run.status == "completed" and euler.status == "completed":
-            (rung.xs_error, rung.rho_error, rung.current_error,
-             rung.eps_term_norm) = _rung_errors(grid, run, euler, params.s)
+            (rung.xs_error, rung.rho_error, rung.current_error, rung.eps_term_norm) = errors
         return rung, run
 
     if threads > 1:
@@ -216,7 +216,7 @@ def epsilon_ladder(
     )
 
 
-def density_current_limit(ladder: LadderRuns, report: LadderReport):
+def density_current_limit(report: LadderReport):
     """
     The density/current section of a completed ladder: the per-epsilon
     sup-in-time Sobolev errors are already in the report; this adds the
@@ -294,25 +294,25 @@ def spinor_vs_wkb(
     minimized over the free global phase.  The distances stop at the
     shorter run; the report keeps each run's status and stop reason.
 
-    Each run stores only what the comparison reads: the WKB run each sample
-    reconstructed as a spinor when it is taken, the spinor run each
-    sample's spinor, and neither its potentials.  No WKB state outlives
-    the WKB run.
+    The WKB run stores each sample reconstructed as a spinor when it is
+    taken, and no potentials, so no WKB state outlives it.  The spinor run
+    measures each sample's distance to the stored WKB spinor of its index
+    as it is taken, and stores nothing.
     """
     if params.epsilon <= 0:
         raise PoisswellError("the comparison needs eps > 0")
     hrun = HydroSolver(grid, params, thresholds).run(
-        initial, n_samples, keep=lambda t, state, pots: (reconstruct_spinor(grid, state), None))
+        initial, n_samples, keep=lambda record, state, _: (reconstruct_spinor(grid, state), None))
     psi0 = reconstruct_spinor(grid, initial)
-    prun = PauliSolver(grid, params, thresholds).run(
-        psi0, n_samples, keep=lambda t, psi, pots: (psi, None))
+    distances = []
 
-    n = min(len(hrun.times), len(prun.times))
-    times, distances = hrun.times[:n], []
-    for psi, psi_wkb in zip(prun.states[:n], hrun.states):
-        distances.append(phase_aligned_distance(grid, psi, psi_wkb))
+    def measure(record, psi, pots):
+        if len(distances) < len(hrun.states):
+            distances.append(phase_aligned_distance(grid, psi, hrun.states[len(distances)]))
+
+    prun = PauliSolver(grid, params, thresholds).run(psi0, n_samples, keep=measure)
     return ComparisonReport(
-        times=times,
+        times=hrun.times[:len(distances)],
         distances=distances,
         epsilon=params.epsilon,
         dt_hydro=hrun.dt,
@@ -364,44 +364,38 @@ def monokinetic_study(ladder: LadderRuns, base_points) -> MonokineticReport:
     Spinor runs at each ladder epsilon from the reconstructed shared data;
     the concentration defect is measured against the Euler velocity at the
     final time, and Wigner slices at the smallest epsilon are checked for
-    single-peak concentration at the transport-consistent momentum
-    (the field-form velocity shifted back by A, i.e. the phase gradient).
+    single-peak concentration at the transport-consistent momentum, the
+    Euler velocity ``u`` (the field-form velocity ``u - A`` shifted back by
+    A).
     """
     grid = ladder.grid
     params = ladder.params
-    epsilons = sorted(ladder.hydro.keys(), reverse=True)
+    epsilons = list(ladder.hydro)
     u_final = ladder.euler.states[-1].u
-    A_final = ladder.euler.potentials[-1].A
 
-    defects, spinor_runs = [], {}
+    defects, spinor_runs, last = [], {}, {}
     for eps in epsilons:
         init = ladder.initial.copy()
         init.epsilon = eps
         psi0 = reconstruct_spinor(grid, init)
+        # a run holds its last sample only; the study reads no other
         run = PauliSolver(grid, replace(params, epsilon=eps), ladder.thresholds).run(
-            psi0, ladder.n_samples)
+            psi0, ladder.n_samples, keep=lambda record, psi, pots: last.update(psi=psi))
         spinor_runs[eps] = run
         if run.status == "completed":
-            defects.append(monokinetic_defect(grid, run.states[-1], u_final, eps))
+            defects.append(monokinetic_defect(grid, last["psi"], u_final, eps))
         else:
             defects.append(None)
 
-    ratios = []
-    for hi, lo in zip(epsilons, epsilons[1:]):
-        d_hi, d_lo = defects[epsilons.index(hi)], defects[epsilons.index(lo)]
-        if d_hi and d_lo is not None:
-            ratios.append(d_lo / d_hi)
+    ratios = [d_lo / d_hi for d_hi, d_lo in zip(defects, defects[1:]) if d_hi and d_lo is not None]
 
     eps_min = epsilons[-1]
     run_min = spinor_runs[eps_min]
     concentration, targets, slc = [], [], None
     if run_min.status == "completed":
-        slc = wigner_slice(grid, run_min.states[-1], eps_min, base_points)
-        u_field_final = u_final - A_final
+        slc = wigner_slice(grid, last["psi"], eps_min, base_points)
         for p, idx in enumerate(slc.base_indices):
-            target = tuple(
-                (u_field_final[ax][idx] + A_final[ax][idx]) for ax in range(grid.dim)
-            )
+            target = tuple(u_final[ax][idx] for ax in range(grid.dim))
             targets.append(target)
             concentration.append(concentration_fraction(slc, p, target))
     else:

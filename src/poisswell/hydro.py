@@ -339,23 +339,23 @@ class HydroSolver:
         return run_loop(self, state, advance, watch, n_samples, keep)
 
 
-def fill_residuals(run: Run):
+def residual_window(grid: Grid):
     """
-    Set the continuity and gauge residuals of each inner sample record of a
-    WKB run; :meth:`HydroSolver.run` leaves them unset.  The densities and
-    currents are made in one pass over a window of three samples.
+    A ``keep`` that stores nothing and sets the continuity and gauge
+    residuals of each inner sample's record, which :meth:`HydroSolver.run`
+    leaves unset, once the next sample is taken: a window of three samples.
     """
-    times, states, pots = run.times, run.states, run.potentials
-    g = states[0].grid
-    window = collections.deque(maxlen=3)  # (t, rho, J) of the last three samples
-    for i, (t, s, p) in enumerate(zip(times, states, pots)):
-        window.append((t, charge_density(s.a), wkb_current(g, s.a, s.u, p.A, s.epsilon)))
-        if i < 2:
-            continue
-        record = run.records[i - 1]
-        record.continuity_residual = continuity_residual(g, list(window))
-        win_pot = [(times[j], pots[j].V, pots[j].A) for j in (i - 2, i - 1, i)]
-        record.gauge_residual = gauge_residual(g, win_pot, states[i - 1].epsilon)
+    window = collections.deque(maxlen=3)  # (record, (t, rho, J), (t, V, A)) per sample
+
+    def keep(record, state, pots):
+        J = wkb_current(grid, state.a, state.u, pots.A, state.epsilon)
+        window.append((record, (record.t, charge_density(state.a), J), (record.t, pots.V, pots.A)))
+        if len(window) == 3:
+            records, currents, potentials = zip(*window)
+            records[1].continuity_residual = continuity_residual(grid, currents)
+            records[1].gauge_residual = gauge_residual(grid, potentials, state.epsilon)
+
+    return keep
 
 
 def euler_fields_form(grid: Grid, run: Run, index: int):

@@ -360,7 +360,7 @@ def finite(state):
     return state
 
 
-def keep_all(t, state, pots):
+def keep_all(record, state, pots):
     """The default ``keep`` of :func:`run_loop`: a sample stores its state and potentials."""
     return state, pots
 
@@ -382,10 +382,10 @@ def run_loop(solver, state, advance, watch=None, n_samples=None, keep=keep_all) 
     one step with the potentials it returned last (the initial ones first)
     and returns ``(new state, potentials)``: the potentials its next step
     reads and, when ``sample`` is set, those the record reads.
-    ``keep(t, state, pots)`` returns what the run stores of each sample,
-    once its record is made: a ``(state, potentials)`` pair whose ``None``
-    items are not stored.  The default, :func:`keep_all`, stores both as
-    they are, uncopied.
+    ``keep(record, state, pots)`` reads each sample as it is taken, once its
+    record is made, and returns what the run stores of it: ``None``, or a
+    ``(state, potentials)`` pair whose ``None`` items are not stored.  The
+    default, :func:`keep_all`, stores both as they are, uncopied.
     ``advance`` owns its stop rules: it ends the run as a blow-up by
     raising :class:`RunStopped`, through :func:`finite` on a non-finite
     state before it solves any of that state's potentials.
@@ -402,7 +402,7 @@ def run_loop(solver, state, advance, watch=None, n_samples=None, keep=keep_all) 
 
 def _store(run, kept):
     """Append the non-None items of ``kept`` to ``run.states`` and ``run.potentials``."""
-    for items, item in zip((run.states, run.potentials), kept):
+    for items, item in zip((run.states, run.potentials), kept or ()):
         if item is not None:
             items.append(item)
 
@@ -429,7 +429,7 @@ def _integrate(solver, state, advance, watch, n_samples, keep) -> Run:
         params=p,
         dt=dt,
     )
-    _store(run, keep(0.0, state, pots))
+    _store(run, keep(run.records[0], state, pots))
     for n in range(1, n_steps + 1):
         sample = n % p.sample_every == 0 or n == n_steps
         try:
@@ -438,7 +438,7 @@ def _integrate(solver, state, advance, watch, n_samples, keep) -> Run:
                 rec = solver._record(n * dt, state, pots, run.records[-1])
                 run.times.append(rec.t)
                 run.records.append(rec)
-                _store(run, keep(rec.t, state, pots))
+                _store(run, keep(rec, state, pots))
                 if watch is not None:
                     watch(run.records)
         except RunStopped as stop:

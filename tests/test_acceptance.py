@@ -23,7 +23,7 @@ from poisswell.harness import (
     epsilon_ladder,
     monokinetic_study,
 )
-from poisswell.hydro import HydroSolver, fill_residuals
+from poisswell.hydro import HydroSolver, residual_window
 from poisswell.initial_data import compressive, gaussian_bump, uniform
 from poisswell.operators import l2_norm, laplacian
 from poisswell.pauli import stern_gerlach_reality
@@ -111,8 +111,7 @@ def test_c03_continuity_order():
 
     def hydro_residual(dt):
         params = SimParams(epsilon=0.1, dt=dt, T=0.12, sample_every=1)
-        run = HydroSolver(grid, params).run(init)
-        fill_residuals(run)
+        run = HydroSolver(grid, params).run(init, keep=residual_window(grid))
         return run.records[len(run.records) // 2].continuity_residual
 
     r_h = [hydro_residual(dt) for dt in (8e-3, 4e-3)]
@@ -209,7 +208,7 @@ def test_c08_semiclassical_limit(ladder):
 
 def test_c09_density_current_limit(ladder):
     grid, report, runs, _ = ladder
-    dcl = density_current_limit(runs, report)
+    dcl = density_current_limit(report)
     assert dcl["rho_slope"] >= 0.8
     assert dcl["current_slope"] >= 0.8
     assert dcl["halving_ratios"], "no adjacent eps-halving pairs in the ladder"

@@ -152,6 +152,13 @@ BAD_VALUES = [
     ("cfl_safety", EULER_UNIFORM.replace("dt = 0.01", "cfl_safety = 0")),
     # the family itself rejects a bump that drives the density negative
     ("amplitude", PAULI_BUMP.replace("amplitude = 0.2", "amplitude = 50")),
+    # these three once ran: T = inf into an OverflowError traceback, the
+    # thresholds into a monitor that triggered at the first sample
+    ("T", EULER_UNIFORM.replace("T = 0.1", "T = inf")),
+    ("ratio", EULER_UNIFORM + "\n[thresholds]\nratio = -1\n"),
+    ("tail", EULER_UNIFORM + "\n[thresholds]\ntail = nan\n"),
+    # "raw" was the same as "mean-density", the mean density of every family
+    ("normalize", EULER_UNIFORM.replace("dt = 0.01", 'dt = 0.01\nnormalize = "raw"')),
 ]
 
 
@@ -316,6 +323,26 @@ class TestRunCommand:
         assert main(["run", str(cfg), "--out", str(out)]) == 1
         assert sorted(p.name for p in out.glob("psi_*.pwf")) == [
             "psi_0000.pwf", "psi_0001.pwf", "psi_0002.pwf"]
+
+    def test_wkb_error_leaves_snapshots_taken(self, tmp_path, monkeypatch):
+        # as for a pauli run: an error mid-run exits 1 with the samples taken before it on disk
+        from poisswell.errors import PoisswellError
+        from poisswell.hydro import HydroSolver
+
+        step, calls = HydroSolver.step_rk4, []
+
+        def failing_step(self, *args):
+            calls.append(1)
+            if len(calls) == 3:
+                raise PoisswellError("step failed")
+            return step(self, *args)
+
+        monkeypatch.setattr(HydroSolver, "step_rk4", failing_step)
+        cfg = write_cfg(tmp_path, PAULI_BUMP.replace("kind = pauli", "kind = wkb"))
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 1
+        assert sorted(p.name for p in out.glob("amplitude_*.pwf")) == [
+            "amplitude_0000.pwf", "amplitude_0001.pwf", "amplitude_0002.pwf"]
 
     def test_spinor_vs_wkb_warnings_in_report(self, tmp_path, monkeypatch):
         # a comparison lists the warnings of its WKB run (s = 3 is below the

@@ -4,7 +4,7 @@ import pytest
 from poisswell import diagnostics as diag
 from poisswell.errors import InsufficientHistory
 from poisswell.grid import Grid
-from poisswell.hydro import HydroSolver, fill_residuals
+from poisswell.hydro import HydroSolver, residual_window
 from poisswell.initial_data import gaussian_bump, uniform
 from poisswell.operators import gradient
 from poisswell.states import HydroState, SimParams
@@ -188,9 +188,8 @@ class TestResiduals:
         residuals = {}
         for dt in (8e-3, 4e-3):
             run = HydroSolver(g, SimParams(epsilon=0.1, dt=dt, T=0.12, sample_every=1)).run(
-                gaussian_bump(g, epsilon=0.1, amplitude=0.3)
+                gaussian_bump(g, epsilon=0.1, amplitude=0.3), keep=residual_window(g)
             )
-            fill_residuals(run)
             mid = len(run.records) // 2
             residuals[dt] = run.records[mid].continuity_residual
         assert residuals[8e-3] / residuals[4e-3] >= 3.6

@@ -112,6 +112,19 @@ class TestLadder:
                 g, init, SimParams(epsilon=0.1, T=1.5, s=4.0), [0.2, 0.1], n_samples=4
             )
 
+    def test_small_ladder_peak_within_budget(self, traced_peak):
+        # the small_ladder fixture's ladder: 0.15 MB traced when each rung
+        # measures its samples as they are taken and stores none; 0.26 MB
+        # when every rung run holds its states and potentials
+        g = Grid((64,))
+        init = gaussian_bump(g, epsilon=0.1, amplitude=0.3)
+        params = SimParams(epsilon=0.1, T=0.1, s=4.0)
+        (report, runs), peak = traced_peak(
+            epsilon_ladder, g, init, params, [0.4, 0.2, 0.1], n_samples=5, preflight=False)
+        assert all(r.xs_error is not None for r in report.rungs)
+        assert not any(run.states or run.potentials for run in runs.hydro.values())
+        assert peak <= 0.2 * 2**20
+
     def test_snapshots_share_sample_times(self, small_ladder):
         _, report, runs = small_ladder
         ref = runs.euler.times
@@ -242,17 +255,20 @@ def test_reference_ladder_dt_halving_below_one_percent():
     cfg = parse_config(LADDER_CFG.read_text(encoding="utf-8"))
     grid, params = cfg.build_grid(), cfg.sim_params()
     init = cfg.build_initial(grid)
-    report, runs = epsilon_ladder(
+    report, _ = epsilon_ladder(
         grid, init, params, cfg.epsilons, n_samples=cfg.ladder_samples, preflight=False
     )
     s = params.s
     for rung in report.rungs:
-        run = runs.hydro[rung.epsilon]
+        # the ladder's rungs store no samples: each is rerun, storing them
+        run = HydroSolver(grid, replace(params, epsilon=rung.epsilon)).run(init, cfg.ladder_samples)
         p = run.params
         half_p = replace(p, dt=p.dt / 2, sample_every=2 * p.sample_every)
         half = HydroSolver(grid, half_p).run(init)
         assert half.status == "completed" and len(half.times) == len(run.times)
-        xs_d, rho_d, _, _ = _rung_errors(grid, run, half, s)
+        pairs = list(zip(zip(run.states, run.potentials), zip(half.states, half.potentials)))
+        errors = [_rung_errors(grid, a, b, s) for a, b in pairs]
+        xs_d, rho_d = (max(e[k] for e in errors) for k in (0, 1))
         cur_d = max(
             sobolev_norm(
                 grid,
@@ -260,7 +276,7 @@ def test_reference_ladder_dt_halving_below_one_percent():
                 - wkb_current(grid, b.a, b.u, pb.A, b.epsilon),
                 s - 3.0,
             )
-            for a, pa, b, pb in zip(run.states, run.potentials, half.states, half.potentials)
+            for (a, pa), (b, pb) in pairs
         )
         assert xs_d <= 0.01 * rung.xs_error
         assert rho_d <= 0.01 * rung.rho_error

@@ -1,7 +1,7 @@
 """
 What a run holds and computes: the peak of one RK4 step, the release of
 the WKB states before the spinor run of the comparison and the comparison's
-peak, and the residuals that only :func:`~poisswell.hydro.fill_residuals`
+peak, and the residuals that only :func:`~poisswell.hydro.residual_window`
 makes.
 """
 
@@ -12,10 +12,10 @@ import numpy as np
 from poisswell import harness
 from poisswell.diagnostics import continuity_residual, gauge_residual
 from poisswell.grid import Grid
-from poisswell.hydro import HydroSolver, fill_residuals
+from poisswell.hydro import HydroSolver, residual_window
 from poisswell.initial_data import gaussian_bump
 from poisswell.pauli_solver import PauliSolver
-from poisswell.states import SimParams, charge_density, wkb_current
+from poisswell.states import SimParams, charge_density, keep_all, wkb_current
 
 
 def test_rk4_step_peak_within_budget(traced_peak):
@@ -67,10 +67,10 @@ def test_spinor_vs_wkb_peak_within_budget(traced_peak):
     assert peak <= 6.3 * 2**20
 
 
-def wkb_run(n_samples=8):
+def wkb_run(n_samples=8, keep=keep_all):
     g = Grid((64,))
     params = SimParams(epsilon=0.1, T=0.08)
-    return HydroSolver(g, params).run(gaussian_bump(g, epsilon=0.1, amplitude=0.3), n_samples)
+    return HydroSolver(g, params).run(gaussian_bump(g, epsilon=0.1, amplitude=0.3), n_samples, keep)
 
 
 def test_run_leaves_residuals_unset():
@@ -80,10 +80,18 @@ def test_run_leaves_residuals_unset():
 
 
 def test_windowed_residuals_equal_the_all_sample_ones():
-    # fill_residuals walks three samples at a time; the residuals are
-    # bitwise those made from the densities and currents of every sample
-    run = wkb_run()
-    g, times, states, pots = run.states[0].grid, run.times, run.states, run.potentials
+    # residual_window reads three samples at a time as they are taken; the
+    # residuals are bitwise those made from the densities and currents of
+    # every sample, which the same keep stores here for the reference
+    g, samples = Grid((64,)), []
+    residuals = residual_window(g)
+
+    def keep(record, state, pots):
+        residuals(record, state, pots)
+        samples.append((state, pots))
+
+    run = wkb_run(keep=keep)
+    times, states, pots = run.times, [s for s, _ in samples], [p for _, p in samples]
     rho = [charge_density(s.a) for s in states]
     J = [wkb_current(g, s.a, s.u, p.A, s.epsilon) for s, p in zip(states, pots)]
     expected = []
@@ -92,7 +100,6 @@ def test_windowed_residuals_equal_the_all_sample_ones():
         win_pot = [(times[j], pots[j].V, pots[j].A) for j in (i - 1, i, i + 1)]
         expected.append((continuity_residual(g, window),
                          gauge_residual(g, win_pot, states[i].epsilon)))
-    fill_residuals(run)
     got = [(r.continuity_residual, r.gauge_residual) for r in run.records[1:-1]]
     assert got == expected
     assert np.all(np.array(expected) > 0)
