@@ -128,9 +128,7 @@ def _run_ladder(cfg: RunConfig, grid, init, manifest: Manifest, with_wigner: boo
         export_slice_csv(
             mono.slice_data, manifest.path("wigner_final.csv", "wigner-slice")
         )
-        init_min = init.copy()
-        init_min.epsilon = mono.slice_epsilon
-        psi = reconstruct_spinor(grid, init_min)
+        psi = reconstruct_spinor(grid, init, mono.slice_epsilon)
         slc = wigner_slice(grid, psi, mono.slice_epsilon, base_points)
         export_slice_csv(slc, manifest.path("wigner_initial.csv", "wigner-slice"))
 

@@ -75,6 +75,9 @@ class RunConfig:
         center = self.family_options.get("center")
         if center is not None and len(center) != len(self.points):
             raise ValidationError("needs one coordinate per grid axis", key="center")
+        width = self.family_options.get("width", math.inf)  # a bump squares L / (2 pi width)
+        if max(self.lengths or (2 * math.pi,)) / width > 1e150:
+            raise ValidationError(f"must keep L / width <= 1e150, got {width!r}", key="width")
         return self
 
     # -- builders -------------------------------------------------------------
@@ -155,8 +158,7 @@ def _one_of(choices):
 
 _int, _real = _is(numbers.Integral, "an integer", int), _is(numbers.Real, "a number", float)
 _text, _bool = _is(str, "a string"), _is(bool, "true or false")
-_POSITIVE, _NONNEGATIVE = (lambda v: v > 0, "> 0"), (lambda v: v >= 0, ">= 0")
-_AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
+_POSITIVE, _AT_LEAST_1 = (lambda v: v > 0, "> 0"), (lambda v: v >= 1, ">= 1")
 
 _KEYS = (
     ("run", "kind", "kind", _text, _one_of(KINDS)),
@@ -166,7 +168,8 @@ _KEYS = (
       "1 to 3 even sizes >= 4")),
     ("grid", "lengths", "lengths", _optional(_tuple(_real)),
      (lambda v: all(L > 0 for L in v), "positive")),
-    ("params", "epsilon", "epsilon", _real, _NONNEGATIVE),
+    # a spinor sample's energy squares eps
+    ("params", "epsilon", "epsilon", _real, (lambda v: 0 <= v <= 1e150, "in [0, 1e150]")),
     ("params", "dt", "dt", _optional(_real), _POSITIVE),
     ("params", "T", "T", _real, (lambda v: 0 <= v < math.inf, ">= 0 and finite")),
     ("params", "s", "s", _real, _AT_LEAST_1),

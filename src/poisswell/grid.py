@@ -215,6 +215,13 @@ def dealias_mask(grid: Grid, half=False):
     return _cached(grid, "_mask", half, build)
 
 
+def dealias_band(grid: Grid, half=False):
+    """The modes :func:`dealias_mask` keeps as an index: ``f[band]`` is their block in ``f``."""
+    return _cached(grid, "_band", half, lambda: (Ellipsis,) + np.ix_(*(
+        np.flatnonzero(np.abs(grid._axis_index(i, half)) <= n // 3)
+        for i, n in enumerate(grid.shape))))
+
+
 def tail_mask(grid: Grid, half=False):
     """The top third of the kept band: kept modes with |index_i| > 2 N_i / 9 on some axis."""
 

@@ -139,11 +139,11 @@ class HydroSolver:
         return dx / rel_inf if rel_inf > 0 else np.inf
 
     def _dealias(self, state: HydroState):
-        """``state`` with ``a`` and ``S`` cut to the dealiased band."""
+        """``state`` cut to the dealiased band in new arrays, at the run's eps."""
         g = self.grid
         S_hat = g.rfft(state.S) * dealias_mask(g, half=True)
         return HydroState(g, dealias(g, state.a), g.irfft(S_hat), state.u_mean, state.t,
-                          state.epsilon, S_hat=S_hat)
+                          self.params.epsilon, S_hat=S_hat)
 
     def step_rk4(self, state: HydroState, dt, pots=None, history: SolveHistory = None):
         """
@@ -186,10 +186,11 @@ class HydroSolver:
         instead of the in-step guess.
 
         The step holds what its next stage reads: each stage's amplitude and
-        phase are dropped once that stage has inverted them, and ``k1 .. k3``
-        are folded into the running sum of the last line, added left to
-        right, before stage 4.  The in-step guesses keep the stage A's until
-        the step returns, and only while they are used.
+        phase spectra are dropped once that stage has inverted them, before
+        its screened solve, and ``k1 .. k3`` are folded into the running sum
+        of the last line, added left to right, before stage 4.  The in-step
+        guesses keep the stage A's until the step returns, and only while
+        they are used.
         """
         if pots is None:
             pots = self.potentials(state)
@@ -215,9 +216,12 @@ class HydroSolver:
 
         stage_A = [pots.A]  # the in-step guesses' points, while a stage uses them
 
-        def stage(y, a, site=None):
+        def inverted(y, a=None):
+            a = inv(y[0]) if a is None else a
             grad_a = derivative_table(g, y[0] if spectral else g.fft(a), half=False)
-            u, lap_S = phase_velocity(g, y[1], state.u_mean, laplacian=True)
+            return (a, grad_a) + phase_velocity(g, y[1], state.u_mean, laplacian=True)
+
+        def stage(a, grad_a, u, lap_S, site=None):
             if site is None:
                 return self._nonlinear(a, grad_a, u, lap_S, pots, spectral)
             offset = 0.5 if site < 4 else 1.0
@@ -239,23 +243,21 @@ class HydroSolver:
             return self._nonlinear(a, grad_a, u, lap_S, stage_pots, spectral)
 
         y = (fwd(state.a), g.rfft(state.S))
-        k1 = stage(y, state.a)
-        y2 = prop(axpy(y, 0.5 * dt, k1), half)
-        k2 = stage(y2, inv(y2[0]), 2)
-        del y2
-        y3 = axpy(prop(y, half), 0.5 * dt, k2)
+        k1 = stage(*inverted(y, state.a))
+        k2 = stage(*inverted(prop(axpy(y, 0.5 * dt, k1), half)), 2)
+        f3 = inverted(axpy(prop(y, half), 0.5 * dt, k2))
         # the running sum E(h) k1 + 2 E(h/2) k2 + ..., added left to right
         combo = tuple(a + 2.0 * b for a, b in zip(prop(k1, full), prop(k2, half)))
         del k1, k2
-        k3 = stage(y3, inv(y3[0]), 3)
-        del y3
+        k3 = stage(*f3, 3)
+        del f3
         k3 = prop(k3, half)
-        y4 = axpy(prop(y, full), dt, k3)
+        f4 = inverted(axpy(prop(y, full), dt, k3))
         for c, dc in zip(combo, k3):
             c += 2.0 * dc
         del k3
-        k4 = stage(y4, inv(y4[0]), 4)
-        del y4
+        k4 = stage(*f4, 4)
+        del f4
         for c, dc in zip(combo, k4):
             c += dc
             c /= 6.0
@@ -301,10 +303,9 @@ class HydroSolver:
         as a blow-up (before a warning they raise); a non-finite state and
         the monitor end it at any time.  ``n_samples`` places the samples at
         ``T k / n_samples``, and ``keep`` says what the run stores of each
-        (:func:`~poisswell.states.run_loop`).
+        (:func:`~poisswell.states.run_loop`).  ``init`` is not copied: the
+        loop reads it only through :meth:`_dealias`.
         """
-        state = init.copy()
-        state.epsilon = self.params.epsilon
         warned = False
         history = SolveHistory(4) if self.params.magnetic and self.params.coupling else None
 
@@ -336,7 +337,7 @@ class HydroSolver:
                 raise RunStopped("monitor triggered")
             warned = warned or verdict is MonitorStatus.WARNING
 
-        return run_loop(self, state, advance, watch, n_samples, keep)
+        return run_loop(self, init, advance, watch, n_samples, keep)
 
 
 def residual_window(grid: Grid):

@@ -279,7 +279,8 @@ class PauliSolver:
             if magnetic:
                 history.push(taken - 0.5, solved[-1][0].A)
             del solved[:-2]
-            return psi, self._sample_potentials(psi) if sample else pots
+            # no step past the first reads pots, and a sample's would keep its psi alive
+            return psi, self._sample_potentials(psi) if sample else None
 
         run = run_loop(self, np.asarray(psi0, dtype=complex), advance, n_samples=n_samples,
                        keep=keep)

@@ -10,7 +10,6 @@ The loop owns the time grid, the samples and the run status; each solver's
 from __future__ import annotations
 
 import collections
-import copy
 import itertools
 import math
 import warnings
@@ -108,12 +107,6 @@ class HydroState:
         if S_hat is None:
             S_hat = self.grid.rfft(self.S)
         self.u = phase_velocity(self.grid, S_hat, self.u_mean)
-
-    def copy(self):
-        out = copy.copy(self)
-        for name in ("a", "S", "u", "u_mean"):
-            setattr(out, name, getattr(self, name).copy())
-        return out
 
 
 def phase_velocity(grid: Grid, S_hat, u_mean, laplacian=False):
@@ -275,18 +268,20 @@ class SolveHistory:
             self.defects[site] = miss
 
 
-def reconstruct_spinor(grid: Grid, state: HydroState):
+def reconstruct_spinor(grid: Grid, state: HydroState, epsilon=None):
     """
     psi_j = a_j exp(i S / eps), including the traveling-phase factor from
-    ``u_mean`` (which must sit on integer torus modes to be periodic).
+    ``u_mean`` (which must sit on integer torus modes to be periodic), at
+    ``epsilon`` when given and at the state's eps otherwise.
     """
-    if state.epsilon <= 0:
+    eps = state.epsilon if epsilon is None else epsilon
+    if eps <= 0:
         raise MissingPhase("reconstruction needs eps > 0")
-    phase = state.S / state.epsilon
+    phase = state.S / eps
     if np.any(state.u_mean):
         xs = grid.coordinates()
         for i in range(grid.dim):
-            m = state.u_mean[i] * grid.lengths[i] / (2.0 * np.pi * state.epsilon)
+            m = state.u_mean[i] * grid.lengths[i] / (2.0 * np.pi * eps)
             m_int = round(m)
             if abs(m - m_int) > 1e-8:
                 raise MissingPhase(
@@ -381,7 +376,7 @@ def run_loop(solver, state, advance, watch=None, n_samples=None, keep=keep_all) 
     state, pots, previous)``.  ``advance(state, dt, pots, sample)`` takes
     one step with the potentials it returned last (the initial ones first)
     and returns ``(new state, potentials)``: the potentials its next step
-    reads and, when ``sample`` is set, those the record reads.
+    reads, if any, and, when ``sample`` is set, those the record reads.
     ``keep(record, state, pots)`` reads each sample as it is taken, once its
     record is made, and returns what the run stores of it: ``None``, or a
     ``(state, potentials)`` pair whose ``None`` items are not stored.  The

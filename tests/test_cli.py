@@ -159,6 +159,12 @@ BAD_VALUES = [
     ("tail", EULER_UNIFORM + "\n[thresholds]\ntail = nan\n"),
     # "raw" was the same as "mean-density", the mean density of every family
     ("normalize", EULER_UNIFORM.replace("dt = 0.01", 'dt = 0.01\nnormalize = "raw"')),
+    # these two ended in OverflowError tracebacks: a spinor sample's energy
+    # squares eps, and the bump squares L / (2 pi width)
+    pytest.param("epsilon", PAULI_BUMP.replace("epsilon = 0.1", "epsilon = 1e300"),
+                 id="epsilon-huge"),
+    pytest.param("width", PAULI_BUMP.replace("amplitude = 0.2", "amplitude = 0.2\nwidth = 1e-300"),
+                 id="width-tiny"),
 ]
 
 
@@ -406,7 +412,8 @@ class TestRunCommand:
         assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert "kind" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key, text", BAD_VALUES, ids=[key for key, _ in BAD_VALUES])
+    @pytest.mark.parametrize("key, text", BAD_VALUES,
+                             ids=[getattr(case, "id", None) or case[0] for case in BAD_VALUES])
     def test_bad_value_exits_one_naming_key(self, tmp_path, capsys, key, text):
         # each of these once ended in a traceback (or, for cfl_safety, in a run
         # that did not end); main returning means no exception escaped

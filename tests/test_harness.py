@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from poisswell import harness
 from poisswell.config import parse_config
 from poisswell.diagnostics import MonitorThresholds
 from poisswell.errors import PoisswellError
@@ -18,8 +19,8 @@ from poisswell.harness import (
 )
 from poisswell.initial_data import gaussian_bump, plane_wave, uniform
 from poisswell.hydro import HydroSolver
-from poisswell.operators import sobolev_norm
-from poisswell.states import SimParams, wkb_current
+from poisswell.operators import l2_norm, sobolev_norm
+from poisswell.states import HydroState, SimParams, reconstruct_spinor, wkb_current
 
 LADDER_CFG = Path(__file__).resolve().parent.parent / "configs" / "ladder.cfg"
 
@@ -207,6 +208,30 @@ class TestSpinorVsWkb:
                             n_samples=2)
         assert sorted(built) == ["HydroSolver", "PauliSolver"]
         assert rep.times == pytest.approx([0.0, 0.01, 0.02])
+
+    @pytest.mark.parametrize("shape", [(64,), (32, 16), (16, 16, 16)], ids=["1d", "2d", "3d"])
+    def test_band_round_trip_reproduces_the_spinor(self, shape):
+        # the comparison holds a dealiased WKB sample as the 2/3 rule's kept
+        # modes of a's spectrum and of S's half spectrum, and remakes its
+        # spinor from them; a traveling u_mean rides along untouched
+        g, eps = Grid(shape), 0.2
+        solver = HydroSolver(g, SimParams(epsilon=eps))
+        bump = gaussian_bump(g, epsilon=eps, amplitude=0.3, phase_amplitude=0.3, spin_angle=0.5)
+        wave = plane_wave(g, modes=(2, 1, 1)[: g.dim], epsilon=eps)
+        traveling = HydroState(g, bump.a, bump.S, wave.u_mean, epsilon=eps)
+        kept = [2 * (n // 3) + 1 for n in shape]  # the kept modes per axis
+        half = kept[:-1] + [shape[-1] // 3 + 1]  # and on the half spectrum's last axis
+        for state in (bump, wave, traveling):
+            state = solver._dealias(state)
+            psi = reconstruct_spinor(g, state)
+            band = harness.band_sample(g, state)
+            assert band.a.nbytes == psi.nbytes * np.prod(kept) // g.npoints
+            assert band.S.nbytes == 16 * np.prod(half)
+            stored = [v for v in vars(band).values() if isinstance(v, np.ndarray)]
+            assert sum(v.nbytes for v in stored) == band.a.nbytes + band.S.nbytes + 24
+            assert band.u_mean is state.u_mean and band.epsilon == eps
+            error = l2_norm(g, harness.band_spinor(g, band) - psi)
+            assert error <= 1e-15 * l2_norm(g, psi)
 
     def test_phase_alignment_closed_form(self, rng):
         g = Grid((32,))

@@ -1,3 +1,4 @@
+import copy
 from dataclasses import replace
 
 import numpy as np
@@ -586,7 +587,7 @@ class TestStopRules:
         returned = []
 
         def keep(n, state):
-            returned.append(state.copy())
+            returned.append(copy.deepcopy(state))
             return state
 
         step_calls(monkeypatch, keep)

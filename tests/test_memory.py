@@ -1,8 +1,9 @@
 """
-What a run holds and computes: the peak of one RK4 step, the release of
-the WKB states before the spinor run of the comparison and the comparison's
-peak, and the residuals that only :func:`~poisswell.hydro.residual_window`
-makes.
+What a run holds and computes: the peak of one RK4 step, the initial state a
+WKB run leaves to its caller, the samples a spinor run keeps alive, the
+release of the WKB states before the spinor run of the comparison and the
+comparison's peak, and the residuals that only
+:func:`~poisswell.hydro.residual_window` makes.
 """
 
 import weakref
@@ -15,13 +16,20 @@ from poisswell.grid import Grid
 from poisswell.hydro import HydroSolver, residual_window
 from poisswell.initial_data import gaussian_bump
 from poisswell.pauli_solver import PauliSolver
-from poisswell.states import SimParams, charge_density, keep_all, wkb_current
+from poisswell.states import (
+    SimParams,
+    charge_density,
+    keep_all,
+    reconstruct_spinor,
+    wkb_current,
+)
 
 
 def test_rk4_step_peak_within_budget(traced_peak):
     # one coupled 16^3 step, its dispersion tables made by a step before:
-    # 2.64 MB traced when each stage's state is dropped once inverted and
-    # k1..k3 are folded into one sum; 3.37 MB when y2 and k1..k3 stay
+    # 2.47 MiB traced when each stage drops its spectra once it has inverted
+    # them, before its screened solve; 2.63 MiB when y2, y3 and y4 stay
+    # referenced through that solve, and 3.37 MB when also k1..k3 stay
     # referenced until the step returns
     g = Grid((16, 16, 16))
     solver = HydroSolver(g, SimParams(epsilon=0.2, T=0.05))
@@ -30,7 +38,49 @@ def test_rk4_step_peak_within_budget(traced_peak):
     dt = 0.05 / 8
     solver.step_rk4(state, dt, pots)
     _, peak = traced_peak(solver.step_rk4, state, dt, pots)
-    assert peak <= 2.9 * 2**20
+    assert peak <= 2.55 * 2**20
+
+
+def test_wkb_run_takes_its_initial_state_uncopied(monkeypatch):
+    # the run hands the caller's arrays to the loop, whose dealiasing makes
+    # the run's own at the run's eps, and leaves the caller's state as it was
+    g = Grid((64,))
+    init = gaussian_bump(g, epsilon=0.3, amplitude=0.3)
+    arrays = {name: getattr(init, name) for name in ("a", "S", "u", "u_mean")}
+    values = {name: arr.copy() for name, arr in arrays.items()}
+    handed, dealias = [], HydroSolver._dealias
+
+    def spied_dealias(self, state):
+        handed.append(state)
+        return dealias(self, state)
+
+    monkeypatch.setattr(HydroSolver, "_dealias", spied_dealias)
+    run = HydroSolver(g, SimParams(epsilon=0.1, T=0.02)).run(init, 2)
+    assert run.status == "completed" and run.states[0].epsilon == 0.1
+    assert handed[0].a is arrays["a"] and handed[0].S is arrays["S"]
+    assert run.states[0].a is not arrays["a"]
+    assert init.epsilon == 0.3
+    for name, arr in arrays.items():
+        assert getattr(init, name) is arr and np.array_equal(arr, values[name])
+
+
+def test_spinor_run_keeps_no_earlier_sample_alive(monkeypatch):
+    # a sample's potentials hold its psi until their A is read; passed on to
+    # the steps after it they kept it alive through the next step
+    sampled, alive, step = [], [], PauliSolver.step
+
+    def spied_step(self, psi, *args, **kwargs):
+        alive.append(sum(ref() is not None and ref() is not psi for ref in sampled))
+        return step(self, psi, *args, **kwargs)
+
+    monkeypatch.setattr(PauliSolver, "step", spied_step)
+    g = Grid((32, 32))
+    psi0 = reconstruct_spinor(g, gaussian_bump(g, epsilon=0.2, amplitude=0.2, width=1.0))
+    params = SimParams(epsilon=0.2, T=0.04, dt=0.005, sample_every=2)
+    run = PauliSolver(g, params).run(
+        psi0, keep=lambda record, psi, pots: sampled.append(weakref.ref(psi)))
+    assert run.status == "completed" and len(run.times) == len(sampled) == 5
+    assert alive == [0] * 8
 
 
 def test_wkb_run_freed_before_the_spinor_run(monkeypatch):
@@ -57,14 +107,15 @@ def test_wkb_run_freed_before_the_spinor_run(monkeypatch):
 
 
 def test_spinor_vs_wkb_peak_within_budget(traced_peak):
-    # the c14 comparison on 16^3: 5.3 MB traced when each run stores its
-    # samples as spinors and no potentials; 7.4 MB when the WKB run holds
-    # its states and potentials until it ends and is reconstructed after
+    # the c14 comparison on 16^3: 3.97 MiB traced when the WKB run stores its
+    # samples as bands and no potentials; 5.1 MiB when it stores them as
+    # spinors, and 7.4 MB when it holds its states and potentials until it
+    # ends and is reconstructed after
     g = Grid((16, 16, 16))
     init = gaussian_bump(g, amplitude=0.2, width=1.2, epsilon=0.2)
     report, peak = traced_peak(harness.spinor_vs_wkb, g, init, SimParams(epsilon=0.2, T=0.05))
     assert len(report.distances) == 11
-    assert peak <= 6.3 * 2**20
+    assert peak <= 4.4 * 2**20
 
 
 def wkb_run(n_samples=8, keep=keep_all):

@@ -16,6 +16,8 @@ and axial vectors, which no rotation sees, breaks it.  A translation changes
 no component, and only a field tied to a fixed grid point breaks it.
 """
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -105,7 +107,7 @@ def test_hydro_step_commutes_with_rotation(bump, axis):
     solver = HydroSolver(g, SimParams(epsilon=EPS, T=DT))
     turned = HydroState(g, a=rotate(st.a, axis, "spinor"), S=rotate(st.S, axis), epsilon=EPS)
     stepped = solver.step_rk4(turned, DT)
-    expected = solver.step_rk4(st.copy(), DT)
+    expected = solver.step_rk4(copy.deepcopy(st), DT)
     assert rel_diff(stepped.a, rotate(expected.a, axis, "spinor")) < 1e-12
     assert rel_diff(stepped.u, rotate(expected.u, axis, "vector")) < 1e-12
     assert rel_diff(stepped.S, rotate(expected.S, axis)) < 1e-12
@@ -125,7 +127,7 @@ def test_hydro_step_commutes_with_point_maps(bump, name):
     m, (g, st) = MAPS[name], bump
     solver = HydroSolver(g, SimParams(epsilon=EPS, T=DT))
     stepped = solver.step_rk4(mapped_state(st, m), DT)
-    expected = solver.step_rk4(st.copy(), DT)
+    expected = solver.step_rk4(copy.deepcopy(st), DT)
     assert rel_diff(stepped.a, m(expected.a, "spinor")) < 1e-12
     assert rel_diff(stepped.u, m(expected.u, "polar")) < 1e-12
     assert rel_diff(stepped.S, m(expected.S)) < 1e-12
@@ -191,7 +193,7 @@ def test_steps_commute_with_in_plane_rotation(amplitude, width, center, spin_ang
     assert rel_diff(stepped, turn(pauli.step(psi, DT), "spinor")) < 1e-12
     turned = HydroState(g, a=turn(st.a, "spinor"), S=turn(st.S), epsilon=EPS)
     stepped = hydro.step_rk4(turned, DT)
-    expected = hydro.step_rk4(st.copy(), DT)
+    expected = hydro.step_rk4(copy.deepcopy(st), DT)
     assert rel_diff(stepped.a, turn(expected.a, "spinor")) < 1e-12
     assert rel_diff(stepped.u, turn(expected.u, "vector")) < 1e-12
     assert rel_diff(stepped.S, turn(expected.S)) < 1e-12
