@@ -64,16 +64,17 @@ def _dump_records(manifest, records, stem):
 
 
 def _run_single(cfg: RunConfig, grid, init, manifest: Manifest):
+    """One run of ``init``: the spinor of a ``pauli`` config, the WKB state otherwise."""
     thresholds = _thresholds(cfg)
-    params = cfg.sim_params(epsilon=init.epsilon)
     taken = itertools.count()
     if cfg.kind == "pauli":
 
         def keep(record, psi, pots):  # each sample is written as it is taken, and not held
             write_field(manifest.path(f"psi_{next(taken):04d}.pwf", "snapshot", t=record.t), psi)
 
-        run = PauliSolver(grid, params, thresholds).run(reconstruct_spinor(grid, init), keep=keep)
+        run = PauliSolver(grid, cfg.sim_params(), thresholds).run(init, keep=keep)
     else:
+        params = cfg.sim_params(epsilon=init.epsilon)
         residuals = residual_window(grid)
 
         def keep(record, state, pots):  # written as taken too, and the window fills the residuals
@@ -169,6 +170,8 @@ def run_command(cfg: RunConfig, out_override=None):
     # the data is built first: data the family rejects leaves no directory
     grid = cfg.build_grid()
     init = cfg.build_initial(grid, epsilon=0.0 if cfg.kind == "euler" else None)
+    if cfg.kind == "pauli":  # the spinor run holds no WKB state
+        init = reconstruct_spinor(grid, init)
     out = _output_dir(cfg, out_override)
     manifest = Manifest(out)
     manifest.path("config.txt", "config")

@@ -15,7 +15,7 @@ from typing import Optional
 from .errors import ParseError, ValidationError
 from .grid import Grid
 from .initial_data import FAMILIES, make_initial_state
-from .states import SimParams, normalize_charge
+from .states import MAX_STEPS, SimParams, normalize_charge
 
 KINDS = ("pauli", "wkb", "euler", "ladder", "spinor-vs-wkb", "monokinetic")
 NORMALIZE = ("mean-density", "charge")
@@ -55,6 +55,9 @@ class RunConfig:
             setattr(self, attr, _checked(key, getattr(self, attr), convert, check))
         if self.kind == "pauli" and self.epsilon == 0:
             raise ValidationError("the spinor solver needs epsilon > 0", key="epsilon")
+        if self.dt is not None and self.T / self.dt > MAX_STEPS:
+            raise ValidationError(f"T / dt must be <= {MAX_STEPS} steps, got {self.T / self.dt:.3g}",
+                                  key="dt")
         if self.lengths is not None and len(self.lengths) != len(self.points):
             raise ValidationError("needs one length per grid axis", key="lengths")
         if self.kind in ("ladder", "monokinetic") and not self.epsilons:
@@ -167,7 +170,7 @@ _KEYS = (
      (lambda v: 1 <= len(v) <= 3 and all(n >= 4 and n % 2 == 0 for n in v),
       "1 to 3 even sizes >= 4")),
     ("grid", "lengths", "lengths", _optional(_tuple(_real)),
-     (lambda v: all(L > 0 for L in v), "positive")),
+     (lambda v: all(0 < L < math.inf for L in v), "positive and finite")),
     # a spinor sample's energy squares eps
     ("params", "epsilon", "epsilon", _real, (lambda v: 0 <= v <= 1e150, "in [0, 1e150]")),
     ("params", "dt", "dt", _optional(_real), _POSITIVE),

@@ -7,7 +7,6 @@ limit, and the monokinetic concentration study.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from types import SimpleNamespace
 from typing import Dict, List, Optional
@@ -184,6 +183,8 @@ def epsilon_ladder(
         return rung, run
 
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run_rung, epsilons))
     else:

@@ -48,7 +48,7 @@ def write_field(path, data, rep="physical"):
             fh.write(struct.pack("<I", n))
         fh.write(struct.pack("<I", ncomp))
         fh.write(struct.pack("<I", REPRESENTATIONS.index(rep)))
-        fh.write(data.astype("<c16").tobytes())
+        fh.write(np.ascontiguousarray(data, "<c16"))  # through its buffer, uncopied
 
 
 def read_field(path) -> FieldSnapshot:

@@ -122,8 +122,11 @@ def derivative_table(grid: Grid, fh, half):
 
 
 def directional(grid: Grid, g, table):
-    """``sum_j g_j d_j f`` from the :func:`derivative_table` of ``f``."""
-    return sum(g[j] * table[j] for j in range(grid.dim))
+    """``sum_j g_j d_j f`` from the :func:`derivative_table` of ``f``, summed in place."""
+    out = g[0] * table[0]
+    for j in range(1, grid.dim):
+        out += g[j] * table[j]
+    return out
 
 
 def half_spectrum_vdot(grid: Grid, fh, gh):

@@ -17,9 +17,10 @@ reads, and ``div A`` from one transform of A.
 A run makes one screened solve per step, at the step's midpoint.  Each
 step's predictor takes the potentials at its start extrapolated linearly
 in time from the last two solved points (the initial potentials and the
-midpoints); the midpoint solve starts from the quadratic through the A's
-of the last three.  A sample solves V alone; its A is solved from the
-stored state when first read.
+midpoints), which the run keeps as their V and A alone; the predictor's
+``B`` and ``div A`` are taken from the extrapolated A.  The midpoint solve
+starts from the quadratic through the A's of the last three.  A sample
+solves V alone; its A is solved from the stored state when first read.
 """
 
 from __future__ import annotations
@@ -102,8 +103,11 @@ class PauliSolver:
     def _advect_rhs(self, psi, psi_hat, A, divA):
         """The dealiased spectrum of ``A.grad psi + (div A/2) psi``, from ``psi_hat``."""
         g = self.grid
-        table = derivative_table(g, psi_hat, half=False)
-        return g.fft(directional(g, A, table) + 0.5 * divA * psi) * dealias_mask(g)
+        rhs = directional(g, A, derivative_table(g, psi_hat, half=False))
+        rhs += 0.5 * divA * psi
+        rhs_hat = g.fft(rhs)
+        rhs_hat *= dealias_mask(g)
+        return rhs_hat
 
     def _transport(self, psi, tau, pots, divA, psi_hat=None, spectral=False):
         """
@@ -172,16 +176,16 @@ class PauliSolver:
         ``fields``, the predictor's ``(pots, B, div A)``, are the potentials
         of ``psi``, solved here, when not given; :meth:`run` passes them
         extrapolated, so its steps make one screened solve each.  ``solved``,
-        a list, receives the midpoint's fields.  The midpoint solve starts
+        a list, receives the midpoint's potentials.  The midpoint solve starts
         from ``history``'s extrapolation one step past its last point
         (:class:`~poisswell.states.SolveHistory`), and from the predictor's
         A without one.  The stability bound is checked with the potentials
         the step starts from.
 
         psi is transformed once on entry and inverted once on exit.  The
-        spectrum after the first kinetic half is kept through the step and
-        serves both first transport passes; the last transport half returns
-        its spectrum to the last kinetic half.
+        spectrum after the first kinetic half serves both first transport
+        passes and is dropped once they have read it; the last transport
+        half returns its spectrum to the last kinetic half.
         """
         if dt == 0.0:
             return psi.copy()
@@ -205,10 +209,11 @@ class PauliSolver:
                 guess = history.ahead(1.0)
             pots = self.potentials(predicted, guess=guess)
             predicted = guess = None
-            _, B, divA = mid = self._fields(pots)
+            B, divA = self._magnetic(pots.A)
             if solved is not None:
-                solved.append(mid)
+                solved.append(pots)
         psi = self._transport(psi, tau, pots, divA, psi_hat)
+        del psi_hat  # both first transports have read it
         psi = self._multiply(psi, dt, pots, B)
         psi_hat = self._transport(psi, tau, pots, divA, spectral=True)
         return g.ifft(self._kinetic(psi_hat, tau, dealias=True))
@@ -241,10 +246,11 @@ class PauliSolver:
         at its start, extrapolated linearly in time from the last two solved
         points: the initial potentials P_0 at t = 0 and each step's midpoint
         potentials at t_n + dt/2.  Step 1 takes P_0, step 2
-        ``2 P_{1/2} - P_0`` and later steps ``1.5 P_{n-1/2} - 0.5 P_{n-3/2}``;
-        B and div A go with A, being linear in it.  The run, not the
-        solver, keeps the two points, and each step makes one screened
-        solve, at its midpoint.  That solve starts from the polynomial
+        ``2 P_{1/2} - P_0`` and later steps ``1.5 P_{n-1/2} - 0.5 P_{n-3/2}``.
+        The run, not the solver, keeps the two points, as their V and A
+        alone; the predictor takes B and div A from the extrapolated A
+        (:meth:`_fields`).  Each step makes one screened solve, at its
+        midpoint.  That solve starts from the polynomial
         through the A's of the last three solved points, the two plus one
         older, at the new midpoint: P_0 at step 1, the line ``3 A_{1/2} -
         2 A_0`` at step 2, and quadratics after that; from step 4 the
@@ -253,18 +259,18 @@ class PauliSolver:
         when first read (:meth:`_sample_potentials`).
         """
         magnetic = self.params.magnetic and self.params.coupling
-        solved = []  # the fields of the last two solved points, oldest first
+        solved = []  # the potentials of the last two solved points, oldest first
         history = SolveHistory(3)  # their A's and one older, at their times in steps
         taken = 0
 
         def predictor(pots):
             if not solved:
-                solved.append(self._fields(pots))  # the first step's pots are P_0
+                solved.append(pots)  # the first step's pots are P_0
                 history.push(0.0, pots.A)
-                return solved[0]
+                return self._fields(pots)
             # the step starts half a step past the last midpoint, which lies
             # half a step past P_0 and a whole step past an earlier midpoint
-            return _extrapolate(1.0 if taken == 1 else 0.5, *solved)
+            return self._fields(_extrapolate(1.0 if taken == 1 else 0.5, *solved))
 
         def advance(psi, dt, pots, sample):
             nonlocal taken
@@ -277,7 +283,7 @@ class PauliSolver:
                 raise RunStopped("elliptic solve diverged") from exc
             taken += 1
             if magnetic:
-                history.push(taken - 0.5, solved[-1][0].A)
+                history.push(taken - 0.5, solved[-1].A)
             del solved[:-2]
             # no step past the first reads pots, and a sample's would keep its psi alive
             return psi, self._sample_potentials(psi) if sample else None
@@ -292,15 +298,5 @@ class PauliSolver:
 
 
 def _extrapolate(w, older, last):
-    """
-    ``(1 + w) last - w older`` of two points' fields ``(pots, B, div A)``;
-    a None ``div A`` (A = 0) reads as zero.
-    """
-
-    def line(x0, x1):
-        if x0 is None and x1 is None:
-            return None
-        return (1.0 + w) * (0.0 if x1 is None else x1) - w * (0.0 if x0 is None else x0)
-
-    (p0, B0, d0), (p1, B1, d1) = older, last
-    return Potentials(V=line(p0.V, p1.V), A=line(p0.A, p1.A)), line(B0, B1), line(d0, d1)
+    """``(1 + w) last - w older`` of two solved points' :class:`Potentials`."""
+    return Potentials(V=(1.0 + w) * last.V - w * older.V, A=(1.0 + w) * last.A - w * older.A)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import kernels
 from .elliptic import solve_poisson_neutral, solve_screened_vector
-from .errors import MissingPhase
+from .errors import MissingPhase, ValidationError
 from .grid import Grid, k2, k3
 from .operators import curl, derivative_table, l2_norm
 from .pauli import spin_density
@@ -337,6 +337,9 @@ class RunStopped(Exception):
     """Raised inside :func:`run_loop` to end a run with status ``blowup``."""
 
 
+MAX_STEPS = 100_000  # of a run; about 50 times the most that any test or reference config takes
+
+
 def default_dt(solver, state, pots):
     """
     The safety fraction of the solver's dt bound at ``state`` with its
@@ -366,7 +369,9 @@ def run_loop(solver, state, advance, watch=None, n_samples=None, keep=keep_all) 
     steps and at the end.
 
     dt is ``params.dt`` or :func:`default_dt` of the dealiased initial
-    state and its potentials.  ``n_samples`` places the samples on the
+    state and its potentials; a dt that would take more than
+    :data:`MAX_STEPS` steps raises a ValidationError naming ``dt`` or, for
+    the default, ``cfl_safety``.  ``n_samples`` places the samples on the
     shared times ``T k / n_samples``: dt shrinks to ``T / n_samples / per``
     for the least ``per`` that does not raise it, samples are taken every
     ``per`` steps, and ``Run.params`` records that dt and ``sample_every``.
@@ -408,6 +413,9 @@ def _integrate(solver, state, advance, watch, n_samples, keep) -> Run:
     state = solver._dealias(state)
     pots = solver.potentials(state)
     dt = p.dt if p.dt is not None else default_dt(solver, state, pots)
+    if p.T / dt > MAX_STEPS:
+        key = "cfl_safety" if p.dt is None else "dt"
+        raise ValidationError(f"T / dt = {p.T / dt:.3g} steps, over {MAX_STEPS}", key=key)
     if n_samples is not None and p.T > 0:
         sample_dt = p.T / n_samples
         per = max(1, math.ceil(sample_dt / dt - 1e-12))

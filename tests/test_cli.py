@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +11,7 @@ from poisswell.cli import EXIT_BLOWUP, EXIT_OK, main
 from poisswell.io import read_field
 
 BLOWUP_CFG = Path(__file__).resolve().parent.parent / "configs" / "blowup.cfg"
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 EULER_UNIFORM = """
 [run]
@@ -165,7 +169,17 @@ BAD_VALUES = [
                  id="epsilon-huge"),
     pytest.param("width", PAULI_BUMP.replace("amplitude = 0.2", "amplitude = 0.2\nwidth = 1e-300"),
                  id="width-tiny"),
+    # the bump's phase was 0 * inf, and the run ended in a screened solve that did not converge
+    pytest.param("lengths", PAULI_BUMP.replace("points = [64]", "points = [64]\nlengths = [inf]"),
+                 id="lengths-inf"),
 ]
+
+
+def python(*args, timeout=60):
+    """``python args`` in a fresh interpreter that imports this checkout's package."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=timeout, env={**os.environ, "PYTHONPATH": path})
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -440,6 +454,19 @@ class TestRunCommand:
         assert main([command, str(cfg), "--out", str(tmp_path / "one"),
                      "--sample-every", "1"]) == 0
 
+    @pytest.mark.parametrize("key, line", [("dt", "dt = 1e-300"),
+                                           ("cfl_safety", "cfl_safety = 1e-300")],
+                             ids=["dt", "cfl_safety"])
+    def test_step_count_bounded(self, tmp_path, key, line):
+        # each ran a run of over 1e6 steps, which did not end; a given dt is
+        # rejected before anything is written, a default one when it is sized
+        cfg = write_cfg(tmp_path, PAULI_BUMP.replace("T = 0.05", f"T = 0.05\n{line}"))
+        out = tmp_path / "o"
+        done = python("-m", "poisswell.cli", "run", str(cfg), "--out", str(out))
+        assert done.returncode == 1
+        assert key in done.stderr and "Traceback" not in done.stderr
+        assert out.exists() == (key == "cfl_safety")
+
     def test_unwritable_output_dir(self, tmp_path):
         cfg = write_cfg(tmp_path, EULER_UNIFORM)
         blocker = tmp_path / "blocked"
@@ -540,3 +567,9 @@ def test_plot_on_empty_report(tmp_path):
     assert main(["plot", str(rep)]) == EXIT_OK
     text = (tmp_path / "errors.gp").read_text()
     assert "plot" in text
+
+
+def test_cli_import_leaves_out_the_thread_pool():
+    # only a ladder run with threads > 1 reads concurrent.futures
+    done = python("-c", "import sys, poisswell.cli; print('concurrent.futures' in sys.modules)")
+    assert done.returncode == 0 and done.stdout.strip() == "False"

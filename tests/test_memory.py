@@ -1,8 +1,9 @@
 """
 What a run holds and computes: the peak of one RK4 step, the initial state a
-WKB run leaves to its caller, the samples a spinor run keeps alive, the
-release of the WKB states before the spinor run of the comparison and the
-comparison's peak, and the residuals that only
+WKB run leaves to its caller, the samples a spinor run keeps alive, the WKB
+state a ``pauli`` run does not hold and the run's peak, the peak of writing
+a snapshot, the release of the WKB states before the spinor run of the
+comparison and the comparison's peak, and the residuals that only
 :func:`~poisswell.hydro.residual_window` makes.
 """
 
@@ -11,10 +12,13 @@ import weakref
 import numpy as np
 
 from poisswell import harness
+from poisswell.cli import main
+from poisswell.config import RunConfig
 from poisswell.diagnostics import continuity_residual, gauge_residual
 from poisswell.grid import Grid
 from poisswell.hydro import HydroSolver, residual_window
 from poisswell.initial_data import gaussian_bump
+from poisswell.io import write_field
 from poisswell.pauli_solver import PauliSolver
 from poisswell.states import (
     SimParams,
@@ -81,6 +85,72 @@ def test_spinor_run_keeps_no_earlier_sample_alive(monkeypatch):
         psi0, keep=lambda record, psi, pots: sampled.append(weakref.ref(psi)))
     assert run.status == "completed" and len(run.times) == len(sampled) == 5
     assert alive == [0] * 8
+
+
+PAULI_TILTED = """
+[run]
+kind = pauli
+
+[grid]
+points = [64, 64]
+
+[params]
+epsilon = 0.2
+T = 0.01
+sample_every = 2
+
+[initial]
+family = gaussian-bump
+amplitude = 0.3
+phase_amplitude = 0.2
+spin_angle = 0.5
+"""
+
+
+def test_pauli_run_holds_no_wkb_state(tmp_path, monkeypatch):
+    # the writer hands the run the reconstructed spinor; the WKB state it was
+    # made from was held by the writer through every step
+    made, alive = [], []
+    build, step = RunConfig.build_initial, PauliSolver.step
+
+    def spied_build(self, *args, **kwargs):
+        state = build(self, *args, **kwargs)
+        made.append(weakref.ref(state))
+        return state
+
+    def spied_step(self, *args, **kwargs):
+        alive.append(sum(ref() is not None for ref in made))
+        return step(self, *args, **kwargs)
+
+    monkeypatch.setattr(RunConfig, "build_initial", spied_build)
+    monkeypatch.setattr(PauliSolver, "step", spied_step)
+    cfg = tmp_path / "pauli.cfg"
+    cfg.write_text(PAULI_TILTED)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert len(made) == 1 and len(alive) == 16 and not any(alive)
+
+
+def test_pauli_run_peak_within_budget(tmp_path, traced_peak):
+    # a 64^2 tilted-spin run through the writer, its tables made by a run
+    # before: 2.19 MiB traced when the predictor keeps the solved points as
+    # V and A, the run holds no WKB state and the step drops its first
+    # kinetic spectrum after the first transports; 2.84 MiB with B and
+    # div A kept beside each point, the WKB state held and the spectrum
+    # kept to the step's end
+    cfg = tmp_path / "pauli.cfg"
+    cfg.write_text(PAULI_TILTED)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "warm")]) == 0
+    code, peak = traced_peak(main, ["run", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert peak <= 2.5 * 2**20
+
+
+def test_snapshot_written_uncopied(tmp_path, traced_peak):
+    # a 128^2 spinor goes to disk through its buffer: 4.8 KiB traced, where
+    # a little-endian copy and its bytes took 1 MiB
+    psi = np.ones((2, 128, 128), dtype=complex)
+    _, peak = traced_peak(write_field, tmp_path / "psi.pwf", psi)
+    assert peak <= 64 * 2**10
 
 
 def test_wkb_run_freed_before_the_spinor_run(monkeypatch):
