@@ -215,24 +215,34 @@ def pointwise_norms(grid: Grid, f, second=True):
     Grid realizations of the sup-type norms of a field or its :class:`Spectrum`:
     L^inf is the max of the pointwise magnitude, W^{1,inf} adds the max over
     first derivatives, W^{2,3} sums L^3 quadrature norms of derivatives up to
-    order 2.  One batched inverse of the multipliers ``i k_i`` gives the first
-    derivatives, one of ``-k_i k_j`` (i <= j) the second; without ``second``
-    that one is not made and ``w2_3`` is None.
+    order 2.  Each multiplier (``i k_i``, then ``-k_i k_j`` for i <= j) is
+    inverted alone and only its magnitude kept, in one real table per order of
+    shape ``(multipliers, *f.shape)``: the max and L^3 sum of a batched inverse,
+    bit for bit.  Without ``second`` no second-order table is made (``w2_3`` None).
     """
     spec = spectrum(grid, f)
-    f, fh, ks = spec.f, spec.fh, k3(grid, spec.half)
-    axes = range(grid.dim)
+    f, ks = spec.f, k3(grid, spec.half)
+
+    def magnitudes(multipliers):
+        table = np.empty((len(multipliers),) + f.shape)
+        for m, row in zip(multipliers, table):
+            np.abs(spec.inverse(m * spec.fh), out=row)
+        return table
+
+    def l3_norm(table):  # lp_norm(grid, table, 3), cubing the table in place, not a copy
+        table **= 3
+        return float((np.sum(table) * grid.cell_volume) ** (1.0 / 3))
+
     stack0 = f if f.ndim > grid.dim else f[None]
     l_inf = float(np.max(np.sqrt(np.sum(np.abs(stack0) ** 2, axis=0))))
-    d1 = spec.inverse(np.stack([1j * ks[i] * fh for i in axes]))
-    w1_inf = l_inf + float(np.max(np.abs(d1)))
+    d1 = magnitudes([1j * ks[i] for i in range(grid.dim)])
+    w1_inf = l_inf + float(np.max(d1))
     if not second:
         return PointwiseNorms(l_inf=l_inf, w1_inf=w1_inf, w2_3=None)
-    w2_3 = lp_norm(grid, stack0, 3) + lp_norm(grid, d1, 3)
+    w2_3 = lp_norm(grid, stack0, 3) + l3_norm(d1)
     del d1  # the two tables are never held at once
-    pairs = combinations_with_replacement(axes, 2)
-    d2 = spec.inverse(np.stack([-(ks[i] * ks[j]) * fh for i, j in pairs]))
-    w2_3 += lp_norm(grid, d2, 3)
+    pairs = combinations_with_replacement(range(grid.dim), 2)
+    w2_3 += l3_norm(magnitudes([-(ks[i] * ks[j]) for i, j in pairs]))
     return PointwiseNorms(l_inf=l_inf, w1_inf=w1_inf, w2_3=w2_3)
 
 

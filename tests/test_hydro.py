@@ -323,15 +323,17 @@ class TestTransformCounts:
 
     def test_record_transforms_each_field_once(self, transform_count):
         # one 32^3 sample: one spectrum each of a, u and d_t S (d_t u = grad
-        # d_t S is normed from i k times it), two derivative tables for a and
-        # one for u, whose second derivatives nothing reads
+        # d_t S is normed from i k times it); the inverses make 3 first and
+        # 6 second derivatives of a's 2 components, and 3 first derivatives
+        # of u's 3, whose second derivatives nothing reads
         g = Grid((32, 32, 32))
         solver = HydroSolver(g, SimParams(epsilon=0.2, T=0.05))
         st = solver._dealias(gaussian_bump(g, amplitude=0.2, width=1.2, epsilon=0.2))
         pots = solver.potentials(st)
         transform_count.clear()
         solver._record(0.0, st, pots, None)
-        assert sum(transform_count.values()) <= 6
+        assert (transform_count["fft"], transform_count["rfft"]) == (1, 2)
+        assert dict(transform_count.components) == {"fft": 2, "rfft": 4, "ifft": 18, "irfft": 9}
 
 
 class TestRun:

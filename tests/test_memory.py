@@ -1,10 +1,11 @@
 """
-What a run holds and computes: the peak of one RK4 step, the initial state a
-WKB run leaves to its caller, the samples a spinor run keeps alive, the WKB
-state a ``pauli`` run does not hold and the run's peak, the peak of writing
-a snapshot, the release of the WKB states before the spinor run of the
-comparison and the comparison's peak, and the residuals that only
-:func:`~poisswell.hydro.residual_window` makes.
+What a run holds and computes: the peak of one RK4 step and of one hydro
+sample's diagnostics, the initial state a WKB run leaves to its caller, the
+samples a spinor run keeps alive, the WKB state a ``pauli`` run does not
+hold and the run's peak, the peak of writing a snapshot, the release of the
+WKB states before the spinor run of the comparison and the comparison's
+peak, and the residuals that only :func:`~poisswell.hydro.residual_window`
+makes.
 """
 
 import weakref
@@ -43,6 +44,20 @@ def test_rk4_step_peak_within_budget(traced_peak):
     solver.step_rk4(state, dt, pots)
     _, peak = traced_peak(solver.step_rk4, state, dt, pots)
     assert peak <= 2.55 * 2**20
+
+
+def test_record_peak_within_budget(traced_peak):
+    # one 32^3 sample of the c14 data, its spectral tables made by a sample
+    # before: 8.81 MB traced when each derivative of a is inverted alone
+    # into a real table of magnitudes; 16.13 MB when each order's
+    # multipliers are stacked on a's spectrum and inverted in one batch
+    g = Grid((32, 32, 32))
+    solver = HydroSolver(g, SimParams(epsilon=0.2, T=0.05))
+    state = solver._dealias(gaussian_bump(g, amplitude=0.2, width=1.2, epsilon=0.2))
+    pots = solver.potentials(state)
+    solver._record(0.0, state, pots, None)
+    _, peak = traced_peak(solver._record, 0.0, state, pots, None)
+    assert peak <= 10 * 10**6
 
 
 def test_wkb_run_takes_its_initial_state_uncopied(monkeypatch):
