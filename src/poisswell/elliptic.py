@@ -46,10 +46,18 @@ def solve_screened_vector(grid: Grid, rhs, rho, tol=1e-11, max_iters=200, guess=
     ``(-Delta + mean(rho))^-1``, starting from ``guess`` (zero when not
     given).  ``rhs`` is transformed once and not held after that; the solve
     accumulates ``A_hat += alpha p_hat``, tests residuals as Parseval sums,
-    and inverts a search direction only to multiply it by ``rho``, in its
-    one real work buffer.  Its buffers, allocated once per solve, are
-    updated in place as the out-of-place forms would round; ``rhs``,
-    ``rho`` and ``guess`` are not written to.
+    and inverts a search direction only to multiply it by ``rho``.  Its
+    buffers, allocated once per solve, are one real work buffer, which takes
+    each inverted search direction and at the end the returned A, and one
+    block of four half spectra: the search direction ``p``, ``A_hat``, the
+    residual ``r`` and the preconditioned ``z``.  Whenever ``z`` is spent
+    it takes the operator applied to ``p`` and the complex passes of each
+    inverse transform (:meth:`~poisswell.grid.Grid.irfft`); ``rho`` times
+    an iterate is formed in the spent ``p``.  The buffers are updated in
+    place as the out-of-place forms would round.  ``guess`` is read in
+    place and never returned: a guess that already meets the test is copied
+    once the buffers are freed.  ``rhs``, ``rho`` and ``guess`` are not
+    written to.
 
     A solve returns only once the true residual, not the recurrence one, is
     below ``tol`` relative to ``rhs``: when the recurrence passes, A is
@@ -88,31 +96,48 @@ def solve_screened_vector(grid: Grid, rhs, rho, tol=1e-11, max_iters=200, guess=
             )
         return _inverse_laplacian(grid, rhs)
 
-    k2h = k2(grid, half=True)
-    denom = k2h + rho_mean
     # |residual| <= tol |rhs| / 2 as a Parseval sum (l2_norm is sqrt(vdot * dV))
     goal_sq = (0.5 * tol * rhs_norm) ** 2 / grid.cell_volume
-    jh = grid.rfft(rhs)
-    work = np.empty_like(rhs)
+    jh, shape = grid.rfft(rhs), rhs.shape
     del rhs  # the source is not held through the iterations
-    # one block; rh and zh are adjacent, so one pass takes <r, r> and <r, z>
-    block = np.empty((5,) + jh.shape, complex)
-    ph, qh, Ah, rh, zh = block
-    A = None if guess is None else np.array(guess, dtype=float)
+    x = None if guess is None else np.asarray(guess, dtype=float)
+    A = _conjugate_gradients(grid, jh, rho, k2(grid, half=True) + rho_mean, goal_sq,
+                             x, tol, max_iters)
     if A is None:
+        return np.zeros(shape)
+    # a guess that passes is copied once the iterations' buffers are freed
+    return np.array(A) if A is guess else A
+
+
+def _conjugate_gradients(grid: Grid, jh, rho, denom, goal_sq, x, tol, max_iters):
+    """
+    The iterations of :func:`solve_screened_vector` on the spectrum ``jh``
+    of its rhs, from the iterate ``x`` (zero when None), preconditioned by
+    ``1 / denom``: the first iterate whose true residual meets ``goal_sq``
+    as a Parseval sum.  That is ``x`` itself when it already does, and the
+    solve's real work buffer otherwise.
+    """
+    k2h = k2(grid, half=True)
+    work = np.empty(jh.shape[:-1] + grid.shape[-1:])  # an inverted search direction, and A
+    # one block; rh and zh are adjacent, so one pass takes <r, r> and <r, z>
+    block = np.empty((4,) + jh.shape, complex)
+    ph, Ah, rh, zh = block
+    # rho x is formed in the search direction's buffer, which is spent by then
+    rho_x = ph.reshape(-1).view(float)[: work.size].reshape(work.shape)
+    if x is None:
         Ah[...], rh[...] = 0.0, jh
     else:
-        grid.rfft(A, out=Ah)
+        grid.rfft(x, out=Ah)
     iters = 0
     while True:
-        if A is not None:  # the true residual jh - |k|^2 Ah - rfft(rho A)
+        if x is not None:  # the true residual jh - |k|^2 Ah - rfft(rho x)
             np.subtract(jh, np.multiply(k2h, Ah, out=rh), out=rh)
-            rh -= grid.rfft(np.multiply(rho, A, out=work), out=qh)
+            rh -= grid.rfft(np.multiply(rho, x, out=rho_x), out=zh)
         np.divide(rh, denom, out=zh)
-        rr, rz = half_spectrum_vdot(grid, rh, block[3:])
+        rr, rz = half_spectrum_vdot(grid, rh, block[2:])
         # a NaN residual never passes the test and ends in NonConvergence
         if rr <= goal_sq:
-            return np.zeros_like(work) if A is None else A
+            return x
         np.copyto(ph, zh)  # restart from the steepest-descent direction
         while True:
             if iters == max_iters:
@@ -121,19 +146,21 @@ def solve_screened_vector(grid: Grid, rhs, rho, tol=1e-11, max_iters=200, guess=
                     f"after {max_iters} iterations"
                 )
             iters += 1
-            grid.irfft(ph, out=work)
+            grid.irfft(ph, out=work, work=zh)  # z is spent
             work *= rho
-            np.multiply(k2h, ph, out=qh)
-            # z is spent: its buffer takes rfft(rho p), then alpha ph
-            qh += grid.rfft(work, out=zh)
+            # z takes q = rfft(rho p) + |k|^2 p, whose products are made a
+            # component at a time (a third of a spectrum), then alpha p
+            qh = grid.rfft(work, out=zh)
+            for q_i, p_i in zip(qh, ph):
+                q_i += k2h * p_i
             alpha = rz / half_spectrum_vdot(grid, ph, qh)
-            Ah += np.multiply(alpha, ph, out=zh)
             qh *= alpha
             rh -= qh
+            Ah += np.multiply(alpha, ph, out=zh)
             np.divide(rh, denom, out=zh)
-            (rr, rz), rz_old = half_spectrum_vdot(grid, rh, block[3:]), rz
+            (rr, rz), rz_old = half_spectrum_vdot(grid, rh, block[2:]), rz
             if rr <= goal_sq:
                 break
             ph *= rz / rz_old  # ph = zh + (rz / rz_old) ph
             ph += zh
-        A = grid.irfft(Ah, out=A)
+        x = grid.irfft(Ah, out=work, work=zh)

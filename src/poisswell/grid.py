@@ -134,11 +134,22 @@ class Grid:
             out = np.empty(np.shape(f)[:-1] + (self.shape[-1] // 2 + 1,), complex)
         return np.fft.rfftn(f, axes=self.axes, out=out)
 
-    def irfft(self, fh, out=None):
-        """Inverse of :meth:`rfft`, into ``out`` when given: a real field of shape ``shape``."""
+    def irfft(self, fh, out=None, work=None):
+        """
+        Inverse of :meth:`rfft`, into ``out`` when given: a real field of
+        shape ``shape``.  ``work``, a complex array of the shape of ``fh``
+        whose contents are spent, takes the complex inverse passes over the
+        leading spatial axes before the last axis's real inverse: the numbers
+        of ``np.fft.irfftn``, without its fresh complex array per pass.
+        ``fh`` is not written to.  A 1d grid has no such pass and ignores it.
+        """
         if self.dim == 1:
             return np.fft.irfft(fh, n=self.shape[0], out=out)
-        return np.fft.irfftn(fh, s=self.shape, axes=self.axes, out=out)
+        if work is None:
+            return np.fft.irfftn(fh, s=self.shape, axes=self.axes, out=out)
+        for axis in self.axes[:-1]:
+            fh = np.fft.ifft(fh, axis=axis, out=work)
+        return np.fft.irfft(fh, n=self.shape[-1], axis=-1, out=out)
 
 
 # Cached spectral tables.  The grid is frozen, so each table is stored on

@@ -86,10 +86,12 @@ class HydroState:
     so traveling (plane-wave) data stays representable on the torus; for the
     default families ``u_mean`` is zero.
 
-    The velocity ``u = u_mean + grad S`` is derived data: it is computed once,
+    The velocity ``u = u_mean + grad S`` is derived data, computed once:
     when the state is made, from ``S_hat``, the half spectrum of ``S``, when
-    the maker holds it, and from a transform of ``S`` otherwise.  A state
-    without ``S`` raises :class:`~poisswell.errors.MissingPhase`.
+    the maker holds it (the solver's states), and otherwise from a transform
+    of ``S`` when ``u`` is first read, so a caller-made state that is only
+    dealiased (a run's initial state) never builds it.  A state without
+    ``S`` raises :class:`~poisswell.errors.MissingPhase`.
     """
 
     grid: Grid
@@ -99,21 +101,25 @@ class HydroState:
     t: float = 0.0
     epsilon: float = 0.1
     S_hat: InitVar[Optional[np.ndarray]] = None
-    u: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, S_hat):
         if self.S is None:
             raise MissingPhase("a WKB state needs its phase S")
-        if S_hat is None:
-            S_hat = self.grid.rfft(self.S)
-        self.u = phase_velocity(self.grid, S_hat, self.u_mean)
+        self._u = None if S_hat is None else phase_velocity(self.grid, S_hat, self.u_mean)
+
+    @property
+    def u(self):
+        if self._u is None:
+            self._u = phase_velocity(self.grid, self.grid.rfft(self.S), self.u_mean)
+        return self._u
 
 
 def phase_velocity(grid: Grid, S_hat, u_mean, laplacian=False):
     """
     ``u = u_mean + grad S`` from ``S_hat``, the half spectrum of the phase, in
     one batched inverse transform; ``laplacian`` also returns ``div u =
-    Lap S`` from the same inverse.
+    Lap S`` from the same inverse, as an array of its own: a row of the
+    inverse would keep the whole inverse alive as long as it is held.
     """
     ks = k3(grid, half=True)
     multipliers = [1j * ks[i] for i in range(grid.dim)]
@@ -124,7 +130,7 @@ def phase_velocity(grid: Grid, S_hat, u_mean, laplacian=False):
     u = np.zeros((3,) + grid.shape)
     u[: grid.dim] = table[: grid.dim]
     u += np.reshape(u_mean, (3,) + (1,) * grid.dim)
-    return (u, table[grid.dim]) if laplacian else u
+    return (u, table[grid.dim].copy()) if laplacian else u
 
 
 def charge_density(psi):

@@ -303,6 +303,27 @@ class TestInPlaceRecurrence:
             for before, after in zip(copies, (rho, rhs, guess)):
                 assert np.array_equal(before, after)
 
+    @pytest.mark.parametrize("shape", [(64,), (24, 20), (12, 10, 8)])
+    def test_guess_is_read_in_place_and_never_returned(self, shape, rng, transform_count):
+        # a read-only guess raises on any write; the solve returns an array
+        # of its own, also for a guess that already meets the tolerance
+        # (no inverse transform is made then)
+        g = Grid(shape)
+        rho = banded_density(g, rng, 5.0, 50.0)
+        rhs = random_band_limited(g, rng, components=3, kmax=3)
+        cold = solve_screened_vector(g, rhs, rho)
+        for guess, passes in ((cold + 0.1 * random_band_limited(g, rng, components=3, kmax=2),
+                               False), (cold.copy(), True)):
+            guess.flags.writeable = False
+            before = guess.copy()
+            transform_count.clear()
+            A = solve_screened_vector(g, rhs, rho, guess=guess)
+            assert ("irfft" not in transform_count) == passes
+            assert A is not guess and not np.shares_memory(A, guess)
+            assert A.flags.owndata and A.flags.writeable
+            assert np.array_equal(guess, before)
+        assert np.array_equal(A, cold)
+
     def test_peak_memory_does_not_grow_with_iterations(self, rng, transform_count):
         # the iterations allocate nothing that outlives them: a tight
         # tolerance makes more of them (one inverse transform each, plus one

@@ -1,11 +1,11 @@
 """
 What a run holds and computes: the peak of one RK4 step and of one hydro
-sample's diagnostics, the initial state a WKB run leaves to its caller, the
-samples a spinor run keeps alive, the WKB state a ``pauli`` run does not
-hold and the run's peak, the peak of writing a snapshot, the release of the
-WKB states before the spinor run of the comparison and the comparison's
-peak, and the residuals that only :func:`~poisswell.hydro.residual_window`
-makes.
+sample's diagnostics, the initial state a WKB run leaves to its caller and
+whose velocity it never reads, the samples a spinor run keeps alive, the
+WKB state a ``pauli`` run does not hold and the run's peak, the peak of
+writing a snapshot, the release of the WKB states before the spinor run of
+the comparison and the comparison's peak, and the residuals that only
+:func:`~poisswell.hydro.residual_window` makes.
 """
 
 import weakref
@@ -22,6 +22,7 @@ from poisswell.initial_data import gaussian_bump
 from poisswell.io import write_field
 from poisswell.pauli_solver import PauliSolver
 from poisswell.states import (
+    HydroState,
     SimParams,
     charge_density,
     keep_all,
@@ -30,20 +31,32 @@ from poisswell.states import (
 )
 
 
-def test_rk4_step_peak_within_budget(traced_peak):
-    # one coupled 16^3 step, its dispersion tables made by a step before:
-    # 2.47 MiB traced when each stage drops its spectra once it has inverted
-    # them, before its screened solve; 2.63 MiB when y2, y3 and y4 stay
-    # referenced through that solve, and 3.37 MB when also k1..k3 stay
-    # referenced until the step returns
-    g = Grid((16, 16, 16))
+def c14_step_peak(traced_peak, n, dt):
+    """The traced peak of one coupled step of the c14 data on n^3, its tables made by a step before."""
+    g = Grid((n, n, n))
     solver = HydroSolver(g, SimParams(epsilon=0.2, T=0.05))
     state = solver._dealias(gaussian_bump(g, amplitude=0.2, width=1.2, epsilon=0.2))
     pots = solver.potentials(state)
-    dt = 0.05 / 8
     solver.step_rk4(state, dt, pots)
-    _, peak = traced_peak(solver.step_rk4, state, dt, pots)
-    assert peak <= 2.55 * 2**20
+    return traced_peak(solver.step_rk4, state, dt, pots)[1]
+
+
+def test_rk4_step_peak_within_budget(traced_peak):
+    # 16^3: 2.07 MiB traced when div u owns its data and the stage solves
+    # read their guesses in place, hold four half spectra and one real
+    # buffer, which ends as A, and invert in a spent spectrum; 2.47 MiB when
+    # div u keeps the whole inverse of the phase alive and the solves hold
+    # five half spectra, a copy of the guess, A beside the work buffer and
+    # irfftn's fresh arrays; 2.63 MiB when y2, y3 and y4 stay referenced
+    # through the stage solves, and 3.37 MB when also k1..k3 stay
+    # referenced until the step returns
+    assert c14_step_peak(traced_peak, 16, 0.05 / 8) <= 2.2 * 2**20
+
+
+def test_rk4_step_peak_at_32_within_budget(traced_peak):
+    # 32^3 at smoke-3d's dt: 16.77 MB traced, and 20.25 MB with the 2.47 MiB
+    # stage solves and div u of test_rk4_step_peak_within_budget
+    assert c14_step_peak(traced_peak, 32, 0.05 / 16) <= 17.5 * 10**6
 
 
 def test_record_peak_within_budget(traced_peak):
@@ -81,6 +94,25 @@ def test_wkb_run_takes_its_initial_state_uncopied(monkeypatch):
     assert init.epsilon == 0.3
     for name, arr in arrays.items():
         assert getattr(init, name) is arr and np.array_equal(arr, values[name])
+
+
+def test_wkb_run_never_reads_the_initial_velocity():
+    # the loop reads its initial state only through _dealias, which makes
+    # the run's state from a and S: a caller-made state never builds its u
+    class Watched(HydroState):
+        reads = 0
+
+        @property
+        def u(self):
+            Watched.reads += 1
+            return HydroState.u.fget(self)
+
+    g = Grid((64,))
+    init = gaussian_bump(g, epsilon=0.1, amplitude=0.3)
+    watched = Watched(g, init.a, init.S, init.u_mean, init.t, init.epsilon)
+    run = HydroSolver(g, SimParams(epsilon=0.1, T=0.02)).run(watched, 2)
+    assert run.status == "completed" and len(run.times) == 3
+    assert Watched.reads == 0
 
 
 def test_spinor_run_keeps_no_earlier_sample_alive(monkeypatch):
@@ -192,15 +224,16 @@ def test_wkb_run_freed_before_the_spinor_run(monkeypatch):
 
 
 def test_spinor_vs_wkb_peak_within_budget(traced_peak):
-    # the c14 comparison on 16^3: 3.97 MiB traced when the WKB run stores its
-    # samples as bands and no potentials; 5.1 MiB when it stores them as
-    # spinors, and 7.4 MB when it holds its states and potentials until it
-    # ends and is reconstructed after
+    # the c14 comparison on 16^3: 3.57 MiB traced with the 2.07 MiB steps of
+    # test_rk4_step_peak_within_budget; 3.97 MiB with the 2.47 MiB ones, when
+    # the WKB run stores its samples as bands and no potentials; 5.1 MiB when
+    # it stores them as spinors, and 7.4 MB when it holds its states and
+    # potentials until it ends and is reconstructed after
     g = Grid((16, 16, 16))
     init = gaussian_bump(g, amplitude=0.2, width=1.2, epsilon=0.2)
     report, peak = traced_peak(harness.spinor_vs_wkb, g, init, SimParams(epsilon=0.2, T=0.05))
     assert len(report.distances) == 11
-    assert peak <= 4.4 * 2**20
+    assert peak <= 3.75 * 2**20
 
 
 def wkb_run(n_samples=8, keep=keep_all):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from poisswell.errors import MissingPhase
-from poisswell.grid import Grid
+from poisswell.grid import Grid, k2, k3
 from poisswell.operators import curl, l2_norm
 from poisswell.pauli import spin_density
 from poisswell.states import (
@@ -11,6 +11,7 @@ from poisswell.states import (
     kinetic_current,
     normalize_charge,
     pauli_current,
+    phase_velocity,
     reconstruct_spinor,
     wkb_current,
 )
@@ -146,6 +147,52 @@ class TestWkbCurrent:
         n1 = l2_norm(g, wkb_current(g, a, None, None, 0.2))
         n2 = l2_norm(g, wkb_current(g, a, None, None, 0.1))
         assert n2 == pytest.approx(0.5 * n1, rel=1e-12)
+
+
+def batched_phase_velocity(grid, S_hat, u_mean):
+    """``u`` and ``Lap S`` as rows of one inverse, ``Lap S`` a view of its last row."""
+    ks = k3(grid, half=True)
+    multipliers = [1j * ks[i] for i in range(grid.dim)] + [-k2(grid, half=True)]
+    table = grid.irfft(np.stack([m * S_hat for m in multipliers]))
+    u = np.zeros((3,) + grid.shape)
+    u[: grid.dim] = table[: grid.dim]
+    u += np.reshape(u_mean, (3,) + (1,) * grid.dim)
+    return u, table[grid.dim]
+
+
+class TestPhaseVelocity:
+    @pytest.mark.parametrize("shape", [(64,), (16, 12), (8, 8, 8)])
+    def test_divergence_owns_its_data(self, shape, rng):
+        # a row of the inverse kept the whole inverse alive while it was held
+        g = Grid(shape)
+        S_hat = g.rfft(random_band_limited(g, rng))
+        u_mean = np.array([0.5, -0.25, 0.125])
+        u, lap_S = phase_velocity(g, S_hat, u_mean, laplacian=True)
+        assert lap_S.flags.owndata and lap_S.base is None
+        expected_u, expected_lap = batched_phase_velocity(g, S_hat, u_mean)
+        assert np.array_equal(u, expected_u)
+        assert np.array_equal(lap_S, expected_lap)
+        assert np.array_equal(phase_velocity(g, S_hat, u_mean), expected_u)
+
+
+class TestLazyVelocity:
+    @pytest.mark.parametrize("shape", [(64,), (16, 12), (8, 8, 8)])
+    def test_caller_made_state_builds_u_when_first_read(self, shape, rng, monkeypatch):
+        from poisswell import states
+
+        g = Grid(shape)
+        S = random_band_limited(g, rng)
+        a = spinup(1.0 + 0.1 * random_band_limited(g, rng))
+        u_mean = np.array([0.25, 0.0, -0.5])
+        eager = HydroState(g, a, S, u_mean, S_hat=g.rfft(S)).u
+        calls, made = [], states.phase_velocity
+        monkeypatch.setattr(states, "phase_velocity",
+                            lambda *args, **kwargs: calls.append(1) or made(*args, **kwargs))
+        state = HydroState(g, a, S, u_mean)
+        assert calls == []
+        u = state.u
+        assert state.u is u and calls == [1]  # built once
+        assert np.array_equal(u, eager)
 
 
 class TestReconstruct:
