@@ -105,18 +105,22 @@ class Grid:
     # Otherwise a forward or complex inverse transform is given its result
     # array: numpy then transforms axis after axis in that one array, the
     # same numbers, where without it each axis allocates a new array.
+    # ``axis`` selects one spatial axis, which alone is transformed: on a 1d
+    # grid that is the whole transform.
 
-    def fft(self, f):
-        """Forward transform over the spatial axes."""
-        if self.dim == 1:
-            return np.fft.fft(f)
+    def fft(self, f, axis=None):
+        """Forward transform over the spatial axes, or along ``axis`` alone."""
+        if self.dim == 1 or axis is not None:
+            return np.fft.fft(f, axis=(axis or 0) - self.dim)
         return np.fft.fftn(f, axes=self.axes, out=np.empty(np.shape(f), complex))
 
-    def ifft(self, fh):
-        """Inverse transform; returns the complex result."""
-        if self.dim == 1:
-            return np.fft.ifft(fh)
-        return np.fft.ifftn(fh, axes=self.axes, out=np.empty(np.shape(fh), complex))
+    def ifft(self, fh, axis=None, out=None):
+        """Inverse of :meth:`fft`, complex, into ``out`` when given (``fh`` itself may be it)."""
+        if self.dim == 1 or axis is not None:
+            return np.fft.ifft(fh, axis=(axis or 0) - self.dim, out=out)
+        if out is None:
+            out = np.empty(np.shape(fh), complex)
+        return np.fft.ifftn(fh, axes=self.axes, out=out)
 
     def ifft_real(self, fh):
         """Inverse transform of a spectrally-Hermitian field; drops imag."""

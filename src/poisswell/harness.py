@@ -36,13 +36,16 @@ def distinct_warnings(runs):
 
 
 def fit_loglog_slope(xs, ys):
-    """Least-squares slope of log y against log x; None when degenerate."""
+    """Least-squares slope of log y against log x, ``sum dx dy / sum dx^2`` about
+    the means (no LAPACK call); None when degenerate."""
     pairs = [(x, y) for x, y in zip(xs, ys) if x > 0 and y > 0 and np.isfinite(y)]
     if len(pairs) < 3:
         return None
     lx = np.log([p[0] for p in pairs])
     ly = np.log([p[1] for p in pairs])
-    return float(np.polyfit(lx, ly, 1)[0])
+    dx = lx - lx.mean()
+    dx_sq = np.sum(dx * dx)
+    return None if dx_sq == 0.0 else float(np.sum(dx * (ly - ly.mean())) / dx_sq)
 
 
 @dataclass

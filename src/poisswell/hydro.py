@@ -39,7 +39,6 @@ from .operators import (
     curl,
     curl_divergence,
     dealias,
-    derivative_table,
     directional,
     gradient,
     laplacian,
@@ -96,15 +95,16 @@ class HydroSolver:
         half spectrum.
         """
         g = self.grid
-        grad_a = derivative_table(g, g.fft(state.a), half=False)
-        da, dS = self._nonlinear(state.a, grad_a, state.u, laplacian(g, state.S), pots, spectral)
+        da, dS = self._nonlinear(state.a, None, state.u, laplacian(g, state.S), pots, spectral)
         return (da, dS) if spectral else (da, g.irfft(dS))
 
-    def _nonlinear(self, a, grad_a, u, lap_S, pots: Potentials, spectral):
+    def _nonlinear(self, a, a_hat, u, lap_S, pots: Potentials, spectral):
         """
         ``(d_t a, d_t S)`` without the dispersion term, at the amplitude ``a``
-        with its derivative table ``grad_a``, the velocity ``u`` and its
-        divergence ``lap_S``.  Both are dealiased: ``d_t a`` is returned as
+        (with its spectrum ``a_hat``, or None: only a 1d grid reads it), the
+        velocity ``u`` and its divergence ``lap_S``; the advection streams
+        the derivatives of ``a`` (:func:`~poisswell.operators.directional`).
+        Both are dealiased: ``d_t a`` is returned as
         its spectrum when ``spectral`` and in physical space otherwise,
         ``d_t S`` as its half spectrum (:meth:`_phase_rhs`).  ``B = curl A``
         and ``div A`` come from one transform of ``A``; a zero ``A`` has none.
@@ -114,7 +114,7 @@ class HydroSolver:
         if np.any(pots.A):
             B, div_A = curl_divergence(g, pots.A)
             div_rel = lap_S - div_A
-        da = -directional(g, u - pots.A, grad_a) - 0.5 * a * div_rel
+        da = -directional(g, u - pots.A, a, a_hat) - 0.5 * a * div_rel
         if B is not None:
             da = da + 0.5j * apply_sigma_dot(B, a)
         da = g.fft(da) * dealias_mask(g) if spectral else dealias(g, da)
@@ -164,11 +164,12 @@ class HydroSolver:
         The phase takes the same four stages in spectral space with E = 1,
         which is classical RK4; at eps = 0 the amplitude does too, in
         physical space, with no transform.  Each stage inverts the spectrum
-        of its amplitude once into ``a`` and its derivative table, which the
-        kinetic current of the potentials and the advection of ``a`` share,
-        and the spectrum of its phase once into ``u`` and ``div u``
-        (:func:`~poisswell.states.phase_velocity`); ``A`` is transformed
-        once, for ``B`` and ``div A``.
+        of its amplitude once into ``a``, and the spectrum of its phase once
+        into ``u`` and ``div u`` (:func:`~poisswell.states.phase_velocity`);
+        ``A`` is transformed once, for ``B`` and ``div A``.  The current of
+        the stage's solve, before it, and the advection of ``a``, after it,
+        each stream the derivatives of ``a``
+        (:func:`~poisswell.operators.partials`): none is alive in a solve.
 
         ``pots`` are the potentials of ``state``; they are computed when not
         given.  They serve the first stage and set the bound dt is checked
@@ -187,8 +188,9 @@ class HydroSolver:
 
         The step holds what its next stage reads: each stage's amplitude and
         phase spectra are dropped once that stage has inverted them, before
-        its screened solve, and ``k1 .. k3`` are folded into the running sum
-        of the last line, added left to right, before stage 4.  The in-step
+        its screened solve (a 1d grid keeps the amplitude's for its
+        derivatives), and ``k1 .. k3`` are folded into the running sum of
+        the last line, added left to right, before stage 4.  The in-step
         guesses keep the stage A's until the step returns, and only while
         they are used.
         """
@@ -218,12 +220,13 @@ class HydroSolver:
 
         def inverted(y, a=None):
             a = inv(y[0]) if a is None else a
-            grad_a = derivative_table(g, y[0] if spectral else g.fft(a), half=False)
-            return (a, grad_a) + phase_velocity(g, y[1], state.u_mean, laplacian=True)
+            # only a 1d grid's derivatives read the spectrum; others drop it here
+            a_hat = y[0] if spectral and g.dim == 1 else None
+            return (a, a_hat) + phase_velocity(g, y[1], state.u_mean, laplacian=True)
 
-        def stage(a, grad_a, u, lap_S, site=None):
+        def stage(a, a_hat, u, lap_S, site=None):
             if site is None:
-                return self._nonlinear(a, grad_a, u, lap_S, pots, spectral)
+                return self._nonlinear(a, a_hat, u, lap_S, pots, spectral)
             offset = 0.5 if site < 4 else 1.0
             defect = history is not None and site in history.defects
             if defect:
@@ -231,7 +234,7 @@ class HydroSolver:
             else:
                 guess = stage_A[-1] if len(stage_A) < 3 else 2.0 * stage_A[-1] - stage_A[0]
             stage_pots = self_consistent_potentials(
-                g, self.params, a, state.epsilon, u, guess=guess, grad_a=grad_a
+                g, self.params, a, state.epsilon, u, guess=guess, a_hat=a_hat
             )
             if defect:
                 history.solved(site, guess, stage_pots.A)
@@ -240,7 +243,7 @@ class HydroSolver:
                 # a defect off a constant trend would carry this step's slope into later guesses
                 if history is not None and len(history.points) > 1:
                     history.solved(site, history.ahead(offset), stage_pots.A)
-            return self._nonlinear(a, grad_a, u, lap_S, stage_pots, spectral)
+            return self._nonlinear(a, a_hat, u, lap_S, stage_pots, spectral)
 
         y = (fwd(state.a), g.rfft(state.S))
         k1 = stage(*inverted(y, state.a))

@@ -3,14 +3,14 @@ Spectral differential operators, norms and projections on a :class:`Grid`.
 
 The operators named after what they compute (``deriv``, ``gradient``,
 ``curl``, ``advect``, ...) act on physical-space arrays and return
-physical-space arrays; each transforms its input itself.  The spectral
-stage path works from a spectrum the caller already holds: an RK4 stage of
-the WKB solver or a spinor transport pass transforms each field once and
-takes every derivative it needs from :func:`derivative_table`, and the
-screened solve takes its inner products from half spectra
-(:func:`half_spectrum_vdot`).  Multi-component fields (leading axes) are
-handled componentwise; vector calculus is always done in the embedded
-3-component sense so d < 3 "slab" fields work transparently.
+physical-space arrays; each transforms its input itself.  A complex field's
+derivatives stream into their readers one at a time (:func:`partials`),
+each from a transform along its own axis; a real field's come from its half
+spectrum (:func:`derivative_table`), and the screened solve takes its inner
+products from half spectra (:func:`half_spectrum_vdot`).  Multi-component
+fields (leading axes) are handled componentwise; vector calculus is always
+done in the embedded 3-component sense so d < 3 "slab" fields work
+transparently.
 """
 
 from __future__ import annotations
@@ -98,34 +98,46 @@ def laplacian(grid: Grid, f):
 
 
 def advect(grid: Grid, g, f):
-    """Directional derivative sum_j g_j d_j f, for f of any component rank."""
-    fwd, _, half = _transforms(grid, f)
-    return directional(grid, g, derivative_table(grid, fwd(f), half))
+    """``sum_j g_j d_j f`` for f of any component rank from :func:`deriv`, the
+    full-spectrum reference that :func:`directional` is tested against."""
+    return sum(g[j] * deriv(grid, f, j) for j in range(grid.dim))
 
 
-# -- the spectral stage path -------------------------------------------------
+# -- derivatives of real and complex fields ----------------------------------
 
 
-def derivative_table(grid: Grid, fh, half):
+def derivative_table(grid: Grid, fh):
     """
-    ``d_i f`` on every active axis ``i``, indexed by ``i``, from the spectrum
-    ``fh`` of ``f``: the half spectrum of a real field (``half=True``), which
-    is inverted in one batched transform into a ``(dim, *f.shape)`` array, or
-    the full spectrum of a complex field, inverted one axis at a time into a
-    list (a batched complex inverse is the slower one at 32^3).  For a vector
-    field the entry ``[i, j]`` is ``d_i f_j``, its Jacobian.
+    ``d_i f`` on every active axis ``i``, indexed by ``i``, from the half
+    spectrum ``fh`` of a real field ``f``, inverted in one batched transform
+    into a ``(dim, *f.shape)`` array.  For a vector field the entry
+    ``[i, j]`` is ``d_i f_j``, its Jacobian.
     """
-    ks = k3(grid, half)
-    if half:
-        return grid.irfft(np.stack([1j * ks[i] * fh for i in range(grid.dim)]))
-    return [grid.ifft(1j * ks[i] * fh) for i in range(grid.dim)]
+    ks = k3(grid, half=True)
+    return grid.irfft(np.stack([1j * ks[i] * fh for i in range(grid.dim)]))
 
 
-def directional(grid: Grid, g, table):
-    """``sum_j g_j d_j f`` from the :func:`derivative_table` of ``f``, summed in place."""
-    out = g[0] * table[0]
-    for j in range(1, grid.dim):
-        out += g[j] * table[j]
+def partials(grid: Grid, f, fh=None):
+    """
+    ``d_i f`` of a complex field on each active axis ``i`` in turn, as
+    ``ifft_i(i k_i fft_i(f))`` in an array of its own that the reader may
+    spend: two one-axis passes, where inverting the full spectrum takes d.
+    On a 1d grid that is the spectrum ``fh``, read when the caller holds it.
+    """
+    ks = k3(grid)
+    for i in range(grid.dim):
+        d = fh.copy() if grid.dim == 1 and fh is not None else grid.fft(f, axis=i)
+        np.multiply(1j * ks[i], d, out=d)
+        yield grid.ifft(d, axis=i, out=d)
+
+
+def directional(grid: Grid, g, f, fh=None):
+    """``sum_j g_j d_j f`` of a complex field, summed in place as each derivative
+    arrives from :func:`partials` (``fh`` as there): one is held at a time."""
+    out = None
+    for gj, d in zip(g, partials(grid, f, fh)):
+        np.multiply(gj, d, out=d)
+        out = d if out is None else np.add(out, d, out=out)
     return out
 
 

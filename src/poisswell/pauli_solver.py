@@ -9,10 +9,13 @@ is an exact pointwise unitary; the advective piece ``A.grad + (div A)/2`` is
 integrated by an explicit midpoint rule inside each nonlinear half-step.
 
 A step keeps psi spectral between substeps where it can: the first kinetic
-half hands its spectrum to both transport passes; the last transport half
-hands its spectrum straight to the last kinetic half.  The potentials are V
-and A alone; the step takes ``B = curl A``, which only the multiplication
-reads, and ``div A`` from one transform of A.
+half hands its spectrum to both transport passes, which build their
+midpoints from it; the last transport half hands its spectrum straight to
+the last kinetic half.  The transport and the midpoint's current take the
+derivatives of psi one at a time, each from a transform along its own axis
+(:func:`~poisswell.operators.partials`).  The potentials are V and A alone;
+the step takes ``B = curl A``, which only the multiplication reads, and
+``div A`` from one transform of A.
 
 A run makes one screened solve per step, at the step's midpoint.  Each
 step's predictor takes the potentials at its start extrapolated linearly
@@ -34,7 +37,6 @@ from .errors import NonConvergence, StabilityViolation
 from .grid import Grid, dealias_mask, dispersion_factor
 from .operators import (
     curl_divergence,
-    derivative_table,
     directional,
     spectral_tail_fraction,
     spectrum,
@@ -101,9 +103,10 @@ class PauliSolver:
         return 0.5 * bound
 
     def _advect_rhs(self, psi, psi_hat, A, divA):
-        """The dealiased spectrum of ``A.grad psi + (div A/2) psi``, from ``psi_hat``."""
+        """The dealiased spectrum of ``A.grad psi + (div A/2) psi`` (a 1d grid
+        reads ``psi_hat``, the spectrum of ``psi``)."""
         g = self.grid
-        rhs = directional(g, A, derivative_table(g, psi_hat, half=False))
+        rhs = directional(g, A, psi, psi_hat)
         rhs += 0.5 * divA * psi
         rhs_hat = g.fft(rhs)
         rhs_hat *= dealias_mask(g)

@@ -22,7 +22,7 @@ from . import kernels
 from .elliptic import solve_poisson_neutral, solve_screened_vector
 from .errors import MissingPhase, ValidationError
 from .grid import Grid, k2, k3
-from .operators import curl, derivative_table, l2_norm
+from .operators import curl, l2_norm, partials
 from .pauli import spin_density
 
 
@@ -138,20 +138,18 @@ def charge_density(psi):
     return kernels.spinor_density(psi)
 
 
-def kinetic_current(grid: Grid, a, grad_a=None):
+def kinetic_current(grid: Grid, a, a_hat=None):
     """
     ``Im(conj(a) . grad a)`` summed over spinor components, the current the
-    Pauli kinetic term produces.  ``grad_a``, the
-    :func:`~poisswell.operators.derivative_table` of ``a``, is taken when
-    the caller holds it.
+    Pauli kinetic term produces, each component from one derivative of
+    ``a`` (:func:`~poisswell.operators.partials`, with ``a_hat`` as its
+    ``fh``) that is freed before the next is made.
     """
     a = np.asarray(a)
-    if grad_a is None:
-        grad_a = derivative_table(grid, grid.fft(a), half=False)
     conj_a = np.conj(a)
     out = np.zeros((3,) + grid.shape)
-    for i in range(grid.dim):
-        out[i] = np.sum(conj_a * grad_a[i], axis=0).imag
+    for i, d in enumerate(partials(grid, a, a_hat)):
+        out[i] = np.sum(np.multiply(conj_a, d, out=d), axis=0).imag
     return out
 
 
@@ -170,15 +168,16 @@ def pauli_current(grid: Grid, psi, A, epsilon):
     return J
 
 
-def wkb_current(grid: Grid, a, u, A, epsilon, grad_a=None, rho=None):
+def wkb_current(grid: Grid, a, u, A, epsilon, a_hat=None, rho=None):
     """
     The Pauli current of ``a exp(iS/eps)`` in closed form,
     ``rho (u - A) + eps (Im(conj(a) grad a) - curl(conj(a) sigma a))``;
     algebraically identical to :func:`pauli_current` on reconstructed
     spinors.  A ``None`` for ``u`` or ``A`` reads as zero: with both None
     it is the O(eps) part, and with ``A = None`` the screened solve's source.
-    At eps = 0 it is ``rho (u - A)``, made without a transform.  ``grad_a``
-    (the derivative table of ``a``) and ``rho`` are taken when given.
+    At eps = 0 it is ``rho (u - A)``, made without a transform.  ``a_hat``
+    (the spectrum of ``a``, read as :func:`kinetic_current` reads it) and
+    ``rho`` are taken when given.
     """
     if rho is None:
         rho = charge_density(a)
@@ -186,7 +185,7 @@ def wkb_current(grid: Grid, a, u, A, epsilon, grad_a=None, rho=None):
         u = -A if u is None else u - A
     J = np.zeros((3,) + grid.shape) if u is None else rho * u
     if epsilon > 0:
-        J += epsilon * (kinetic_current(grid, a, grad_a) - curl(grid, spin_density(a)))
+        J += epsilon * (kinetic_current(grid, a, a_hat) - curl(grid, spin_density(a)))
     return J
 
 
@@ -194,7 +193,7 @@ SCREENED_TOL, SCREENED_MAX_ITERS = 1e-11, 200  # of every screened solve
 
 
 def self_consistent_potentials(grid: Grid, params: SimParams, a, epsilon, u=None,
-                               guess=None, grad_a=None):
+                               guess=None, a_hat=None):
     """
     V from the neutralized Poisson solve; A from the screened problem
     ``(-Delta + rho) A = eps (Im(conj(a) grad a) - curl(conj(a) sigma a)) + rho u``,
@@ -204,8 +203,8 @@ def self_consistent_potentials(grid: Grid, params: SimParams, a, epsilon, u=None
     amplitude and velocity, and at eps = 0 its source reduces to ``rho u``.
     ``guess``, when given, is the starting iterate of the screened solve
     (a nearby state's A); it changes the work done, not the tolerance met.
-    ``grad_a``, the derivative table of ``a``, spares the current its own
-    transforms.
+    ``a_hat``, the spectrum of ``a``, goes to :func:`kinetic_current`, whose
+    derivatives of ``a`` are all freed before the screened solve starts.
     """
     if not params.coupling:
         return Potentials(V=np.zeros(grid.shape), A=np.zeros((3,) + grid.shape))
@@ -214,7 +213,7 @@ def self_consistent_potentials(grid: Grid, params: SimParams, a, epsilon, u=None
     if not params.magnetic:
         return Potentials(V=V, A=np.zeros((3,) + grid.shape))
     # the source is passed unnamed, so it is freed once the solve holds its spectrum
-    A = solve_screened_vector(grid, wkb_current(grid, a, u, None, epsilon, grad_a, rho), rho,
+    A = solve_screened_vector(grid, wkb_current(grid, a, u, None, epsilon, a_hat, rho), rho,
                               tol=SCREENED_TOL, max_iters=SCREENED_MAX_ITERS,
                               guess=guess)
     return Potentials(V=V, A=A)

@@ -1,5 +1,7 @@
 import collections
+import inspect
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -73,6 +75,9 @@ class TransformCount(collections.Counter):
     """
     Calls of each ``Grid`` transform, by method name; ``components`` counts
     the fields they transformed (the leading components of each argument).
+    Both count full transforms: a transform along one axis of a d-dimensional
+    grid (``axis=``) counts as ``1/d`` of a call and of each of its
+    components, exactly (a :class:`~fractions.Fraction`).
     """
 
     def __init__(self):
@@ -91,9 +96,12 @@ def transform_count(monkeypatch):
     for name in ("fft", "ifft", "ifft_real", "rfft", "irfft"):
         method = getattr(Grid, name)
 
-        def counted(self, f, *args, _method=method, _name=name, **kwargs):
-            counts[_name] += 1
-            counts.components[_name] += int(np.prod(np.shape(f)[: np.ndim(f) - self.dim]))
+        def counted(self, f, *args, _method=method, _name=name,
+                    _signature=inspect.signature(method), **kwargs):
+            axis = _signature.bind(self, f, *args, **kwargs).arguments.get("axis")
+            share = 1 if axis is None else Fraction(1, self.dim)
+            counts[_name] += share
+            counts.components[_name] += share * int(np.prod(np.shape(f)[: np.ndim(f) - self.dim]))
             return _method(self, f, *args, **kwargs)
 
         monkeypatch.setattr(Grid, name, counted)

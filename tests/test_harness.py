@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from poisswell import harness
 from poisswell.config import parse_config
@@ -47,6 +49,26 @@ class TestSlopeFit:
 
     def test_zero_errors_skipped(self):
         assert fit_loglog_slope([0.4, 0.2, 0.1], [0.0, 0.0, 0.0]) is None
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(points=st.lists(
+        st.tuples(st.floats(1e-4, 10.0),
+                  st.one_of(st.floats(1e-12, 1e12), st.sampled_from([0.0, -1.0, np.nan]))),
+        min_size=3, max_size=10))
+    def test_closed_form_is_the_polyfit_slope(self, points):
+        # the reference is numpy's least-squares line through the kept
+        # points; the logs carry rounding relative to their own size, so a
+        # slope near zero is compared against max |log y| / range of log x
+        xs, ys = zip(*points)
+        kept = [(x, y) for x, y in points if y > 0]
+        lx, ly = np.log([p[0] for p in kept]), np.log([p[1] for p in kept])
+        got = fit_loglog_slope(xs, ys)
+        if len(kept) < 3:
+            assert got is None
+            return
+        assume(np.ptp(lx) > 1e-3)
+        expected = np.polyfit(lx, ly, 1)[0]
+        assert abs(got - expected) <= 1e-12 * max(abs(expected), np.max(np.abs(ly)) / np.ptp(lx))
 
 
 class TestLadder:

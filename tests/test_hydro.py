@@ -85,7 +85,7 @@ class TestRhs:
         dS_hat = solver.nonlinear_rhs(st, pots, spectral=True)[1]
         dS = solver.rhs(st, pots)[1]
         assert np.array_equal(g.irfft(dS_hat), dS)
-        du = derivative_table(g, dS_hat, half=True)
+        du = derivative_table(g, dS_hat)
         assert l2_norm(g, du[0] - gradient(g, dS)[0]) <= 1e-12 * l2_norm(g, du)
         rec = solver._record(0.0, st, pots, None)
         assert rec.xs_eps_dtu == functionals(g, st, solver.params.s, dt_u=du).xs_eps_dtu
@@ -275,10 +275,9 @@ class TestIntegratingFactor:
         dt = 0.01
 
         def full_rhs(a, S_hat):
-            grad_a = derivative_table(g, g.fft(a), half=False)
             u, lap_S = phase_velocity(g, S_hat, st.u_mean, laplacian=True)
             pots = self_consistent_potentials(g, params, a, 0.0, u)
-            return solver._nonlinear(a, grad_a, u, lap_S, pots, spectral=False)
+            return solver._nonlinear(a, None, u, lap_S, pots, spectral=False)
 
         y = (st.a, g.rfft(st.S))
         ks = [full_rhs(*y)]
@@ -296,15 +295,17 @@ class TestIntegratingFactor:
 class TestTransformCounts:
     def test_step_keeps_the_amplitude_spectral(self, transform_count):
         # eps > 0, no coupling: the stage derivatives of a and S arrive as
-        # masked spectra; each stage inverts a and its derivatives from the
-        # stage spectrum, and u and div u from the stage's S_hat in one
-        # batched inverse
+        # masked spectra; each stage inverts a from the stage spectrum, u and
+        # div u from the stage's S_hat in one batched inverse, and streams
+        # a's derivatives from a transform pair along each axis, which count
+        # 2 full transforms in 3d (28 in all; 32 when each stage inverted
+        # the stage spectrum once per axis, 3 full transforms)
         g = Grid((16, 16, 16))
         solver = HydroSolver(g, SimParams(epsilon=0.2, coupling=False))
         st = solver._dealias(gaussian_bump(g, epsilon=0.2))
         transform_count.clear()
         solver.step_rk4(st, 0.01)
-        assert sum(transform_count.values()) == 32
+        assert sum(transform_count.values()) == 28
 
     def test_coupled_step_transform_budget(self, transform_count):
         # a coupled 32^3 step and the potentials of its result: one spectrum
@@ -368,7 +369,7 @@ class TestRun:
         for st, pots, rec in zip(run.states, run.potentials, run.records):
             dS_hat = solver.nonlinear_rhs(st, pots, spectral=True)[1]
             assert np.array_equal(g.irfft(dS_hat), solver.rhs(st, pots)[1])
-            fn = functionals(g, st, run.params.s, dt_u=derivative_table(g, dS_hat, half=True))
+            fn = functionals(g, st, run.params.s, dt_u=derivative_table(g, dS_hat))
             assert rec.xs_eps_dtu == fn.xs_eps_dtu
 
     def test_charge_conservation_bump(self):

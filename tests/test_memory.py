@@ -1,6 +1,7 @@
 """
 What a run holds and computes: the peak of one RK4 step and of one hydro
-sample's diagnostics, the initial state a WKB run leaves to its caller and
+sample's diagnostics, the derivatives of the amplitude that no screened
+solve sees, the initial state a WKB run leaves to its caller and
 whose velocity it never reads, the samples a spinor run keeps alive, the
 WKB state a ``pauli`` run does not hold and the run's peak, the peak of
 writing a snapshot, the release of the WKB states before the spinor run of
@@ -42,7 +43,10 @@ def c14_step_peak(traced_peak, n, dt):
 
 
 def test_rk4_step_peak_within_budget(traced_peak):
-    # 16^3: 2.07 MiB traced when div u owns its data and the stage solves
+    # 16^3: 1.77 MiB traced when the derivatives of a stream into the
+    # stage's current and advection one axis at a time, so none is alive
+    # through a stage solve; 2.07 MiB when each stage held a's derivative
+    # table through its solve, and div u owns its data and the stage solves
     # read their guesses in place, hold four half spectra and one real
     # buffer, which ends as A, and invert in a spent spectrum; 2.47 MiB when
     # div u keeps the whole inverse of the phase alive and the solves hold
@@ -50,13 +54,58 @@ def test_rk4_step_peak_within_budget(traced_peak):
     # irfftn's fresh arrays; 2.63 MiB when y2, y3 and y4 stay referenced
     # through the stage solves, and 3.37 MB when also k1..k3 stay
     # referenced until the step returns
-    assert c14_step_peak(traced_peak, 16, 0.05 / 8) <= 2.2 * 2**20
+    assert c14_step_peak(traced_peak, 16, 0.05 / 8) <= 1.9 * 2**20
 
 
 def test_rk4_step_peak_at_32_within_budget(traced_peak):
-    # 32^3 at smoke-3d's dt: 16.77 MB traced, and 20.25 MB with the 2.47 MiB
-    # stage solves and div u of test_rk4_step_peak_within_budget
-    assert c14_step_peak(traced_peak, 32, 0.05 / 16) <= 17.5 * 10**6
+    # 32^3 at smoke-3d's dt: 13.82 MB traced with the streamed derivatives
+    # of test_rk4_step_peak_within_budget, 16.77 MB with a's derivative
+    # table held through each stage solve, and 20.25 MB with the 2.47 MiB
+    # stage solves and div u
+    assert c14_step_peak(traced_peak, 32, 0.05 / 16) <= 14.5 * 10**6
+
+
+def test_screened_solves_see_no_derivative_of_the_amplitude(monkeypatch):
+    # each WKB stage streams the derivatives of a into its current before
+    # its screened solve and into its advection after it, and a spinor step
+    # those of psi into its transport and its midpoint current: every one
+    # comes from partials, and none is alive while a solve runs
+    from poisswell import operators, states
+
+    made, alive = [], []
+    partials, solve = operators.partials, states.solve_screened_vector
+
+    def spied_partials(*args, **kwargs):
+        for d in partials(*args, **kwargs):
+            made.append(weakref.ref(d))
+            yield d
+
+    def spied_solve(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in made))
+        return solve(*args, **kwargs)
+
+    for module in (operators, states):
+        monkeypatch.setattr(module, "partials", spied_partials)
+    monkeypatch.setattr(states, "solve_screened_vector", spied_solve)
+    g = Grid((16, 16, 16))
+    params = SimParams(epsilon=0.2, T=0.05)
+    init = gaussian_bump(g, amplitude=0.2, width=1.2, epsilon=0.2)
+    hydro = HydroSolver(g, params)
+    state = hydro._dealias(init)
+    pots = hydro.potentials(state)
+    made.clear()
+    alive.clear()
+    hydro.step_rk4(state, 0.05 / 8, pots)
+    # stage 1 advects; stages 2-4 make a current and advect: 3 axes each
+    assert alive == [0, 0, 0] and len(made) == 21
+    pauli = PauliSolver(g, params)
+    psi = pauli._dealias(reconstruct_spinor(g, init))
+    fields = pauli._fields(pauli.potentials(psi))
+    made.clear()
+    alive.clear()
+    pauli.step(psi, 0.05 / 8, fields)
+    # six transport passes and the midpoint's current
+    assert alive == [0] and len(made) == 21
 
 
 def test_record_peak_within_budget(traced_peak):
@@ -224,8 +273,9 @@ def test_wkb_run_freed_before_the_spinor_run(monkeypatch):
 
 
 def test_spinor_vs_wkb_peak_within_budget(traced_peak):
-    # the c14 comparison on 16^3: 3.57 MiB traced with the 2.07 MiB steps of
-    # test_rk4_step_peak_within_budget; 3.97 MiB with the 2.47 MiB ones, when
+    # the c14 comparison on 16^3: 3.27 MiB traced with the 1.77 MiB steps of
+    # test_rk4_step_peak_within_budget; 3.57 MiB with the 2.07 MiB ones and
+    # 3.97 MiB with the 2.47 MiB ones, when
     # the WKB run stores its samples as bands and no potentials; 5.1 MiB when
     # it stores them as spinors, and 7.4 MB when it holds its states and
     # potentials until it ends and is reconstructed after
@@ -233,7 +283,7 @@ def test_spinor_vs_wkb_peak_within_budget(traced_peak):
     init = gaussian_bump(g, amplitude=0.2, width=1.2, epsilon=0.2)
     report, peak = traced_peak(harness.spinor_vs_wkb, g, init, SimParams(epsilon=0.2, T=0.05))
     assert len(report.distances) == 11
-    assert peak <= 3.75 * 2**20
+    assert peak <= 3.45 * 2**20
 
 
 def wkb_run(n_samples=8, keep=keep_all):

@@ -348,15 +348,45 @@ def test_half_spectrum_vdot_is_parseval(shape, rng):
 
 @pytest.mark.parametrize("shape", [(64,), (16, 12), (12, 8, 10)])
 def test_derivative_tables_match_deriv(shape, rng):
-    # the stage tables: a complex amplitude's derivatives, one inverse per
-    # axis, and a real vector's Jacobian d_i f_j, one batched inverse
+    # a complex amplitude's derivatives, streamed one transform pair along
+    # each axis, and a real vector's Jacobian d_i f_j, one batched inverse
     g = Grid(shape)
     a = random_band_limited(g, rng, components=2, complex_=True, kmax=3)
     v = random_band_limited(g, rng, components=3, kmax=3)
-    grad_a = ops.derivative_table(g, g.fft(a), half=False)
-    jac = ops.derivative_table(g, g.rfft(v), half=True)
+    grad_a = list(ops.partials(g, a))
+    jac = ops.derivative_table(g, g.rfft(v))
     assert len(grad_a) == g.dim and jac.shape == (g.dim, 3) + g.shape
     for i in range(g.dim):
         assert np.max(np.abs(grad_a[i] - ops.deriv(g, a, i))) <= 1e-13 * np.max(np.abs(a))
         for j in range(3):
             assert np.max(np.abs(jac[i, j] - ops.deriv(g, v[j], i))) <= 1e-13 * np.max(np.abs(v))
+
+
+@pytest.mark.parametrize("shape", [(16, 12), (12, 8, 10)])
+def test_one_axis_derivatives_match_deriv_with_nyquist_content(shape, rng):
+    # every mode of the spectrum is filled, the Nyquist lines among them:
+    # ifft_i(i k_i fft_i(f)) zeroes axis i's Nyquist line as the full
+    # spectrum's derivative does, and keeps the other axes' ones
+    g = Grid(shape)
+    a = rng.standard_normal((2,) + shape) + 1j * rng.standard_normal((2,) + shape)
+    assert all(np.min(np.abs(np.take(g.fft(a), n // 2, axis=i - g.dim))) > 0
+               for i, n in enumerate(shape))
+    for i, d in enumerate(ops.partials(g, a)):
+        expected = ops.deriv(g, a, i)
+        assert np.max(np.abs(d - expected)) <= 1e-13 * np.max(np.abs(expected))
+    vel = rng.standard_normal((3,) + shape)
+    expected = ops.advect(g, vel, a)
+    assert np.max(np.abs(ops.directional(g, vel, a) - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+def test_one_axis_derivative_on_a_1d_grid_is_the_spectral_one(rng):
+    # on a 1d grid the one-axis transform is the spectrum: with or without
+    # the caller's spectrum the derivative is ifft(i k fh), to the bit
+    g = Grid((64,))
+    a = rng.standard_normal((2, 64)) + 1j * rng.standard_normal((2, 64))
+    fh = g.fft(a)
+    expected = g.ifft(1j * k3(g)[0] * fh)
+    for given in (None, fh):
+        (d,) = ops.partials(g, a, given)
+        assert np.array_equal(d, expected)
+    assert np.array_equal(fh, g.fft(a))  # the caller's spectrum is not written to

@@ -194,9 +194,12 @@ class TestStep:
 
     def test_step_transform_budget(self, transform_count):
         # a coupled 32^3 step given its predictor potentials, as a run's
-        # steps are, makes 134 transformed components: psi is transformed
+        # steps are, makes 118 transformed components: psi is transformed
         # once on entry and once on exit, the midpoint solve is the only
-        # one, and it iterates in spectral space
+        # one, and it iterates in spectral space; the six transport passes
+        # and the midpoint's current stream psi's derivatives from transform
+        # pairs along each axis, 4 components each where inverting psi's
+        # spectrum once per axis made 6, and its current's 8 (134 in all)
         g = Grid((32, 32, 32))
         params = SimParams(epsilon=0.2, T=0.05)
         solver = PauliSolver(g, params)
@@ -207,7 +210,7 @@ class TestStep:
         fields = solver._fields(pots)
         transform_count.clear()
         solver.step(psi, dt, fields)
-        assert sum(transform_count.components.values()) <= 134
+        assert sum(transform_count.components.values()) <= 118
 
     def test_stability_violation_raised(self):
         g = Grid((32,))

@@ -77,6 +77,21 @@ class TestPhaseCurrent:
         w = kinetic_current(g, spinup(c * np.exp(1j * x)))
         assert np.max(np.abs(w[0] - c**2)) < 1e-11
 
+    @pytest.mark.parametrize("shape", [(64,), (16, 12), (12, 8, 10)])
+    def test_streamed_current_is_the_gradient_formula(self, shape, rng):
+        # reference: Im(conj(a) . grad a) with grad a from the full-spectrum
+        # gradient of each component; the current streams one-axis derivatives
+        from poisswell.operators import gradient
+
+        g = Grid(shape)
+        a = random_band_limited(g, rng, components=2, complex_=True, kmax=3)
+        grad = np.stack([gradient(g, c) for c in a], axis=1)  # (3, 2, *shape)
+        expected = np.sum(np.conj(a) * grad, axis=1).imag
+        w = kinetic_current(g, a)
+        assert np.max(np.abs(w - expected)) <= 1e-13 * np.max(np.abs(expected))
+        if g.dim == 1:  # the caller's spectrum gives the same bits
+            assert np.array_equal(kinetic_current(g, a, g.fft(a)), w)
+
 
 class TestPauliCurrent:
     def test_uniform_zero(self):
