@@ -64,7 +64,8 @@ def _dump_records(manifest, records, stem):
 
 
 def _run_single(cfg: RunConfig, grid, init, manifest: Manifest):
-    """One run of ``init``: the spinor of a ``pauli`` config, the WKB state otherwise."""
+    """One run of the data in the holder ``init``, which the run empties: the
+    spinor of a ``pauli`` config, the WKB state otherwise."""
     thresholds = _thresholds(cfg)
     taken = itertools.count()
     if cfg.kind == "pauli":
@@ -74,7 +75,7 @@ def _run_single(cfg: RunConfig, grid, init, manifest: Manifest):
 
         run = PauliSolver(grid, cfg.sim_params(), thresholds).run(init, keep=keep)
     else:
-        params = cfg.sim_params(epsilon=init.epsilon)
+        params = cfg.sim_params(epsilon=init[0].epsilon)
         residuals = residual_window(grid)
 
         def keep(record, state, pots):  # written as taken too, and the window fills the residuals
@@ -167,11 +168,12 @@ def _run_spinor_vs_wkb(cfg: RunConfig, grid, init, manifest: Manifest):
 
 def run_command(cfg: RunConfig, out_override=None):
     started = time.perf_counter()
-    # the data is built first: data the family rejects leaves no directory
+    # the data is built first: data the family rejects leaves no directory.  A
+    # one-slot holder keeps it, which a single run or the comparison empties
     grid = cfg.build_grid()
-    init = cfg.build_initial(grid, epsilon=0.0 if cfg.kind == "euler" else None)
+    init = [cfg.build_initial(grid, epsilon=0.0 if cfg.kind == "euler" else None)]
     if cfg.kind == "pauli":  # the spinor run holds no WKB state
-        init = reconstruct_spinor(grid, init)
+        init = [reconstruct_spinor(grid, init.pop())]
     out = _output_dir(cfg, out_override)
     manifest = Manifest(out)
     manifest.path("config.txt", "config")
@@ -179,7 +181,8 @@ def run_command(cfg: RunConfig, out_override=None):
     if cfg.kind in ("pauli", "wkb", "euler"):
         code, summary = _run_single(cfg, grid, init, manifest)
     elif cfg.kind in ("ladder", "monokinetic"):
-        code, summary = _run_ladder(cfg, grid, init, manifest, with_wigner=cfg.kind == "monokinetic")
+        code, summary = _run_ladder(cfg, grid, init.pop(), manifest,
+                                    with_wigner=cfg.kind == "monokinetic")
     elif cfg.kind == "spinor-vs-wkb":
         code, summary = _run_spinor_vs_wkb(cfg, grid, init, manifest)
     else:  # pragma: no cover - validate() guards this

@@ -24,6 +24,7 @@ from .states import (
     Run,
     SimParams,
     charge_density,
+    holder,
     reconstruct_spinor,
     wkb_current,
 )
@@ -318,6 +319,10 @@ def spinor_vs_wkb(
     minimized over the free global phase.  The distances stop at the
     shorter run; the report keeps each run's status and stop reason.
 
+    ``initial`` may come in a one-slot holder, by which a caller hands it
+    over: the initial spinor is made from it first, then the WKB run empties
+    the holder once it has dealiased the state, and the spinor run is
+    handed its spinor the same way.
     The WKB run stores each sample as its :func:`band_sample` when it is
     taken, and no potentials, so no WKB state outlives it.  The spinor run
     measures each sample's distance to the WKB spinor of its index, made
@@ -325,9 +330,10 @@ def spinor_vs_wkb(
     """
     if params.epsilon <= 0:
         raise PoisswellError("the comparison needs eps > 0")
+    initial = holder(initial)
+    psi0 = [reconstruct_spinor(grid, initial[0])]
     hrun = HydroSolver(grid, params, thresholds).run(
         initial, n_samples, keep=lambda record, state, _: (band_sample(grid, state), None))
-    psi0 = reconstruct_spinor(grid, initial)
     distances = []
 
     def measure(record, psi, pots):
@@ -400,10 +406,10 @@ def monokinetic_study(ladder: LadderRuns, base_points) -> MonokineticReport:
 
     defects, spinor_runs, last = [], {}, {}
     for eps in epsilons:
-        psi0 = reconstruct_spinor(grid, ladder.initial, eps)
-        # a run holds its last sample only; the study reads no other
+        # a run is handed its spinor and holds its last sample only; the study reads no other
         run = PauliSolver(grid, replace(params, epsilon=eps), ladder.thresholds).run(
-            psi0, ladder.n_samples, keep=lambda record, psi, pots: last.update(psi=psi))
+            [reconstruct_spinor(grid, ladder.initial, eps)], ladder.n_samples,
+            keep=lambda record, psi, pots: last.update(psi=psi))
         spinor_runs[eps] = run
         if run.status == "completed":
             defects.append(monokinetic_defect(grid, last["psi"], u_final, eps))

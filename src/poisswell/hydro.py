@@ -186,13 +186,17 @@ class HydroSolver:
         from the next step on starts from that extrapolation plus the defect
         instead of the in-step guess.
 
-        The step holds what its next stage reads: each stage's amplitude and
-        phase spectra are dropped once that stage has inverted them, before
-        its screened solve (a 1d grid keeps the amplitude's for its
-        derivatives), and ``k1 .. k3`` are folded into the running sum of
-        the last line, added left to right, before stage 4.  The in-step
-        guesses keep the stage A's until the step returns, and only while
-        they are used.
+        The step holds what its next stage reads: of ``state`` it keeps only
+        ``t``, eps and ``u_mean`` once the spectra of ``a`` and ``S`` are
+        taken, and of ``pots`` only ``A`` (for the guesses) once the first
+        stage has read them, so a caller that hands both over frees them
+        there; each stage's amplitude and phase spectra are dropped once
+        that stage has inverted them, before its screened solve (a 1d grid
+        keeps the amplitude's for its derivatives), a stage's spent guess
+        before its advection, and ``k1 .. k3`` are folded into the running
+        sum of the last line, added left to right, before stage 4.  The
+        in-step guesses keep the stage A's until the step returns, and only
+        while they are used.
         """
         if pots is None:
             pots = self.potentials(state)
@@ -200,10 +204,11 @@ class HydroSolver:
         if dt > bound * (1.0 + 1e-9):
             raise StabilityViolation(f"dt={dt:g} exceeds bound {bound:g} at t={state.t:g}")
         g = self.grid
-        spectral = state.epsilon > 0
+        t, epsilon, u_mean = state.t, state.epsilon, state.u_mean
+        spectral = epsilon > 0
         if spectral:
-            half = dispersion_factor(g, state.epsilon, 0.5 * dt, self._dispersion)
-            full = dispersion_factor(g, state.epsilon, dt, self._dispersion)
+            half = dispersion_factor(g, epsilon, 0.5 * dt, self._dispersion)
+            full = dispersion_factor(g, epsilon, dt, self._dispersion)
             fwd, inv = g.fft, g.ifft
         else:
             half = full = None
@@ -222,11 +227,9 @@ class HydroSolver:
             a = inv(y[0]) if a is None else a
             # only a 1d grid's derivatives read the spectrum; others drop it here
             a_hat = y[0] if spectral and g.dim == 1 else None
-            return (a, a_hat) + phase_velocity(g, y[1], state.u_mean, laplacian=True)
+            return (a, a_hat) + phase_velocity(g, y[1], u_mean, laplacian=True)
 
-        def stage(a, a_hat, u, lap_S, site=None):
-            if site is None:
-                return self._nonlinear(a, a_hat, u, lap_S, pots, spectral)
+        def stage(a, a_hat, u, lap_S, site):
             offset = 0.5 if site < 4 else 1.0
             defect = history is not None and site in history.defects
             if defect:
@@ -234,7 +237,7 @@ class HydroSolver:
             else:
                 guess = stage_A[-1] if len(stage_A) < 3 else 2.0 * stage_A[-1] - stage_A[0]
             stage_pots = self_consistent_potentials(
-                g, self.params, a, state.epsilon, u, guess=guess, a_hat=a_hat
+                g, self.params, a, epsilon, u, guess=guess, a_hat=a_hat
             )
             if defect:
                 history.solved(site, guess, stage_pots.A)
@@ -243,10 +246,14 @@ class HydroSolver:
                 # a defect off a constant trend would carry this step's slope into later guesses
                 if history is not None and len(history.points) > 1:
                     history.solved(site, history.ahead(offset), stage_pots.A)
+            del guess  # one made here is freed before the advection
             return self._nonlinear(a, a_hat, u, lap_S, stage_pots, spectral)
 
-        y = (fwd(state.a), g.rfft(state.S))
-        k1 = stage(*inverted(y, state.a))
+        a = state.a
+        y = (fwd(a), g.rfft(state.S))
+        del state  # of the input only t, eps and u_mean are read past here
+        k1 = self._nonlinear(*inverted(y, a), pots, spectral)
+        del a, pots  # the in-step guesses and the history hold the A they read
         k2 = stage(*inverted(prop(axpy(y, 0.5 * dt, k1), half)), 2)
         f3 = inverted(axpy(prop(y, half), 0.5 * dt, k2))
         # the running sum E(h) k1 + 2 E(h/2) k2 + ..., added left to right
@@ -268,8 +275,7 @@ class HydroSolver:
         a_hat, S_hat = axpy(prop(y, full), dt, combo)
         a = inv(a_hat * dealias_mask(g)) if spectral else dealias(g, a_hat)
         S_hat = S_hat * dealias_mask(g, half=True)
-        return HydroState(g, a, g.irfft(S_hat), state.u_mean, state.t + dt, state.epsilon,
-                          S_hat=S_hat)
+        return HydroState(g, a, g.irfft(S_hat), u_mean, t + dt, epsilon, S_hat=S_hat)
 
     # -- full run -----------------------------------------------------------------
 
@@ -307,16 +313,19 @@ class HydroSolver:
         the monitor end it at any time.  ``n_samples`` places the samples at
         ``T k / n_samples``, and ``keep`` says what the run stores of each
         (:func:`~poisswell.states.run_loop`).  ``init`` is not copied: the
-        loop reads it only through :meth:`_dealias`.
+        loop reads it only through :meth:`_dealias`, and empties a one-slot
+        holder ``[init]`` there.  Each step is handed the loop's state and
+        potentials and frees them once read (:meth:`step_rk4`).
         """
         warned = False
         history = SolveHistory(4) if self.params.magnetic and self.params.coupling else None
 
-        def advance(state, dt, pots, sample):
+        def advance(now, dt, sample):
             try:
                 if history is not None and not history.points:
-                    history.push(0, pots.A)
-                state = finite(self.step_rk4(state, dt, pots, history))
+                    history.push(0, now[1].A)
+                # popped into the call: the step holds the only reference to its input
+                state = finite(self.step_rk4(now.pop(0), dt, now.pop(), history))
                 if history is None:
                     return state, self.potentials(state)
                 pots = self.potentials(state, guess=history.ahead(1.0))

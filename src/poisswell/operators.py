@@ -68,15 +68,18 @@ def divergence(grid: Grid, vec):
 
 
 def curl(grid: Grid, vec):
-    """Embedded curl of a 3-component vector field."""
+    """Embedded curl of a 3-component vector field, its spectrum built in one
+    array; a real field's inverse takes the spent spectrum of ``vec`` as work."""
     fwd, inv, half = _transforms(grid, vec)
     k = k3(grid, half)
     v = fwd(vec)
-    return inv(1j * np.stack([
-        k[1] * v[2] - k[2] * v[1],
-        k[2] * v[0] - k[0] * v[2],
-        k[0] * v[1] - k[1] * v[0],
-    ]))
+    c = np.empty_like(v)
+    for i in range(3):  # c_i = k_j v_l - k_l v_j for (i, j, l) cyclic
+        j, l = (i + 1) % 3, (i + 2) % 3
+        np.multiply(k[j], v[l], out=c[i])
+        c[i] -= k[l] * v[j]
+    c *= 1j
+    return grid.irfft(c, work=v) if half else inv(c, out=c)
 
 
 def curl_divergence(grid: Grid, vec):
@@ -123,12 +126,15 @@ def partials(grid: Grid, f, fh=None):
     ``ifft_i(i k_i fft_i(f))`` in an array of its own that the reader may
     spend: two one-axis passes, where inverting the full spectrum takes d.
     On a 1d grid that is the spectrum ``fh``, read when the caller holds it.
+    Each is dropped here before the next is made, so a reader that drops it
+    too holds one at a time.
     """
     ks = k3(grid)
     for i in range(grid.dim):
         d = fh.copy() if grid.dim == 1 and fh is not None else grid.fft(f, axis=i)
         np.multiply(1j * ks[i], d, out=d)
         yield grid.ifft(d, axis=i, out=d)
+        del d
 
 
 def directional(grid: Grid, g, f, fh=None):
@@ -138,6 +144,7 @@ def directional(grid: Grid, g, f, fh=None):
     for gj, d in zip(g, partials(grid, f, fh)):
         np.multiply(gj, d, out=d)
         out = d if out is None else np.add(out, d, out=out)
+        del d  # before partials makes the next
     return out
 
 

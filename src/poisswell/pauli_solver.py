@@ -151,11 +151,11 @@ class PauliSolver:
 
     def _kinetic(self, psi_hat, dt, dealias=False):
         """
-        The exact kinetic flow over ``dt``, on the spectrum ``psi_hat``;
-        ``dealias`` also masks the result.
+        The exact kinetic flow over ``dt``, on the spectrum ``psi_hat``, in
+        place; ``dealias`` also masks the result.
         """
         g = self.grid
-        psi_hat = psi_hat * dispersion_factor(g, self.params.epsilon, dt, self._dispersion)
+        psi_hat *= dispersion_factor(g, self.params.epsilon, dt, self._dispersion)
         if dealias:
             psi_hat *= dealias_mask(g)
         return psi_hat
@@ -185,10 +185,12 @@ class PauliSolver:
         A without one.  The stability bound is checked with the potentials
         the step starts from.
 
-        psi is transformed once on entry and inverted once on exit.  The
-        spectrum after the first kinetic half serves both first transport
-        passes and is dropped once they have read it; the last transport
-        half returns its spectrum to the last kinetic half.
+        psi is transformed once on entry and inverted once on exit; the
+        input is not read after its transform, so a caller that hands it
+        over frees it there.  The spectrum after the first kinetic half
+        serves both first transport passes and is dropped once they have
+        read it; the last transport half returns its spectrum to the last
+        kinetic half.
         """
         if dt == 0.0:
             return psi.copy()
@@ -196,8 +198,9 @@ class PauliSolver:
         magnetic = p.magnetic and p.coupling
         if magnetic and fields is None:
             fields = self._fields(self.potentials(psi))
-        psi_hat = self._kinetic(g.fft(psi), tau)
-        psi = g.ifft(psi_hat)
+        psi_hat = g.fft(psi)
+        del psi  # spent: a caller that handed it over frees it here
+        psi = g.ifft(self._kinetic(psi_hat, tau))
         pots, B, divA = fields if magnetic else self._fields(self.potentials(psi))
         bound = self.dt_bound(psi, pots)
         if dt > bound * (1.0 + 1e-9):
@@ -222,7 +225,8 @@ class PauliSolver:
         return g.ifft(self._kinetic(psi_hat, tau, dealias=True))
 
     def _dealias(self, psi):
-        return self.grid.ifft(self.grid.fft(psi) * dealias_mask(self.grid))
+        g = self.grid
+        return g.ifft(g.fft(np.asarray(psi, dtype=complex)) * dealias_mask(g))
 
     # -- full run --------------------------------------------------------------
 
@@ -243,7 +247,11 @@ class PauliSolver:
         taken so far; a completed run whose spectral tail passed
         ``thresholds.tail`` carries that as its stop reason.  ``n_samples``
         places the samples at ``T k / n_samples``, and ``keep`` says what the
-        run stores of each (:func:`~poisswell.states.run_loop`).
+        run stores of each (:func:`~poisswell.states.run_loop`).  The loop
+        reads ``psi0`` only through :meth:`_dealias`, and empties a one-slot
+        holder ``[psi0]`` there.  Each step is handed the loop's spinor and
+        frees it after its first transform (:meth:`step`); a sample's
+        potentials, which hold their spinor, are dropped before it.
 
         With a magnetic coupling each step's predictor takes the potentials
         at its start, extrapolated linearly in time from the last two solved
@@ -267,6 +275,8 @@ class PauliSolver:
         taken = 0
 
         def predictor(pots):
+            if not magnetic:
+                return None
             if not solved:
                 solved.append(pots)  # the first step's pots are P_0
                 history.push(0.0, pots.A)
@@ -275,11 +285,11 @@ class PauliSolver:
             # half a step past P_0 and a whole step past an earlier midpoint
             return self._fields(_extrapolate(1.0 if taken == 1 else 0.5, *solved))
 
-        def advance(psi, dt, pots, sample):
+        def advance(now, dt, sample):
             nonlocal taken
             try:
-                psi = finite(self.step(psi, dt, predictor(pots) if magnetic else None, solved,
-                                       history))
+                # popped into the call: the step holds the only reference to its input
+                psi = finite(self.step(now.pop(0), dt, predictor(now.pop()), solved, history))
             except StabilityViolation as exc:
                 raise RunStopped(str(exc)) from exc
             except NonConvergence as exc:
@@ -291,8 +301,7 @@ class PauliSolver:
             # no step past the first reads pots, and a sample's would keep its psi alive
             return psi, self._sample_potentials(psi) if sample else None
 
-        run = run_loop(self, np.asarray(psi0, dtype=complex), advance, n_samples=n_samples,
-                       keep=keep)
+        run = run_loop(self, psi0, advance, n_samples=n_samples, keep=keep)
         if run.status == "completed" and any(
             r.tail_fraction > self.thresholds.tail for r in run.records[1:]
         ):

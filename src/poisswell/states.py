@@ -150,22 +150,18 @@ def kinetic_current(grid: Grid, a, a_hat=None):
     out = np.zeros((3,) + grid.shape)
     for i, d in enumerate(partials(grid, a, a_hat)):
         out[i] = np.sum(np.multiply(conj_a, d, out=d), axis=0).imag
+        del d
     return out
 
 
 def pauli_current(grid: Grid, psi, A, epsilon):
     """
-    The Pauli current ``Im(conj(psi)(eps grad - iA)psi) - eps curl(conj(psi) sigma psi)``.
-
-    This is the defining formula; with it the continuity law reads
-    ``d_t rho + div J = 0`` (the convention every residual diagnostic uses).
+    The Pauli current ``Im(conj(psi)(eps grad - iA)psi) - eps curl(conj(psi) sigma psi)``,
+    :func:`wkb_current` of ``psi`` with no velocity; with it the continuity
+    law reads ``d_t rho + div J = 0`` (the convention every residual
+    diagnostic uses).
     """
-    J = epsilon * kinetic_current(grid, psi)
-    rho = charge_density(psi)
-    for i in range(3):
-        J[i] -= rho * A[i]
-    J -= epsilon * curl(grid, spin_density(psi))
-    return J
+    return wkb_current(grid, psi, None, A, epsilon)
 
 
 def wkb_current(grid: Grid, a, u, A, epsilon, a_hat=None, rho=None):
@@ -185,7 +181,10 @@ def wkb_current(grid: Grid, a, u, A, epsilon, a_hat=None, rho=None):
         u = -A if u is None else u - A
     J = np.zeros((3,) + grid.shape) if u is None else rho * u
     if epsilon > 0:
-        J += epsilon * (kinetic_current(grid, a, a_hat) - curl(grid, spin_density(a)))
+        eps_part = kinetic_current(grid, a, a_hat)
+        eps_part -= curl(grid, spin_density(a))
+        eps_part *= epsilon
+        J += eps_part
     return J
 
 
@@ -363,6 +362,11 @@ def finite(state):
     return state
 
 
+def holder(data):
+    """``data`` as a one-slot holder, a one-item list: ``data`` itself when it is one."""
+    return data if isinstance(data, list) else [data]
+
+
 def keep_all(record, state, pots):
     """The default ``keep`` of :func:`run_loop`: a sample stores its state and potentials."""
     return state, pots
@@ -371,7 +375,10 @@ def keep_all(record, state, pots):
 def run_loop(solver, state, advance, watch=None, n_samples=None, keep=keep_all) -> Run:
     """
     Integrate ``state`` over [0, T] and sample it every ``sample_every``
-    steps and at the end.
+    steps and at the end.  ``state`` is the initial data or a one-slot
+    holder of it (:func:`holder`), which the loop empties once
+    ``_dealias`` has made the run's own state from it: a caller that hands
+    its data over so keeps none of it alive through the run.
 
     dt is ``params.dt`` or :func:`default_dt` of the dealiased initial
     state and its potentials; a dt that would take more than
@@ -383,10 +390,16 @@ def run_loop(solver, state, advance, watch=None, n_samples=None, keep=keep_all) 
 
     ``solver`` supplies ``params``, ``potentials(state)``, ``dt_bound(state,
     pots)`` (for the default dt), ``_dealias(state)`` and ``_record(t,
-    state, pots, previous)``.  ``advance(state, dt, pots, sample)`` takes
-    one step with the potentials it returned last (the initial ones first)
-    and returns ``(new state, potentials)``: the potentials its next step
+    state, pots, previous)``.  ``advance(now, dt, sample)`` takes one step
+    from ``now``, the list ``[state, potentials]`` of the current state and
+    the potentials ``advance`` returned last (the initial ones first), and
+    returns ``(new state, potentials)``: the potentials its next step
     reads, if any, and, when ``sample`` is set, those the record reads.
+    The loop keeps no other reference to the items of ``now``: an
+    ``advance`` that pops them into its step's call (``now.pop(0)``) hands
+    the step the only reference to its input, which the step can free once
+    read (on CPython 3.11 and later, which move a call's arguments into
+    the callee's frame).
     ``keep(record, state, pots)`` reads each sample as it is taken, once its
     record is made, and returns what the run stores of it: ``None``, or a
     ``(state, potentials)`` pair whose ``None`` items are not stored.  The
@@ -412,10 +425,12 @@ def _store(run, kept):
             items.append(item)
 
 
-def _integrate(solver, state, advance, watch, n_samples, keep) -> Run:
+def _integrate(solver, data, advance, watch, n_samples, keep) -> Run:
     """The body of :func:`run_loop`."""
     p = solver.params
-    state = solver._dealias(state)
+    held = holder(data)
+    state = solver._dealias(held[0])
+    held.clear()
     pots = solver.potentials(state)
     dt = p.dt if p.dt is not None else default_dt(solver, state, pots)
     if p.T / dt > MAX_STEPS:
@@ -438,15 +453,17 @@ def _integrate(solver, state, advance, watch, n_samples, keep) -> Run:
         dt=dt,
     )
     _store(run, keep(run.records[0], state, pots))
+    now = [state, pots]  # the one reference the loop keeps to them, handed to advance
+    del state, pots
     for n in range(1, n_steps + 1):
         sample = n % p.sample_every == 0 or n == n_steps
         try:
-            state, pots = advance(state, dt, pots, sample)
+            now[:] = advance(now, dt, sample)
             if sample:
-                rec = solver._record(n * dt, state, pots, run.records[-1])
+                rec = solver._record(n * dt, *now, run.records[-1])
                 run.times.append(rec.t)
                 run.records.append(rec)
-                _store(run, keep(rec, state, pots))
+                _store(run, keep(rec, *now))
                 if watch is not None:
                     watch(run.records)
         except RunStopped as stop:

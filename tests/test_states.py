@@ -305,11 +305,11 @@ def test_run_loop_places_samples(n_samples):
     solver = StandIn(T=0.1, dt=0.01, sample_every=2)
     steps, sampled = [], []
 
-    def advance(state, dt, pots, sample):
+    def advance(now, dt, sample):
         steps.append(dt)
         if sample:
             sampled.append(len(steps))
-        return state, pots
+        return now
 
     run = run_loop(solver, np.zeros(1), advance, n_samples=n_samples)
     assert run.status == "completed"
@@ -325,12 +325,31 @@ def test_run_loop_places_samples(n_samples):
         assert sampled == [3, 6, 9, 12]
 
 
+def test_run_loop_empties_the_holder_of_its_data():
+    # data handed over in a one-slot holder reaches _dealias, and the loop
+    # leaves the holder empty; advance steps from the loop's [state, pots]
+    from poisswell.states import run_loop
+
+    solver, data, dealiased, started = StandIn(T=0.02, dt=0.01), np.zeros(1), [], []
+    solver._dealias = lambda state: dealiased.append(state) or state
+
+    def advance(now, dt, sample):
+        started.append(now[0])
+        return now
+
+    held = [data]
+    run = run_loop(solver, held, advance)
+    assert run.status == "completed" and held == []
+    assert len(dealiased) == 1 and dealiased[0] is data
+    assert len(started) == 2 and all(state is data for state in started)
+
+
 def test_run_loop_zero_horizon_takes_no_step():
     from poisswell.states import run_loop
 
     solver = StandIn(T=0.0, dt=0.01)
 
-    def advance(state, dt, pots, sample):
+    def advance(now, dt, sample):
         raise AssertionError("a T = 0 run takes no step")
 
     run = run_loop(solver, np.zeros(1), advance, n_samples=4)
