@@ -3,10 +3,12 @@ Command-line surface:
 
     poisswell run <config>      run one experiment described by the config
     poisswell ladder <config>   force the epsilon-ladder experiment
-    poisswell plot <report>     emit gnuplot scripts for an existing report
 
 Exit codes: 0 success, 2 blow-up detected (artifacts still written),
-1 any other error.  POISSWELL_OUT overrides the output root.
+1 any other error.  An error raised once the output directory exists
+still writes ``report.json`` (status "error") and ``manifest.json``.
+POISSWELL_OUT overrides the output root.  Every result is written as JSON
+or CSV, which any plotting tool reads as it is.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import plots
 from .config import RunConfig, config_as_dict, parse_config, serialize_config
 from .diagnostics import MonitorThresholds, envelope_check
 from .errors import PoisswellError
@@ -56,13 +57,6 @@ def _thresholds(cfg: RunConfig):
     return MonitorThresholds(ratio=cfg.threshold_ratio, tail=cfg.threshold_tail)
 
 
-def _dump_records(manifest, records, stem):
-    docs = [r.as_dict() for r in records]
-    write_jsonl(manifest.path(f"{stem}.jsonl", "diagnostics"), docs)
-    records_to_csv(manifest.path(f"{stem}.csv", "diagnostics-csv"), docs)
-    return docs
-
-
 def _run_single(cfg: RunConfig, grid, init, manifest: Manifest):
     """One run of the data in the holder ``init``, which the run empties: the
     spinor of a ``pauli`` config, the WKB state otherwise."""
@@ -84,7 +78,9 @@ def _run_single(cfg: RunConfig, grid, init, manifest: Manifest):
             residuals(record, state, pots)
 
         run = HydroSolver(grid, params, thresholds).run(init, keep=keep)
-    docs = _dump_records(manifest, run.records, "diagnostics")
+    docs = [r.as_dict() for r in run.records]
+    write_jsonl(manifest.path("diagnostics.jsonl", "diagnostics"), docs)
+    records_to_csv(manifest.path("diagnostics.csv", "diagnostics-csv"), docs)
     summary = {}
     if cfg.kind != "pauli":
         env = envelope_check(run.records, cfg.s)
@@ -103,9 +99,6 @@ def _run_single(cfg: RunConfig, grid, init, manifest: Manifest):
         summary["warnings"] = run.warnings
     report_path = manifest.path("report.json", "report")
     write_json(report_path, {"config": config_as_dict(cfg), "summary": summary})
-    plots.emit_diagnostics_timeseries(
-        docs, manifest.path("diagnostics.gp", "plot-script")
-    )
     return EXIT_BLOWUP if summary["status"] == "blowup" else EXIT_OK, summary
 
 
@@ -151,7 +144,6 @@ def _run_ladder(cfg: RunConfig, grid, init, manifest: Manifest, with_wigner: boo
         for r in report.rungs
     ]
     records_to_csv(manifest.path("ladder.csv", "ladder-csv"), rows)
-    plots.emit_loglog_errors(doc, manifest.path("errors.gp", "plot-script"))
     status = EXIT_OK if report.euler_status == "completed" else EXIT_BLOWUP
     return status, {"slopes": doc["slopes"], "degenerate": doc["degenerate"]}
 
@@ -178,46 +170,32 @@ def run_command(cfg: RunConfig, out_override=None):
     manifest = Manifest(out)
     manifest.path("config.txt", "config")
     (out / "config.txt").write_text(serialize_config(cfg), encoding="utf-8")
-    if cfg.kind in ("pauli", "wkb", "euler"):
-        code, summary = _run_single(cfg, grid, init, manifest)
-    elif cfg.kind in ("ladder", "monokinetic"):
-        code, summary = _run_ladder(cfg, grid, init.pop(), manifest,
-                                    with_wigner=cfg.kind == "monokinetic")
-    elif cfg.kind == "spinor-vs-wkb":
-        code, summary = _run_spinor_vs_wkb(cfg, grid, init, manifest)
-    else:  # pragma: no cover - validate() guards this
-        raise PoisswellError(f"unhandled kind {cfg.kind}")
-    manifest.write(extra={
-        "elapsed_seconds": time.perf_counter() - started,
-        "environment": {
-            "numpy": np.__version__,
-            "python": platform.python_version(),
-            "cpu_count": os.cpu_count(),
-        },
-    })
+    try:
+        if cfg.kind in ("pauli", "wkb", "euler"):
+            code, summary = _run_single(cfg, grid, init, manifest)
+        elif cfg.kind in ("ladder", "monokinetic"):
+            code, summary = _run_ladder(cfg, grid, init.pop(), manifest,
+                                        with_wigner=cfg.kind == "monokinetic")
+        elif cfg.kind == "spinor-vs-wkb":
+            code, summary = _run_spinor_vs_wkb(cfg, grid, init, manifest)
+        else:  # pragma: no cover - validate() guards this
+            raise PoisswellError(f"unhandled kind {cfg.kind}")
+    except PoisswellError as exc:  # the directory keeps the reason that stderr prints
+        summary = {"kind": cfg.kind, "status": "error", "error": type(exc).__name__,
+                   "message": str(exc)}
+        write_json(manifest.path("report.json", "report"),
+                   {"config": config_as_dict(cfg), "summary": summary})
+        raise
+    finally:  # written last, it lists every file written before it
+        manifest.write(extra={
+            "elapsed_seconds": time.perf_counter() - started,
+            "environment": {
+                "numpy": np.__version__,
+                "python": platform.python_version(),
+                "cpu_count": os.cpu_count(),
+            },
+        })
     return code, summary
-
-
-def plot_command(report_path, out_override=None):
-    path = Path(report_path)
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    out = Path(out_override) if out_override else path.parent
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-    if "ladder" in doc:
-        written.append(plots.emit_loglog_errors(doc["ladder"], out / "errors.gp"))
-        mono = doc["ladder"].get("monokinetic", {})
-        written.append(plots.emit_wigner_heat(mono, out / "wigner.gp"))
-    jsonl = path.parent / "diagnostics.jsonl"
-    if jsonl.exists():
-        from .io import read_jsonl
-
-        written.append(
-            plots.emit_diagnostics_timeseries(read_jsonl(jsonl), out / "diagnostics.gp")
-        )
-    if not written:
-        written.append(plots.emit_wigner_heat({}, out / "wigner.gp"))
-    return written
 
 
 def main(argv=None):
@@ -232,16 +210,9 @@ def main(argv=None):
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--threads", type=int, default=None)
         p.add_argument("--sample-every", type=int, default=None)
-    p = sub.add_parser("plot", help="emit plot scripts for an existing report")
-    p.add_argument("report", help="path to a report.json")
-    p.add_argument("--out", default=None)
     args = parser.parse_args(argv)
 
     try:
-        if args.command == "plot":
-            for path in plot_command(args.report, args.out):
-                print(path)
-            return EXIT_OK
         text = Path(args.config).read_text(encoding="utf-8")
         cfg = parse_config(text)
         if args.command == "ladder":

@@ -5,12 +5,13 @@ The operators named after what they compute (``deriv``, ``gradient``,
 ``curl``, ``advect``, ...) act on physical-space arrays and return
 physical-space arrays; each transforms its input itself.  A complex field's
 derivatives stream into their readers one at a time (:func:`partials`),
-each from a transform along its own axis; a real field's come from its half
-spectrum (:func:`derivative_table`), and the screened solve takes its inner
-products from half spectra (:func:`half_spectrum_vdot`).  Multi-component
-fields (leading axes) are handled componentwise; vector calculus is always
-done in the embedded 3-component sense so d < 3 "slab" fields work
-transparently.
+each from a transform along its own axis; a real field's from its half
+spectrum, batched (:func:`gradient`) or one multiplier at a time
+(:func:`pointwise_norms`), with :func:`derivative_table` as the tests' batched
+reference; the screened solve takes its inner products from half spectra
+(:func:`half_spectrum_vdot`).  Multi-component fields (leading axes) are
+handled componentwise; vector calculus is always done in the embedded
+3-component sense so d < 3 "slab" fields work transparently.
 """
 
 from __future__ import annotations

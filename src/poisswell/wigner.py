@@ -62,13 +62,14 @@ def _doubled_lattice(grid: Grid, psi):
     ncomp = psi.shape[0]
     doubled = np.zeros((ncomp,) + tuple(2 * n for n in grid.shape), dtype=complex)
     ks = k3(grid)
+    psi_hat = grid.fft(psi)
     for combo in range(2 ** grid.dim):
         shifts = [(combo >> i) & 1 for i in range(grid.dim)]
         phase = np.zeros(grid.shape, dtype=complex)
         for i in range(grid.dim):
             if shifts[i]:
                 phase = phase + 1j * ks[i] * (0.5 * grid.spacings[i])
-        shifted = grid.ifft(grid.fft(psi) * np.exp(phase))
+        shifted = grid.ifft(psi_hat * np.exp(phase))
         sel = tuple(slice(s, None, 2) for s in shifts)
         doubled[(slice(None),) + sel] = shifted
     return doubled

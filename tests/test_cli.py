@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +11,9 @@ import pytest
 from poisswell.cli import EXIT_BLOWUP, EXIT_OK, main
 from poisswell.io import read_field
 
-BLOWUP_CFG = Path(__file__).resolve().parent.parent / "configs" / "blowup.cfg"
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+ROOT = Path(__file__).resolve().parent.parent
+BLOWUP_CFG = ROOT / "configs" / "blowup.cfg"
+SRC = str(ROOT / "src")
 
 EULER_UNIFORM = """
 [run]
@@ -144,6 +146,45 @@ phase_amplitude = 0.0
 """
 
 
+# every run kind reads what it needs of this, on a 16-point grid
+SMALL_ANY_KIND = """
+[run]
+kind = {kind}
+
+[grid]
+points = [16]
+
+[params]
+epsilon = 0.25
+T = 0.02
+s = 4.0
+
+[initial]
+family = gaussian-bump
+amplitude = 0.3
+
+[ladder]
+epsilons = [0.4, 0.2, 0.1]
+samples = 2
+
+[wigner]
+base_points = [4, 8]
+"""
+
+# the README's artifact list: each kind's files beyond config.txt,
+# report.json and manifest.json, by the manifest kind that lists them
+SNAPSHOT_RUN = {"diagnostics": "diagnostics.jsonl", "diagnostics-csv": "diagnostics.csv"}
+LADDER_RUN = {"timings": "timings.json", "ladder-csv": "ladder.csv"}
+ARTIFACTS = {
+    "pauli": {**SNAPSHOT_RUN, "snapshot": "psi_NNNN.pwf"},
+    "wkb": {**SNAPSHOT_RUN, "snapshot": "amplitude_NNNN.pwf"},
+    "euler": {**SNAPSHOT_RUN, "snapshot": "amplitude_NNNN.pwf"},
+    "ladder": LADDER_RUN,
+    "monokinetic": {**LADDER_RUN, "wigner-slice": "wigner_initial.csv|wigner_final.csv"},
+    "spinor-vs-wkb": {},
+}
+
+
 # one bad value each, named by the key the error must name
 BAD_VALUES = [
     ("points", EULER_UNIFORM.replace("points = [32]", "points = [5]")),
@@ -186,6 +227,21 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     p = tmp_path / name
     p.write_text(text, encoding="utf-8")
     return p
+
+
+def assert_error_artifacts(out, kind, error, message, snapshots):
+    """A run that raised once its directory existed: its report says why, and
+    its manifest lists config.txt, the snapshots taken and the report, each on
+    disk."""
+    doc = json.loads((out / "report.json").read_text())
+    assert doc["summary"] == {"kind": kind, "status": "error", "error": error,
+                              "message": message}
+    assert doc["config"]["kind"] == kind
+    entries = json.loads((out / "manifest.json").read_text())["artifacts"]
+    kinds = sorted(e["kind"] for e in entries)
+    assert kinds == ["config", "report"] + ["snapshot"] * snapshots
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [e["path"] for e in entries] + ["manifest.json"])
 
 
 class TestRunCommand:
@@ -325,7 +381,8 @@ class TestRunCommand:
             assert read_field(out / entry["path"]).data.tobytes() == psi.tobytes()
 
     def test_pauli_error_leaves_snapshots_taken(self, tmp_path, monkeypatch):
-        # an error mid-run exits 1 with the samples taken before it on disk
+        # an error mid-run exits 1 with the samples taken before it on disk,
+        # and its report and manifest say so
         from poisswell.errors import PoisswellError
         from poisswell.pauli_solver import PauliSolver
 
@@ -343,6 +400,7 @@ class TestRunCommand:
         assert main(["run", str(cfg), "--out", str(out)]) == 1
         assert sorted(p.name for p in out.glob("psi_*.pwf")) == [
             "psi_0000.pwf", "psi_0001.pwf", "psi_0002.pwf"]
+        assert_error_artifacts(out, "pauli", "PoisswellError", "step failed", snapshots=3)
 
     def test_wkb_error_leaves_snapshots_taken(self, tmp_path, monkeypatch):
         # as for a pauli run: an error mid-run exits 1 with the samples taken before it on disk
@@ -363,6 +421,27 @@ class TestRunCommand:
         assert main(["run", str(cfg), "--out", str(out)]) == 1
         assert sorted(p.name for p in out.glob("amplitude_*.pwf")) == [
             "amplitude_0000.pwf", "amplitude_0001.pwf", "amplitude_0002.pwf"]
+        assert_error_artifacts(out, "wkb", "PoisswellError", "step failed", snapshots=3)
+
+    def test_ladder_error_leaves_report_and_manifest(self, tmp_path, monkeypatch, capsys):
+        # a ladder that raises in its second rung, once the pre-flight, the
+        # Euler reference and the first rung are done, exits 1 as before
+        from poisswell.errors import NonConvergence
+        from poisswell.hydro import HydroSolver
+
+        step = HydroSolver.step_rk4
+
+        def failing_step(self, *args):
+            if self.params.epsilon == 0.2:
+                raise NonConvergence("rung solve failed")
+            return step(self, *args)
+
+        monkeypatch.setattr(HydroSolver, "step_rk4", failing_step)
+        cfg = write_cfg(tmp_path, LADDER)
+        out = tmp_path / "out"
+        assert main(["ladder", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: rung solve failed\n"
+        assert_error_artifacts(out, "ladder", "NonConvergence", "rung solve failed", snapshots=0)
 
     def test_spinor_vs_wkb_warnings_in_report(self, tmp_path, monkeypatch):
         # a comparison lists the warnings of its WKB run (s = 3 is below the
@@ -489,15 +568,7 @@ class TestLadderCommand:
         assert code == EXIT_OK
         doc = json.loads((out / "report.json").read_text())
         assert doc["ladder"]["slopes"]["xs_error"] is not None
-        assert (out / "errors.gp").exists()
         assert (out / "timings.json").exists()
-
-    def test_plot_command(self, ladder_out):
-        _, out = ladder_out
-        code = main(["plot", str(out / "report.json")])
-        assert code == EXIT_OK
-        assert (out / "errors.gp").exists()
-        assert (out / "wigner.gp").exists()
 
     def test_reports_deterministic(self, ladder_out, tmp_path):
         _, out = ladder_out
@@ -561,12 +632,24 @@ def test_reference_blowup_config(tmp_path):
     assert summary["final_time"] == pytest.approx(0.86275, abs=1e-4)
 
 
-def test_plot_on_empty_report(tmp_path):
-    rep = tmp_path / "report.json"
-    rep.write_text(json.dumps({"ladder": {"epsilons": [], "rungs": [], "slopes": {}}}))
-    assert main(["plot", str(rep)]) == EXIT_OK
-    text = (tmp_path / "errors.gp").read_text()
-    assert "plot" in text
+@pytest.mark.parametrize("kind", sorted(ARTIFACTS))
+def test_artifact_inventory(tmp_path, kind):
+    # the directory holds the manifest and what it lists, nothing else; its
+    # kinds and file names are those of the README's list, and no plot script
+    cfg = write_cfg(tmp_path, SMALL_ANY_KIND.format(kind=kind))
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == EXIT_OK
+    entries = json.loads((out / "manifest.json").read_text())["artifacts"]
+    listed = [e["path"] for e in entries]
+    assert sorted(p.name for p in out.iterdir()) == sorted(listed + ["manifest.json"])
+    expected = {"config": "config.txt", "report": "report.json", **ARTIFACTS[kind]}
+    assert {e["kind"] for e in entries} == set(expected)
+    for e in entries:
+        assert re.fullmatch(expected[e["kind"]].replace("NNNN", r"\d{4}"), e["path"]), e
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    for names in expected.values():
+        assert all(f"`{name}`" in readme for name in names.split("|")), names
+    assert not list(out.glob("*.gp"))
 
 
 def test_cli_import_leaves_out_the_thread_pool():
