@@ -204,12 +204,16 @@ def main(argv=None):
         description="Pauli-Poisswell / Euler-Poisswell simulation laboratory",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("run", "ladder"):
-        p = sub.add_parser(name, help=f"{name} an experiment from a config file")
+    for name, text in (("run", "run the experiment a config file describes"),
+                       ("ladder", "run the epsilon ladder of a config file, whatever its kind")):
+        p = sub.add_parser(name, help=text, description=text)
         p.add_argument("config", help="path to a config file")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=None)
-        p.add_argument("--sample-every", type=int, default=None)
+        p.add_argument("--threads", type=int, default=None, metavar="N",
+                       help="threads the ladder's rungs run on (overrides [run] threads)")
+        p.add_argument("--sample-every", type=int, default=None, metavar="K",
+                       help="sample a pauli, wkb or euler run every K steps (overrides"
+                            " [params] sample_every; other kinds take only 1)")
     args = parser.parse_args(argv)
 
     try:

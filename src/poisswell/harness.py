@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field, replace
-from types import SimpleNamespace
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -286,25 +285,6 @@ def phase_aligned_distance(grid: Grid, psi, phi):
     return l2_norm(grid, psi - np.exp(1j * theta) * phi)
 
 
-def band_sample(grid: Grid, state: HydroState):
-    """
-    A dealiased WKB sample as its band: the modes of the spectrum of ``a`` and
-    the half spectrum of ``S`` that :func:`~poisswell.grid.dealias_band` keeps,
-    with ``u_mean`` and eps; on 32^3 374 kB, where its spinor takes 1,049 kB.
-    """
-    return SimpleNamespace(a=grid.fft(state.a)[dealias_band(grid)], epsilon=state.epsilon,
-                           S=grid.rfft(state.S)[dealias_band(grid, half=True)], u_mean=state.u_mean)
-
-
-def band_spinor(grid: Grid, band):
-    """:func:`reconstruct_spinor`, to round-off, of the state whose band is ``band``."""
-    a_hat = np.zeros((2,) + grid.shape, complex)
-    S_hat = np.zeros(grid.shape[:-1] + (grid.shape[-1] // 2 + 1,), complex)
-    a_hat[dealias_band(grid)], S_hat[dealias_band(grid, half=True)] = band.a, band.S
-    return reconstruct_spinor(grid, SimpleNamespace(a=grid.ifft(a_hat), S=grid.irfft(S_hat),
-                                                    u_mean=band.u_mean, epsilon=band.epsilon))
-
-
 def spinor_vs_wkb(
     grid: Grid,
     initial: HydroState,
@@ -320,28 +300,31 @@ def spinor_vs_wkb(
     shorter run; the report keeps each run's status and stop reason.
 
     ``initial`` may come in a one-slot holder, by which a caller hands it
-    over: the initial spinor is made from it first, then the WKB run empties
-    the holder once it has dealiased the state, and the spinor run is
-    handed its spinor the same way.
-    The WKB run stores each sample as its :func:`band_sample` when it is
-    taken, and no potentials, so no WKB state outlives it.  The spinor run
-    measures each sample's distance to the WKB spinor of its index, made
-    from the stored band, as it is taken, and stores nothing.
+    over: the initial spinor is made from it first and handed to the spinor
+    run, which runs first and frees it once dealiased; the WKB run then
+    empties the holder once it has dealiased the state.
+    The spinor run stores each sample as its dealiased band, the modes of
+    its spectrum that :func:`~poisswell.grid.dealias_band` keeps (296 kB of
+    a 1,049 kB spinor on 32^3), and no potentials.  The WKB run measures
+    each sample as it is taken against the spinor remade from the band of
+    its index, which it drops at once, and stores nothing.
     """
     if params.epsilon <= 0:
         raise PoisswellError("the comparison needs eps > 0")
     initial = holder(initial)
-    psi0 = [reconstruct_spinor(grid, initial[0])]
-    hrun = HydroSolver(grid, params, thresholds).run(
-        initial, n_samples, keep=lambda record, state, _: (band_sample(grid, state), None))
-    distances = []
+    prun = PauliSolver(grid, params, thresholds).run(
+        [reconstruct_spinor(grid, initial[0])], n_samples,
+        keep=lambda record, psi, _: (grid.fft(psi)[dealias_band(grid)], None))
+    bands, distances = prun.states, []
 
-    def measure(record, psi, pots):
-        if len(distances) < len(hrun.states):
-            wkb = band_spinor(grid, hrun.states[len(distances)])
-            distances.append(phase_aligned_distance(grid, psi, wkb))
+    def measure(record, state, pots):
+        if bands:
+            psi_hat = np.zeros((2,) + grid.shape, complex)
+            psi_hat[dealias_band(grid)] = bands.pop(0)
+            psi = grid.ifft(psi_hat, out=psi_hat)
+            distances.append(phase_aligned_distance(grid, psi, reconstruct_spinor(grid, state)))
 
-    prun = PauliSolver(grid, params, thresholds).run(psi0, n_samples, keep=measure)
+    hrun = HydroSolver(grid, params, thresholds).run(initial, n_samples, keep=measure)
     return ComparisonReport(
         times=hrun.times[:len(distances)],
         distances=distances,

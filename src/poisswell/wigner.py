@@ -161,9 +161,9 @@ def export_slice_csv(slc: WignerSlice, path):
         fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
         cols = ["x_index"] + [f"xi{i + 1}" for i in range(dim)] + ["f"]
         fh.write(",".join(cols) + "\n")
+        grids = np.meshgrid(*slc.xi, indexing="ij")  # the same xi grid for every base point
         for p, idx in enumerate(slc.base_indices):
             flat = slc.values[p]
-            grids = np.meshgrid(*slc.xi, indexing="ij")
             for pos in np.ndindex(flat.shape):
                 row = ["/".join(str(i) for i in idx)]
                 row += [f"{grids[ax][pos]:.10g}" for ax in range(dim)]

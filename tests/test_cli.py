@@ -577,6 +577,18 @@ class TestLadderCommand:
         main(["ladder", str(cfg), "--out", str(out2)])
         assert (out / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
 
+    def test_help_describes_the_ladder_and_every_flag(self, capsys):
+        # each subcommand and flag has its own text: the ladder's is not the
+        # run's with its name swapped in, and no flag's help is empty
+        with pytest.raises(SystemExit) as done:
+            main(["ladder", "--help"])
+        assert done.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "run the epsilon ladder of a config file" in text
+        assert "ladder an experiment" not in text
+        assert "--threads N threads the ladder's rungs run on" in text
+        assert "--sample-every K sample a pauli, wkb or euler run every K steps" in text
+
 
 def test_ladder_warnings_in_report(tmp_path):
     # s = 3 is below the 7/2 hypothesis: every hydro run of the ladder warns,

@@ -22,6 +22,7 @@ from poisswell.harness import (
 from poisswell.initial_data import gaussian_bump, plane_wave, uniform
 from poisswell.hydro import HydroSolver
 from poisswell.operators import l2_norm, sobolev_norm
+from poisswell.pauli_solver import PauliSolver
 from poisswell.states import HydroState, SimParams, reconstruct_spinor, wkb_current
 
 LADDER_CFG = Path(__file__).resolve().parent.parent / "configs" / "ladder.cfg"
@@ -232,28 +233,62 @@ class TestSpinorVsWkb:
         assert rep.times == pytest.approx([0.0, 0.01, 0.02])
 
     @pytest.mark.parametrize("shape", [(64,), (32, 16), (16, 16, 16)], ids=["1d", "2d", "3d"])
-    def test_band_round_trip_reproduces_the_spinor(self, shape):
-        # the comparison holds a dealiased WKB sample as the 2/3 rule's kept
-        # modes of a's spectrum and of S's half spectrum, and remakes its
-        # spinor from them; a traveling u_mean rides along untouched
+    def test_band_round_trip_reproduces_the_spinor(self, monkeypatch, shape):
+        # the spinor run stores each sample as the 2/3 rule's kept modes of
+        # its spectrum, and the WKB run remakes the spinor from them when it
+        # measures the sample of that index, then drops the band; spin-mixed
+        # data and a traveling u_mean ride along
+        sampled, remade, stored, runs = [], [], [], []
+        record, run, distance = PauliSolver._record, PauliSolver.run, harness.phase_aligned_distance
+
+        def spied_record(self, t, psi, *args):
+            sampled.append(psi.copy())
+            return record(self, t, psi, *args)
+
+        def spied_run(self, psi0, n_samples, keep):
+            def spied_keep(*sample):
+                kept = keep(*sample)
+                stored.append(kept[0].nbytes)
+                return kept
+            runs.append(run(self, psi0, n_samples, keep=spied_keep))
+            return runs[-1]
+
+        def spied_distance(grid, psi, wkb):
+            remade.append(psi.copy())
+            return distance(grid, psi, wkb)
+
+        monkeypatch.setattr(PauliSolver, "_record", spied_record)
+        monkeypatch.setattr(PauliSolver, "run", spied_run)
+        monkeypatch.setattr(harness, "phase_aligned_distance", spied_distance)
         g, eps = Grid(shape), 0.2
-        solver = HydroSolver(g, SimParams(epsilon=eps))
         bump = gaussian_bump(g, epsilon=eps, amplitude=0.3, phase_amplitude=0.3, spin_angle=0.5)
         wave = plane_wave(g, modes=(2, 1, 1)[: g.dim], epsilon=eps)
         traveling = HydroState(g, bump.a, bump.S, wave.u_mean, epsilon=eps)
-        kept = [2 * (n // 3) + 1 for n in shape]  # the kept modes per axis
-        half = kept[:-1] + [shape[-1] // 3 + 1]  # and on the half spectrum's last axis
-        for state in (bump, wave, traveling):
-            state = solver._dealias(state)
-            psi = reconstruct_spinor(g, state)
-            band = harness.band_sample(g, state)
-            assert band.a.nbytes == psi.nbytes * np.prod(kept) // g.npoints
-            assert band.S.nbytes == 16 * np.prod(half)
-            stored = [v for v in vars(band).values() if isinstance(v, np.ndarray)]
-            assert sum(v.nbytes for v in stored) == band.a.nbytes + band.S.nbytes + 24
-            assert band.u_mean is state.u_mean and band.epsilon == eps
-            error = l2_norm(g, harness.band_spinor(g, band) - psi)
-            assert error <= 1e-15 * l2_norm(g, psi)
+        kept = np.prod([2 * (n // 3) + 1 for n in shape])  # the kept modes
+        for state in (bump, traveling):
+            for seen in (sampled, remade, stored):
+                seen.clear()
+            rep = spinor_vs_wkb(g, state, SimParams(epsilon=eps, T=0.02), n_samples=2)
+            assert len(rep.distances) == len(sampled) == len(remade) == 3
+            assert stored == [16 * 2 * kept] * 3 and runs[-1].states == []
+            for psi, back in zip(sampled, remade):
+                assert l2_norm(g, back - psi) <= 1e-15 * l2_norm(g, psi)
+
+    @pytest.mark.parametrize("shape", [(64,), (16, 16, 16)], ids=["1d", "3d"])
+    def test_distances_equal_those_of_the_full_samples(self, shape):
+        # an oracle: both runs store every sample whole, and each distance
+        # is taken between the samples of one index
+        g, eps = Grid(shape), 0.2
+        init = gaussian_bump(g, epsilon=eps, amplitude=0.3, phase_amplitude=0.3, spin_angle=0.5)
+        params = SimParams(epsilon=eps, T=0.05, dt=0.005)
+        rep = spinor_vs_wkb(g, init, params, n_samples=5)
+        hrun = HydroSolver(g, params).run(init, 5)
+        prun = PauliSolver(g, params).run(reconstruct_spinor(g, init), 5)
+        expected = [phase_aligned_distance(g, psi, reconstruct_spinor(g, state))
+                    for psi, state in zip(prun.states, hrun.states)]
+        assert len(rep.distances) == len(expected) == 6
+        charge = hrun.records[0].charge
+        assert max(abs(d - e) for d, e in zip(rep.distances, expected)) <= 1e-12 * charge
 
     def test_phase_alignment_closed_form(self, rng):
         g = Grid((32,))

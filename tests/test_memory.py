@@ -6,7 +6,7 @@ runs, the initial state a WKB run leaves to its caller and
 whose velocity it never reads, the samples a spinor run keeps alive, the
 WKB state a ``pauli`` run does not hold, the spinor its writer hands over
 and the run's peak, the peak of
-writing a snapshot, the release of the WKB states before the spinor run of
+writing a snapshot, the release of the spinor samples before the WKB run of
 the comparison and the comparison's peak, and the residuals that only
 :func:`~poisswell.hydro.residual_window` makes.
 """
@@ -194,10 +194,12 @@ def test_spinor_step_frees_its_input_after_its_first_transform(monkeypatch):
 
 
 def test_spinor_vs_wkb_hands_over_its_data(monkeypatch):
-    # the comparison makes the initial spinor first and hands the WKB run
-    # the initial state, which it frees after its dealiasing, and the
-    # spinor run its spinor the same way: the state is dead in every step
-    # of both runs and the spinor in every step of its own
+    # the comparison makes the initial spinor first and hands it to the
+    # spinor run, which runs first and frees it after its dealiasing; the
+    # WKB run is handed the initial state, which it frees after its
+    # dealiasing.  The spinor is dead in every step of both runs; the state
+    # is alive in every spinor step, held for the WKB run, and dead in
+    # every WKB step
     made, alive = {}, []
     pauli_run, hydro_step, pauli_step = PauliSolver.run, HydroSolver.step_rk4, PauliSolver.step
 
@@ -222,8 +224,10 @@ def test_spinor_vs_wkb_hands_over_its_data(monkeypatch):
     g = Grid((32, 32))
     report = harness.spinor_vs_wkb(g, [initial(g)], SimParams(epsilon=0.2, T=0.02), n_samples=4)
     assert len(report.distances) == 5
-    # every step of both runs, and no handed item alive in any
-    assert set(alive) == {("wkb",), ("spinor",)}
+    # every step of both runs, the spinor run's first
+    kinds = [kind for kind, *_ in alive]
+    assert "spinor" in kinds and "wkb" in kinds
+    assert alive == [("spinor", "state")] * kinds.count("spinor") + [("wkb",)] * kinds.count("wkb")
 
 
 def test_record_peak_within_budget(traced_peak):
@@ -393,44 +397,57 @@ def test_snapshot_written_uncopied(tmp_path, traced_peak):
     assert peak <= 64 * 2**10
 
 
-def test_wkb_run_freed_before_the_spinor_run(monkeypatch):
-    # the comparison keeps the WKB samples as spinors: no state the WKB run
-    # sampled is alive once the spinor run starts
-    states, alive = [], []
-    record, pauli_run = HydroSolver._record, PauliSolver.run
+def test_spinor_samples_freed_before_the_wkb_run(monkeypatch):
+    # the comparison keeps the spinor samples as their dealiased bands: no
+    # spinor the spinor run sampled is alive once the WKB run starts, and
+    # that run holds the five bands, each the 21 x 21 kept modes of a 32^2
+    # spinor
+    samples, seen, runs = [], [], []
+    record, pauli_run, hydro_run = PauliSolver._record, PauliSolver.run, HydroSolver.run
 
-    def spied_record(self, t, state, *args):
-        states.append(weakref.ref(state))
-        return record(self, t, state, *args)
+    def spied_record(self, t, psi, *args):
+        samples.append(weakref.ref(psi))
+        return record(self, t, psi, *args)
 
     def spied_pauli(self, *args, **kwargs):
-        alive.append(sum(ref() is not None for ref in states))
-        return pauli_run(self, *args, **kwargs)
+        runs.append(pauli_run(self, *args, **kwargs))
+        return runs[-1]
 
-    monkeypatch.setattr(HydroSolver, "_record", spied_record)
+    def spied_hydro(self, *args, **kwargs):
+        seen.append((sum(ref() is not None for ref in samples),
+                     [band.shape for band in runs[0].states]))
+        return hydro_run(self, *args, **kwargs)
+
+    monkeypatch.setattr(PauliSolver, "_record", spied_record)
     monkeypatch.setattr(PauliSolver, "run", spied_pauli)
+    monkeypatch.setattr(HydroSolver, "run", spied_hydro)
     g = Grid((32, 32))
     init = gaussian_bump(g, epsilon=0.2, amplitude=0.2, width=1.0)
     report = harness.spinor_vs_wkb(g, init, SimParams(epsilon=0.2, T=0.02), n_samples=4)
-    assert len(report.distances) == 5 and len(states) == 5
-    assert alive == [0]
+    assert len(report.distances) == 5 and len(samples) == 5
+    assert seen == [(0, [(2, 21, 21)] * 5)]
+    # the WKB run spends each band as it measures the sample of its index
+    assert runs[0].states == []
 
 
 def test_spinor_vs_wkb_peak_within_budget(traced_peak):
-    # the c14 comparison on 16^3, the caller holding its state: 3.04 MiB
-    # traced when the initial spinor is made first and handed to the spinor
-    # run, which frees it after its dealiasing, and each step frees its
-    # input; 3.27 MiB with the spinor held through its run and the 1.77 MiB steps of
+    # the c14 comparison on 16^3, the caller holding its state: 2.89 MiB
+    # traced when the spinor run goes first and stores its samples as their
+    # dealiased bands, which the WKB run spends as it measures; 3.04 MiB
+    # when the WKB run went first and stored its bands, the initial spinor
+    # made first and handed to the spinor run, which frees it after its
+    # dealiasing, and each step frees its input; 3.27 MiB with the spinor
+    # held through its run and the 1.77 MiB steps of
     # test_rk4_step_peak_within_budget; 3.57 MiB with the 2.07 MiB ones and
-    # 3.97 MiB with the 2.47 MiB ones, when
-    # the WKB run stores its samples as bands and no potentials; 5.1 MiB when
-    # it stores them as spinors, and 7.4 MB when it holds its states and
-    # potentials until it ends and is reconstructed after
+    # 3.97 MiB with the 2.47 MiB ones, when the WKB run stores its samples
+    # as bands and no potentials; 5.1 MiB when it stores them as spinors,
+    # and 7.4 MB when it holds its states and potentials until it ends and
+    # is reconstructed after
     g = Grid((16, 16, 16))
     init = gaussian_bump(g, amplitude=0.2, width=1.2, epsilon=0.2)
     report, peak = traced_peak(harness.spinor_vs_wkb, g, init, SimParams(epsilon=0.2, T=0.05))
     assert len(report.distances) == 11
-    assert peak <= 3.2 * 2**20
+    assert peak <= 3.0 * 2**20
 
 
 def wkb_run(n_samples=8, keep=keep_all):
