@@ -13,8 +13,7 @@ the only linear one and the only stiff one; the stepper solves it exactly
 with the integrating factor ``E(t) = exp(-i eps |k|^2 t/2)`` (Lawson
 integrating-factor RK4) and takes the rest with the four stages of classical
 RK4, so the step is bounded by advection alone.  eps = 0 is the pressureless
-Euler limit: there the factor is 1, the amplitude takes no transform, and
-the step is classical RK4.
+Euler limit: there the factor is 1 and the same step is classical RK4.
 """
 
 from __future__ import annotations
@@ -91,34 +90,31 @@ class HydroSolver:
     def nonlinear_rhs(self, state: HydroState, pots: Potentials, spectral=False):
         """
         :meth:`rhs` without the dispersion term; what the stepper integrates.
-        ``spectral`` returns both as their dealiased spectra, ``d_t S`` as a
-        half spectrum.
+        Both are dealiased; ``spectral`` returns them as their spectra,
+        ``d_t S`` as a half spectrum.
         """
         g = self.grid
-        da, dS = self._nonlinear(state.a, None, state.u, laplacian(g, state.S), pots, spectral)
-        return (da, dS) if spectral else (da, g.irfft(dS))
+        da, dS = self._nonlinear(state.a, state.u, laplacian(g, state.S), pots)
+        return (da, dS) if spectral else (g.ifft(da), g.irfft(dS))
 
-    def _nonlinear(self, a, a_hat, u, lap_S, pots: Potentials, spectral):
+    def _nonlinear(self, a, u, lap_S, pots: Potentials):
         """
-        ``(d_t a, d_t S)`` without the dispersion term, at the amplitude ``a``
-        (with its spectrum ``a_hat``, or None: only a 1d grid reads it), the
-        velocity ``u`` and its divergence ``lap_S``; the advection streams
-        the derivatives of ``a`` (:func:`~poisswell.operators.directional`).
-        Both are dealiased: ``d_t a`` is returned as
-        its spectrum when ``spectral`` and in physical space otherwise,
-        ``d_t S`` as its half spectrum (:meth:`_phase_rhs`).  ``B = curl A``
-        and ``div A`` come from one transform of ``A``; a zero ``A`` has none.
+        The dealiased spectra of ``(d_t a, d_t S)`` without the dispersion
+        term, at the amplitude ``a``, the velocity ``u`` and its divergence
+        ``lap_S``; the advection streams the derivatives of ``a``
+        (:func:`~poisswell.operators.directional`), and ``d_t S`` comes as
+        its half spectrum (:meth:`_phase_rhs`).  ``B = curl A`` and
+        ``div A`` come from one transform of ``A``; a zero ``A`` has none.
         """
         g = self.grid
         div_rel, B = lap_S, None
         if np.any(pots.A):
             B, div_A = curl_divergence(g, pots.A)
             div_rel = lap_S - div_A
-        da = -directional(g, u - pots.A, a, a_hat) - 0.5 * a * div_rel
+        da = -directional(g, u - pots.A, a) - 0.5 * a * div_rel
         if B is not None:
             da = da + 0.5j * apply_sigma_dot(B, a)
-        da = g.fft(da) * dealias_mask(g) if spectral else dealias(g, da)
-        return da, self._phase_rhs(u, pots)
+        return g.fft(da) * dealias_mask(g), self._phase_rhs(u, pots)
 
     def _phase_rhs(self, u, pots: Potentials):
         """The dealiased half spectrum of ``d_t S = -|u|^2/2 + A.u - (|A|^2/2 + V)``."""
@@ -162,10 +158,10 @@ class HydroSolver:
         the amplitude advances in spectral space: the stage derivatives arrive
         as dealiased spectra, and ``a'`` is masked before its one inverse.
         The phase takes the same four stages in spectral space with E = 1,
-        which is classical RK4; at eps = 0 the amplitude does too, in
-        physical space, with no transform.  Each stage inverts the spectrum
-        of its amplitude once into ``a``, and the spectrum of its phase once
-        into ``u`` and ``div u`` (:func:`~poisswell.states.phase_velocity`);
+        which is classical RK4; at eps = 0, where E = 1, the amplitude does
+        too.  Each stage inverts the spectrum of its amplitude once into
+        ``a``, and the spectrum of its phase once into ``u`` and ``div u``
+        (:func:`~poisswell.states.phase_velocity`);
         ``A`` is transformed once, for ``B`` and ``div A``.  The current of
         the stage's solve, before it, and the advection of ``a``, after it,
         each stream the derivatives of ``a``
@@ -191,12 +187,11 @@ class HydroSolver:
         taken, and of ``pots`` only ``A`` (for the guesses) once the first
         stage has read them, so a caller that hands both over frees them
         there; each stage's amplitude and phase spectra are dropped once
-        that stage has inverted them, before its screened solve (a 1d grid
-        keeps the amplitude's for its derivatives), a stage's spent guess
-        before its advection, and ``k1 .. k3`` are folded into the running
-        sum of the last line, added left to right, before stage 4.  The
-        in-step guesses keep the stage A's until the step returns, and only
-        while they are used.
+        that stage has inverted them, before its screened solve, a stage's
+        spent guess before its advection, and ``k1 .. k3`` are folded into
+        the running sum of the last line, added left to right, before stage
+        4.  The in-step guesses keep the stage A's until the step returns,
+        and only while they are used.
         """
         if pots is None:
             pots = self.potentials(state)
@@ -205,16 +200,12 @@ class HydroSolver:
             raise StabilityViolation(f"dt={dt:g} exceeds bound {bound:g} at t={state.t:g}")
         g = self.grid
         t, epsilon, u_mean = state.t, state.epsilon, state.u_mean
-        spectral = epsilon > 0
-        if spectral:
+        half = full = None  # E = 1 at eps = 0
+        if epsilon > 0:
             half = dispersion_factor(g, epsilon, 0.5 * dt, self._dispersion)
             full = dispersion_factor(g, epsilon, dt, self._dispersion)
-            fwd, inv = g.fft, g.ifft
-        else:
-            half = full = None
-            fwd = inv = lambda f: f
 
-        # (a, S_hat) with a in the transform space of fwd; E acts on a only
+        # (a_hat, S_hat); E acts on a_hat only
         def prop(y, factor):
             return y if factor is None else (factor * y[0], y[1])
 
@@ -224,21 +215,17 @@ class HydroSolver:
         stage_A = [pots.A]  # the in-step guesses' points, while a stage uses them
 
         def inverted(y, a=None):
-            a = inv(y[0]) if a is None else a
-            # only a 1d grid's derivatives read the spectrum; others drop it here
-            a_hat = y[0] if spectral and g.dim == 1 else None
-            return (a, a_hat) + phase_velocity(g, y[1], u_mean, laplacian=True)
+            a = g.ifft(y[0]) if a is None else a
+            return (a,) + phase_velocity(g, y[1], u_mean, laplacian=True)
 
-        def stage(a, a_hat, u, lap_S, site):
+        def stage(a, u, lap_S, site):
             offset = 0.5 if site < 4 else 1.0
             defect = history is not None and site in history.defects
             if defect:
                 guess = history.ahead(offset, site)
             else:
                 guess = stage_A[-1] if len(stage_A) < 3 else 2.0 * stage_A[-1] - stage_A[0]
-            stage_pots = self_consistent_potentials(
-                g, self.params, a, epsilon, u, guess=guess, a_hat=a_hat
-            )
+            stage_pots = self_consistent_potentials(g, self.params, a, epsilon, u, guess=guess)
             if defect:
                 history.solved(site, guess, stage_pots.A)
             else:
@@ -247,12 +234,12 @@ class HydroSolver:
                 if history is not None and len(history.points) > 1:
                     history.solved(site, history.ahead(offset), stage_pots.A)
             del guess  # one made here is freed before the advection
-            return self._nonlinear(a, a_hat, u, lap_S, stage_pots, spectral)
+            return self._nonlinear(a, u, lap_S, stage_pots)
 
         a = state.a
-        y = (fwd(a), g.rfft(state.S))
+        y = (g.fft(a), g.rfft(state.S))
         del state  # of the input only t, eps and u_mean are read past here
-        k1 = self._nonlinear(*inverted(y, a), pots, spectral)
+        k1 = self._nonlinear(*inverted(y, a), pots)
         del a, pots  # the in-step guesses and the history hold the A they read
         k2 = stage(*inverted(prop(axpy(y, 0.5 * dt, k1), half)), 2)
         f3 = inverted(axpy(prop(y, half), 0.5 * dt, k2))
@@ -273,7 +260,7 @@ class HydroSolver:
             c /= 6.0
         del k4
         a_hat, S_hat = axpy(prop(y, full), dt, combo)
-        a = inv(a_hat * dealias_mask(g)) if spectral else dealias(g, a_hat)
+        a = g.ifft(a_hat * dealias_mask(g))
         S_hat = S_hat * dealias_mask(g, half=True)
         return HydroState(g, a, g.irfft(S_hat), u_mean, t + dt, epsilon, S_hat=S_hat)
 

@@ -121,28 +121,27 @@ def derivative_table(grid: Grid, fh):
     return grid.irfft(np.stack([1j * ks[i] * fh for i in range(grid.dim)]))
 
 
-def partials(grid: Grid, f, fh=None):
+def partials(grid: Grid, f):
     """
     ``d_i f`` of a complex field on each active axis ``i`` in turn, as
     ``ifft_i(i k_i fft_i(f))`` in an array of its own that the reader may
     spend: two one-axis passes, where inverting the full spectrum takes d.
-    On a 1d grid that is the spectrum ``fh``, read when the caller holds it.
     Each is dropped here before the next is made, so a reader that drops it
     too holds one at a time.
     """
     ks = k3(grid)
     for i in range(grid.dim):
-        d = fh.copy() if grid.dim == 1 and fh is not None else grid.fft(f, axis=i)
+        d = grid.fft(f, axis=i)
         np.multiply(1j * ks[i], d, out=d)
         yield grid.ifft(d, axis=i, out=d)
         del d
 
 
-def directional(grid: Grid, g, f, fh=None):
+def directional(grid: Grid, g, f):
     """``sum_j g_j d_j f`` of a complex field, summed in place as each derivative
-    arrives from :func:`partials` (``fh`` as there): one is held at a time."""
+    arrives from :func:`partials`: one is held at a time."""
     out = None
-    for gj, d in zip(g, partials(grid, f, fh)):
+    for gj, d in zip(g, partials(grid, f)):
         np.multiply(gj, d, out=d)
         out = d if out is None else np.add(out, d, out=out)
         del d  # before partials makes the next

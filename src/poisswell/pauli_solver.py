@@ -102,11 +102,10 @@ class PauliSolver:
             bound = min(bound, self.params.epsilon / w_inf)
         return 0.5 * bound
 
-    def _advect_rhs(self, psi, psi_hat, A, divA):
-        """The dealiased spectrum of ``A.grad psi + (div A/2) psi`` (a 1d grid
-        reads ``psi_hat``, the spectrum of ``psi``)."""
+    def _advect_rhs(self, psi, A, divA):
+        """The dealiased spectrum of ``A.grad psi + (div A/2) psi``."""
         g = self.grid
-        rhs = directional(g, A, psi, psi_hat)
+        rhs = directional(g, A, psi)
         rhs += 0.5 * divA * psi
         rhs_hat = g.fft(rhs)
         rhs_hat *= dealias_mask(g)
@@ -127,9 +126,9 @@ class PauliSolver:
             return g.fft(psi) if spectral else psi
         if psi_hat is None:
             psi_hat = g.fft(psi)
-        mid_hat = psi_hat + 0.5 * tau * self._advect_rhs(psi, psi_hat, pots.A, divA)
+        mid_hat = psi_hat + 0.5 * tau * self._advect_rhs(psi, pots.A, divA)
         mid = g.ifft(mid_hat)
-        rhs_hat = self._advect_rhs(mid, mid_hat, pots.A, divA)
+        rhs_hat = self._advect_rhs(mid, pots.A, divA)
         if spectral:
             return psi_hat + tau * rhs_hat
         return psi + tau * g.ifft(rhs_hat)

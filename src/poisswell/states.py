@@ -138,17 +138,17 @@ def charge_density(psi):
     return kernels.spinor_density(psi)
 
 
-def kinetic_current(grid: Grid, a, a_hat=None):
+def kinetic_current(grid: Grid, a):
     """
     ``Im(conj(a) . grad a)`` summed over spinor components, the current the
     Pauli kinetic term produces, each component from one derivative of
-    ``a`` (:func:`~poisswell.operators.partials`, with ``a_hat`` as its
-    ``fh``) that is freed before the next is made.
+    ``a`` (:func:`~poisswell.operators.partials`) that is freed before the
+    next is made.
     """
     a = np.asarray(a)
     conj_a = np.conj(a)
     out = np.zeros((3,) + grid.shape)
-    for i, d in enumerate(partials(grid, a, a_hat)):
+    for i, d in enumerate(partials(grid, a)):
         out[i] = np.sum(np.multiply(conj_a, d, out=d), axis=0).imag
         del d
     return out
@@ -164,16 +164,15 @@ def pauli_current(grid: Grid, psi, A, epsilon):
     return wkb_current(grid, psi, None, A, epsilon)
 
 
-def wkb_current(grid: Grid, a, u, A, epsilon, a_hat=None, rho=None):
+def wkb_current(grid: Grid, a, u, A, epsilon, rho=None):
     """
     The Pauli current of ``a exp(iS/eps)`` in closed form,
     ``rho (u - A) + eps (Im(conj(a) grad a) - curl(conj(a) sigma a))``;
     algebraically identical to :func:`pauli_current` on reconstructed
     spinors.  A ``None`` for ``u`` or ``A`` reads as zero: with both None
     it is the O(eps) part, and with ``A = None`` the screened solve's source.
-    At eps = 0 it is ``rho (u - A)``, made without a transform.  ``a_hat``
-    (the spectrum of ``a``, read as :func:`kinetic_current` reads it) and
-    ``rho`` are taken when given.
+    At eps = 0 it is ``rho (u - A)``, made without a transform.  ``rho`` is
+    taken when given.
     """
     if rho is None:
         rho = charge_density(a)
@@ -181,7 +180,7 @@ def wkb_current(grid: Grid, a, u, A, epsilon, a_hat=None, rho=None):
         u = -A if u is None else u - A
     J = np.zeros((3,) + grid.shape) if u is None else rho * u
     if epsilon > 0:
-        eps_part = kinetic_current(grid, a, a_hat)
+        eps_part = kinetic_current(grid, a)
         eps_part -= curl(grid, spin_density(a))
         eps_part *= epsilon
         J += eps_part
@@ -192,7 +191,7 @@ SCREENED_TOL, SCREENED_MAX_ITERS = 1e-11, 200  # of every screened solve
 
 
 def self_consistent_potentials(grid: Grid, params: SimParams, a, epsilon, u=None,
-                               guess=None, a_hat=None):
+                               guess=None):
     """
     V from the neutralized Poisson solve; A from the screened problem
     ``(-Delta + rho) A = eps (Im(conj(a) grad a) - curl(conj(a) sigma a)) + rho u``,
@@ -202,8 +201,8 @@ def self_consistent_potentials(grid: Grid, params: SimParams, a, epsilon, u=None
     amplitude and velocity, and at eps = 0 its source reduces to ``rho u``.
     ``guess``, when given, is the starting iterate of the screened solve
     (a nearby state's A); it changes the work done, not the tolerance met.
-    ``a_hat``, the spectrum of ``a``, goes to :func:`kinetic_current`, whose
-    derivatives of ``a`` are all freed before the screened solve starts.
+    The derivatives of ``a`` that :func:`kinetic_current` takes are all
+    freed before the screened solve starts.
     """
     if not params.coupling:
         return Potentials(V=np.zeros(grid.shape), A=np.zeros((3,) + grid.shape))
@@ -212,7 +211,7 @@ def self_consistent_potentials(grid: Grid, params: SimParams, a, epsilon, u=None
     if not params.magnetic:
         return Potentials(V=V, A=np.zeros((3,) + grid.shape))
     # the source is passed unnamed, so it is freed once the solve holds its spectrum
-    A = solve_screened_vector(grid, wkb_current(grid, a, u, None, epsilon, a_hat, rho), rho,
+    A = solve_screened_vector(grid, wkb_current(grid, a, u, None, epsilon, rho=rho), rho,
                               tol=SCREENED_TOL, max_iters=SCREENED_MAX_ITERS,
                               guess=guess)
     return Potentials(V=V, A=A)

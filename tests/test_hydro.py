@@ -10,7 +10,7 @@ from poisswell.errors import InsufficientHistory, StabilityViolation
 from poisswell.grid import Grid, dealias_mask, k2, k3
 from poisswell.hydro import HydroSolver, euler_fields_form, residual_window
 from poisswell.initial_data import compressive, gaussian_bump, plane_wave, uniform
-from poisswell.operators import curl, dealias, derivative_table, divergence, gradient, l2_norm
+from poisswell.operators import curl, derivative_table, divergence, gradient, l2_norm
 from poisswell.states import (
     HydroState,
     Potentials,
@@ -237,8 +237,8 @@ class TestIntegratingFactor:
 
     @pytest.mark.parametrize("eps", [0.0, 0.2])
     def test_step_leaves_no_energy_above_the_band(self, eps, rng):
-        # a' is cut to the 2/3 band, whether it is masked as a spectrum before
-        # its one inverse (eps > 0) or dealiased in physical space (eps = 0)
+        # a' is cut to the 2/3 band: masked as a spectrum before its one
+        # inverse, at eps > 0 and at eps = 0 alike
         g = Grid((32,))
         a = rng.standard_normal((2, 32)) + 1j * rng.standard_normal((2, 32))
         solver = HydroSolver(g, SimParams(epsilon=eps, coupling=False))
@@ -266,8 +266,9 @@ class TestIntegratingFactor:
 
     def test_euler_step_is_classical_rk4(self, rng):
         # eps = 0: the factor is 1 and the step is classical RK4 on the full
-        # rhs of (a, S_hat), to the last bit (A = 0, so no screened solve
-        # varies); u and div u come from S_hat at each stage
+        # rhs of (a_hat, S_hat), to the last bit (A = 0, so no screened solve
+        # varies); k1 reads the state's own a and each later stage the inverse
+        # of its stage spectrum, and u and div u come from S_hat at each stage
         g = Grid((64,))
         st = random_state(g, rng, eps=0.0)
         params = SimParams(epsilon=0.0, magnetic=False)
@@ -277,17 +278,18 @@ class TestIntegratingFactor:
         def full_rhs(a, S_hat):
             u, lap_S = phase_velocity(g, S_hat, st.u_mean, laplacian=True)
             pots = self_consistent_potentials(g, params, a, 0.0, u)
-            return solver._nonlinear(a, None, u, lap_S, pots, spectral=False)
+            return solver._nonlinear(a, u, lap_S, pots)
 
-        y = (st.a, g.rfft(st.S))
-        ks = [full_rhs(*y)]
+        y = (g.fft(st.a), g.rfft(st.S))
+        ks = [full_rhs(st.a, y[1])]
         for frac in (0.5, 0.5, 1.0):
-            ks.append(full_rhs(*(x + (frac * dt) * dx for x, dx in zip(y, ks[-1]))))
+            a_hat, S_hat = (x + (frac * dt) * dx for x, dx in zip(y, ks[-1]))
+            ks.append(full_rhs(g.ifft(a_hat), S_hat))
         combo = [(a + 2.0 * b + 2.0 * c + d) / 6.0 for a, b, c, d in zip(*ks)]
-        a, S_hat = (x + dt * dx for x, dx in zip(y, combo))
+        a_hat, S_hat = (x + dt * dx for x, dx in zip(y, combo))
         S_hat = S_hat * dealias_mask(g, half=True)
         out = solver.step_rk4(st, dt)
-        assert np.array_equal(out.a, dealias(g, a))
+        assert np.array_equal(out.a, g.ifft(a_hat * dealias_mask(g)))
         assert np.array_equal(out.S, g.irfft(S_hat))
         assert np.array_equal(out.u, phase_velocity(g, S_hat, st.u_mean))
 

@@ -3,7 +3,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poisswell.grid import Grid
+from poisswell.hydro import HydroSolver
 from poisswell.pauli import SIGMA, apply_sigma_dot, spin_density, stern_gerlach_reality
+from poisswell.pauli_solver import PauliSolver
+from poisswell.states import HydroState, Potentials, SimParams
 
 from conftest import random_band_limited
 
@@ -116,3 +119,61 @@ class TestSternGerlach:
             expected = np.einsum("i...,ij,j...->...", np.conj(a), SIGMA[k], a)
             assert np.max(np.abs(expected.imag)) < 1e-13
             assert np.max(np.abs(s[k] - expected.real)) < 1e-13
+
+
+def pauli_generator(grid, psi, V, A, eps):
+    """
+    ``-(i/eps) H psi`` with ``H = (sigma.pi)^2/2 + V`` and ``pi = -i eps grad - A``,
+    ``sigma.pi`` applied twice, each derivative from numpy's full-grid
+    transforms: the Pauli Hamiltonian by its definition, with its
+    Stern-Gerlach term ``-(eps/2) sigma.B`` left implicit.
+    """
+    axes = tuple(range(-grid.dim, 0))
+    ks = [2 * np.pi * np.fft.fftfreq(n, d=L / n) for n, L in zip(grid.shape, grid.lengths)]
+    ks = np.meshgrid(*ks, indexing="ij")
+
+    def sigma_pi(f):
+        out = np.zeros_like(f)
+        for j in range(3):
+            pi_f = -A[j] * f
+            if j < grid.dim:
+                pi_f += eps * np.fft.ifftn(ks[j] * np.fft.fftn(f, axes=axes), axes=axes)
+            out += np.einsum("ab,b...->a...", SIGMA[j], pi_f)
+        return out
+
+    return -(1j / eps) * (0.5 * sigma_pi(sigma_pi(psi)) + V * psi)
+
+
+class TestPauliHamiltonian:
+    # both solvers against -(i/eps)(1/2 (sigma.pi)^2 + V) psi for fixed V and
+    # band-limited psi and A: this fixes the Stern-Gerlach term's sign
+    eps = 0.1
+
+    def fields(self, rng):
+        g = Grid((32, 32))
+        psi = random_band_limited(g, rng, components=2, complex_=True, kmax=2)
+        V = random_band_limited(g, rng, kmax=2, amplitude=0.5)
+        A = random_band_limited(g, rng, components=3, kmax=2, amplitude=0.4)
+        return g, psi, V, A
+
+    def test_wkb_rhs_at_zero_phase_is_the_pauli_generator(self, rng):
+        # at S = 0, psi = a and d_t psi = d_t a + (i/eps) a d_t S
+        g, a, V, A = self.fields(rng)
+        solver = HydroSolver(g, SimParams(epsilon=self.eps))
+        da, dS = solver.rhs(HydroState(g, a=a, S=np.zeros(g.shape), epsilon=self.eps),
+                            Potentials(V=V, A=A))
+        expected = pauli_generator(g, a, V, A, self.eps)
+        err = np.max(np.abs(da + (1j / self.eps) * a * dS - expected))
+        assert err <= 1e-12 * np.max(np.abs(expected))
+
+    def test_spinor_step_generator_is_the_pauli_generator(self, rng, monkeypatch):
+        # (step(psi, dt) - psi)/dt -> -(i/eps) H psi, the error halving with dt
+        g, psi, V, A = self.fields(rng)
+        solver = PauliSolver(g, SimParams(epsilon=self.eps))
+        monkeypatch.setattr(solver, "potentials", lambda psi, guess=None: Potentials(V=V, A=A))
+        expected = pauli_generator(g, psi, V, A, self.eps)
+        errs = [np.max(np.abs((solver.step(psi, dt) - psi) / dt - expected))
+                for dt in (4e-3, 2e-3, 1e-3)]
+        assert errs[-1] <= 0.01 * np.max(np.abs(expected))
+        for coarse, fine in zip(errs, errs[1:]):
+            assert 1.8 <= coarse / fine <= 2.2
