@@ -96,11 +96,12 @@ class LadderReport:
 
 @dataclass
 class LadderRuns:
-    """The runs behind a report: the Euler reference stores its samples, each rung's run none."""
+    """The runs behind a report, and the Euler reference's samples as (state, pots) pairs."""
 
     grid: Grid
     initial: HydroState
     euler: Run
+    samples: list
     hydro: Dict[float, Run]
     params: SimParams
     n_samples: int
@@ -137,8 +138,8 @@ def epsilon_ladder(
     of norms, sup over the shared sample times.  Each run places its
     ``n_samples`` samples at ``T k / n_samples`` itself, from its own dt
     (:func:`~poisswell.states.run_loop`).  Each rung measures each sample
-    as it is taken against the Euler sample of the same index; the Euler
-    reference is the only run that stores its samples.
+    as it is taken against the Euler sample of the same index; the ladder
+    holds the Euler reference's samples, and no rung's.
 
     Returns (LadderReport, LadderRuns).  A rung that blows up is reported
     and excluded from slope fits; the ladder itself continues.
@@ -150,7 +151,7 @@ def epsilon_ladder(
     runs_made = []
     if preflight and params.T > 0:
         pf_params = replace(params, epsilon=0.0, T=1.5 * params.T, dt=None)
-        pf = HydroSolver(grid, pf_params, thresholds).run(initial, keep=lambda *sample: None)
+        pf = HydroSolver(grid, pf_params, thresholds).run(initial)
         runs_made.append(pf)
         if pf.status != "completed":
             raise PoisswellError(
@@ -158,14 +159,15 @@ def epsilon_ladder(
                 f"({pf.stop_reason}); lower T below the caustic time"
             )
 
+    samples = []  # of the Euler reference, as (state, potentials) pairs
     euler = HydroSolver(grid, replace(params, epsilon=0.0), thresholds).run(
-        initial, n_samples
+        initial, n_samples, keep=lambda record, state, pots: samples.append((state, pots))
     )
 
     def run_rung(eps):
         start = time.perf_counter()
-        # each sample meets the Euler sample of its index as it is taken; the rung stores none
-        references = zip(euler.states, euler.potentials)
+        # each sample meets the Euler sample of its index as it is taken; the rung holds none
+        references = iter(samples)
         errors = [0.0] * 4  # sup over the samples taken so far
 
         def keep(record, state, pots):
@@ -216,7 +218,7 @@ def epsilon_ladder(
         warnings=distinct_warnings(runs_made + [euler] + list(runs.values())),
     )
     return report, LadderRuns(
-        grid=grid, initial=initial, euler=euler, hydro=runs,
+        grid=grid, initial=initial, euler=euler, samples=samples, hydro=runs,
         params=params, n_samples=n_samples, thresholds=thresholds,
     )
 
@@ -303,19 +305,19 @@ def spinor_vs_wkb(
     over: the initial spinor is made from it first and handed to the spinor
     run, which runs first and frees it once dealiased; the WKB run then
     empties the holder once it has dealiased the state.
-    The spinor run stores each sample as its dealiased band, the modes of
-    its spectrum that :func:`~poisswell.grid.dealias_band` keeps (296 kB of
-    a 1,049 kB spinor on 32^3), and no potentials.  The WKB run measures
-    each sample as it is taken against the spinor remade from the band of
-    its index, which it drops at once, and stores nothing.
+    The comparison holds each spinor sample as its dealiased band, the
+    modes of its spectrum that :func:`~poisswell.grid.dealias_band` keeps
+    (296 kB of a 1,049 kB spinor on 32^3).  The WKB run measures each
+    sample as it is taken against the spinor remade from the band of its
+    index, which it drops at once.
     """
     if params.epsilon <= 0:
         raise PoisswellError("the comparison needs eps > 0")
     initial = holder(initial)
+    bands, distances = [], []
     prun = PauliSolver(grid, params, thresholds).run(
         [reconstruct_spinor(grid, initial[0])], n_samples,
-        keep=lambda record, psi, _: (grid.fft(psi)[dealias_band(grid)], None))
-    bands, distances = prun.states, []
+        keep=lambda record, psi, _: bands.append(grid.fft(psi)[dealias_band(grid)]))
 
     def measure(record, state, pots):
         if bands:
@@ -385,7 +387,7 @@ def monokinetic_study(ladder: LadderRuns, base_points) -> MonokineticReport:
     grid = ladder.grid
     params = ladder.params
     epsilons = list(ladder.hydro)
-    u_final = ladder.euler.states[-1].u
+    u_final = ladder.samples[-1][0].u
 
     defects, spinor_runs, last = [], {}, {}
     for eps in epsilons:

@@ -53,7 +53,6 @@ from .states import (
     SolveHistory,
     charge_density,
     finite,
-    keep_all,
     phase_velocity,
     run_loop,
     self_consistent_potentials,
@@ -79,23 +78,16 @@ class HydroSolver:
 
     def rhs(self, state: HydroState, pots: Potentials):
         """
-        Time derivatives (d_t a, d_t S), assembled pseudo-spectrally:
-        :meth:`nonlinear_rhs` plus the dispersion term ``(i eps/2) Lap a``.
-        """
-        da, dS = self.nonlinear_rhs(state, pots)
-        if state.epsilon > 0:
-            da = da + 0.5j * state.epsilon * laplacian(self.grid, state.a)
-        return da, dS
-
-    def nonlinear_rhs(self, state: HydroState, pots: Potentials, spectral=False):
-        """
-        :meth:`rhs` without the dispersion term; what the stepper integrates.
-        Both are dealiased; ``spectral`` returns them as their spectra,
-        ``d_t S`` as a half spectrum.
+        Time derivatives (d_t a, d_t S), assembled pseudo-spectrally: the
+        dealiased :meth:`_nonlinear` part, which the stepper integrates,
+        plus the dispersion term ``(i eps/2) Lap a``.
         """
         g = self.grid
         da, dS = self._nonlinear(state.a, state.u, laplacian(g, state.S), pots)
-        return (da, dS) if spectral else (g.ifft(da), g.irfft(dS))
+        da, dS = g.ifft(da), g.irfft(dS)
+        if state.epsilon > 0:
+            da = da + 0.5j * state.epsilon * laplacian(g, state.a)
+        return da, dS
 
     def _nonlinear(self, a, u, lap_S, pots: Potentials):
         """
@@ -286,7 +278,7 @@ class HydroSolver:
             tail_fraction=fn.tail_fraction,
         )
 
-    def run(self, init: HydroState, n_samples=None, keep=keep_all) -> Run:
+    def run(self, init: HydroState, n_samples=None, keep=None) -> Run:
         """
         The shared run loop with the WKB policy.  With a magnetic coupling
         the run keeps a :class:`~poisswell.states.SolveHistory` of the last
@@ -298,11 +290,12 @@ class HydroSolver:
         bound or an elliptic breakdown after a monitor warning ends the run
         as a blow-up (before a warning they raise); a non-finite state and
         the monitor end it at any time.  ``n_samples`` places the samples at
-        ``T k / n_samples``, and ``keep`` says what the run stores of each
-        (:func:`~poisswell.states.run_loop`).  ``init`` is not copied: the
-        loop reads it only through :meth:`_dealias`, and empties a one-slot
-        holder ``[init]`` there.  Each step is handed the loop's state and
-        potentials and frees them once read (:meth:`step_rk4`).
+        ``T k / n_samples``, and ``keep``, when given, reads each as it is
+        taken; the run stores none (:func:`~poisswell.states.run_loop`).
+        ``init`` is not copied: the loop reads it only through
+        :meth:`_dealias`, and empties a one-slot holder ``[init]`` there.
+        Each step is handed the loop's state and potentials and frees them
+        once read (:meth:`step_rk4`).
         """
         warned = False
         history = SolveHistory(4) if self.params.magnetic and self.params.coupling else None
@@ -341,9 +334,9 @@ class HydroSolver:
 
 def residual_window(grid: Grid):
     """
-    A ``keep`` that stores nothing and sets the continuity and gauge
-    residuals of each inner sample's record, which :meth:`HydroSolver.run`
-    leaves unset, once the next sample is taken: a window of three samples.
+    A ``keep`` that sets the continuity and gauge residuals of each inner
+    sample's record, which :meth:`HydroSolver.run` leaves unset, once the
+    next sample is taken: it holds a window of three samples.
     """
     window = collections.deque(maxlen=3)  # (record, (t, rho, J), (t, V, A)) per sample
 
@@ -358,19 +351,18 @@ def residual_window(grid: Grid):
     return keep
 
 
-def euler_fields_form(grid: Grid, run: Run, index: int):
+def euler_fields_form(grid: Grid, samples, index: int):
     """
-    Field-form variables at sample ``index``: E = -grad V - d_t A (centered
-    difference of the potential history), B = curl A, and the transformed
-    velocity u - A.
+    Field-form variables at sample ``index`` of ``samples``, the
+    ``(record, state, pots)`` triples of a run as a ``keep`` collects them:
+    E = -grad V - d_t A (centered difference of the potential history),
+    B = curl A, and the transformed velocity u - A.
     """
-    if index <= 0 or index >= len(run.times) - 1:
+    if index <= 0 or index >= len(samples) - 1:
         raise InsufficientHistory("field form needs both time neighbours")
-    tm, tp = run.times[index - 1], run.times[index + 1]
-    Am, Ap = run.potentials[index - 1].A, run.potentials[index + 1].A
-    dA = (Ap - Am) / (tp - tm)
-    pots = run.potentials[index]
+    (before, _, pots_m), (_, state, pots), (after, _, pots_p) = samples[index - 1:index + 2]
+    dA = (pots_p.A - pots_m.A) / (after.t - before.t)
     E = -gradient(grid, pots.V) - dA
     B = curl(grid, pots.A)
-    u_field = run.states[index].u - pots.A
+    u_field = state.u - pots.A
     return E, B, u_field

@@ -23,7 +23,7 @@ in time from the last two solved points (the initial potentials and the
 midpoints), which the run keeps as their V and A alone; the predictor's
 ``B`` and ``div A`` are taken from the extrapolated A.  The midpoint solve
 starts from the quadratic through the A's of the last three.  A sample
-solves V alone; its A is solved from the stored state when first read.
+solves V alone; its A is solved from the sample's spinor when first read.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from .states import (
     SolveHistory,
     charge_density,
     finite,
-    keep_all,
     run_loop,
     self_consistent_potentials,
 )
@@ -75,8 +74,8 @@ class PauliSolver:
 
     def _sample_potentials(self, psi) -> Potentials:
         """
-        The potentials a sample keeps: ``V`` now, which its record's energy
-        reads, and ``A`` solved from ``psi``, the stored state, when first
+        The potentials of a sample: ``V`` now, which its record's energy
+        reads, and ``A`` solved from ``psi``, the sample's spinor, when first
         read; that ``A`` is :meth:`potentials`' cold solve, bit for bit.
         """
         if not (self.params.magnetic and self.params.coupling):
@@ -239,14 +238,15 @@ class PauliSolver:
             tail_fraction=spectral_tail_fraction(g, spec),
         )
 
-    def run(self, psi0, n_samples=None, keep=keep_all) -> Run:
+    def run(self, psi0, n_samples=None, keep=None) -> Run:
         """
         The shared run loop.  A crossed stability bound, an elliptic breakdown
         or a non-finite state ends the run as a blow-up with the samples
         taken so far; a completed run whose spectral tail passed
         ``thresholds.tail`` carries that as its stop reason.  ``n_samples``
-        places the samples at ``T k / n_samples``, and ``keep`` says what the
-        run stores of each (:func:`~poisswell.states.run_loop`).  The loop
+        places the samples at ``T k / n_samples``, and ``keep``, when given,
+        reads each as it is taken; the run stores none
+        (:func:`~poisswell.states.run_loop`).  The loop
         reads ``psi0`` only through :meth:`_dealias`, and empties a one-slot
         holder ``[psi0]`` there.  Each step is handed the loop's spinor and
         frees it after its first transform (:meth:`step`); a sample's
@@ -265,8 +265,8 @@ class PauliSolver:
         older, at the new midpoint: P_0 at step 1, the line ``3 A_{1/2} -
         2 A_0`` at step 2, and quadratics after that; from step 4 the
         midpoint at ``n + 1/2`` starts from ``A_{n-5/2} - 3 A_{n-3/2} +
-        3 A_{n-1/2}``.  A sample keeps V and solves A from the stored state
-        when first read (:meth:`_sample_potentials`).
+        3 A_{n-1/2}``.  A sample's potentials hold V and solve A from the
+        sample's spinor when first read (:meth:`_sample_potentials`).
         """
         magnetic = self.params.magnetic and self.params.coupling
         solved = []  # the potentials of the last two solved points, oldest first

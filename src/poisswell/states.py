@@ -3,7 +3,7 @@ Physical state containers and the algebraic source-term formulas: charge
 density, the kinetic, WKB and Pauli currents, and the spinor reconstruction
 of a WKB state.  Also the pieces both solvers share: the self-consistent
 potentials, the default step size and the run loop with its ``Run`` record.
-The loop owns the time grid, the samples and the run status; each solver's
+The loop owns the time grid, the sampling and the run status; each solver's
 ``advance`` owns its potentials and its stop rules.
 """
 
@@ -310,17 +310,14 @@ def normalize_charge(grid: Grid, a, target=1.0):
 @dataclass
 class Run:
     """
-    Trajectory of a solver run plus its diagnostics stream.  ``times`` and
-    ``records`` hold every sample; ``states`` and ``potentials`` what the
-    run's ``keep`` stored of them (:func:`run_loop`), by default every
-    sample's state (a ``HydroState`` or a spinor array) and potentials.
-    ``warnings`` holds the distinct messages of the Python warnings the
-    run raised, in first-seen order.
+    Trajectory of a solver run plus its diagnostics stream: ``times`` and
+    ``records`` of every sample, and no sample's state or potentials, which
+    only the run's ``keep`` sees (:func:`run_loop`).  ``warnings`` holds the
+    distinct messages of the Python warnings the run raised, in first-seen
+    order.
     """
 
     times: List[float]
-    states: list
-    potentials: List[Potentials]
     records: list
     params: SimParams
     dt: float
@@ -366,12 +363,7 @@ def holder(data):
     return data if isinstance(data, list) else [data]
 
 
-def keep_all(record, state, pots):
-    """The default ``keep`` of :func:`run_loop`: a sample stores its state and potentials."""
-    return state, pots
-
-
-def run_loop(solver, state, advance, watch=None, n_samples=None, keep=keep_all) -> Run:
+def run_loop(solver, state, advance, watch=None, n_samples=None, keep=None) -> Run:
     """
     Integrate ``state`` over [0, T] and sample it every ``sample_every``
     steps and at the end.  ``state`` is the initial data or a one-slot
@@ -399,10 +391,10 @@ def run_loop(solver, state, advance, watch=None, n_samples=None, keep=keep_all) 
     the step the only reference to its input, which the step can free once
     read (on CPython 3.11 and later, which move a call's arguments into
     the callee's frame).
-    ``keep(record, state, pots)`` reads each sample as it is taken, once its
-    record is made, and returns what the run stores of it: ``None``, or a
-    ``(state, potentials)`` pair whose ``None`` items are not stored.  The
-    default, :func:`keep_all`, stores both as they are, uncopied.
+    ``keep(record, state, pots)``, when given, reads each sample as it is
+    taken, once its record is made; what it returns is ignored.  The run
+    stores no sample: a caller that needs a sample's state or potentials
+    after ``keep`` returns holds them itself, uncopied.
     ``advance`` owns its stop rules: it ends the run as a blow-up by
     raising :class:`RunStopped`, through :func:`finite` on a non-finite
     state before it solves any of that state's potentials.
@@ -415,13 +407,6 @@ def run_loop(solver, state, advance, watch=None, n_samples=None, keep=keep_all) 
         run = _integrate(solver, state, advance, watch, n_samples, keep)
     run.warnings = list(dict.fromkeys(str(w.message) for w in caught))
     return run
-
-
-def _store(run, kept):
-    """Append the non-None items of ``kept`` to ``run.states`` and ``run.potentials``."""
-    for items, item in zip((run.states, run.potentials), kept or ()):
-        if item is not None:
-            items.append(item)
 
 
 def _integrate(solver, data, advance, watch, n_samples, keep) -> Run:
@@ -443,15 +428,9 @@ def _integrate(solver, data, advance, watch, n_samples, keep) -> Run:
     n_steps = 0 if p.T == 0 else max(1, int(round(p.T / dt)))
     dt = p.T / n_steps if n_steps else dt
 
-    run = Run(
-        times=[0.0],
-        states=[],
-        potentials=[],
-        records=[solver._record(0.0, state, pots, None)],
-        params=p,
-        dt=dt,
-    )
-    _store(run, keep(run.records[0], state, pots))
+    run = Run(times=[0.0], records=[solver._record(0.0, state, pots, None)], params=p, dt=dt)
+    if keep is not None:
+        keep(run.records[0], state, pots)
     now = [state, pots]  # the one reference the loop keeps to them, handed to advance
     del state, pots
     for n in range(1, n_steps + 1):
@@ -462,7 +441,8 @@ def _integrate(solver, data, advance, watch, n_samples, keep) -> Run:
                 rec = solver._record(n * dt, *now, run.records[-1])
                 run.times.append(rec.t)
                 run.records.append(rec)
-                _store(run, keep(rec, *now))
+                if keep is not None:
+                    keep(rec, *now)
                 if watch is not None:
                     watch(run.records)
         except RunStopped as stop:

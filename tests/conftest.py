@@ -43,6 +43,27 @@ def random_band_limited(grid, rng, components=None, kmax=4, amplitude=1.0, compl
     return f
 
 
+class Samples(list):
+    """The ``(record, state, pots)`` of each sample of a run, as a ``keep`` collects them."""
+
+    @property
+    def states(self):
+        return [state for _, state, _ in self]
+
+    @property
+    def potentials(self):
+        return [pots for _, _, pots in self]
+
+
+def sampled_run(solver, init, n_samples=None):
+    """
+    ``solver.run(init, n_samples)`` with a ``keep`` that collects every
+    sample: the run and its :class:`Samples`.
+    """
+    samples = Samples()
+    return solver.run(init, n_samples, keep=lambda *sample: samples.append(sample)), samples
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

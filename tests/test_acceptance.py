@@ -37,7 +37,7 @@ from poisswell.states import (
     wkb_current,
 )
 
-from conftest import random_band_limited
+from conftest import random_band_limited, sampled_run
 
 
 def ok(criterion, detail):
@@ -122,16 +122,16 @@ def test_c03_continuity_order():
 
     def spinor_residual(dt):
         params = SimParams(epsilon=0.1, dt=dt, T=0.12, sample_every=1)
-        run = PauliSolver(grid, params).run(psi0)
+        run, samples = sampled_run(PauliSolver(grid, params), psi0)
         mid = len(run.times) // 2
         window = []
         for i in (mid - 1, mid, mid + 1):
-            psi = run.states[i]
+            psi = samples.states[i]
             window.append(
                 (
                     run.times[i],
                     charge_density(psi),
-                    pauli_current(grid, psi, run.potentials[i].A, 0.1),
+                    pauli_current(grid, psi, samples.potentials[i].A, 0.1),
                 )
             )
         return continuity_residual(grid, window)
@@ -176,9 +176,10 @@ def test_c06_free_particle_exactness():
     x = grid.coordinates()[0]
     psi0 = np.zeros((2,) + grid.shape, dtype=complex)
     psi0[0] = np.exp(1j * k * x) * np.ones(grid.shape)
-    run = PauliSolver(grid, SimParams(epsilon=eps, dt=0.05, T=T, coupling=False)).run(psi0)
+    params = SimParams(epsilon=eps, dt=0.05, T=T, coupling=False)
+    _, samples = sampled_run(PauliSolver(grid, params), psi0)
     exact = np.exp(1j * (k * x - 0.5 * eps * k**2 * T)) * np.ones(grid.shape)
-    err = float(np.max(np.abs(run.states[-1][0] - exact)))
+    err = float(np.max(np.abs(samples.states[-1][0] - exact)))
     assert err <= 1e-12
     ok(6, f"plane-wave error {err:.2e} at T={T}")
 

@@ -351,8 +351,8 @@ class TestRunCommand:
         assert summary["stop_reason"] == "spectral tail warning"
 
     def test_pauli_snapshots_written_as_taken(self, tmp_path, monkeypatch):
-        # the run holds no spinor: each sample is on disk, with its bits,
-        # under the name and time the manifest gives it
+        # each sample is on disk, with its bits, under the name and time
+        # the manifest gives it
         from poisswell.pauli_solver import PauliSolver
 
         runs, sampled = [], []
@@ -372,7 +372,6 @@ class TestRunCommand:
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--out", str(out)]) == EXIT_OK
         (done,) = runs
-        assert done.states == [] and done.potentials == []
         snaps = [e for e in json.loads((out / "manifest.json").read_text())["artifacts"]
                  if e["kind"] == "snapshot"]
         assert len(snaps) == len(sampled) == len(done.times) > 2

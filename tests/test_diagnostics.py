@@ -9,7 +9,7 @@ from poisswell.initial_data import gaussian_bump, uniform
 from poisswell.operators import gradient
 from poisswell.states import HydroState, SimParams
 
-from conftest import random_band_limited
+from conftest import random_band_limited, sampled_run
 
 
 class TestCharge:
@@ -275,7 +275,8 @@ class TestEnergyIdentity:
         g = Grid((128,))
         eps = 0.25
         params = SimParams(epsilon=eps, dt=2e-3, T=0.1, magnetic=False, sample_every=5)
-        run = HydroSolver(g, params).run(gaussian_bump(g, epsilon=eps, amplitude=0.3))
+        run, samples = sampled_run(HydroSolver(g, params),
+                                   gaussian_bump(g, epsilon=eps, amplitude=0.3))
         from poisswell.operators import gradient as grad_op
         from poisswell.operators import l2_norm
         from poisswell.states import kinetic_current
@@ -283,15 +284,15 @@ class TestEnergyIdentity:
         solver = HydroSolver(g, params)
 
         def pieces(i):
-            st = run.states[i]
+            st = samples.states[i]
             w = -kinetic_current(g, st.a)  # the phase current
             uw = float(np.sum(st.u * w) * g.cell_volume)
             ga = sum(l2_norm(g, grad_op(g, st.a[s])) ** 2 for s in range(2))
-            du = grad_op(g, solver.rhs(st, run.potentials[i])[1])
+            du = grad_op(g, solver.rhs(st, samples.potentials[i])[1])
             wdu = float(np.sum(w * du) * g.cell_volume)
             return uw, ga, wdu
 
-        i = len(run.states) // 2
+        i = len(samples) // 2
         t_m, t_p = run.times[i - 1], run.times[i + 1]
         uw_m, ga_m, _ = pieces(i - 1)
         uw_p, ga_p, _ = pieces(i + 1)

@@ -1,3 +1,4 @@
+import inspect
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,6 +25,8 @@ from poisswell.hydro import HydroSolver
 from poisswell.operators import l2_norm, sobolev_norm
 from poisswell.pauli_solver import PauliSolver
 from poisswell.states import HydroState, SimParams, reconstruct_spinor, wkb_current
+
+from conftest import sampled_run
 
 LADDER_CFG = Path(__file__).resolve().parent.parent / "configs" / "ladder.cfg"
 
@@ -146,7 +149,6 @@ class TestLadder:
         (report, runs), peak = traced_peak(
             epsilon_ladder, g, init, params, [0.4, 0.2, 0.1], n_samples=5, preflight=False)
         assert all(r.xs_error is not None for r in report.rungs)
-        assert not any(run.states or run.potentials for run in runs.hydro.values())
         assert peak <= 0.2 * 2**20
 
     def test_snapshots_share_sample_times(self, small_ladder):
@@ -234,11 +236,11 @@ class TestSpinorVsWkb:
 
     @pytest.mark.parametrize("shape", [(64,), (32, 16), (16, 16, 16)], ids=["1d", "2d", "3d"])
     def test_band_round_trip_reproduces_the_spinor(self, monkeypatch, shape):
-        # the spinor run stores each sample as the 2/3 rule's kept modes of
-        # its spectrum, and the WKB run remakes the spinor from them when it
-        # measures the sample of that index, then drops the band; spin-mixed
-        # data and a traveling u_mean ride along
-        sampled, remade, stored, runs = [], [], [], []
+        # the comparison holds each spinor sample as the 2/3 rule's kept
+        # modes of its spectrum, and the WKB run remakes the spinor from them
+        # when it measures the sample of that index, then drops the band;
+        # spin-mixed data and a traveling u_mean ride along
+        sampled, remade, stored = [], [], []
         record, run, distance = PauliSolver._record, PauliSolver.run, harness.phase_aligned_distance
 
         def spied_record(self, t, psi, *args):
@@ -246,12 +248,10 @@ class TestSpinorVsWkb:
             return record(self, t, psi, *args)
 
         def spied_run(self, psi0, n_samples, keep):
-            def spied_keep(*sample):
-                kept = keep(*sample)
-                stored.append(kept[0].nbytes)
-                return kept
-            runs.append(run(self, psi0, n_samples, keep=spied_keep))
-            return runs[-1]
+            done = run(self, psi0, n_samples, keep=keep)
+            # the bands the spinor run's keep filled, before the WKB run takes any
+            stored.extend(band.nbytes for band in inspect.getclosurevars(keep).nonlocals["bands"])
+            return done
 
         def spied_distance(grid, psi, wkb):
             remade.append(psi.copy())
@@ -270,7 +270,7 @@ class TestSpinorVsWkb:
                 seen.clear()
             rep = spinor_vs_wkb(g, state, SimParams(epsilon=eps, T=0.02), n_samples=2)
             assert len(rep.distances) == len(sampled) == len(remade) == 3
-            assert stored == [16 * 2 * kept] * 3 and runs[-1].states == []
+            assert stored == [16 * 2 * kept] * 3
             for psi, back in zip(sampled, remade):
                 assert l2_norm(g, back - psi) <= 1e-15 * l2_norm(g, psi)
 
@@ -282,10 +282,10 @@ class TestSpinorVsWkb:
         init = gaussian_bump(g, epsilon=eps, amplitude=0.3, phase_amplitude=0.3, spin_angle=0.5)
         params = SimParams(epsilon=eps, T=0.05, dt=0.005)
         rep = spinor_vs_wkb(g, init, params, n_samples=5)
-        hrun = HydroSolver(g, params).run(init, 5)
-        prun = PauliSolver(g, params).run(reconstruct_spinor(g, init), 5)
+        hrun, hydro = sampled_run(HydroSolver(g, params), init, 5)
+        _, spinor = sampled_run(PauliSolver(g, params), reconstruct_spinor(g, init), 5)
         expected = [phase_aligned_distance(g, psi, reconstruct_spinor(g, state))
-                    for psi, state in zip(prun.states, hrun.states)]
+                    for psi, state in zip(spinor.states, hydro.states)]
         assert len(rep.distances) == len(expected) == 6
         charge = hrun.records[0].charge
         assert max(abs(d - e) for d, e in zip(rep.distances, expected)) <= 1e-12 * charge
@@ -342,13 +342,14 @@ def test_reference_ladder_dt_halving_below_one_percent():
     )
     s = params.s
     for rung in report.rungs:
-        # the ladder's rungs store no samples: each is rerun, storing them
-        run = HydroSolver(grid, replace(params, epsilon=rung.epsilon)).run(init, cfg.ladder_samples)
+        # the ladder holds no rung's samples: each is rerun, collecting them
+        run, samples = sampled_run(HydroSolver(grid, replace(params, epsilon=rung.epsilon)), init,
+                                   cfg.ladder_samples)
         p = run.params
         half_p = replace(p, dt=p.dt / 2, sample_every=2 * p.sample_every)
-        half = HydroSolver(grid, half_p).run(init)
+        half, half_samples = sampled_run(HydroSolver(grid, half_p), init)
         assert half.status == "completed" and len(half.times) == len(run.times)
-        pairs = list(zip(zip(run.states, run.potentials), zip(half.states, half.potentials)))
+        pairs = [((a, pa), (b, pb)) for (_, a, pa), (_, b, pb) in zip(samples, half_samples)]
         errors = [_rung_errors(grid, a, b, s) for a, b in pairs]
         xs_d, rho_d = (max(e[k] for e in errors) for k in (0, 1))
         cur_d = max(

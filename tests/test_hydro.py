@@ -10,7 +10,7 @@ from poisswell.errors import InsufficientHistory, StabilityViolation
 from poisswell.grid import Grid, dealias_mask, k2, k3
 from poisswell.hydro import HydroSolver, euler_fields_form, residual_window
 from poisswell.initial_data import compressive, gaussian_bump, plane_wave, uniform
-from poisswell.operators import curl, derivative_table, divergence, gradient, l2_norm
+from poisswell.operators import curl, derivative_table, divergence, gradient, l2_norm, laplacian
 from poisswell.states import (
     HydroState,
     Potentials,
@@ -21,7 +21,7 @@ from poisswell.states import (
     self_consistent_potentials,
 )
 
-from conftest import random_band_limited
+from conftest import random_band_limited, sampled_run
 
 
 def random_state(grid, rng, eps=0.1, amp=0.25):
@@ -82,7 +82,7 @@ class TestRhs:
         st = random_state(g, rng)
         solver = HydroSolver(g, SimParams(epsilon=st.epsilon))
         pots = solver.potentials(st)
-        dS_hat = solver.nonlinear_rhs(st, pots, spectral=True)[1]
+        dS_hat = solver._phase_rhs(st.u, pots)
         dS = solver.rhs(st, pots)[1]
         assert np.array_equal(g.irfft(dS_hat), dS)
         du = derivative_table(g, dS_hat)
@@ -127,14 +127,15 @@ class TestRhs:
         assert res <= 1e-10 * max(1.0, l2_norm(g, charge_density(st.a)))
 
     def test_spectral_amplitude_derivative(self, rng):
-        # spectral=True hands over the masked spectra of d_t a and d_t S: zero
-        # above the band, and the physical derivatives once inverted
+        # _nonlinear hands over the masked spectra of d_t a and d_t S: zero
+        # above the band, and the physical derivatives once inverted, which
+        # the rhs of the same state at eps = 0, without dispersion, returns
         g = Grid((32,))
         st = random_state(g, rng)
         solver = HydroSolver(g, SimParams(epsilon=st.epsilon))
         pots = solver.potentials(st)
-        da_hat, dS_hat = solver.nonlinear_rhs(st, pots, spectral=True)
-        da, dS = solver.nonlinear_rhs(st, pots)
+        da_hat, dS_hat = solver._nonlinear(st.a, st.u, laplacian(g, st.S), pots)
+        da, dS = solver.rhs(replace(st, epsilon=0.0), pots)
         assert np.all(da_hat[:, ~dealias_mask(g)] == 0.0)
         assert np.all(dS_hat[~dealias_mask(g, half=True)] == 0.0)
         assert np.array_equal(g.ifft(da_hat), da)
@@ -255,7 +256,7 @@ class TestIntegratingFactor:
 
         def final(h):
             params = SimParams(epsilon=eps, dt=h, T=T, sample_every=10**6)
-            return HydroSolver(g, params).run(init).states[-1]
+            return sampled_run(HydroSolver(g, params), init)[1].states[-1]
 
         ref = final(dt / 8)
         errs = []
@@ -342,10 +343,11 @@ class TestTransformCounts:
 class TestRun:
     def test_uniform_trajectory_constant(self):
         g = Grid((32,))
-        run = HydroSolver(g, SimParams(epsilon=0.1, T=0.2, dt=0.02)).run(uniform(g))
+        run, samples = sampled_run(HydroSolver(g, SimParams(epsilon=0.1, T=0.2, dt=0.02)),
+                                   uniform(g))
         assert run.status == "completed"
-        final = run.states[-1]
-        assert np.max(np.abs(final.a - run.states[0].a)) < 1e-12
+        final = samples.states[-1]
+        assert np.max(np.abs(final.a - samples.states[0].a)) < 1e-12
         assert np.max(np.abs(final.u)) < 1e-12
 
     def test_warnings_recorded_not_lost(self, recwarn):
@@ -366,10 +368,10 @@ class TestRun:
 
         g = Grid((64,))
         params = SimParams(epsilon=0.2, T=0.04, dt=0.01)
-        run = HydroSolver(g, params).run(gaussian_bump(g, epsilon=0.2))
+        run, samples = sampled_run(HydroSolver(g, params), gaussian_bump(g, epsilon=0.2))
         solver = HydroSolver(g, run.params)
-        for st, pots, rec in zip(run.states, run.potentials, run.records):
-            dS_hat = solver.nonlinear_rhs(st, pots, spectral=True)[1]
+        for rec, st, pots in samples:
+            dS_hat = solver._phase_rhs(st.u, pots)
             assert np.array_equal(g.irfft(dS_hat), solver.rhs(st, pots)[1])
             fn = functionals(g, st, run.params.s, dt_u=derivative_table(g, dS_hat))
             assert rec.xs_eps_dtu == fn.xs_eps_dtu
@@ -385,16 +387,16 @@ class TestRun:
     def test_gradient_consistency_and_irrotationality(self):
         g = Grid((128,))
         params = SimParams(epsilon=0.1, T=0.2, sample_every=4)
-        run = HydroSolver(g, params).run(gaussian_bump(g, epsilon=0.1))
-        for st in run.states[1:]:
+        _, samples = sampled_run(HydroSolver(g, params), gaussian_bump(g, epsilon=0.1))
+        for st in samples.states[1:]:
             u_norm = l2_norm(g, st.u)
             assert l2_norm(g, curl(g, st.u)) <= 1e-8 * u_norm
             assert l2_norm(g, st.u - gradient(g, st.S)) <= 1e-8 * u_norm
 
     def test_zero_horizon(self):
         g = Grid((32,))
-        run = HydroSolver(g, SimParams(epsilon=0.1, T=0.0)).run(uniform(g))
-        assert len(run.states) == 1
+        run, samples = sampled_run(HydroSolver(g, SimParams(epsilon=0.1, T=0.0)), uniform(g))
+        assert len(run.times) == len(samples) == 1
 
     def test_screened_solves_per_step(self, cg_iterations):
         # one solve for the initial potentials, then four per RK4 step: the
@@ -457,18 +459,20 @@ class TestRun:
 
     def test_uniform_euler_fixed_point(self):
         g = Grid((32,))
-        run = HydroSolver(g, SimParams(epsilon=0.0, T=1.0, dt=0.05)).run(uniform(g, epsilon=0.0))
+        run, samples = sampled_run(HydroSolver(g, SimParams(epsilon=0.0, T=1.0, dt=0.05)),
+                                   uniform(g, epsilon=0.0))
         assert run.status == "completed"
-        assert np.max(np.abs(run.states[-1].a - run.states[0].a)) < 1e-12
-        assert np.max(np.abs(run.states[-1].u)) < 1e-12
+        assert np.max(np.abs(samples.states[-1].a - samples.states[0].a)) < 1e-12
+        assert np.max(np.abs(samples.states[-1].u)) < 1e-12
 
     def test_two_dimensional_run(self):
         g = Grid((32, 32))
         init = gaussian_bump(g, epsilon=0.1, amplitude=0.2, width=1.0)
-        run = HydroSolver(g, SimParams(epsilon=0.1, T=0.05, sample_every=2)).run(init)
+        params = SimParams(epsilon=0.1, T=0.05, sample_every=2)
+        run, samples = sampled_run(HydroSolver(g, params), init)
         assert run.status == "completed"
         assert run.charge_drift <= 1e-8
-        for st in run.states[1:]:
+        for st in samples.states[1:]:
             assert l2_norm(g, curl(g, st.u)) <= 1e-8 * max(1e-30, l2_norm(g, st.u))
 
     def test_euler_continuity_order_two(self):
@@ -487,9 +491,9 @@ class TestRun:
         # transport velocity u - A vanishes and the state is stationary
         g = Grid((64,))
         st = plane_wave(g, modes=(2, 0, 0), epsilon=0.25)
-        run = HydroSolver(g, SimParams(epsilon=0.25, T=0.1, dt=0.01)).run(st)
+        run, samples = sampled_run(HydroSolver(g, SimParams(epsilon=0.25, T=0.1, dt=0.01)), st)
         assert run.status == "completed"
-        assert np.max(np.abs(run.states[-1].a - st.a)) < 1e-10
+        assert np.max(np.abs(samples.states[-1].a - st.a)) < 1e-10
 
 
 def step_calls(monkeypatch, change):
@@ -588,7 +592,7 @@ class TestStopRules:
         assert elliptic_spy.finite and all(elliptic_spy.finite)
 
     def test_samples_are_the_states_the_steps_returned(self, monkeypatch):
-        # every stored sample keeps the bits its step returned
+        # every sample a keep reads keeps the bits its step returned
         returned = []
 
         def keep(n, state):
@@ -596,9 +600,11 @@ class TestStopRules:
             return state
 
         step_calls(monkeypatch, keep)
-        run = bump_run()
-        assert run.status == "completed" and len(run.states) == 5
-        for st, ref in zip(run.states[1:], returned):
+        g = Grid((32,))
+        run, samples = sampled_run(HydroSolver(g, SimParams(epsilon=0.1, T=0.04, dt=0.01)),
+                                   gaussian_bump(g, epsilon=0.1))
+        assert run.status == "completed" and len(samples) == 5
+        for st, ref in zip(samples.states[1:], returned):
             for name in ("a", "u", "S", "u_mean"):
                 assert np.array_equal(getattr(st, name), getattr(ref, name))
             assert st.t == ref.t
@@ -607,32 +613,31 @@ class TestStopRules:
 class TestFieldsForm:
     def test_static_state_zero_fields(self):
         g = Grid((32,))
-        run = HydroSolver(g, SimParams(epsilon=0.0, T=0.1, dt=0.01)).run(uniform(g, epsilon=0.0))
-        E, B, u_field = euler_fields_form(g, run, 1)
+        _, samples = sampled_run(HydroSolver(g, SimParams(epsilon=0.0, T=0.1, dt=0.01)),
+                                 uniform(g, epsilon=0.0))
+        E, B, u_field = euler_fields_form(g, samples, 1)
         assert np.max(np.abs(E)) < 1e-12
         assert np.max(np.abs(B)) < 1e-12
 
     def test_first_snapshot_raises(self):
         g = Grid((32,))
-        run = HydroSolver(g, SimParams(epsilon=0.0, T=0.1, dt=0.01)).run(uniform(g, epsilon=0.0))
+        _, samples = sampled_run(HydroSolver(g, SimParams(epsilon=0.0, T=0.1, dt=0.01)),
+                                 uniform(g, epsilon=0.0))
         with pytest.raises(InsufficientHistory):
-            euler_fields_form(g, run, 0)
+            euler_fields_form(g, samples, 0)
 
     def test_gauss_law_and_field_poisson(self):
         # the electrostatic part of E satisfies the neutralized Gauss law
         # exactly; -Delta B = curl(rho u_field) is the curl of the A equation
         g = Grid((128,))
-        run = HydroSolver(g, SimParams(epsilon=0.0, T=0.1, sample_every=2)).run(
-            gaussian_bump(g, epsilon=0.0, amplitude=0.3)
-        )
-        idx = len(run.times) // 2
-        E, B, u_field = euler_fields_form(g, run, idx)
-        rho = charge_density(run.states[idx].a)
-        electrostatic = -gradient(g, run.potentials[idx].V)
+        _, samples = sampled_run(HydroSolver(g, SimParams(epsilon=0.0, T=0.1, sample_every=2)),
+                                 gaussian_bump(g, epsilon=0.0, amplitude=0.3))
+        idx = len(samples) // 2
+        E, B, u_field = euler_fields_form(g, samples, idx)
+        rho = charge_density(samples.states[idx].a)
+        electrostatic = -gradient(g, samples.potentials[idx].V)
         gauss = divergence(g, electrostatic) - (rho - rho.mean())
         assert l2_norm(g, gauss) <= 1e-10 * l2_norm(g, rho)
-        from poisswell.operators import laplacian
-
         lhs = -np.stack([laplacian(g, B[i]) for i in range(3)])
         rhs = curl(g, rho * u_field)
         assert l2_norm(g, lhs - rhs) <= 1e-8 * max(1e-30, l2_norm(g, rhs))

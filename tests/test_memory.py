@@ -4,13 +4,14 @@ sample's diagnostics, the derivatives of the amplitude that no screened
 solve sees, the input each step frees, the data handed to the comparison's
 runs, the initial state a WKB run leaves to its caller and
 whose velocity it never reads, the samples a spinor run keeps alive, the
-WKB state a ``pauli`` run does not hold, the spinor its writer hands over
-and the run's peak, the peak of
+samples no run holds once it returns, the WKB state a ``pauli`` run does
+not hold, the spinor its writer hands over and the run's peak, the peak of
 writing a snapshot, the release of the spinor samples before the WKB run of
 the comparison and the comparison's peak, and the residuals that only
 :func:`~poisswell.hydro.residual_window` makes.
 """
 
+import inspect
 import sys
 import weakref
 from dataclasses import replace
@@ -31,10 +32,11 @@ from poisswell.states import (
     HydroState,
     SimParams,
     charge_density,
-    keep_all,
     reconstruct_spinor,
     wkb_current,
 )
+
+from conftest import sampled_run
 
 
 def c14_step_peak(traced_peak, n, dt):
@@ -152,7 +154,7 @@ def test_wkb_step_frees_its_input_by_its_second_stage(monkeypatch):
     handed.clear()
     alive.clear()
     monkeypatch.setattr(HydroSolver, "_record", spied_record)
-    run = HydroSolver(g, replace(params, dt=0.05 / 4)).run(init, keep=lambda *sample: None)
+    run = HydroSolver(g, replace(params, dt=0.05 / 4)).run(init)
     assert run.status == "completed" and len(handed) == 2 * 5
     # three stage solves and the new state's solve per step, the initial solve first
     assert len(alive) == 1 + 4 * 4 and not any(alive)
@@ -188,7 +190,7 @@ def test_spinor_step_frees_its_input_after_its_first_transform(monkeypatch):
     handed.clear()
     alive.clear()
     monkeypatch.setattr(PauliSolver, "_record", spied_record)
-    run = solver.run([reconstruct_spinor(g, init)], keep=lambda *sample: None)
+    run = solver.run([reconstruct_spinor(g, init)])
     assert run.status == "completed" and len(handed) == 5
     assert alive == [0] * 8
 
@@ -258,10 +260,10 @@ def test_wkb_run_takes_its_initial_state_uncopied(monkeypatch):
         return dealias(self, state)
 
     monkeypatch.setattr(HydroSolver, "_dealias", spied_dealias)
-    run = HydroSolver(g, SimParams(epsilon=0.1, T=0.02)).run(init, 2)
-    assert run.status == "completed" and run.states[0].epsilon == 0.1
+    run, samples = sampled_run(HydroSolver(g, SimParams(epsilon=0.1, T=0.02)), init, 2)
+    assert run.status == "completed" and samples.states[0].epsilon == 0.1
     assert handed[0].a is arrays["a"] and handed[0].S is arrays["S"]
-    assert run.states[0].a is not arrays["a"]
+    assert samples.states[0].a is not arrays["a"]
     assert init.epsilon == 0.3
     for name, arr in arrays.items():
         assert getattr(init, name) is arr and np.array_equal(arr, values[name])
@@ -303,6 +305,26 @@ def test_spinor_run_keeps_no_earlier_sample_alive(monkeypatch):
         psi0, keep=lambda record, psi, pots: sampled.append(weakref.ref(psi)))
     assert run.status == "completed" and len(run.times) == len(sampled) == 5
     assert alive == [0] * 8
+
+
+@pytest.mark.parametrize("kind", ["wkb", "spinor"])
+def test_run_without_keep_holds_no_sample(monkeypatch, kind):
+    # a run stores no sample: with no keep, every state and potentials a
+    # sample's record read are dead once the run returns, the run alive
+    solver_cls = HydroSolver if kind == "wkb" else PauliSolver
+    record, sampled = solver_cls._record, []
+
+    def spied_record(self, t, state, pots, previous):
+        sampled.extend([weakref.ref(state), weakref.ref(pots)])
+        return record(self, t, state, pots, previous)
+
+    monkeypatch.setattr(solver_cls, "_record", spied_record)
+    g = Grid((32, 32))
+    init = gaussian_bump(g, epsilon=0.2, amplitude=0.2, width=1.0)
+    params = SimParams(epsilon=0.2, T=0.04, dt=0.01)
+    run = solver_cls(g, params).run(init if kind == "wkb" else reconstruct_spinor(g, init))
+    assert run.status == "completed" and len(sampled) == 2 * len(run.times) == 10
+    assert not any(ref() is not None for ref in sampled)
 
 
 PAULI_TILTED = """
@@ -402,24 +424,20 @@ def test_spinor_samples_freed_before_the_wkb_run(monkeypatch):
     # spinor the spinor run sampled is alive once the WKB run starts, and
     # that run holds the five bands, each the 21 x 21 kept modes of a 32^2
     # spinor
-    samples, seen, runs = [], [], []
-    record, pauli_run, hydro_run = PauliSolver._record, PauliSolver.run, HydroSolver.run
+    samples, seen, held = [], [], []
+    record, hydro_run = PauliSolver._record, HydroSolver.run
 
     def spied_record(self, t, psi, *args):
         samples.append(weakref.ref(psi))
         return record(self, t, psi, *args)
 
-    def spied_pauli(self, *args, **kwargs):
-        runs.append(pauli_run(self, *args, **kwargs))
-        return runs[-1]
-
-    def spied_hydro(self, *args, **kwargs):
-        seen.append((sum(ref() is not None for ref in samples),
-                     [band.shape for band in runs[0].states]))
-        return hydro_run(self, *args, **kwargs)
+    def spied_hydro(self, *args, keep, **kwargs):
+        # the bands the WKB run's keep measures against
+        held.append(inspect.getclosurevars(keep).nonlocals["bands"])
+        seen.append((sum(ref() is not None for ref in samples), [band.shape for band in held[0]]))
+        return hydro_run(self, *args, keep=keep, **kwargs)
 
     monkeypatch.setattr(PauliSolver, "_record", spied_record)
-    monkeypatch.setattr(PauliSolver, "run", spied_pauli)
     monkeypatch.setattr(HydroSolver, "run", spied_hydro)
     g = Grid((32, 32))
     init = gaussian_bump(g, epsilon=0.2, amplitude=0.2, width=1.0)
@@ -427,7 +445,7 @@ def test_spinor_samples_freed_before_the_wkb_run(monkeypatch):
     assert len(report.distances) == 5 and len(samples) == 5
     assert seen == [(0, [(2, 21, 21)] * 5)]
     # the WKB run spends each band as it measures the sample of its index
-    assert runs[0].states == []
+    assert held == [[]]
 
 
 def test_spinor_vs_wkb_peak_within_budget(traced_peak):
@@ -450,7 +468,7 @@ def test_spinor_vs_wkb_peak_within_budget(traced_peak):
     assert peak <= 3.0 * 2**20
 
 
-def wkb_run(n_samples=8, keep=keep_all):
+def wkb_run(n_samples=8, keep=None):
     g = Grid((64,))
     params = SimParams(epsilon=0.1, T=0.08)
     return HydroSolver(g, params).run(gaussian_bump(g, epsilon=0.1, amplitude=0.3), n_samples, keep)

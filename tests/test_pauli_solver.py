@@ -14,7 +14,7 @@ from poisswell.states import (
     reconstruct_spinor,
 )
 
-from conftest import random_band_limited
+from conftest import random_band_limited, sampled_run
 
 
 def plane_wave_psi(grid, k):
@@ -115,11 +115,11 @@ class TestStep:
         g = Grid((64,))
         eps, k, T = 0.5, 3, 1.0
         params = SimParams(epsilon=eps, dt=0.05, T=T, coupling=False)
-        run = PauliSolver(g, params).run(plane_wave_psi(g, k))
+        _, samples = sampled_run(PauliSolver(g, params), plane_wave_psi(g, k))
         x = g.coordinates()[0]
         exact = np.exp(1j * (k * x - 0.5 * eps * k**2 * T)) * np.ones(g.shape)
-        assert np.max(np.abs(run.states[-1][0] - exact)) < 1e-12
-        assert np.max(np.abs(run.states[-1][1])) < 1e-14
+        assert np.max(np.abs(samples.states[-1][0] - exact)) < 1e-12
+        assert np.max(np.abs(samples.states[-1][1])) < 1e-14
 
     def test_unitarity_of_multiply(self, rng):
         g = Grid((32,))
@@ -226,9 +226,10 @@ class TestRun:
     def test_zero_horizon_returns_initial(self):
         g = Grid((32,))
         psi = plane_wave_psi(g, 1)
-        run = PauliSolver(g, SimParams(epsilon=0.5, T=0.0, coupling=False)).run(psi)
-        assert len(run.states) == 1
-        assert np.max(np.abs(run.states[0] - psi)) < 1e-13
+        params = SimParams(epsilon=0.5, T=0.0, coupling=False)
+        run, samples = sampled_run(PauliSolver(g, params), psi)
+        assert len(run.times) == len(samples) == 1
+        assert np.max(np.abs(samples.states[0] - psi)) < 1e-13
 
     def test_charge_conservation_wkb_bump(self):
         # acceptance 2 (spinor side): d=1, N=128, eps=0.1, T=0.5
@@ -246,8 +247,7 @@ class TestRun:
         ends = {}
         for dt in (2e-3, 1e-3, 5e-4):
             params = SimParams(epsilon=0.25, dt=dt, T=0.2, sample_every=10**6)
-            run = PauliSolver(g, params).run(psi0)
-            ends[dt] = run.states[-1]
+            ends[dt] = sampled_run(PauliSolver(g, params), psi0)[1].states[-1]
         d1 = l2_norm(g, ends[2e-3] - ends[1e-3])
         d2 = l2_norm(g, ends[1e-3] - ends[5e-4])
         assert d1 / d2 >= 3.5  # order ~ 2
@@ -340,12 +340,12 @@ class TestRunScheme:
         monkeypatch.setattr(PauliSolver, "step", spy)
         g = Grid((16, 16))
         solver = PauliSolver(g, SimParams(epsilon=0.2, T=0.04, dt=0.01))
-        run = solver.run(tilted_spin_psi(g))
+        _, samples = sampled_run(solver, tilted_spin_psi(g))
         assert len(seen) == 4
-        points = [run.potentials[0]] + [mid for _, mid in seen]
+        points = [samples.potentials[0]] + [mid for _, mid in seen]
         assert all(type(p) is Potentials for p in points)
         first = seen[0][0]
-        assert first[0] is run.potentials[0]
+        assert first[0] is samples.potentials[0]
         assert all(np.array_equal(a, b) for a, b in zip(first[1:], solver._fields(points[0])[1:]))
         for n, (fields, _) in enumerate(seen[1:], start=1):
             w = 1.0 if n == 1 else 0.5
@@ -364,20 +364,20 @@ class TestRunScheme:
         g = Grid((16, 16))
         solver = PauliSolver(g, SimParams(epsilon=0.2, T=0.01, dt=0.01))
         psi0 = tilted_spin_psi(g)
-        run = solver.run(psi0)
-        assert np.array_equal(run.states[-1], solver.step(solver._dealias(psi0), 0.01))
+        _, samples = sampled_run(solver, psi0)
+        assert np.array_equal(samples.states[-1], solver.step(solver._dealias(psi0), 0.01))
 
     def test_sample_A_is_the_cold_solve_of_the_stored_state(self):
-        # a sample keeps V and the stored state; A, solved when first read,
-        # has the bits of an eager cold solve
+        # a sample's potentials keep V and the sample's spinor; A, solved
+        # when first read, has the bits of an eager cold solve
         g = Grid((16, 16))
         solver = PauliSolver(g, SimParams(epsilon=0.2, T=0.04, dt=0.01, sample_every=2))
-        run = solver.run(tilted_spin_psi(g))
-        assert len(run.potentials) == 3
-        for pots, psi in zip(run.potentials[1:], run.states[1:]):
+        _, samples = sampled_run(solver, tilted_spin_psi(g))
+        assert len(samples) == 3
+        for _, psi, pots in samples[1:]:
             held = [v for v in vars(pots).values() if isinstance(v, np.ndarray)]
             assert len(held) == 2 and held[0] is pots.V and held[1] is psi
-        for pots, psi in zip(run.potentials, run.states):
+        for _, psi, pots in samples:
             assert np.array_equal(pots.A, solver.potentials(psi).A)
             assert np.array_equal(pots.V, solver.potentials(psi).V)
 
@@ -390,9 +390,9 @@ class TestRunScheme:
         ends = {}
         for dt in (4e-3, 2e-3, 1e-3, 1.25e-4):
             params = SimParams(epsilon=eps, dt=dt, T=0.1, sample_every=10**6, magnetic=True)
-            run = PauliSolver(g, params).run(psi0)
+            run, samples = sampled_run(PauliSolver(g, params), psi0)
             assert run.status == "completed"
-            ends[dt] = run.states[-1]
+            ends[dt] = samples.states[-1]
         e = [l2_norm(g, ends[dt] - ends[1.25e-4]) for dt in (4e-3, 2e-3, 1e-3)]
         assert e[0] / e[1] >= 3.9
         assert e[1] / e[2] >= 3.9
@@ -402,10 +402,11 @@ class TestStopRules:
     """How a spinor run ends: each failure ends it as a blow-up."""
 
     @staticmethod
-    def run(monkeypatch=None, change=None):
+    def run(monkeypatch=None, change=None, keep=None):
         """
-        A 4-step magnetic run sampled after every step; ``change(n, psi)``
-        returns the n-th step's result in place of ``psi``.
+        A 4-step magnetic run sampled after every step, which hands each
+        sample to ``keep``; ``change(n, psi)`` returns the n-th step's result
+        in place of ``psi``.
         """
         if change is not None:
             step, calls = PauliSolver.step, []
@@ -416,7 +417,8 @@ class TestStopRules:
 
             monkeypatch.setattr(PauliSolver, "step", changed)
         g = Grid((16, 16))
-        return PauliSolver(g, SimParams(epsilon=0.2, T=0.04, dt=0.01)).run(tilted_spin_psi(g))
+        return PauliSolver(g, SimParams(epsilon=0.2, T=0.04, dt=0.01)).run(tilted_spin_psi(g),
+                                                                           keep=keep)
 
     @pytest.mark.parametrize("fail_at", [2, 4])  # the midpoint solves of steps 1 and 3
     def test_failed_midpoint_solve_ends_the_run(self, elliptic_spy, fail_at):
@@ -449,13 +451,13 @@ class TestStopRules:
         assert elliptic_spy.finite and all(elliptic_spy.finite)
 
     def test_samples_are_the_states_the_steps_returned(self, monkeypatch):
-        # every stored sample keeps the bits its step returned
-        returned = []
+        # every sample a keep reads keeps the bits its step returned
+        returned, states = [], []
 
-        def keep(n, psi):
+        def change(n, psi):
             returned.append(psi.copy())
             return psi
 
-        run = self.run(monkeypatch, keep)
-        assert run.status == "completed" and len(run.states) == 5
-        assert all(np.array_equal(psi, ref) for psi, ref in zip(run.states[1:], returned))
+        run = self.run(monkeypatch, change, keep=lambda record, psi, pots: states.append(psi))
+        assert run.status == "completed" and len(states) == 5
+        assert all(np.array_equal(psi, ref) for psi, ref in zip(states[1:], returned))

@@ -356,9 +356,9 @@ def test_run_loop_zero_horizon_takes_no_step():
 
 
 @pytest.mark.parametrize("kind", ["hydro", "pauli"])
-def test_default_run_keeps_every_sample(kind, monkeypatch):
-    # without a keep, a run stores each sample's state and potentials, the
-    # very objects its record read
+def test_keep_reads_every_sample(kind, monkeypatch):
+    # a keep reads each sample's record, state and potentials, the very
+    # objects its record was made from
     from poisswell.hydro import HydroSolver
     from poisswell.initial_data import gaussian_bump
     from poisswell.pauli_solver import PauliSolver
@@ -375,7 +375,9 @@ def test_default_run_keeps_every_sample(kind, monkeypatch):
 
     monkeypatch.setattr(cls, "_record", spied_record)
     solver = cls(g, SimParams(epsilon=0.2, T=0.02))
-    run = solver.run(init if kind == "hydro" else reconstruct_spinor(g, init), 4)
-    assert len(run.times) == len(seen) == len(run.states) == len(run.potentials) == 5
-    assert all(s is state for s, (state, _) in zip(run.states, seen))
-    assert all(p is pots for p, (_, pots) in zip(run.potentials, seen))
+    kept = []
+    run = solver.run(init if kind == "hydro" else reconstruct_spinor(g, init), 4,
+                     keep=lambda *sample: kept.append(sample))
+    assert len(run.times) == len(seen) == len(kept) == 5
+    assert all(r is rec for (r, _, _), rec in zip(kept, run.records))
+    assert all(s is state and p is pots for (_, s, p), (state, pots) in zip(kept, seen))

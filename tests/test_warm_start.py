@@ -13,6 +13,8 @@ from poisswell.initial_data import gaussian_bump
 from poisswell.pauli_solver import PauliSolver
 from poisswell.states import SimParams, SolveHistory, reconstruct_spinor
 
+from conftest import sampled_run
+
 
 def polynomial(coefficients, t):
     return sum(c * t**j for j, c in enumerate(coefficients))
@@ -76,33 +78,38 @@ def cold(monkeypatch):
 
 
 def wkb_run():
+    """A coupled 16^3 WKB run and its samples."""
     g = Grid((16, 16, 16))
     params = SimParams(epsilon=0.2, T=0.08, dt=0.01, sample_every=2)
-    return HydroSolver(g, params).run(gaussian_bump(g, amplitude=0.2, width=1.2, epsilon=0.2))
+    return sampled_run(HydroSolver(g, params),
+                       gaussian_bump(g, amplitude=0.2, width=1.2, epsilon=0.2))
 
 
 def spinor_run():
+    """A coupled 64^2 spinor run and its samples."""
     g = Grid((64, 64))
     psi = reconstruct_spinor(g, gaussian_bump(g, epsilon=0.2, amplitude=0.3,
                                               phase_amplitude=0.2, spin_angle=0.5))
-    return PauliSolver(g, SimParams(epsilon=0.2, T=0.08, dt=0.01, sample_every=2)).run(psi)
+    return sampled_run(PauliSolver(g, SimParams(epsilon=0.2, T=0.08, dt=0.01, sample_every=2)),
+                       psi)
 
 
 def test_warm_and_cold_runs_agree(monkeypatch):
     # the guesses change the work of each solve, not its answer: every
-    # stored state and potential of a run agrees with those of the same run
+    # sampled state and potential of a run agrees with those of the same run
     # made with every solve cold (5e-12 seen; the solves meet 1e-11)
     warm = wkb_run(), spinor_run()
     cold(monkeypatch)
     unwarmed = wkb_run(), spinor_run()
-    for run, ref in zip(warm, unwarmed):
+    for (run, samples), (ref, ref_samples) in zip(warm, unwarmed):
         assert run.status == ref.status == "completed"
-        assert len(run.states) == len(ref.states) == 5
-    for st, ref in zip(warm[0].states, unwarmed[0].states):
+        assert len(samples) == len(ref_samples) == 5
+    for st, ref in zip(warm[0][1].states, unwarmed[0][1].states):
         assert relative_gap(st.a, ref.a) <= 1e-9 and relative_gap(st.S, ref.S) <= 1e-9
-    assert all(relative_gap(psi, ref) <= 1e-9 for psi, ref in zip(warm[1].states, unwarmed[1].states))
-    for run, ref in zip(warm, unwarmed):
-        for pots, pref in zip(run.potentials, ref.potentials):
+    assert all(relative_gap(psi, ref) <= 1e-9
+               for psi, ref in zip(warm[1][1].states, unwarmed[1][1].states))
+    for (_, samples), (_, ref_samples) in zip(warm, unwarmed):
+        for pots, pref in zip(samples.potentials, ref_samples.potentials):
             assert relative_gap(pots.V, pref.V) <= 1e-9 and relative_gap(pots.A, pref.A) <= 1e-9
 
 
@@ -119,7 +126,7 @@ def test_iteration_budget_once_the_history_fills(cg_iterations):
     assert run.status == "completed" and len(cg_iterations) == 1 + 4 * 8
     assert max(cg_iterations[1 + 4 * 4:]) <= 3
     cg_iterations.clear()
-    spinor = spinor_run()
+    spinor, _ = spinor_run()
     assert spinor.status == "completed" and len(cg_iterations) == 1 + 8
     assert max(cg_iterations[4:]) <= 4
 
@@ -134,11 +141,11 @@ def test_first_steps_no_more_work_than_the_in_step_guesses(cg_iterations):
     dt = 0.05 / 8
     params = SimParams(epsilon=0.2, T=3 * dt, dt=dt)
     init = gaussian_bump(g, amplitude=0.2, width=1.2, epsilon=0.2)
-    run = HydroSolver(g, params).run(init)
+    run, samples = sampled_run(HydroSolver(g, params), init)
     assert run.status == "completed" and len(cg_iterations) == 1 + 4 * 3
     with_history = [sum(cg_iterations[2 + 4 * n: 5 + 4 * n]) for n in range(3)]
     solver, without = HydroSolver(g, params), []
-    for state, pots in zip(run.states[:3], run.potentials[:3]):
+    for _, state, pots in samples[:3]:
         cg_iterations.clear()
         solver.step_rk4(state, dt, pots)
         without.append(sum(cg_iterations))
