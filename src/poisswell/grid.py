@@ -68,10 +68,6 @@ class Grid:
         """FFT axes (the trailing spatial axes)."""
         return tuple(range(-self.dim, 0))
 
-    @property
-    def volume(self):
-        return float(np.prod(self.lengths))
-
     def coordinates(self):
         """Coordinate arrays ``x[i]`` broadcastable to ``shape``."""
         out = []

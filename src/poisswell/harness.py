@@ -141,6 +141,11 @@ def epsilon_ladder(
     as it is taken against the Euler sample of the same index; the ladder
     holds the Euler reference's samples, and no rung's.
 
+    With ``preflight`` (and T > 0) the ladder checks that T lies below the
+    caustic: it continues the Euler reference from its sample at T to 1.5 T
+    at its dt, the blow-up monitor still judging against the t = 0 sum, and
+    raises a PoisswellError if either run stops.
+
     Returns (LadderReport, LadderRuns).  A rung that blows up is reported
     and excluded from slope fits; the ladder itself continues.
     """
@@ -148,21 +153,25 @@ def epsilon_ladder(
     if any(b >= a for a, b in zip(epsilons, epsilons[1:])):
         raise PoisswellError("epsilon list must be strictly decreasing")
 
-    runs_made = []
-    if preflight and params.T > 0:
-        pf_params = replace(params, epsilon=0.0, T=1.5 * params.T, dt=None)
-        pf = HydroSolver(grid, pf_params, thresholds).run(initial)
-        runs_made.append(pf)
-        if pf.status != "completed":
-            raise PoisswellError(
-                f"pre-flight Euler run stopped at t={pf.times[-1]:.4g} "
-                f"({pf.stop_reason}); lower T below the caustic time"
-            )
-
     samples = []  # of the Euler reference, as (state, potentials) pairs
     euler = HydroSolver(grid, replace(params, epsilon=0.0), thresholds).run(
         initial, n_samples, keep=lambda record, state, pots: samples.append((state, pots))
     )
+    runs_made = [euler]
+    if preflight and params.T > 0:
+        # the check continues the reference from T, so its monitor's base is s(T): the
+        # ratio scaled by s(0) / s(T) triggers past ratio * s(0).  A reference that
+        # stopped is run again from 0, so that the error places its stop by step
+        start, monitor = initial, thresholds
+        if euler.status == "completed":
+            ratio = thresholds.ratio * euler.records[0].blowup_sum / euler.records[-1].blowup_sum
+            start, monitor = samples[-1][0], replace(thresholds, ratio=ratio)
+        pf = HydroSolver(grid, replace(params, epsilon=0.0, T=1.5 * params.T, dt=euler.dt),
+                         monitor).run(start)
+        runs_made.append(pf)
+        if pf.status != "completed":
+            raise PoisswellError(f"pre-flight Euler run stopped at t={pf.times[-1]:.4g} "
+                                 f"({pf.stop_reason}); lower T below the caustic time")
 
     def run_rung(eps):
         start = time.perf_counter()
@@ -199,9 +208,7 @@ def epsilon_ladder(
     runs = {e: run for e, (_, run) in zip(epsilons, results)}
 
     ok = [r for r in rungs if r.xs_error is not None]
-    degenerate = any(
-        r.xs_error is not None and r.xs_error == 0.0 for r in rungs
-    ) or len(ok) < 3
+    degenerate = len(ok) < 3 or any(r.xs_error == 0.0 for r in ok)
     slopes = {
         name: None if degenerate
         else fit_loglog_slope([r.epsilon for r in ok], [getattr(r, name) for r in ok])
@@ -215,7 +222,7 @@ def epsilon_ladder(
         slopes=slopes,
         degenerate=degenerate,
         euler_status=euler.status,
-        warnings=distinct_warnings(runs_made + [euler] + list(runs.values())),
+        warnings=distinct_warnings(runs_made + list(runs.values())),
     )
     return report, LadderRuns(
         grid=grid, initial=initial, euler=euler, samples=samples, hydro=runs,
@@ -382,12 +389,14 @@ def monokinetic_study(ladder: LadderRuns, base_points) -> MonokineticReport:
     final time, and Wigner slices at the smallest epsilon are checked for
     single-peak concentration at the transport-consistent momentum, the
     Euler velocity ``u`` (the field-form velocity ``u - A`` shifted back by
-    A).
+    A).  Without an Euler reference that reached T, every defect and
+    concentration is None, as the ladder's rung errors are.
     """
     grid = ladder.grid
     params = ladder.params
     epsilons = list(ladder.hydro)
-    u_final = ladder.samples[-1][0].u
+    # the Euler velocity at T; none when the reference stopped short of T
+    u_final = ladder.samples[-1][0].u if ladder.euler.status == "completed" else None
 
     defects, spinor_runs, last = [], {}, {}
     for eps in epsilons:
@@ -396,31 +405,27 @@ def monokinetic_study(ladder: LadderRuns, base_points) -> MonokineticReport:
             [reconstruct_spinor(grid, ladder.initial, eps)], ladder.n_samples,
             keep=lambda record, psi, pots: last.update(psi=psi))
         spinor_runs[eps] = run
-        if run.status == "completed":
-            defects.append(monokinetic_defect(grid, last["psi"], u_final, eps))
-        else:
-            defects.append(None)
+        measured = run.status == "completed" and u_final is not None
+        defects.append(monokinetic_defect(grid, last["psi"], u_final, eps) if measured else None)
 
     ratios = [d_lo / d_hi for d_hi, d_lo in zip(defects, defects[1:]) if d_hi and d_lo is not None]
 
     eps_min = epsilons[-1]
-    run_min = spinor_runs[eps_min]
-    concentration, targets, slc = [], [], None
-    if run_min.status == "completed":
+    slc = None
+    if spinor_runs[eps_min].status == "completed":
         slc = wigner_slice(grid, last["psi"], eps_min, base_points)
-        for p, idx in enumerate(slc.base_indices):
-            target = tuple(u_final[ax][idx] for ax in range(grid.dim))
-            targets.append(target)
-            concentration.append(concentration_fraction(slc, p, target))
+    if slc is not None and u_final is not None:
+        targets = [tuple(u_final[ax][idx] for ax in range(grid.dim)) for idx in slc.base_indices]
+        concentration = [concentration_fraction(slc, p, t) for p, t in enumerate(targets)]
     else:
-        targets = [tuple(0.0 for _ in range(grid.dim)) for _ in base_points]
+        targets = [(0.0,) * grid.dim for _ in base_points]
         concentration = [None for _ in base_points]
 
     return MonokineticReport(
         epsilons=list(epsilons),
         defects=defects,
         defect_ratios=ratios,
-        slice_epsilon=eps_min if run_min.status == "completed" else None,
+        slice_epsilon=eps_min if slc is not None else None,
         base_points=list(base_points),
         concentration=concentration,
         targets=targets,

@@ -79,11 +79,6 @@ def write_jsonl(path, records):
             fh.write(json.dumps(rec, sort_keys=True, allow_nan=True) + "\n")
 
 
-def read_jsonl(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
-
-
 def _json_default(obj):
     if isinstance(obj, np.integer):
         return int(obj)

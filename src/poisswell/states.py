@@ -365,19 +365,21 @@ def holder(data):
 
 def run_loop(solver, state, advance, watch=None, n_samples=None, keep=None) -> Run:
     """
-    Integrate ``state`` over [0, T] and sample it every ``sample_every``
-    steps and at the end.  ``state`` is the initial data or a one-slot
-    holder of it (:func:`holder`), which the loop empties once
-    ``_dealias`` has made the run's own state from it: a caller that hands
-    its data over so keeps none of it alive through the run.
+    Integrate ``state`` from its own time ``t`` (0 for a spinor, which
+    carries none) to T, and sample it every ``sample_every`` steps and at
+    the end.  ``state`` is the initial data or a one-slot holder of it
+    (:func:`holder`), which the loop empties once ``_dealias`` has made the
+    run's own state from it: a caller that hands its data over so keeps
+    none of it alive through the run.
 
     dt is ``params.dt`` or :func:`default_dt` of the dealiased initial
     state and its potentials; a dt that would take more than
     :data:`MAX_STEPS` steps raises a ValidationError naming ``dt`` or, for
     the default, ``cfl_safety``.  ``n_samples`` places the samples on the
-    shared times ``T k / n_samples``: dt shrinks to ``T / n_samples / per``
-    for the least ``per`` that does not raise it, samples are taken every
-    ``per`` steps, and ``Run.params`` records that dt and ``sample_every``.
+    shared times ``T k / n_samples`` of a run from t = 0: dt shrinks to
+    ``T / n_samples / per`` for the least ``per`` that does not raise it,
+    samples are taken every ``per`` steps, and ``Run.params`` records that
+    dt and ``sample_every``.
 
     ``solver`` supplies ``params``, ``potentials(state)``, ``dt_bound(state,
     pots)`` (for the default dt), ``_dealias(state)`` and ``_record(t,
@@ -415,20 +417,22 @@ def _integrate(solver, data, advance, watch, n_samples, keep) -> Run:
     held = holder(data)
     state = solver._dealias(held[0])
     held.clear()
+    t0 = float(getattr(state, "t", 0.0))  # a spinor carries no time
+    span = p.T - t0
     pots = solver.potentials(state)
     dt = p.dt if p.dt is not None else default_dt(solver, state, pots)
-    if p.T / dt > MAX_STEPS:
+    if span / dt > MAX_STEPS:
         key = "cfl_safety" if p.dt is None else "dt"
-        raise ValidationError(f"T / dt = {p.T / dt:.3g} steps, over {MAX_STEPS}", key=key)
-    if n_samples is not None and p.T > 0:
-        sample_dt = p.T / n_samples
+        raise ValidationError(f"T / dt = {span / dt:.3g} steps, over {MAX_STEPS}", key=key)
+    if n_samples is not None and span > 0:
+        sample_dt = span / n_samples
         per = max(1, math.ceil(sample_dt / dt - 1e-12))
         dt = sample_dt / per
         p = replace(p, dt=dt, sample_every=per)
-    n_steps = 0 if p.T == 0 else max(1, int(round(p.T / dt)))
-    dt = p.T / n_steps if n_steps else dt
+    n_steps = 0 if span == 0 else max(1, int(round(span / dt)))
+    dt = span / n_steps if n_steps else dt
 
-    run = Run(times=[0.0], records=[solver._record(0.0, state, pots, None)], params=p, dt=dt)
+    run = Run(times=[t0], records=[solver._record(t0, state, pots, None)], params=p, dt=dt)
     if keep is not None:
         keep(run.records[0], state, pots)
     now = [state, pots]  # the one reference the loop keeps to them, handed to advance
@@ -438,7 +442,7 @@ def _integrate(solver, data, advance, watch, n_samples, keep) -> Run:
         try:
             now[:] = advance(now, dt, sample)
             if sample:
-                rec = solver._record(n * dt, *now, run.records[-1])
+                rec = solver._record(t0 + n * dt, *now, run.records[-1])
                 run.times.append(rec.t)
                 run.records.append(rec)
                 if keep is not None:

@@ -14,7 +14,6 @@ from poisswell.grid import Grid
 from poisswell.io import (
     Manifest,
     read_field,
-    read_jsonl,
     records_to_csv,
     write_field,
     write_jsonl,
@@ -338,7 +337,8 @@ class TestJsonlManifest:
         p = tmp_path / "records.jsonl"
         docs = [{"t": 0.0, "charge": 1.0}, {"t": 0.1, "charge": 1.0, "energy": None}]
         write_jsonl(p, docs)
-        assert read_jsonl(p) == docs
+        lines = p.read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line) for line in lines] == docs
 
     def test_csv_union_of_keys(self, tmp_path):
         p = tmp_path / "records.csv"

@@ -1,4 +1,5 @@
 import inspect
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -138,6 +139,43 @@ class TestLadder:
             epsilon_ladder(
                 g, init, SimParams(epsilon=0.1, T=1.5, s=4.0), [0.2, 0.1], n_samples=4
             )
+
+    def test_preflight_continues_the_reference_to_the_caustic(self):
+        # the Euler monitor of these data triggers at t ~ 0.93: past 1.5 T
+        # for T = 0.5, inside [T, 1.5 T] for T = 0.65, where only the
+        # continuation of the reference past T reaches it, and before T for
+        # T = 1.5, where the reference's samples are 0.75 apart but the
+        # error still places the stop by step
+        from poisswell.initial_data import compressive
+
+        g = Grid((128,))
+        init = compressive(g, beta=3.0)
+        report, _ = epsilon_ladder(
+            g, init, SimParams(epsilon=0.1, T=0.5, s=4.0), [0.2, 0.1], n_samples=4)
+        assert report.euler_status == "completed"
+        for T, n_samples in ((0.65, 4), (1.5, 2)):
+            with pytest.raises(PoisswellError, match="pre-flight Euler run stopped") as raised:
+                epsilon_ladder(g, init, SimParams(epsilon=0.1, T=T, s=4.0), [0.2], n_samples)
+            stop = float(re.search(r"t=([0-9.]+)", str(raised.value)).group(1))
+            assert 0.9 < stop < 0.95
+
+    def test_preflight_makes_the_euler_steps_once(self, monkeypatch):
+        # the eps = 0 steps over [0, T] are made once: the reference's n,
+        # then n/2 more from its sample at T to 1.5 T, at its dt
+        steps, step = [], HydroSolver.step_rk4
+
+        def counted(self, state, *args, **kwargs):
+            steps.append((state.epsilon, state.t))
+            return step(self, state, *args, **kwargs)
+
+        monkeypatch.setattr(HydroSolver, "step_rk4", counted)
+        g = Grid((32,))
+        params = SimParams(epsilon=0.1, T=0.05, s=4.0)
+        _, runs = epsilon_ladder(g, gaussian_bump(g, epsilon=0.1), params, [0.2, 0.1], n_samples=2)
+        euler = [t for eps, t in steps if eps == 0.0]
+        n = round(params.T / runs.euler.dt)
+        assert n % 2 == 0 and len(euler) == n + n // 2
+        assert euler[n] == pytest.approx(params.T, abs=1e-12)
 
     def test_small_ladder_peak_within_budget(self, traced_peak):
         # the small_ladder fixture's ladder: 0.15 MB traced when each rung
@@ -328,6 +366,20 @@ class TestMonokinetic:
         eps = [repr(e) for e in (0.4, 0.2, 0.1)]
         assert doc["spinor_status"] == dict.fromkeys(eps, "completed")
         assert doc["spinor_stop_reason"] == dict.fromkeys(eps, "spectral tail warning")
+
+    def test_no_defect_without_the_euler_reference_at_T(self):
+        # the Euler reference of these data stops at its sample t = 1.0,
+        # short of T: the spinors at T have no Euler velocity to meet
+        from poisswell.initial_data import compressive
+
+        g = Grid((128,))
+        params = SimParams(epsilon=0.1, T=1.5, s=4.0)
+        _, runs = epsilon_ladder(
+            g, compressive(g, beta=3.0), params, [0.2], n_samples=3, preflight=False)
+        assert runs.euler.status == "blowup" and runs.euler.times[-1] < params.T
+        mono = monokinetic_study(runs, [(32,)])
+        assert mono.stops[0.2][0] == "completed" and mono.slice_epsilon == 0.2
+        assert mono.defects == [None] and mono.concentration == [None]
 
 
 def test_reference_ladder_dt_halving_below_one_percent():

@@ -154,7 +154,7 @@ class TestDefect:
         eps = 0.25
         psi = plane_wave(g, round(1 / eps))
         val = monokinetic_defect(g, psi, np.zeros((3,) + g.shape), eps)
-        assert val == pytest.approx(g.volume, rel=1e-12)
+        assert val == pytest.approx(np.prod(g.lengths), rel=1e-12)
 
     def test_quadratic_eps_scaling(self, rng):
         g = Grid((128,))
