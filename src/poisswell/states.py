@@ -328,9 +328,7 @@ class Run:
     @property
     def charge_drift(self):
         c0 = self.records[0].charge
-        if c0 == 0.0:
-            return 0.0
-        return max(abs(r.charge - c0) for r in self.records) / c0
+        return max(abs(r.charge - c0) for r in self.records) / c0 if c0 else 0.0
 
 
 class RunStopped(Exception):
@@ -340,14 +338,14 @@ class RunStopped(Exception):
 MAX_STEPS = 100_000  # of a run; about 50 times the most that any test or reference config takes
 
 
-def default_dt(solver, state, pots):
+def default_dt(solver, state, pots, cap=None):
     """
-    The safety fraction of the solver's dt bound at ``state`` with its
-    potentials ``pots``, capped at T/16 and 1e-2.
+    ``cfl_safety`` times the solver's dt bound at ``state`` with its potentials
+    ``pots``, capped at ``cap`` (a sampled run's sample spacing), else at T/16 and 1e-2.
     """
     p = solver.params
-    cap = p.T / 16.0 if p.T > 0 else 1e-2
-    return max(min(p.cfl_safety * solver.dt_bound(state, pots), cap, 1e-2), 1e-8)
+    cap = min(p.T / 16.0 if p.T > 0 else 1e-2, 1e-2) if cap is None else cap
+    return max(min(p.cfl_safety * solver.dt_bound(state, pots), cap), 1e-8)
 
 
 def finite(state):
@@ -373,10 +371,12 @@ def run_loop(solver, state, advance, watch=None, n_samples=None, keep=None) -> R
     none of it alive through the run.
 
     dt is ``params.dt`` or :func:`default_dt` of the dealiased initial
-    state and its potentials; a dt that would take more than
-    :data:`MAX_STEPS` steps raises a ValidationError naming ``dt`` or, for
-    the default, ``cfl_safety``.  ``n_samples`` places the samples on the
-    shared times ``T k / n_samples`` of a run from t = 0: dt shrinks to
+    state and its potentials: ``cfl_safety`` times the solver's dt bound,
+    capped by the sample spacing ``(T - t0) / n_samples`` in a sampled run
+    and by T/16 and 1e-2 in an unsampled one.  A dt that would take more
+    than :data:`MAX_STEPS` steps raises a ValidationError naming ``dt`` or,
+    for the default, ``cfl_safety``.  ``n_samples`` places the samples on
+    the shared times ``T k / n_samples`` of a run from t = 0: dt shrinks to
     ``T / n_samples / per`` for the least ``per`` that does not raise it,
     samples are taken every ``per`` steps, and ``Run.params`` records that
     dt and ``sample_every``.
@@ -420,12 +420,12 @@ def _integrate(solver, data, advance, watch, n_samples, keep) -> Run:
     t0 = float(getattr(state, "t", 0.0))  # a spinor carries no time
     span = p.T - t0
     pots = solver.potentials(state)
-    dt = p.dt if p.dt is not None else default_dt(solver, state, pots)
+    sample_dt = span / n_samples if n_samples is not None and span > 0 else None
+    dt = p.dt if p.dt is not None else default_dt(solver, state, pots, sample_dt)
     if span / dt > MAX_STEPS:
         key = "cfl_safety" if p.dt is None else "dt"
         raise ValidationError(f"T / dt = {span / dt:.3g} steps, over {MAX_STEPS}", key=key)
-    if n_samples is not None and span > 0:
-        sample_dt = span / n_samples
+    if sample_dt is not None:
         per = max(1, math.ceil(sample_dt / dt - 1e-12))
         dt = sample_dt / per
         p = replace(p, dt=dt, sample_every=per)

@@ -197,3 +197,46 @@ def cg_iterations(monkeypatch):
     monkeypatch.setattr(Grid, "irfft", counted_irfft)
     monkeypatch.setattr(states, "solve_screened_vector", counted_solve)
     return counts
+
+
+class StepCount:
+    """
+    The work of the runs made, in call order: ``wkb`` holds the ``(epsilon,
+    t)`` of the state each WKB step took, ``spinor`` the epsilon of each
+    spinor step, and ``screened`` counts the screened solves.
+    """
+
+    def __init__(self):
+        self.wkb, self.spinor, self.screened = [], [], 0
+
+
+@pytest.fixture
+def step_count(monkeypatch):
+    """
+    A :class:`StepCount` of every ``HydroSolver.step_rk4``,
+    ``PauliSolver.step`` and screened solve made.
+    """
+    from poisswell import states
+    from poisswell.hydro import HydroSolver
+    from poisswell.pauli_solver import PauliSolver
+
+    count = StepCount()
+    wkb_step, spinor_step = HydroSolver.step_rk4, PauliSolver.step
+    solve = states.solve_screened_vector
+
+    def counted_wkb_step(self, state, *args, **kwargs):
+        count.wkb.append((state.epsilon, state.t))
+        return wkb_step(self, state, *args, **kwargs)
+
+    def counted_spinor_step(self, *args, **kwargs):
+        count.spinor.append(self.params.epsilon)
+        return spinor_step(self, *args, **kwargs)
+
+    def counted_solve(*args, **kwargs):
+        count.screened += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(HydroSolver, "step_rk4", counted_wkb_step)
+    monkeypatch.setattr(PauliSolver, "step", counted_spinor_step)
+    monkeypatch.setattr(states, "solve_screened_vector", counted_solve)
+    return count

@@ -394,7 +394,8 @@ class TestRunCommand:
             return step(self, *args)
 
         monkeypatch.setattr(PauliSolver, "step", failing_step)
-        cfg = write_cfg(tmp_path, PAULI_BUMP)
+        # a fixed dt makes five steps, so the third fails whatever the default dt rule
+        cfg = write_cfg(tmp_path, PAULI_BUMP.replace("T = 0.05", "T = 0.05\ndt = 0.01"))
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--out", str(out)]) == 1
         assert sorted(p.name for p in out.glob("psi_*.pwf")) == [
@@ -415,7 +416,8 @@ class TestRunCommand:
             return step(self, *args)
 
         monkeypatch.setattr(HydroSolver, "step_rk4", failing_step)
-        cfg = write_cfg(tmp_path, PAULI_BUMP.replace("kind = pauli", "kind = wkb"))
+        cfg = write_cfg(tmp_path, PAULI_BUMP.replace("kind = pauli", "kind = wkb")
+                        .replace("T = 0.05", "T = 0.05\ndt = 0.01"))
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--out", str(out)]) == 1
         assert sorted(p.name for p in out.glob("amplitude_*.pwf")) == [

@@ -159,20 +159,13 @@ class TestLadder:
             stop = float(re.search(r"t=([0-9.]+)", str(raised.value)).group(1))
             assert 0.9 < stop < 0.95
 
-    def test_preflight_makes_the_euler_steps_once(self, monkeypatch):
+    def test_preflight_makes_the_euler_steps_once(self, step_count):
         # the eps = 0 steps over [0, T] are made once: the reference's n,
         # then n/2 more from its sample at T to 1.5 T, at its dt
-        steps, step = [], HydroSolver.step_rk4
-
-        def counted(self, state, *args, **kwargs):
-            steps.append((state.epsilon, state.t))
-            return step(self, state, *args, **kwargs)
-
-        monkeypatch.setattr(HydroSolver, "step_rk4", counted)
         g = Grid((32,))
         params = SimParams(epsilon=0.1, T=0.05, s=4.0)
         _, runs = epsilon_ladder(g, gaussian_bump(g, epsilon=0.1), params, [0.2, 0.1], n_samples=2)
-        euler = [t for eps, t in steps if eps == 0.0]
+        euler = [t for eps, t in step_count.wkb if eps == 0.0]
         n = round(params.T / runs.euler.dt)
         assert n % 2 == 0 and len(euler) == n + n // 2
         assert euler[n] == pytest.approx(params.T, abs=1e-12)
@@ -416,3 +409,50 @@ def test_reference_ladder_dt_halving_below_one_percent():
         assert xs_d <= 0.01 * rung.xs_error
         assert rho_d <= 0.01 * rung.rho_error
         assert cur_d <= 0.01 * rung.current_error
+
+
+def test_reference_ladder_step_counts(step_count):
+    # a sampled run steps at cfl_safety x dt_bound, capped only by the
+    # sample spacing T / 15 = 0.02, which binds on every run: 15 steps per
+    # run, and 7 more from T to 1.5 T for the pre-flight.  With the fixed
+    # caps T/16 and 1e-2 they were 165 WKB steps, 120 spinor steps and 790
+    # screened solves
+    cfg = parse_config(LADDER_CFG.read_text(encoding="utf-8"))
+    grid = cfg.build_grid()
+    _, runs = epsilon_ladder(grid, cfg.build_initial(grid), cfg.sim_params(), cfg.epsilons,
+                             n_samples=cfg.ladder_samples)
+    monokinetic_study(runs, cfg.default_base_points(grid))
+    assert (len(step_count.wkb), len(step_count.spinor), step_count.screened) == (82, 60, 398)
+
+
+def test_c14_comparison_step_counts(step_count):
+    # the comparison of the c14 data, as the smoke-3d benchmark runs it: each
+    # route steps once per sample, 10 steps where the T/16 cap made 20, and
+    # 52 screened solves where it made 102
+    g = Grid((32, 32, 32))
+    init = gaussian_bump(g, epsilon=0.2, amplitude=0.2, width=1.2)
+    rep = spinor_vs_wkb(g, init, SimParams(epsilon=0.2, T=0.05), n_samples=10)
+    assert rep.dt_hydro == rep.dt_spinor == 0.05 / 10
+    assert (len(step_count.wkb), len(step_count.spinor), step_count.screened) == (10, 10, 52)
+
+
+def test_reference_monokinetic_dt_halving_below_one_percent(step_count):
+    # the spinor twin of the test above: halving the dt of each monokinetic
+    # spinor run of the reference ladder (0.02 -> 0.01, samples every 2
+    # steps) moves each defect and concentration by <= 1 % of itself
+    cfg = parse_config(LADDER_CFG.read_text(encoding="utf-8"))
+    grid, params = cfg.build_grid(), cfg.sim_params()
+    _, runs = epsilon_ladder(grid, cfg.build_initial(grid), params, cfg.epsilons,
+                             n_samples=cfg.ladder_samples, preflight=False)
+    base_points = cfg.default_base_points(grid)
+    step_count.spinor.clear()
+    mono = monokinetic_study(runs, base_points)
+    # one spinor step per sample: each run steps at the sample spacing
+    assert len(step_count.spinor) == len(cfg.epsilons) * cfg.ladder_samples
+    dt = params.T / cfg.ladder_samples
+    step_count.spinor.clear()
+    half = monokinetic_study(replace(runs, params=replace(params, dt=dt / 2)), base_points)
+    assert len(step_count.spinor) == 2 * len(cfg.epsilons) * cfg.ladder_samples
+    for coarse, fine in ((mono.defects, half.defects), (mono.concentration, half.concentration)):
+        assert all(c is not None for c in coarse)
+        assert all(abs(f - c) <= 0.01 * abs(c) for c, f in zip(coarse, fine))

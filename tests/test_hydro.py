@@ -10,7 +10,15 @@ from poisswell.errors import InsufficientHistory, StabilityViolation
 from poisswell.grid import Grid, dealias_mask, k2, k3
 from poisswell.hydro import HydroSolver, euler_fields_form, residual_window
 from poisswell.initial_data import compressive, gaussian_bump, plane_wave, uniform
-from poisswell.operators import curl, derivative_table, divergence, gradient, l2_norm, laplacian
+from poisswell.operators import (
+    curl,
+    derivative_table,
+    divergence,
+    gradient,
+    l2_norm,
+    laplacian,
+    spectrum,
+)
 from poisswell.states import (
     HydroState,
     Potentials,
@@ -362,18 +370,20 @@ class TestRun:
         assert quiet.warnings == []
 
     def test_sample_velocity_derivative_bitwise(self):
-        # every sample's d_t u is the gradient of the rhs's d_t S, from its
-        # spectrum, to the bit
+        # every sample's d_t u is the gradient of the rhs's d_t S, its
+        # spectrum i k dS_hat, to the bit
         from poisswell.diagnostics import functionals
 
         g = Grid((64,))
+        ks = k3(g, half=True)
         params = SimParams(epsilon=0.2, T=0.04, dt=0.01)
         run, samples = sampled_run(HydroSolver(g, params), gaussian_bump(g, epsilon=0.2))
         solver = HydroSolver(g, run.params)
         for rec, st, pots in samples:
             dS_hat = solver._phase_rhs(st.u, pots)
             assert np.array_equal(g.irfft(dS_hat), solver.rhs(st, pots)[1])
-            fn = functionals(g, st, run.params.s, dt_u=derivative_table(g, dS_hat))
+            dt_u = spectrum(g, None, np.stack([1j * ks[i] * dS_hat for i in range(g.dim)]))
+            fn = functionals(g, st, run.params.s, dt_u=dt_u)
             assert rec.xs_eps_dtu == fn.xs_eps_dtu
 
     def test_charge_conservation_bump(self):

@@ -65,10 +65,10 @@ def test_rk4_step_peak_within_budget(traced_peak):
 
 
 def test_rk4_step_peak_at_32_within_budget(traced_peak):
-    # 32^3 at smoke-3d's dt: 13.82 MB traced with the streamed derivatives
-    # of test_rk4_step_peak_within_budget, 16.77 MB with a's derivative
-    # table held through each stage solve, and 20.25 MB with the 2.47 MiB
-    # stage solves and div u
+    # 32^3 at the c14 data's unsampled dt, T/16: 13.82 MB traced with the
+    # streamed derivatives of test_rk4_step_peak_within_budget, 16.77 MB with
+    # a's derivative table held through each stage solve, and 20.25 MB with
+    # the 2.47 MiB stage solves and div u
     assert c14_step_peak(traced_peak, 32, 0.05 / 16) <= 14.5 * 10**6
 
 

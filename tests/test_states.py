@@ -343,16 +343,64 @@ def test_run_loop_empties_the_holder_of_its_data():
 
 
 def test_run_loop_zero_horizon_takes_no_step():
+    # with a dt or without one: a sampled T = 0 run has no sample spacing
     from poisswell.states import run_loop
-
-    solver = StandIn(T=0.0, dt=0.01)
 
     def advance(now, dt, sample):
         raise AssertionError("a T = 0 run takes no step")
 
-    run = run_loop(solver, np.zeros(1), advance, n_samples=4)
-    assert run.status == "completed" and run.times == [0.0]
-    assert run.params is solver.params
+    for solver in (StandIn(T=0.0, dt=0.01), StandIn(T=0.0)):
+        run = run_loop(solver, np.zeros(1), advance, n_samples=4)
+        assert run.status == "completed" and run.times == [0.0]
+        assert run.params is solver.params
+
+
+def test_sampled_run_with_no_bound_steps_at_the_sample_spacing(step_count):
+    # uniform data has u - A = 0, so the WKB dt bound is infinite: a sampled
+    # run without a dt steps at exactly T / n_samples, and an unsampled one
+    # at the T/16 cap
+    from poisswell.hydro import HydroSolver
+    from poisswell.initial_data import uniform
+    from poisswell.states import SimParams
+
+    g = Grid((16,))
+    solver = HydroSolver(g, SimParams(epsilon=0.1, T=0.12))
+    state = solver._dealias(uniform(g))
+    assert solver.dt_bound(state, solver.potentials(state)) == np.inf
+    run = solver.run(uniform(g), 3)
+    assert run.dt == run.params.dt == 0.12 / 3 and run.params.sample_every == 1
+    assert [t for _, t in step_count.wkb] == pytest.approx([0.0, 0.04, 0.08], abs=1e-15)
+    assert solver.run(uniform(g)).dt == 0.12 / 16
+
+
+def test_sampled_run_tiny_cfl_safety_names_it():
+    # the sample spacing caps the default dt from above only: a dt of
+    # cfl_safety x dt_bound that would take over MAX_STEPS steps still raises
+    from poisswell.errors import ValidationError
+    from poisswell.states import run_loop
+
+    solver = StandIn(T=0.1, cfl_safety=1e-7)
+    solver.dt_bound = lambda state, pots: 1.0
+    with pytest.raises(ValidationError, match="steps, over 100000") as err:
+        run_loop(solver, np.zeros(1), lambda now, dt, sample: now, n_samples=4)
+    assert err.value.key == "cfl_safety"
+
+
+@pytest.mark.parametrize("T, bound, dt", [
+    (0.1, np.inf, 0.1 / 16),      # T/16 binds
+    (0.5, np.inf, 1e-2),          # 1e-2 binds
+    (0.5, 1e-3, 0.4 * 1e-3),      # cfl_safety x dt_bound binds
+    (0.0, np.inf, 1e-2),          # no horizon: 1e-2
+    (0.5, 1e-12, 1e-8),           # the floor
+])
+def test_unsampled_default_dt_keeps_the_fixed_caps(T, bound, dt):
+    # an unsampled run's default dt is min(cfl_safety x dt_bound, T/16, 1e-2),
+    # at least 1e-8, to the bit
+    from poisswell.states import default_dt
+
+    solver = StandIn(T=T)
+    solver.dt_bound = lambda state, pots: bound
+    assert default_dt(solver, None, None) == dt
 
 
 @pytest.mark.parametrize("kind", ["hydro", "pauli"])
