@@ -110,7 +110,6 @@ def _run_ladder(cfg: RunConfig, grid, init, manifest: Manifest, with_wigner: boo
         cfg.epsilons,
         n_samples=cfg.ladder_samples,
         thresholds=_thresholds(cfg),
-        threads=cfg.threads,
     )
     doc = report.as_dict()
     doc["density_current"] = density_current_limit(report)
@@ -209,8 +208,6 @@ def main(argv=None):
         p = sub.add_parser(name, help=text, description=text)
         p.add_argument("config", help="path to a config file")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=None, metavar="N",
-                       help="threads the ladder's rungs run on (overrides [run] threads)")
         p.add_argument("--sample-every", type=int, default=None, metavar="K",
                        help="sample a pauli, wkb or euler run every K steps (overrides"
                             " [params] sample_every; other kinds take only 1)")
@@ -221,8 +218,6 @@ def main(argv=None):
         cfg = parse_config(text)
         if args.command == "ladder":
             cfg = replace(cfg, kind="ladder")
-        if args.threads is not None:
-            cfg = replace(cfg, threads=args.threads)
         if args.sample_every is not None:
             cfg = replace(cfg, sample_every=args.sample_every)
         cfg.validate()

@@ -165,7 +165,8 @@ _POSITIVE, _AT_LEAST_1 = (lambda v: v > 0, "> 0"), (lambda v: v >= 1, ">= 1")
 
 _KEYS = (
     ("run", "kind", "kind", _text, _one_of(KINDS)),
-    ("run", "threads", "threads", _int, _AT_LEAST_1),
+    # kept, and held at 1, only because perfbench's ladder check reads it from report.json
+    ("run", "threads", "threads", _int, (lambda v: v == 1, "1 (the rungs run in turn)")),
     ("grid", "points", "points", _tuple(_int),
      (lambda v: 1 <= len(v) <= 3 and all(n >= 4 and n % 2 == 0 for n in v),
       "1 to 3 even sizes >= 4")),

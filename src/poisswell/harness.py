@@ -130,7 +130,6 @@ def epsilon_ladder(
     n_samples: int = 15,
     thresholds: MonitorThresholds = MonitorThresholds(),
     preflight: bool = True,
-    threads: int = 1,
 ):
     """
     Run the WKB system at each epsilon and at epsilon = 0 from the same
@@ -139,7 +138,9 @@ def epsilon_ladder(
     ``n_samples`` samples at ``T k / n_samples`` itself, from its own dt
     (:func:`~poisswell.states.run_loop`).  Each rung measures each sample
     as it is taken against the Euler sample of the same index; the ladder
-    holds the Euler reference's samples, and no rung's.
+    holds the Euler reference's samples, and no rung's.  The rungs run in
+    turn, on the calling thread: each run keeps the warnings it raises, not
+    shown (:func:`~poisswell.states.run_loop`), and the report lists them.
 
     With ``preflight`` (and T > 0) the ladder checks that T lies below the
     caustic: it continues the Euler reference from its sample at T to 1.5 T
@@ -196,14 +197,7 @@ def epsilon_ladder(
             (rung.xs_error, rung.rho_error, rung.current_error, rung.eps_term_norm) = errors
         return rung, run
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_rung, epsilons))
-    else:
-        results = [run_rung(e) for e in epsilons]
-
+    results = [run_rung(e) for e in epsilons]
     rungs = [r for r, _ in results]
     runs = {e: run for e, (_, run) in zip(epsilons, results)}
 

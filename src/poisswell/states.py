@@ -428,9 +428,10 @@ def _integrate(solver, data, advance, watch, n_samples, keep) -> Run:
     if sample_dt is not None:
         per = max(1, math.ceil(sample_dt / dt - 1e-12))
         dt = sample_dt / per
-        p = replace(p, dt=dt, sample_every=per)
     n_steps = 0 if span == 0 else max(1, int(round(span / dt)))
     dt = span / n_steps if n_steps else dt
+    if sample_dt is not None:  # the run records the dt it steps with
+        p = replace(p, dt=dt, sample_every=per)
 
     run = Run(times=[t0], records=[solver._record(t0, state, pots, None)], params=p, dt=dt)
     if keep is not None:

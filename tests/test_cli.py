@@ -587,8 +587,22 @@ class TestLadderCommand:
         text = " ".join(capsys.readouterr().out.split())
         assert "run the epsilon ladder of a config file" in text
         assert "ladder an experiment" not in text
-        assert "--threads N threads the ladder's rungs run on" in text
         assert "--sample-every K sample a pauli, wkb or euler run every K steps" in text
+
+    def test_threads_above_one_exits_one_naming_threads(self, tmp_path, capsys):
+        # the rungs run in turn, so [run] threads must be 1; no directory is made
+        cfg = write_cfg(tmp_path, LADDER.replace("kind = ladder", "kind = ladder\nthreads = 2"))
+        out = tmp_path / "out"
+        assert main(["ladder", str(cfg), "--out", str(out)]) == 1
+        assert "threads" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_threads_flag_is_a_usage_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, LADDER)
+        with pytest.raises(SystemExit) as done:
+            main(["ladder", str(cfg), "--out", str(tmp_path / "out"), "--threads", "2"])
+        assert done.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
 def test_ladder_warnings_in_report(tmp_path):
@@ -666,6 +680,6 @@ def test_artifact_inventory(tmp_path, kind):
 
 
 def test_cli_import_leaves_out_the_thread_pool():
-    # only a ladder run with threads > 1 reads concurrent.futures
+    # no path of the package imports concurrent.futures: the ladder's rungs run in turn
     done = python("-c", "import sys, poisswell.cli; print('concurrent.futures' in sys.modules)")
     assert done.returncode == 0 and done.stdout.strip() == "False"

@@ -1,5 +1,6 @@
 import inspect
 import re
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -197,14 +198,23 @@ class TestLadder:
         )
         assert report.as_dict() == report2.as_dict()
 
-    def test_threaded_matches_sequential(self, small_ladder):
-        g, report, _ = small_ladder
+    def test_takes_no_threads_argument(self):
+        # the rungs run in turn: there is no threaded path to ask for
+        assert "threads" not in inspect.signature(epsilon_ladder).parameters
+
+    def test_warning_rungs_keep_their_warnings(self, recwarn):
+        # s = 3 is below the 7/2 hypothesis, so every run of the ladder warns:
+        # the report lists the message, none is shown, and the process's
+        # warning filters are left as they were found
+        g = Grid((64,))
         init = gaussian_bump(g, epsilon=0.1, amplitude=0.3)
-        params = SimParams(epsilon=0.1, T=0.1, s=4.0)
-        report2, _ = epsilon_ladder(
-            g, init, params, [0.4, 0.2, 0.1], n_samples=5, preflight=False, threads=3
-        )
-        assert report.as_dict() == report2.as_dict()
+        params = SimParams(epsilon=0.1, T=0.1, s=3.0)
+        filters = list(warnings.filters)
+        report, runs = epsilon_ladder(g, init, params, [0.4, 0.2, 0.1], n_samples=5)
+        assert len(recwarn) == 0
+        assert warnings.filters == filters
+        assert report.warnings == ["regularity s=3.0 below the 7/2 hypothesis"]
+        assert all(run.warnings == report.warnings for run in runs.hydro.values())
 
 
 class TestSpinorVsWkb:

@@ -373,6 +373,20 @@ def test_sampled_run_with_no_bound_steps_at_the_sample_spacing(step_count):
     assert solver.run(uniform(g)).dt == 0.12 / 16
 
 
+def test_sampled_run_records_the_dt_it_steps_with():
+    # T / (n_samples x sample_every) and (T / n_samples) / sample_every round
+    # apart here: the run's params carry the dt its steps take, so a rerun
+    # from run.params steps alike
+    from poisswell.hydro import HydroSolver
+    from poisswell.initial_data import compressive
+    from poisswell.states import SimParams
+
+    g = Grid((16,))
+    run = HydroSolver(g, SimParams(epsilon=0.1, T=0.3)).run(compressive(g, beta=30.0), 3)
+    assert run.params.sample_every == 10
+    assert run.params.dt == run.dt == 0.3 / 30
+
+
 def test_sampled_run_tiny_cfl_safety_names_it():
     # the sample spacing caps the default dt from above only: a dt of
     # cfl_safety x dt_bound that would take over MAX_STEPS steps still raises
